@@ -70,6 +70,7 @@ def cmd_decompose(args):
         "t1": sol.stats.get("t1"),
         "t2": sol.stats.get("t2"),
         "t_assemble": sol.stats.get("t_assemble"),
+        "filter_failed_columns": sol.stats.get("filter_failed_columns"),
         "rel_err": synth.rel_err(sol.l, truth) if truth is not None else None,
         "max_dif": synth.max_dif(sol.l, truth) if truth is not None else None,
         "ave_dif": synth.ave_dif(sol.l, truth) if truth is not None else None,

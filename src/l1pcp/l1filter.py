@@ -114,24 +114,29 @@ def recover_seed(seed_block, adm=None, rank_tol=SEED_RANK_TOL,
 
 
 def filter_columns(m_c, u_s, cfg=None, parallelism=1):
-    """Express the aligned column block as U^s Q + sparse residual."""
+    """Express the aligned column block as U^s Q + sparse residual.
+
+    Returns (Q, residual, iterations, failed_columns), where failed_columns
+    lists the columns whose l1 regression stopped short of its tolerance.
+    """
     m_c = as_dense(m_c)
     if m_c.shape[1] == 0:
-        return np.zeros((u_s.shape[1], 0)), np.zeros_like(m_c), 0
+        return np.zeros((u_s.shape[1], 0)), np.zeros_like(m_c), 0, []
     sol = solve_l1reg_columnwise(m_c, u_s, cfg, parallelism=parallelism)
-    return sol.z, sol.e, sol.iterations
+    return sol.z, sol.e, sol.iterations, sol.failed_columns
 
 
 def filter_rows(m_r, v_s, cfg=None, parallelism=1):
     """Express the aligned row block as P^T (V^s)^T + sparse residual.
 
-    Solved by transposing into column form over the same kernel.
+    Solved by transposing into column form over the same kernel; returns
+    (P, residual, iterations, failed_rows) like filter_columns.
     """
     m_r = as_dense(m_r)
     if m_r.shape[0] == 0:
-        return np.zeros((v_s.shape[1], 0)), np.zeros_like(m_r), 0
+        return np.zeros((v_s.shape[1], 0)), np.zeros_like(m_r), 0, []
     sol = solve_l1reg_columnwise(m_r.T, v_s, cfg, parallelism=parallelism)
-    return sol.z, sol.e.T, sol.iterations
+    return sol.z, sol.e.T, sol.iterations, sol.failed_columns
 
 
 def nystrom_complete(seed, fr):
@@ -199,7 +204,8 @@ def estimate_rank_and_solve(m, cfg=None):
         if max(n_rows / m_rows, n_cols / m_cols) > cfg.max_seed_fraction:
             sol = solve_pcp(m, cfg.adm)
             sol.method = "full-pcp-fallback"
-            sol.stats.update({"attempts": attempts, "proposed_seed": (n_rows, n_cols)})
+            sol.stats.update({"attempts": attempts, "proposed_seed": (n_rows, n_cols),
+                              "filter_failed_columns": 0})
             sol.elapsed = time.perf_counter() - t_start
             return sol
         n_rows, n_cols = min(n_rows, m_rows), min(n_cols, m_cols)
@@ -214,7 +220,8 @@ def estimate_rank_and_solve(m, cfg=None):
             return PcpSolution(
                 l=l, s=m.copy(), iterations=attempts, final_residual=0.0,
                 rank_of_l=0, elapsed=time.perf_counter() - t_start, converged=True,
-                method="degenerate-zero-seed", stats={"t1": t1, "attempts": attempts},
+                method="degenerate-zero-seed",
+                stats={"t1": t1, "attempts": attempts, "filter_failed_columns": 0},
             )
         r_prime = seed.r_prime
 
@@ -241,8 +248,10 @@ def estimate_rank_and_solve(m, cfg=None):
     comp_cols = np.setdiff1d(np.arange(m_cols), seed.col_idx)
     m_c = m[np.ix_(seed.row_idx, comp_cols)]
     m_r = m[np.ix_(comp_rows, seed.col_idx)]
-    q_tilde, s_col, it_c = filter_columns(m_c, seed.seed_svd.u, cfg.adm, cfg.parallelism)
-    p_tilde, s_row, it_r = filter_rows(m_r, seed.seed_svd.v, cfg.adm, cfg.parallelism)
+    q_tilde, s_col, it_c, failed_c = filter_columns(m_c, seed.seed_svd.u, cfg.adm,
+                                                    cfg.parallelism)
+    p_tilde, s_row, it_r, failed_r = filter_rows(m_r, seed.seed_svd.v, cfg.adm,
+                                                 cfg.parallelism)
     fr = FilterResult(q_tilde=q_tilde, p_tilde=p_tilde, s_col=s_col,
                       s_row=s_row, iterations=max(it_c, it_r))
     t2 = time.perf_counter() - t0
@@ -264,5 +273,6 @@ def estimate_rank_and_solve(m, cfg=None):
             "seed_rows": int(seed.row_idx.size), "seed_cols": int(seed.col_idx.size),
             "r_prime": seed.r_prime, "attempts": attempts,
             "seed_iterations": seed.pcp_iterations, "filter_iterations": fr.iterations,
+            "filter_failed_columns": len(failed_c) + len(failed_r),
         },
     )

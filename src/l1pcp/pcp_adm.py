@@ -25,8 +25,10 @@ class AdmConfig:
     """Hyperparameters for the ADM solvers.
 
     lam=None picks 1/sqrt(max(m, n)); beta0=None picks 1.25 over a
-    power-iteration estimate of the spectral norm; beta_max=None picks
-    1e7 * beta0.
+    power-iteration estimate of the spectral norm. beta_max=None picks
+    1e7 * beta0 in solve_pcp; the l1-regression solver instead caps each
+    column at beta0_j / tol, its own starting penalty over the stopping
+    tolerance, which is the same 1e7 * beta0_j at the default tol.
     """
 
     lam: float | None = None

@@ -250,9 +250,9 @@ def test_nystrom_dual_formulas():
                             seed_s=block - f.reconstruct(), r_prime=f.rank)
         comp_r = np.setdiff1d(np.arange(80), ri)
         comp_c = np.setdiff1d(np.arange(70), ci)
-        q, s_c, _ = filter_columns(l0[np.ix_(ri, comp_c)], seed.seed_svd.u,
+        q, s_c, _, _ = filter_columns(l0[np.ix_(ri, comp_c)], seed.seed_svd.u,
                                    AdmConfig(tol=1e-10))
-        p, s_r, _ = filter_rows(l0[np.ix_(comp_r, ci)], seed.seed_svd.v,
+        p, s_r, _, _ = filter_rows(l0[np.ix_(comp_r, ci)], seed.seed_svd.v,
                                 AdmConfig(tol=1e-10))
         fr = FilterResult(q_tilde=q, p_tilde=p, s_col=s_c, s_row=s_r)
         direct = nystrom_complete(seed, fr)

@@ -32,6 +32,7 @@ def test_decompose_with_truth_stats(tmp_path, capsys):
     assert stats["method"] == "l1-filter"
     assert stats["rel_err"] <= 1e-5
     assert stats["rank"] == 2
+    assert stats["filter_failed_columns"] == 0
     # stage timings are reported and account for the total
     assert stats["t"] >= stats["t1"] + stats["t2"] + stats["t_assemble"] - 1e-3
     printed = json.loads(capsys.readouterr().out.strip().splitlines()[-1])

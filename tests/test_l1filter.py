@@ -72,7 +72,7 @@ def test_filter_columns_exact_subspace():
     rng = np.random.default_rng(3)
     u, _ = np.linalg.qr(rng.standard_normal((40, 3)))
     q0 = rng.standard_normal((3, 15))
-    q, s_col, _ = filter_columns(u @ q0, u, AdmConfig(tol=1e-10))
+    q, s_col, _, _ = filter_columns(u @ q0, u, AdmConfig(tol=1e-10))
     assert np.abs(s_col).max() <= 1e-8
     assert np.abs(q - q0).max() <= 1e-6
 
@@ -82,7 +82,7 @@ def test_filter_rows_transposed_form():
     v, _ = np.linalg.qr(rng.standard_normal((30, 3)))
     p0 = rng.standard_normal((3, 12))
     m_r = p0.T @ v.T
-    p, s_row, _ = filter_rows(m_r, v, AdmConfig(tol=1e-10))
+    p, s_row, _, _ = filter_rows(m_r, v, AdmConfig(tol=1e-10))
     assert s_row.shape == m_r.shape
     assert np.abs(s_row).max() <= 1e-8
     assert np.abs(p - p0).max() <= 1e-6
@@ -91,10 +91,10 @@ def test_filter_rows_transposed_form():
 def test_filter_empty_complement_is_noop():
     rng = np.random.default_rng(5)
     u, _ = np.linalg.qr(rng.standard_normal((10, 2)))
-    q, s_col, iters = filter_columns(np.zeros((10, 0)), u)
-    assert q.shape == (2, 0) and s_col.shape == (10, 0) and iters == 0
-    p, s_row, iters = filter_rows(np.zeros((0, 10)), u)
-    assert p.shape == (2, 0) and s_row.shape == (0, 10) and iters == 0
+    q, s_col, iters, failed = filter_columns(np.zeros((10, 0)), u)
+    assert q.shape == (2, 0) and s_col.shape == (10, 0) and iters == 0 and failed == []
+    p, s_row, iters, failed = filter_rows(np.zeros((0, 10)), u)
+    assert p.shape == (2, 0) and s_row.shape == (0, 10) and iters == 0 and failed == []
 
 
 def _exact_seed(block, ri, ci):
@@ -113,9 +113,9 @@ def _pipeline_pieces(rng, m_rows, m_cols, r, seed_rows, seed_cols):
     seed = _exact_seed(block, ri, ci)
     comp_r = np.setdiff1d(np.arange(m_rows), ri)
     comp_c = np.setdiff1d(np.arange(m_cols), ci)
-    q, s_c, _ = filter_columns(l0[np.ix_(ri, comp_c)], seed.seed_svd.u,
+    q, s_c, _, _ = filter_columns(l0[np.ix_(ri, comp_c)], seed.seed_svd.u,
                                AdmConfig(tol=1e-10))
-    p, s_r, _ = filter_rows(l0[np.ix_(comp_r, ci)], seed.seed_svd.v,
+    p, s_r, _, _ = filter_rows(l0[np.ix_(comp_r, ci)], seed.seed_svd.v,
                             AdmConfig(tol=1e-10))
     fr = FilterResult(q_tilde=q, p_tilde=p, s_col=s_c, s_row=s_r)
     return l0, seed, fr
@@ -202,6 +202,30 @@ def test_end_to_end_recovery_with_hint():
     np.testing.assert_allclose(sol.l + sol.s, gt.m_obs, atol=1e-10)
 
 
+def test_filter_iterations_stay_short_on_clean_columns():
+    # Columns whose only misfit is the seed's subspace error stop once the
+    # penalty reaches its cap beta0_j / tol; a cap below that leaves them
+    # creeping to the pipeline tolerance for 150 iterations.
+    for seed in range(2):
+        spec = synth.SynthSpec(m=500, n=500, rho_r=0.01, rho_s=0.01, rng_seed=seed)
+        gt = synth.generate(spec)
+        sol = estimate_rank_and_solve(gt.m_obs,
+                                      FilterConfig(rank_hint=5, rng_seed=seed))
+        assert sol.stats["filter_iterations"] <= 80
+        assert synth.rel_err(sol.l, gt.l0) <= 1e-5
+
+
+def test_filter_failed_columns_reported():
+    spec = synth.SynthSpec(m=300, n=300, rho_r=0.01, rho_s=0.01, rng_seed=0)
+    gt = synth.generate(spec)
+    ok = estimate_rank_and_solve(gt.m_obs, FilterConfig(rank_hint=spec.rank))
+    assert ok.stats["filter_failed_columns"] == 0
+    starved = estimate_rank_and_solve(
+        gt.m_obs, FilterConfig(rank_hint=spec.rank, adm=AdmConfig(tol=1e-9, max_iter=8)))
+    assert starved.method == "l1-filter"
+    assert 0 < starved.stats["filter_failed_columns"] <= 2 * (300 - starved.stats["seed_cols"])
+
+
 def test_rank_estimation_without_hint():
     spec = synth.SynthSpec(m=400, n=400, rho_r=0.005, rho_s=0.01, rng_seed=1)
     gt = synth.generate(spec)  # true rank 2
@@ -219,6 +243,7 @@ def test_fallback_to_full_pcp_for_high_rank():
     assert sol.method == "full-pcp-fallback"
     res = frobenius_norm(gt.m_obs - sol.l - sol.s) / frobenius_norm(gt.m_obs)
     assert res <= 1e-7
+    assert sol.stats["filter_failed_columns"] == 0
 
 
 def test_degenerate_zero_matrix():
@@ -226,6 +251,7 @@ def test_degenerate_zero_matrix():
     assert sol.method == "degenerate-zero-seed"
     assert sol.rank_of_l == 0
     assert not sol.l.any()
+    assert sol.stats["filter_failed_columns"] == 0
 
 
 def test_cross_validation_agrees_on_clean_rank():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from l1pcp.l1reg import solve_l1reg, solve_l1reg_columnwise
+from l1pcp.l1reg import CHUNK_COLS, solve_l1reg, solve_l1reg_columnwise
 from l1pcp.pcp_adm import AdmConfig
 
 
@@ -49,11 +49,16 @@ def test_single_column_hand_solvable():
     np.testing.assert_allclose(sol.e, expected_e, atol=1e-6)
 
 
+# three chunks, the last one ragged, so the pool really splits the work
+N_COLS_CHUNKED = 2 * CHUNK_COLS + 37
+
+
 def test_columnwise_matches_joint():
     rng = np.random.default_rng(2)
     a = _orthonormal(rng, 120, 6)
-    x = a @ rng.standard_normal((6, 90))
-    x.flat[rng.choice(x.size, 200, replace=False)] += rng.uniform(-50, 50, 200)
+    x = a @ rng.standard_normal((6, N_COLS_CHUNKED))
+    n_spikes = x.size // 54  # about 1.9% of entries
+    x.flat[rng.choice(x.size, n_spikes, replace=False)] += rng.uniform(-50, 50, n_spikes)
     joint = solve_l1reg(x, a)
     colwise = solve_l1reg_columnwise(x, a, parallelism=3)
     assert np.abs(joint.e - colwise.e).max() <= 1e-8
@@ -63,13 +68,31 @@ def test_columnwise_matches_joint():
 def test_parallelism_degree_does_not_change_results():
     rng = np.random.default_rng(3)
     a = _orthonormal(rng, 150, 5)
-    x = a @ rng.standard_normal((5, 200))
-    x.flat[rng.choice(x.size, 400, replace=False)] += rng.uniform(-80, 80, 400)
+    x = a @ rng.standard_normal((5, N_COLS_CHUNKED))
+    n_spikes = x.size // 75  # about 1.3% of entries
+    x.flat[rng.choice(x.size, n_spikes, replace=False)] += rng.uniform(-80, 80, n_spikes)
     s1 = solve_l1reg_columnwise(x, a, parallelism=1)
     s8 = solve_l1reg_columnwise(x, a, parallelism=8)
     np.testing.assert_array_equal(s1.e, s8.e)
     np.testing.assert_array_equal(s1.z, s8.z)
     assert s1.iterations == s8.iterations
+
+
+def test_default_penalty_cap_unchanged_at_default_tol():
+    # With unit column norms beta0_j = 1, and the default cap beta0_j / tol
+    # must be exactly the 1e7 * beta0 cap used before it followed tol. The
+    # dense noise keeps every column iterating until its penalty nears the cap.
+    rng = np.random.default_rng(9)
+    a = _orthonormal(rng, 100, 4)
+    x = a @ rng.standard_normal((4, 40))
+    x.flat[rng.choice(x.size, 80, replace=False)] += rng.uniform(-20, 20, 80)
+    x += 1e-5 * rng.standard_normal(x.shape)
+    x /= np.abs(x).max(axis=0)
+    default = solve_l1reg(x, a, AdmConfig())
+    explicit = solve_l1reg(x, a, AdmConfig(beta_max=1e7))
+    np.testing.assert_array_equal(default.z, explicit.z)
+    np.testing.assert_array_equal(default.e, explicit.e)
+    assert default.iterations == explicit.iterations
 
 
 def test_non_orthonormal_dictionary_rejected():
