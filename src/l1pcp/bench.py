@@ -50,8 +50,9 @@ def run_instance(method, gt, r, rho_s, sigma_scale, seed, rank_hint=None,
         if method == "adm":
             sol = solve_pcp(gt.m_obs, adm or AdmConfig())
         elif method == "l1filter":
-            cfg = FilterConfig(rank_hint=rank_hint, rng_seed=seed,
-                               adm=adm or AdmConfig(), parallelism=threads)
+            cfg = FilterConfig(rank_hint=rank_hint, rng_seed=seed, parallelism=threads)
+            if adm is not None:
+                cfg.adm = adm
             sol = estimate_rank_and_solve(gt.m_obs, cfg)
         else:
             raise ValueError(f"unknown method {method!r}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matcore
-from .matcore import SkinnySvd, as_dense, frobenius_norm, svd
+from .matcore import SkinnySvd, as_dense, linf_norm, svd
 from .l1reg import solve_l1reg_columnwise
 from .pcp_adm import AdmConfig, PcpSolution, default_lambda, solve_pcp
 
@@ -40,6 +40,7 @@ class SeedRecovery:
     seed_s: np.ndarray
     r_prime: int
     pcp_iterations: int = 0
+    pcp_residual: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -70,6 +71,19 @@ class FilterConfig:
             raise ValueError("max_seed_fraction must be in (0, 1]")
 
 
+def _sample_indices(shape, n_rows, n_cols, rng_seed):
+    """Sorted row/column index sets drawn uniformly without replacement
+    from a matrix of the given shape."""
+    if n_rows > shape[0] or n_cols > shape[1]:
+        raise ValueError(
+            f"requested {n_rows}x{n_cols} block from {shape[0]}x{shape[1]} matrix"
+        )
+    rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
+    row_idx = np.sort(rng.choice(shape[0], size=n_rows, replace=False))
+    col_idx = np.sort(rng.choice(shape[1], size=n_cols, replace=False))
+    return row_idx, col_idx
+
+
 def sample_submatrix(m, n_rows, n_cols, rng_seed):
     """Sample row/column index sets uniformly without replacement.
 
@@ -77,13 +91,7 @@ def sample_submatrix(m, n_rows, n_cols, rng_seed):
     are returned sorted; the block is M restricted to them.
     """
     m = as_dense(m)
-    if n_rows > m.shape[0] or n_cols > m.shape[1]:
-        raise ValueError(
-            f"requested {n_rows}x{n_cols} block from {m.shape[0]}x{m.shape[1]} matrix"
-        )
-    rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
-    row_idx = np.sort(rng.choice(m.shape[0], size=n_rows, replace=False))
-    col_idx = np.sort(rng.choice(m.shape[1], size=n_cols, replace=False))
+    row_idx, col_idx = _sample_indices(m.shape, n_rows, n_cols, rng_seed)
     return row_idx, col_idx, m[np.ix_(row_idx, col_idx)]
 
 
@@ -110,6 +118,7 @@ def recover_seed(seed_block, adm=None, rank_tol=SEED_RANK_TOL,
         row_idx=np.asarray(row_idx), col_idx=np.asarray(col_idx),
         seed_svd=f, seed_l=seed_l, seed_s=seed_block - seed_l,
         r_prime=f.rank, pcp_iterations=sol.iterations,
+        pcp_residual=sol.final_residual,
     )
 
 
@@ -172,6 +181,13 @@ def assemble(seed, fr, completion, m_rows, m_cols):
     return l
 
 
+def _filter_residual(x, basis, coef, e):
+    """Relative constraint residual ||X - basis coef - E||_inf / ||X||_inf
+    of one filtered block."""
+    scale = linf_norm(x)
+    return linf_norm(x - basis @ coef - e) / scale if scale else 0.0
+
+
 def _proposed_seed_shape(r, m_rows, m_cols, cfg):
     return int(round(cfg.s_r * r)), int(round(cfg.s_c * r))
 
@@ -211,7 +227,8 @@ def estimate_rank_and_solve(m, cfg=None):
         n_rows, n_cols = min(n_rows, m_rows), min(n_cols, m_cols)
 
         t0 = time.perf_counter()
-        row_idx, col_idx, block = sample_submatrix(m, n_rows, n_cols, next_stream())
+        row_idx, col_idx = _sample_indices(m.shape, n_rows, n_cols, next_stream())
+        block = m[np.ix_(row_idx, col_idx)]
         try:
             seed = recover_seed(block, cfg.adm, cfg.rank_tol, row_idx, col_idx)
         except SeedRankZeroError:
@@ -226,7 +243,8 @@ def estimate_rank_and_solve(m, cfg=None):
         r_prime = seed.r_prime
 
         if cfg.cross_validate:
-            ri2, ci2, block2 = sample_submatrix(m, n_rows, n_cols, next_stream())
+            ri2, ci2 = _sample_indices(m.shape, n_rows, n_cols, next_stream())
+            block2 = m[np.ix_(ri2, ci2)]
             try:
                 seed2 = recover_seed(block2, cfg.adm, cfg.rank_tol, ri2, ci2)
                 r2 = seed2.r_prime
@@ -254,16 +272,17 @@ def estimate_rank_and_solve(m, cfg=None):
                                                  cfg.parallelism)
     fr = FilterResult(q_tilde=q_tilde, p_tilde=p_tilde, s_col=s_col,
                       s_row=s_row, iterations=max(it_c, it_r))
+    # certificates: the seed PCP residual and each filter's constraint residual
+    residual = max(seed.pcp_residual,
+                   _filter_residual(m_c, seed.seed_svd.u, q_tilde, s_col),
+                   _filter_residual(m_r.T, seed.seed_svd.v, p_tilde, s_row.T))
     t2 = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    completion = nystrom_complete(seed, fr)
-    l = assemble(seed, fr, completion, m_rows, m_cols)
+    l = assemble(seed, fr, nystrom_complete(seed, fr), m_rows, m_cols)
     s = m - l
     t_assemble = time.perf_counter() - t0
 
-    norm_m = frobenius_norm(m)
-    residual = frobenius_norm(m - l - s) / norm_m if norm_m else 0.0
     return PcpSolution(
         l=l, s=s, iterations=seed.pcp_iterations + fr.iterations,
         final_residual=residual, rank_of_l=seed.r_prime,

@@ -3,7 +3,21 @@
     min ||E||_l1   s.t.   X = A Z + E
 
 where A has orthonormal columns, so the Z update is a plain projection
-A^T (X - E + Y/beta) with no normal-equation inverse.
+A^T (X - E + U) with no normal-equation inverse.
+
+The iteration is the scaled form of ADM (Boyd et al., "Distributed
+Optimization and Statistical Learning via ADMM", 2011): it carries the
+multiplier as U = Y / beta, so one step reads
+
+    E = soft(X - A Z + U, 1 / beta)     computed as W - clip(W, -1/beta, 1/beta)
+    Z = A^T (X - E + U)
+    R = X - A Z - E
+    U = (U + R) * beta / beta'          beta' = min(rho * beta, beta_max)
+
+Each block owns four work arrays of its own shape, T = A Z, W, E and R,
+plus U, and every step updates them in place; T from the residual is the
+A Z of the next step, so one step costs two small matrix products. Columns
+leave the block as they finish, and the arrays shrink with them.
 
 The problem separates across columns of X, and the solver treats it that
 way: every column carries its own penalty schedule and its own stopping
@@ -24,6 +38,13 @@ threshold fall to the column's stopping threshold tol * ||x_j||_inf; a
 lower cap leaves columns whose only misfit is a small subspace error
 creeping towards the threshold through the multiplier alone. At the
 default tol = 1e-7 the cap equals the 1e7 * beta0 that solve_pcp uses.
+
+A column that has not met its threshold is given up (and reported in
+failed_columns) once its residual has stopped moving for STAGNATION_ITERS
+iterations with its penalty at the cap. Below the cap a flat residual is
+not a stall: a column whose misfit lies outside span(A) keeps the same
+residual until the shrink threshold falls to it, and the scaled multiplier
+can sit at a bit-exact fixed point meanwhile.
 
 The penalty growth rate cfg.rho trades speed against certified optimality:
 the default 1.5 is fast and empirically exact in sparse-corruption recovery
@@ -74,10 +95,11 @@ def _check_dictionary(a):
 
 
 def _solve_block(x, a, cfg):
-    """ADM over a block of columns. Column j stops once its residual drops
-    to cfg.tol times its own linf norm; its penalty starts at
-    1 / ||x_j||_inf unless cfg.beta0 overrides, and is capped at that start
-    over cfg.tol unless cfg.beta_max overrides."""
+    """Scaled-multiplier ADM over a block of columns. Column j stops once
+    its residual drops to cfg.tol times its own linf norm, or fails once it
+    stalls at its penalty cap; its penalty starts at 1 / ||x_j||_inf unless
+    cfg.beta0 overrides, and is capped at that start over cfg.tol unless
+    cfg.beta_max overrides."""
     n_rows, n_cols = x.shape
     k = a.shape[1]
     col_scale = np.abs(x).max(axis=0)
@@ -90,7 +112,6 @@ def _solve_block(x, a, cfg):
     failed = []
 
     live = col_scale > 0.0  # zero columns are solved by Z = E = 0
-    iters_out[~live] = 0
     active = np.flatnonzero(live)
     if cfg.beta0 is not None:
         beta = np.full(active.size, float(cfg.beta0))
@@ -103,23 +124,39 @@ def _solve_block(x, a, cfg):
 
     xa = x[:, active].copy()
     z = np.zeros((k, active.size))
+    u = np.zeros_like(xa)   # scaled multiplier Y / beta
+    t = np.zeros_like(xa)   # A Z, carried from one residual to the next W
     e = np.zeros_like(xa)
-    y = np.zeros_like(xa)
+    w = np.empty_like(xa)
+    r = np.empty_like(xa)
     prev_res = np.full(n_cols, np.inf)
     stalled = np.zeros(n_cols, dtype=int)
 
     for it in range(1, cfg.max_iter + 1):
         if active.size == 0:
             break
-        w = xa - a @ z + y / beta
-        e = np.sign(w) * np.maximum(np.abs(w) - 1.0 / beta, 0.0)
-        z = a.T @ (xa - e + y / beta)
-        r = xa - a @ z - e
-        res = np.abs(r).max(axis=0)
+        # E = soft(W, 1/beta) as W - clip(W, -1/beta, 1/beta), W = X - A Z + U;
+        # maximum then minimum, as np.clip costs about three times as much
+        shrink = 1.0 / beta
+        np.subtract(xa, t, out=w)
+        w += u
+        np.maximum(w, -shrink, out=e)
+        np.minimum(e, shrink, out=e)
+        np.subtract(w, e, out=e)
+        # Z = A^T (X - E + U)
+        np.subtract(xa, e, out=w)
+        w += u
+        np.matmul(a.T, w, out=z)
+        np.matmul(a, z, out=t)
+        np.subtract(xa, t, out=r)
+        r -= e
+        res = np.maximum(r.max(axis=0), -r.min(axis=0))
 
-        # stagnation: residual stops moving but never reaches the threshold
+        # stagnation: the residual stops moving, with the penalty at its cap,
+        # but never reaches the threshold (see the module docstring)
         rel_change = np.abs(res - prev_res[active]) / np.maximum(res, np.finfo(float).tiny)
-        stalled[active] = np.where(rel_change < STAGNATION_EPS, stalled[active] + 1, 0)
+        stuck = (rel_change < STAGNATION_EPS) & (beta >= beta_max)
+        stalled[active] = np.where(stuck, stalled[active] + 1, 0)
         prev_res[active] = res
 
         ok = res <= thresh[active]
@@ -133,17 +170,17 @@ def _solve_block(x, a, cfg):
             failed.extend(int(c) for c, good in zip(cols, ok[finished]) if not good)
             keep = ~finished
             active = active[keep]
-            xa = xa[:, keep]
-            z = z[:, keep]
-            e = e[:, keep]
-            y = y[:, keep]
-            r = r[:, keep]
-            beta = beta[keep]
-            beta_max = beta_max[keep]
             if active.size == 0:
                 break
-        y = y + beta * r
-        beta = np.minimum(cfg.rho * beta, beta_max)
+            xa, z, u, t, e, r = (b[:, keep] for b in (xa, z, u, t, e, r))
+            w = np.empty_like(xa)
+            beta = beta[keep]
+            beta_max = beta_max[keep]
+        # Y += beta R, then U = Y / beta' for the grown penalty beta'
+        beta_next = np.minimum(cfg.rho * beta, beta_max)
+        u += r
+        u *= beta / beta_next
+        beta = beta_next
 
     if active.size:  # max_iter exhausted
         z_out[:, active] = z

@@ -31,7 +31,8 @@ def write_dmat(path, m):
     m = as_dense(m)
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, m.shape[0], m.shape[1]))
-        fh.write(m.astype("<f8").tobytes(order="C"))
+        # as_dense returns C order; write its buffer without a bytes copy
+        fh.write(memoryview(m.astype("<f8", copy=False)))
 
 
 def read_dmat(path):

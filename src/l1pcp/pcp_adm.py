@@ -50,6 +50,19 @@ class AdmConfig:
 
 @dataclass
 class PcpSolution:
+    """A recovered decomposition M = L + S with its diagnostics.
+
+    final_residual certifies the solve. For solve_pcp (and the l1-filter's
+    full-pcp-fallback) it is ||M - L - S||_F / ||M||_F at the last
+    iterate. For the l1-filter pipeline, where S = M - L holds by
+    construction, it is the largest of the seed PCP's relative Frobenius
+    residual and the relative linf constraint residuals
+    ||M_c - U Q - E_c||_inf / ||M_c||_inf and ||M_r - P^T V^T - E_r||_inf /
+    ||M_r||_inf of the column and row filters; a converged solve keeps it
+    at about the solver tolerance, an unconverged one shows a larger value.
+    The degenerate-zero-seed path reports 0.
+    """
+
     l: np.ndarray
     s: np.ndarray
     iterations: int

@@ -6,6 +6,7 @@ import pytest
 
 from l1pcp import synth
 from l1pcp.l1filter import (
+    PIPELINE_TOL,
     FilterConfig,
     FilterResult,
     SeedRankZeroError,
@@ -224,6 +225,19 @@ def test_filter_failed_columns_reported():
         gt.m_obs, FilterConfig(rank_hint=spec.rank, adm=AdmConfig(tol=1e-9, max_iter=8)))
     assert starved.method == "l1-filter"
     assert 0 < starved.stats["filter_failed_columns"] <= 2 * (300 - starved.stats["seed_cols"])
+
+
+def test_final_residual_certifies_the_solve():
+    # S = M - L holds by construction, so the residual must come from the
+    # stages: the seed PCP and the two filters' constraint residuals
+    spec = synth.SynthSpec(m=500, n=500, rho_r=0.01, rho_s=0.01, rng_seed=0)
+    gt = synth.generate(spec)
+    sol = estimate_rank_and_solve(gt.m_obs, FilterConfig(rank_hint=spec.rank))
+    assert 0.0 < sol.final_residual <= 1.01 * PIPELINE_TOL
+    starved = estimate_rank_and_solve(
+        gt.m_obs, FilterConfig(rank_hint=spec.rank, adm=AdmConfig(tol=1e-9, max_iter=8)))
+    assert starved.method == "l1-filter"
+    assert starved.final_residual > 1e-6
 
 
 def test_rank_estimation_without_hint():

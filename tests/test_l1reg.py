@@ -3,13 +3,142 @@
 import numpy as np
 import pytest
 
-from l1pcp.l1reg import CHUNK_COLS, solve_l1reg, solve_l1reg_columnwise
+from l1pcp.l1reg import (
+    CHUNK_COLS, STAGNATION_EPS, STAGNATION_ITERS, _solve_block, solve_l1reg,
+    solve_l1reg_columnwise,
+)
 from l1pcp.pcp_adm import AdmConfig
+
+
+# three chunks, the last one ragged, so the pool really splits the work
+N_COLS_CHUNKED = 2 * CHUNK_COLS + 37
 
 
 def _orthonormal(rng, rows, cols):
     q, _ = np.linalg.qr(rng.standard_normal((rows, cols)))
     return q
+
+
+def _reference_solve_block(x, a, cfg):
+    """The kernel in its plain unscaled-multiplier form: Y is carried as is
+    and every step builds fresh arrays. Same thresholds, penalty cap and
+    compaction as the solver; its stagnation rule also counts iterations
+    below the penalty cap."""
+    n_rows, n_cols = x.shape
+    k = a.shape[1]
+    col_scale = np.abs(x).max(axis=0)
+    thresh = cfg.tol * col_scale
+
+    z_out = np.zeros((k, n_cols))
+    e_out = np.zeros((n_rows, n_cols))
+    iters_out = np.zeros(n_cols, dtype=int)
+    failed = []
+
+    active = np.flatnonzero(col_scale > 0.0)
+    if cfg.beta0 is not None:
+        beta = np.full(active.size, float(cfg.beta0))
+    else:
+        beta = 1.0 / col_scale[active]
+    if cfg.beta_max is not None:
+        beta_max = np.full_like(beta, float(cfg.beta_max))
+    else:
+        beta_max = np.maximum(beta * (1.0 / cfg.tol), beta)
+
+    xa = x[:, active].copy()
+    z = np.zeros((k, active.size))
+    e = np.zeros_like(xa)
+    y = np.zeros_like(xa)
+    prev_res = np.full(n_cols, np.inf)
+    stalled = np.zeros(n_cols, dtype=int)
+
+    for it in range(1, cfg.max_iter + 1):
+        if active.size == 0:
+            break
+        w = xa - a @ z + y / beta
+        e = np.sign(w) * np.maximum(np.abs(w) - 1.0 / beta, 0.0)
+        z = a.T @ (xa - e + y / beta)
+        r = xa - a @ z - e
+        res = np.abs(r).max(axis=0)
+
+        rel_change = np.abs(res - prev_res[active]) / np.maximum(res, np.finfo(float).tiny)
+        stalled[active] = np.where(rel_change < STAGNATION_EPS, stalled[active] + 1, 0)
+        prev_res[active] = res
+
+        ok = res <= thresh[active]
+        finished = ok | (stalled[active] >= STAGNATION_ITERS)
+        if finished.any():
+            cols = active[finished]
+            z_out[:, cols] = z[:, finished]
+            e_out[:, cols] = e[:, finished]
+            iters_out[cols] = it
+            failed.extend(int(c) for c, good in zip(cols, ok[finished]) if not good)
+            keep = ~finished
+            active, xa, z, e, y, r = (active[keep], xa[:, keep], z[:, keep],
+                                      e[:, keep], y[:, keep], r[:, keep])
+            beta, beta_max = beta[keep], beta_max[keep]
+            if active.size == 0:
+                break
+        y = y + beta * r
+        beta = np.minimum(cfg.rho * beta, beta_max)
+
+    if active.size:  # max_iter exhausted
+        z_out[:, active] = z
+        e_out[:, active] = e
+        iters_out[active] = cfg.max_iter
+        failed.extend(int(c) for c in active)
+    return z_out, e_out, iters_out, sorted(failed)
+
+
+def _spiked_instance():
+    rng = np.random.default_rng(1)
+    a = _orthonormal(rng, 200, 5)
+    z0 = rng.standard_normal((5, 30))
+    e0 = np.zeros((200, 30))
+    idx = rng.choice(200 * 30, size=300, replace=False)  # 5% spikes
+    e0.flat[idx] = rng.uniform(-100, 100, size=300)
+    return a @ z0 + e0, a, e0
+
+
+def _chunked_instance():
+    rng = np.random.default_rng(2)
+    a = _orthonormal(rng, 120, 6)
+    x = a @ rng.standard_normal((6, N_COLS_CHUNKED))
+    n_spikes = x.size // 54  # about 1.9% of entries
+    x.flat[rng.choice(x.size, n_spikes, replace=False)] += rng.uniform(-50, 50, n_spikes)
+    return x, a
+
+
+@pytest.mark.parametrize("cfg", [AdmConfig(), AdmConfig(tol=1e-9), AdmConfig(max_iter=5)],
+                         ids=["default", "tol1e-9", "max_iter5"])
+@pytest.mark.parametrize("instance", [_spiked_instance, _chunked_instance],
+                         ids=["spiked", "chunked"])
+def test_kernel_matches_unscaled_reference(instance, cfg):
+    x, a = instance()[:2]
+    z_ref, e_ref, iters_ref, failed_ref = _reference_solve_block(x, a, cfg)
+    z, e, iters, _, failed = _solve_block(x, a, cfg)
+    np.testing.assert_array_equal(iters, iters_ref)
+    assert failed == failed_ref
+    assert bool(failed) == (cfg.max_iter == 5)
+    bound = 1e-12 * np.abs(x).max()
+    assert np.abs(z - z_ref).max() <= bound
+    assert np.abs(e - e_ref).max() <= bound
+    sol = solve_l1reg(x, a, cfg)
+    assert sol.failed_columns == failed_ref
+    assert sol.iterations == iters_ref.max()
+
+
+def test_flat_residual_below_penalty_cap_is_not_a_stall():
+    # With slow penalty growth one column's residual sits still for 20
+    # iterations long before the penalty reaches its cap; the shrink
+    # threshold is still falling, and the column converges later.
+    x, a = _chunked_instance()
+    cfg = AdmConfig(tol=1e-9, rho=1.1)
+    *_, failed_ref = _reference_solve_block(x, a, cfg)
+    assert failed_ref  # the rule without the cap condition gives up on it
+    sol = solve_l1reg(x, a, cfg)
+    assert sol.converged
+    res = np.abs(x - a @ sol.z - sol.e).max(axis=0)
+    assert (res[failed_ref] <= cfg.tol * np.abs(x[:, failed_ref]).max(axis=0)).all()
 
 
 def test_exact_fit_no_noise():
@@ -23,13 +152,8 @@ def test_exact_fit_no_noise():
 
 
 def test_spiked_recovery():
-    rng = np.random.default_rng(1)
-    a = _orthonormal(rng, 200, 5)
-    z0 = rng.standard_normal((5, 30))
-    e0 = np.zeros((200, 30))
-    idx = rng.choice(200 * 30, size=300, replace=False)  # 5% spikes
-    e0.flat[idx] = rng.uniform(-100, 100, size=300)
-    sol = solve_l1reg(a @ z0 + e0, a, AdmConfig(tol=1e-9))
+    x, a, e0 = _spiked_instance()
+    sol = solve_l1reg(x, a, AdmConfig(tol=1e-9))
     assert sol.converged
     assert np.abs(sol.e - e0).max() <= 1e-4
 
@@ -49,16 +173,8 @@ def test_single_column_hand_solvable():
     np.testing.assert_allclose(sol.e, expected_e, atol=1e-6)
 
 
-# three chunks, the last one ragged, so the pool really splits the work
-N_COLS_CHUNKED = 2 * CHUNK_COLS + 37
-
-
 def test_columnwise_matches_joint():
-    rng = np.random.default_rng(2)
-    a = _orthonormal(rng, 120, 6)
-    x = a @ rng.standard_normal((6, N_COLS_CHUNKED))
-    n_spikes = x.size // 54  # about 1.9% of entries
-    x.flat[rng.choice(x.size, n_spikes, replace=False)] += rng.uniform(-50, 50, n_spikes)
+    x, a = _chunked_instance()
     joint = solve_l1reg(x, a)
     colwise = solve_l1reg_columnwise(x, a, parallelism=3)
     assert np.abs(joint.e - colwise.e).max() <= 1e-8

@@ -26,6 +26,14 @@ def test_dmat_roundtrip(tmp_path, sample):
     np.testing.assert_array_equal(matio.read_dmat(path), sample)
 
 
+def test_dmat_roundtrip_fortran_order(tmp_path, sample):
+    path = tmp_path / "f.dmat"
+    matio.write_dmat(path, np.asfortranarray(sample))
+    np.testing.assert_array_equal(matio.read_dmat(path), sample)
+    values = np.frombuffer(path.read_bytes()[16:], dtype="<f8")
+    np.testing.assert_array_equal(values, sample.ravel(order="C"))  # row-major
+
+
 def test_dmat_header_layout(tmp_path):
     path = tmp_path / "m.dmat"
     matio.write_dmat(path, np.arange(6.0).reshape(2, 3))
