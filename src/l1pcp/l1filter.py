@@ -10,7 +10,7 @@ would exceed half the matrix.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -41,14 +41,13 @@ class SeedRecovery:
     r_prime: int
     pcp_iterations: int = 0
     pcp_residual: float = 0.0
+    pcp_converged: bool = True
 
 
 @dataclass(frozen=True)
 class FilterResult:
     q_tilde: np.ndarray   # r' x (n - |col_idx|)
     p_tilde: np.ndarray   # r' x (m - |row_idx|)
-    s_col: np.ndarray
-    s_row: np.ndarray
     iterations: int = 0
 
 
@@ -98,13 +97,13 @@ def sample_submatrix(m, n_rows, n_cols, rng_seed):
 def recover_seed(seed_block, adm=None, rank_tol=SEED_RANK_TOL,
                  row_idx=None, col_idx=None):
     """Recover the low-rank part of a sampled block by small-scale PCP and
-    factor it. Raises SeedRankZeroError when the block carries no signal."""
+    factor it. Raises SeedRankZeroError when the block carries no signal.
+
+    The PCP runs rank-adaptive (see solve_pcp): the seed's SVT rank is small
+    next to the block, so a certified partial SVD replaces most full SVDs."""
     seed_block = as_dense(seed_block)
-    adm = adm or AdmConfig()
-    lam = default_lambda(*seed_block.shape)
-    cfg = AdmConfig(lam=lam, tol=adm.tol, beta0=adm.beta0, rho=adm.rho,
-                    beta_max=adm.beta_max, max_iter=adm.max_iter)
-    sol = solve_pcp(seed_block, cfg)
+    cfg = replace(adm or AdmConfig(), lam=default_lambda(*seed_block.shape))
+    sol = solve_pcp(seed_block, cfg, rank_adaptive=True)
     f = svd(sol.l, rank_tol=rank_tol)
     if f.rank == 0:
         raise SeedRankZeroError("seed recovery produced a zero low-rank part")
@@ -118,7 +117,7 @@ def recover_seed(seed_block, adm=None, rank_tol=SEED_RANK_TOL,
         row_idx=np.asarray(row_idx), col_idx=np.asarray(col_idx),
         seed_svd=f, seed_l=seed_l, seed_s=seed_block - seed_l,
         r_prime=f.rank, pcp_iterations=sol.iterations,
-        pcp_residual=sol.final_residual,
+        pcp_residual=sol.final_residual, pcp_converged=sol.converged,
     )
 
 
@@ -188,7 +187,7 @@ def _filter_residual(x, basis, coef, e):
     return linf_norm(x - basis @ coef - e) / scale if scale else 0.0
 
 
-def _proposed_seed_shape(r, m_rows, m_cols, cfg):
+def _proposed_seed_shape(r, cfg):
     return int(round(cfg.s_r * r)), int(round(cfg.s_c * r))
 
 
@@ -198,7 +197,11 @@ def estimate_rank_and_solve(m, cfg=None):
     Grows the seed until its recovered rank is consistent with the
     oversampling rates; when the required seed would exceed
     max_seed_fraction of either dimension, solves the whole matrix by
-    reference ADM instead (method="full-pcp-fallback").
+    reference ADM instead (method="full-pcp-fallback"). Seed and fallback
+    PCPs run with rank_adaptive=True (see solve_pcp).
+
+    On the l1-filter path, converged is True only when the seed PCP
+    converged and no filtered column or row stopped short of its tolerance.
     """
     t_start = time.perf_counter()
     m = as_dense(m)
@@ -216,9 +219,9 @@ def estimate_rank_and_solve(m, cfg=None):
     t1 = 0.0
     while True:
         attempts += 1
-        n_rows, n_cols = _proposed_seed_shape(r, m_rows, m_cols, cfg)
+        n_rows, n_cols = _proposed_seed_shape(r, cfg)
         if max(n_rows / m_rows, n_cols / m_cols) > cfg.max_seed_fraction:
-            sol = solve_pcp(m, cfg.adm)
+            sol = solve_pcp(m, cfg.adm, rank_adaptive=True)
             sol.method = "full-pcp-fallback"
             sol.stats.update({"attempts": attempts, "proposed_seed": (n_rows, n_cols),
                               "filter_failed_columns": 0})
@@ -270,8 +273,7 @@ def estimate_rank_and_solve(m, cfg=None):
                                                     cfg.parallelism)
     p_tilde, s_row, it_r, failed_r = filter_rows(m_r, seed.seed_svd.v, cfg.adm,
                                                  cfg.parallelism)
-    fr = FilterResult(q_tilde=q_tilde, p_tilde=p_tilde, s_col=s_col,
-                      s_row=s_row, iterations=max(it_c, it_r))
+    fr = FilterResult(q_tilde=q_tilde, p_tilde=p_tilde, iterations=max(it_c, it_r))
     # certificates: the seed PCP residual and each filter's constraint residual
     residual = max(seed.pcp_residual,
                    _filter_residual(m_c, seed.seed_svd.u, q_tilde, s_col),
@@ -283,15 +285,17 @@ def estimate_rank_and_solve(m, cfg=None):
     s = m - l
     t_assemble = time.perf_counter() - t0
 
+    failed = len(failed_c) + len(failed_r)
     return PcpSolution(
         l=l, s=s, iterations=seed.pcp_iterations + fr.iterations,
         final_residual=residual, rank_of_l=seed.r_prime,
-        elapsed=time.perf_counter() - t_start, converged=True, method="l1-filter",
+        elapsed=time.perf_counter() - t_start,
+        converged=seed.pcp_converged and failed == 0, method="l1-filter",
         stats={
             "t1": t1, "t2": t2, "t_assemble": t_assemble,
             "seed_rows": int(seed.row_idx.size), "seed_cols": int(seed.col_idx.size),
             "r_prime": seed.r_prime, "attempts": attempts,
             "seed_iterations": seed.pcp_iterations, "filter_iterations": fr.iterations,
-            "filter_failed_columns": len(failed_c) + len(failed_r),
+            "filter_failed_columns": failed,
         },
     )

@@ -93,16 +93,88 @@ def nuclear_norm(m):
     return float(np.linalg.svd(np.asarray(m, dtype=np.float64), compute_uv=False).sum())
 
 
+def _svt_factors(w, eta):
+    """Thresholded factors (U_k, Sigma_k - eta, V_k) of *w* from its full SVD."""
+    f = svd(w, rank_tol=0.0)
+    s = f.sigma - eta
+    k = int((s > 0).sum())
+    return f.u[:, :k], s[:k], f.v[:, :k]
+
+
+def _svt_compose(w, u, s, v):
+    """The SVT matrix U diag(s) V^T, or zeros shaped like *w* at rank 0."""
+    if s.size == 0:
+        return np.zeros_like(np.asarray(w, dtype=np.float64)), 0
+    return (u * s) @ v.T, s.size
+
+
 def svt_with_rank(w, eta):
     """Singular value thresholding, returning (matrix, retained_rank)."""
     if eta < 0:
         raise ValueError("eta must be nonnegative")
-    f = svd(w, rank_tol=0.0)
-    s = f.sigma - eta
-    k = int((s > 0).sum())
-    if k == 0:
-        return np.zeros_like(np.asarray(w, dtype=np.float64)), 0
-    return (f.u[:, :k] * s[:k]) @ f.v[:, :k].T, k
+    return _svt_compose(w, *_svt_factors(w, eta))
+
+
+# Rank-adaptive SVT (Halko, Martinsson & Tropp, arXiv:0909.4061, with the
+# rank predicted from the previous iterate as in IALM, arXiv:1009.5055).
+PARTIAL_MAX_FRACTION = 0.25   # sketch wider than this share of min(m, n): full SVD
+PARTIAL_MAX_POWER_STEPS = 8
+# max|W V_k - U_k Sigma_k| allowed, relative to sigma_1: about ten times its
+# rounding floor, which keeps an accepted SVT within ~1e-15 sigma_1 of the
+# full SVD's (1e-13 let single SVTs drift by 4e-14 sigma_1)
+PARTIAL_CERT_TOL = 1e-14
+PARTIAL_SKETCH_SEED = 0
+
+
+def _svt_partial_factors(w, eta, v_prev):
+    """Thresholded factors from a warm-started randomized range finder, or
+    None when the sketch cannot be trusted and the full SVD must decide.
+
+    The sketch has p = k + max(10, k // 2) columns for the previous rank k;
+    its first k columns are the previous right singular vectors and the rest
+    come from a fixed-seed Gaussian draw. The Rayleigh-Ritz step B = Q^T W
+    makes W^T U_k = V_k Sigma_k hold exactly, so the triplets are accepted
+    once max|W V_k - U_k Sigma_k| <= PARTIAL_CERT_TOL * sigma_1, after up to
+    PARTIAL_MAX_POWER_STEPS power steps.
+    """
+    k_prev = v_prev.shape[1]
+    p = k_prev + max(10, k_prev // 2)
+    if k_prev == 0 or p > PARTIAL_MAX_FRACTION * min(w.shape):
+        return None
+    omega = np.random.default_rng(PARTIAL_SKETCH_SEED).standard_normal((w.shape[1], p))
+    omega[:, :k_prev] = v_prev
+    y = w @ omega
+    for _ in range(PARTIAL_MAX_POWER_STEPS + 1):
+        q = np.linalg.qr(y)[0]
+        f = svd(q.T @ w, rank_tol=0.0)
+        k = int((f.sigma > eta).sum())
+        if k == p or f.rank == 0:
+            return None
+        # W^T Q = B^T has range span(V_B), so W V_B spans the next power
+        # step W orth(W^T Q); its first k columns are the certificate's W V_k
+        y = w @ f.v
+        if k:
+            u = q @ f.u[:, :k]
+            if np.abs(y[:, :k] - u * f.sigma[:k]).max() <= PARTIAL_CERT_TOL * f.sigma[0]:
+                return u, f.sigma[:k] - eta, f.v[:, :k]
+    return None
+
+
+def _svt_rank_adaptive(w, eta, v_prev):
+    """Singular value thresholding warm-started from the previous iterate's
+    right singular vectors *v_prev* (None on the first iterate).
+
+    Returns (matrix, retained_rank, V_k). Falls back to the full SVD, with
+    svt_with_rank's result bit for bit, when there is no rank guess, the
+    sketch would be too wide, every sketched value survives the threshold,
+    or the certificate is never met.
+    """
+    w = np.asarray(w, dtype=np.float64)
+    factors = None if v_prev is None else _svt_partial_factors(w, eta, v_prev)
+    if factors is None:
+        factors = _svt_factors(w, eta)
+    matrix, k = _svt_compose(w, *factors)
+    return matrix, k, factors[2].copy()
 
 
 def svt(w, eta):

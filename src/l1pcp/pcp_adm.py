@@ -5,6 +5,10 @@
 Alternates a soft-threshold update of S, a singular-value-threshold update
 of L, then the multiplier and penalty updates, until the relative Frobenius
 residual ||M - L - S||_F / ||M||_F drops below tol.
+
+By default every iteration takes a full SVD, as in the paper's reference
+solver. With rank_adaptive=True the SVT after the first iteration comes from
+a certified partial SVD sized by the previous iterate's rank (see solve_pcp).
 """
 
 import math
@@ -13,7 +17,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matcore import as_dense, frobenius_norm, soft_threshold, svt_with_rank
+from .matcore import (
+    _svt_rank_adaptive,
+    as_dense,
+    frobenius_norm,
+    soft_threshold,
+    svt_with_rank,
+)
 
 
 class PcpDivergenceError(RuntimeError):
@@ -102,9 +112,27 @@ def spectral_norm_estimate(m, iters=25):
     return float(sigma)
 
 
-def solve_pcp(m, cfg=None):
+def solve_pcp(m, cfg=None, rank_adaptive=False):
     """Solve PCP by ADM. Returns a PcpSolution; converged=False flags
-    max_iter exhaustion with final_residual above tol."""
+    max_iter exhaustion with final_residual above tol.
+
+    rank_adaptive=False (the default) is the paper's ADM: every iteration
+    thresholds a full SVD. It stays the default because it is the reference
+    the l1-filter pipeline is measured against.
+
+    rank_adaptive=True replaces that SVD, from the second iteration on, by a
+    randomized range finder sized by the previous iterate's SVT rank k: a
+    sketch of k + max(10, k // 2) columns whose first k are the previous
+    right singular vectors (a warm start) and the rest a fixed-seed Gaussian
+    draw, so solves stay deterministic. A Rayleigh-Ritz step gives the
+    singular triplets above the threshold, which are accepted only when
+    max|W V_k - U_k Sigma_k| <= 1e-14 sigma_1 holds, after up to eight power
+    steps. The iteration falls back to the full SVD when there is no rank
+    guess (the first iteration, or rank 0), when the sketch would exceed a
+    quarter of min(m, n), when every sketched value survives the threshold,
+    or when the certificate is never met. The l1-filter pipeline solves its
+    seeds and its full-pcp-fallback this way.
+    """
     t0 = time.perf_counter()
     m = as_dense(m)
     if m.size == 0:
@@ -129,13 +157,17 @@ def solve_pcp(m, cfg=None):
     s = np.zeros_like(m)
     y = np.zeros_like(m)
     rank_l = 0
+    v = None
     residual = 1.0
     converged = False
     iters = 0
 
     for iters in range(1, cfg.max_iter + 1):
         s = soft_threshold(m - l + y / beta, lam / beta)
-        l, rank_l = svt_with_rank(m - s + y / beta, 1.0 / beta)
+        if rank_adaptive:
+            l, rank_l, v = _svt_rank_adaptive(m - s + y / beta, 1.0 / beta, v)
+        else:
+            l, rank_l = svt_with_rank(m - s + y / beta, 1.0 / beta)
         r = m - l - s
         residual = frobenius_norm(r) / norm_m
         if not np.isfinite(residual):

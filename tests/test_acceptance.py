@@ -84,6 +84,9 @@ def test_solver_agreement():
 def test_scaling_law():
     """l1 filtering scales near-linearly in matrix size while full ADM
     scales super-linearly; at n=2000 the speed ratio is at least 5x."""
+    # one untimed solve first, so the n=1000 point pays no start-up cost
+    gt, _ = _instance(1000, 0.01, 0.01, 99)
+    estimate_rank_and_solve(gt.m_obs, FilterConfig(rank_hint=10, rng_seed=99))
     t_suite = time.perf_counter()
     rec_f, sum_f = bench.suite_size_sweep(scale=1.0, seeds=(0, 1, 2),
                                           methods=("l1filter",))
@@ -250,11 +253,11 @@ def test_nystrom_dual_formulas():
                             seed_s=block - f.reconstruct(), r_prime=f.rank)
         comp_r = np.setdiff1d(np.arange(80), ri)
         comp_c = np.setdiff1d(np.arange(70), ci)
-        q, s_c, _, _ = filter_columns(l0[np.ix_(ri, comp_c)], seed.seed_svd.u,
-                                   AdmConfig(tol=1e-10))
-        p, s_r, _, _ = filter_rows(l0[np.ix_(comp_r, ci)], seed.seed_svd.v,
-                                AdmConfig(tol=1e-10))
-        fr = FilterResult(q_tilde=q, p_tilde=p, s_col=s_c, s_row=s_r)
+        q, _, _, _ = filter_columns(l0[np.ix_(ri, comp_c)], seed.seed_svd.u,
+                                    AdmConfig(tol=1e-10))
+        p, _, _, _ = filter_rows(l0[np.ix_(comp_r, ci)], seed.seed_svd.v,
+                                 AdmConfig(tol=1e-10))
+        fr = FilterResult(q_tilde=q, p_tilde=p)
         direct = nystrom_complete(seed, fr)
         via_pinv = nystrom_complete_via_pinv(
             l0[np.ix_(comp_r, ci)], seed.seed_l, l0[np.ix_(ri, comp_c)])

@@ -1,13 +1,15 @@
 """End-to-end tests of the command-line interface."""
 
+import functools
 import json
 
 import numpy as np
 import pytest
 
-from l1pcp import matio
+from l1pcp import cli, matio
 from l1pcp.cli import main
 from l1pcp.matcore import frobenius_norm
+from l1pcp.pcp_adm import AdmConfig
 
 
 def _synth_files(tmp_path, m=200, seed=0):
@@ -54,6 +56,18 @@ def test_decompose_methods_agree(tmp_path, capsys):
     a = matio.read_matrix(l_filter)
     b = matio.read_matrix(l_adm)
     assert frobenius_norm(a - b) / frobenius_norm(b) <= 1e-4
+
+
+def test_decompose_unconverged_l1filter_exits_2(tmp_path, capsys, monkeypatch):
+    # the CLI has no iteration cap; starve every PCP and l1 regression at 8
+    m_path, _ = _synth_files(tmp_path, m=300)
+    monkeypatch.setattr(cli, "AdmConfig", functools.partial(AdmConfig, max_iter=8))
+    rc = main(["decompose", str(m_path), "--method", "l1filter", "--rank-hint", "3"])
+    assert rc == 2
+    stats = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert stats["method"] == "l1-filter"
+    assert stats["converged"] is False
+    assert stats["filter_failed_columns"] > 0
 
 
 def test_decompose_zero_matrix_exits_zero(tmp_path, capsys):

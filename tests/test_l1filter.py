@@ -4,7 +4,7 @@ and row filtering, Nystrom completion, assembly, and rank estimation."""
 import numpy as np
 import pytest
 
-from l1pcp import synth
+from l1pcp import matcore, synth
 from l1pcp.l1filter import (
     PIPELINE_TOL,
     FilterConfig,
@@ -21,7 +21,7 @@ from l1pcp.l1filter import (
     sample_submatrix,
 )
 from l1pcp.matcore import frobenius_norm, svd
-from l1pcp.pcp_adm import AdmConfig
+from l1pcp.pcp_adm import AdmConfig, solve_pcp
 
 
 def _low_rank(rng, m, n, r):
@@ -114,11 +114,11 @@ def _pipeline_pieces(rng, m_rows, m_cols, r, seed_rows, seed_cols):
     seed = _exact_seed(block, ri, ci)
     comp_r = np.setdiff1d(np.arange(m_rows), ri)
     comp_c = np.setdiff1d(np.arange(m_cols), ci)
-    q, s_c, _, _ = filter_columns(l0[np.ix_(ri, comp_c)], seed.seed_svd.u,
-                               AdmConfig(tol=1e-10))
-    p, s_r, _, _ = filter_rows(l0[np.ix_(comp_r, ci)], seed.seed_svd.v,
-                            AdmConfig(tol=1e-10))
-    fr = FilterResult(q_tilde=q, p_tilde=p, s_col=s_c, s_row=s_r)
+    q, _, _, _ = filter_columns(l0[np.ix_(ri, comp_c)], seed.seed_svd.u,
+                                AdmConfig(tol=1e-10))
+    p, _, _, _ = filter_rows(l0[np.ix_(comp_r, ci)], seed.seed_svd.v,
+                             AdmConfig(tol=1e-10))
+    fr = FilterResult(q_tilde=q, p_tilde=p)
     return l0, seed, fr
 
 
@@ -221,10 +221,12 @@ def test_filter_failed_columns_reported():
     gt = synth.generate(spec)
     ok = estimate_rank_and_solve(gt.m_obs, FilterConfig(rank_hint=spec.rank))
     assert ok.stats["filter_failed_columns"] == 0
+    assert ok.converged
     starved = estimate_rank_and_solve(
         gt.m_obs, FilterConfig(rank_hint=spec.rank, adm=AdmConfig(tol=1e-9, max_iter=8)))
     assert starved.method == "l1-filter"
     assert 0 < starved.stats["filter_failed_columns"] <= 2 * (300 - starved.stats["seed_cols"])
+    assert not starved.converged
 
 
 def test_final_residual_certifies_the_solve():
@@ -258,6 +260,41 @@ def test_fallback_to_full_pcp_for_high_rank():
     res = frobenius_norm(gt.m_obs - sol.l - sol.s) / frobenius_norm(gt.m_obs)
     assert res <= 1e-7
     assert sol.stats["filter_failed_columns"] == 0
+
+
+def test_fallback_matches_full_svd_adm(monkeypatch):
+    # the fallback solves rank-adaptively; the full-SVD ADM is its reference
+    spec = synth.SynthSpec(m=300, n=300, rho_r=0.1, rho_s=0.01, rng_seed=0)
+    gt = synth.generate(spec)
+    cfg = FilterConfig(rng_seed=0)
+    ref = solve_pcp(gt.m_obs, cfg.adm)
+    partial = []
+    real = matcore._svt_partial_factors
+
+    def count(w, eta, v_prev):
+        factors = real(w, eta, v_prev)
+        if w.shape == gt.m_obs.shape:
+            partial.append(factors)
+        return factors
+
+    monkeypatch.setattr(matcore, "_svt_partial_factors", count)
+    sol = estimate_rank_and_solve(gt.m_obs, cfg)
+    assert sol.method == "full-pcp-fallback"
+    assert sum(f is not None for f in partial) >= ref.iterations // 2
+    assert sol.converged and sol.iterations == ref.iterations
+    assert frobenius_norm(sol.l - ref.l) <= 1e-12 * frobenius_norm(ref.l)
+
+
+def test_rank_growing_solve_is_deterministic():
+    spec = synth.SynthSpec(m=500, n=500, rho_r=0.02, rho_s=0.01, rng_seed=4)
+    gt = synth.generate(spec)
+    a = estimate_rank_and_solve(gt.m_obs, FilterConfig(rng_seed=4))
+    b = estimate_rank_and_solve(gt.m_obs, FilterConfig(rng_seed=4))
+    assert a.method == "l1-filter" and a.stats["attempts"] > 1
+    np.testing.assert_array_equal(a.l, b.l)
+    np.testing.assert_array_equal(a.s, b.s)
+    assert a.final_residual == b.final_residual
+    assert a.stats["seed_iterations"] == b.stats["seed_iterations"]
 
 
 def test_degenerate_zero_matrix():

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from l1pcp import matcore
+from l1pcp import matcore, pcp_adm, synth
+from l1pcp.l1filter import PIPELINE_TOL, recover_seed, sample_submatrix
 from l1pcp.matcore import (
     as_dense,
     frobenius_norm,
@@ -15,6 +16,7 @@ from l1pcp.matcore import (
     soft_threshold,
     svd,
     svt,
+    svt_with_rank,
 )
 
 
@@ -172,3 +174,70 @@ def test_svt_property_suite_many_instances():
         f = svd(w, rank_tol=0.0)
         rec = frobenius_norm(f.reconstruct() - w) / frobenius_norm(w)
         assert rec <= 1e-8
+
+
+def _seed_solve_svt_calls(monkeypatch):
+    """(W, eta, V_prev) of every SVT in the rank-adaptive PCP of a 320x320
+    seed sampled from a 1000x1000 rank-20 instance with 1% corruption."""
+    gt = synth.generate(synth.SynthSpec(m=1000, n=1000, rho_r=0.02, rho_s=0.01,
+                                        rng_seed=1))
+    _, _, block = sample_submatrix(gt.m_obs, 320, 320, 1)
+    calls = []
+
+    def record(w, eta, v_prev):
+        calls.append((w, eta, v_prev))
+        return matcore._svt_rank_adaptive(w, eta, v_prev)
+
+    monkeypatch.setattr(pcp_adm, "_svt_rank_adaptive", record)
+    recover_seed(block, pcp_adm.AdmConfig(tol=PIPELINE_TOL))
+    return calls
+
+
+def test_partial_svt_matches_full_svt_on_seed_iterates(monkeypatch):
+    partial = 0
+    for w, eta, v_prev in _seed_solve_svt_calls(monkeypatch):
+        if v_prev is None:
+            continue
+        factors = matcore._svt_partial_factors(w, eta, v_prev)
+        if factors is None:
+            continue
+        partial += 1
+        got, k = matcore._svt_compose(w, *factors)
+        want, k_full = svt_with_rank(w, eta)
+        assert k == k_full
+        sigma_1 = np.linalg.svd(w, compute_uv=False)[0]
+        assert np.abs(got - want).max() <= 1e-12 * sigma_1
+    assert partial >= 15
+
+
+def _with_spectrum(rng, sigma):
+    n = sigma.size
+    u = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    v = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    return (u * sigma) @ v.T, v
+
+
+def _fallback_cases():
+    rng = np.random.default_rng(9)
+    w, _ = _with_spectrum(rng, np.linspace(10, 1, 40))
+    yield "no rank guess", w, 2.0, None
+    yield "previous rank 0", w, 2.0, np.zeros((40, 0))
+    # p = 5 + 10 = 15 columns exceed a quarter of 40
+    yield "too wide", w, 2.0, np.linalg.qr(rng.standard_normal((40, 5)))[0]
+    # 50 values above eta fill the p = 11 columns sketched for rank 1
+    w, v = _with_spectrum(rng, np.r_[np.linspace(10, 5, 50), np.zeros(50)])
+    yield "k == p", w, 1.0, v[:, :1]
+    # about (9/10)^2 per power step cannot reach the certificate in 8 steps
+    w, _ = _with_spectrum(rng, np.r_[10.0, 10.0, 10.0, np.linspace(9, 8, 197)])
+    yield "no certificate", w, 9.5, np.linalg.qr(rng.standard_normal((200, 3)))[0]
+
+
+@pytest.mark.parametrize("case", list(_fallback_cases()), ids=lambda c: c[0])
+def test_partial_svt_fallbacks_return_full_svt(case):
+    _, w, eta, v_prev = case
+    if v_prev is not None:
+        assert matcore._svt_partial_factors(w, eta, v_prev) is None
+    got, k, v = matcore._svt_rank_adaptive(w, eta, v_prev)
+    want, k_full = svt_with_rank(w, eta)
+    np.testing.assert_array_equal(got, want)
+    assert k == k_full == v.shape[1]

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from l1pcp import synth
+from l1pcp import matcore, synth
 from l1pcp.matcore import frobenius_norm, l1_norm, nuclear_norm
 from l1pcp.pcp_adm import AdmConfig, default_lambda, solve_pcp, spectral_norm_estimate
 
@@ -89,3 +89,29 @@ def test_max_iter_exhaustion_is_flagged():
     assert not sol.converged
     assert sol.final_residual > 1e-12
     assert sol.iterations == 3
+
+
+def test_default_solve_never_takes_partial_path(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("partial SVD on the default path")
+
+    monkeypatch.setattr(matcore, "_svt_partial_factors", forbidden)
+    spec = synth.SynthSpec(m=300, n=300, rho_r=0.03, rho_s=0.01, rng_seed=0)
+    gt = synth.generate(spec)
+    assert solve_pcp(gt.m_obs).converged
+    with pytest.raises(AssertionError):
+        solve_pcp(gt.m_obs, rank_adaptive=True)
+
+
+def test_rank_adaptive_matches_full_svd_solve():
+    spec = synth.SynthSpec(m=300, n=300, rho_r=0.03, rho_s=0.01, rng_seed=0)
+    gt = synth.generate(spec)
+    cfg = AdmConfig(tol=1e-9)
+    full = solve_pcp(gt.m_obs, cfg)
+    fast = solve_pcp(gt.m_obs, cfg, rank_adaptive=True)
+    assert fast.converged and fast.iterations == full.iterations
+    assert fast.rank_of_l == full.rank_of_l == spec.rank
+    assert frobenius_norm(fast.l - full.l) <= 1e-12 * frobenius_norm(full.l)
+    again = solve_pcp(gt.m_obs, cfg, rank_adaptive=True)
+    np.testing.assert_array_equal(again.l, fast.l)
+    np.testing.assert_array_equal(again.s, fast.s)
