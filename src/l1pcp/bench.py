@@ -5,6 +5,7 @@ Record schema (CSV_HEADER) is frozen; bump CSV_SCHEMA_VERSION on change.
 """
 
 import csv
+import functools
 import json
 import platform
 import time
@@ -34,8 +35,7 @@ def environment_info():
     }
 
 
-def run_instance(method, gt, r, rho_s, sigma_scale, seed, rank_hint=None,
-                 threads=1, adm=None):
+def run_instance(method, gt, r, rho_s, sigma_scale, seed, rank_hint=None, adm=None):
     """Solve one instance and return a report record. Failures are caught
     and recorded so a sweep can continue."""
     m_rows, n_cols = gt.m_obs.shape
@@ -50,7 +50,7 @@ def run_instance(method, gt, r, rho_s, sigma_scale, seed, rank_hint=None,
         if method == "adm":
             sol = solve_pcp(gt.m_obs, adm or AdmConfig())
         elif method == "l1filter":
-            cfg = FilterConfig(rank_hint=rank_hint, rng_seed=seed, parallelism=threads)
+            cfg = FilterConfig(rank_hint=rank_hint, rng_seed=seed)
             if adm is not None:
                 cfg.adm = adm
             sol = estimate_rank_and_solve(gt.m_obs, cfg)
@@ -79,54 +79,33 @@ def _synth_gt(m, rho_r, rho_s, sigma_scale, seed):
     return synth.generate(spec), spec.rank
 
 
-def suite_table1(scale=0.25, seeds=(0,), methods=("l1filter", "adm"), threads=1):
+# The synthetic sweeps: (default scale, default methods, points), each point
+# (unscaled m, rho_r, rho_s, sigma_scale) solved by every method for every
+# seed at m * scale.
+GRIDS = {
+    "table1": (0.25, ("l1filter", "adm"),
+               [(m, 0.01, 0.01, 1.0) for m in (2000, 5000, 10000)]),
+    "rank-sweep": (1.0, ("l1filter", "adm"),
+                   [(1000, rho_r, 0.02, 1.0)
+                    for rho_r in (0.005, 0.01, 0.02, 0.03, 0.04, 0.05)]),
+    "sparsity-sweep": (1.0, ("l1filter", "adm"),
+                       [(1000, 0.005, rho_s, 1.0) for rho_s in (0.02, 0.05, 0.1, 0.15, 0.2)]),
+    "sigma-sweep": (0.5, ("l1filter",),
+                    [(1000, 0.01, 0.01, float(sigma)) for sigma in range(1, 11)]),
+}
+
+
+def suite_grid(name, scale=None, seeds=(0,), methods=None):
+    """Run the GRIDS entry `name`; scale and methods default to the entry's."""
+    default_scale, default_methods, points = GRIDS[name]
+    scale = default_scale if scale is None else scale
     records = []
-    for base in (2000, 5000, 10000):
+    for base, rho_r, rho_s, sigma in points:
         m = int(round(base * scale))
         for seed in seeds:
-            gt, r = _synth_gt(m, 0.01, 0.01, 1.0, seed)
-            for method in methods:
-                rec, _ = run_instance(method, gt, r, 0.01, 1.0, seed,
-                                      rank_hint=r, threads=threads)
-                records.append(rec)
-    return records, {}
-
-
-def suite_rank_sweep(scale=1.0, seeds=(0,), methods=("l1filter", "adm"), threads=1):
-    m = int(round(1000 * scale))
-    records = []
-    for rho_r in (0.005, 0.01, 0.02, 0.03, 0.04, 0.05):
-        for seed in seeds:
-            gt, r = _synth_gt(m, rho_r, 0.02, 1.0, seed)
-            for method in methods:
-                rec, _ = run_instance(method, gt, r, 0.02, 1.0, seed,
-                                      rank_hint=r, threads=threads)
-                records.append(rec)
-    return records, {}
-
-
-def suite_sparsity_sweep(scale=1.0, seeds=(0,), methods=("l1filter", "adm"), threads=1):
-    m = int(round(1000 * scale))
-    records = []
-    for rho_s in (0.02, 0.05, 0.1, 0.15, 0.2):
-        for seed in seeds:
-            gt, r = _synth_gt(m, 0.005, rho_s, 1.0, seed)
-            for method in methods:
-                rec, _ = run_instance(method, gt, r, rho_s, 1.0, seed,
-                                      rank_hint=r, threads=threads)
-                records.append(rec)
-    return records, {}
-
-
-def suite_sigma_sweep(scale=0.5, seeds=(0,), methods=("l1filter",), threads=1):
-    m = int(round(1000 * scale))
-    records = []
-    for sigma in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10):
-        for seed in seeds:
-            gt, r = _synth_gt(m, 0.01, 0.01, float(sigma), seed)
-            for method in methods:
-                rec, _ = run_instance(method, gt, r, 0.01, float(sigma), seed,
-                                      rank_hint=r, threads=threads)
+            gt, r = _synth_gt(m, rho_r, rho_s, sigma, seed)
+            for method in methods or default_methods:
+                rec, _ = run_instance(method, gt, r, rho_s, sigma, seed, rank_hint=r)
                 records.append(rec)
     return records, {}
 
@@ -141,7 +120,7 @@ def fit_time_exponent(sizes, seconds):
 
 
 def suite_size_sweep(scale=1.0, seeds=(0,), methods=("l1filter", "adm"),
-                     threads=1, r=10, rho_s=0.01, adm_max_size=2000):
+                     r=10, rho_s=0.01, adm_max_size=2000):
     """Timing sweep over n in {1000, 2000, 4000} * scale at fixed rank.
 
     The full-ADM leg is capped at adm_max_size * scale (dense SVDs beyond
@@ -158,8 +137,7 @@ def suite_size_sweep(scale=1.0, seeds=(0,), methods=("l1filter", "adm"),
             for method in methods:
                 if method == "adm" and m > adm_cap:
                     continue
-                rec, _ = run_instance(method, gt, r, rho_s, 1.0, seed,
-                                      rank_hint=r, threads=threads)
+                rec, _ = run_instance(method, gt, r, rho_s, 1.0, seed, rank_hint=r)
                 records.append(rec)
                 if not rec["error"]:
                     times[method].setdefault(m, []).append(rec["seconds"])
@@ -172,7 +150,7 @@ def suite_size_sweep(scale=1.0, seeds=(0,), methods=("l1filter", "adm"),
     return records, summary
 
 
-def suite_checkerboard(scale=1.0, seeds=(0,), methods=("l1filter",), threads=1,
+def suite_checkerboard(scale=1.0, seeds=(0,), methods=("l1filter",),
                        m=512, cell=64, fraction=0.1):
     m = int(round(m * scale))
     cell = max(1, int(round(cell * scale)))
@@ -183,23 +161,19 @@ def suite_checkerboard(scale=1.0, seeds=(0,), methods=("l1filter",), threads=1,
     for seed in seeds:
         gt = synth.corrupt_impulsive(img, fraction, seed)
         for method in methods:
-            rec, _ = run_instance(method, gt, 2, fraction, 1.0, seed,
-                                  rank_hint=None, threads=threads)
+            rec, _ = run_instance(method, gt, 2, fraction, 1.0, seed, rank_hint=None)
             records.append(rec)
     return records, {"m": m, "cell": cell, "fraction": fraction}
 
 
 SUITES = {
-    "table1": suite_table1,
-    "rank-sweep": suite_rank_sweep,
-    "sparsity-sweep": suite_sparsity_sweep,
-    "sigma-sweep": suite_sigma_sweep,
+    **{name: functools.partial(suite_grid, name) for name in GRIDS},
     "size-sweep": suite_size_sweep,
     "checkerboard": suite_checkerboard,
 }
 
 
-def run_suite(name, scale=None, seeds=(0,), threads=1, methods=None, **kwargs):
+def run_suite(name, scale=None, seeds=(0,), methods=None, **kwargs):
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     fn = SUITES[name]
@@ -207,7 +181,7 @@ def run_suite(name, scale=None, seeds=(0,), threads=1, methods=None, **kwargs):
         kwargs["scale"] = scale
     if methods is not None:
         kwargs["methods"] = tuple(methods)
-    records, summary = fn(seeds=tuple(seeds), threads=threads, **kwargs)
+    records, summary = fn(seeds=tuple(seeds), **kwargs)
     return {"environment": environment_info(), "suite": name,
             "records": records, "summary": summary}
 

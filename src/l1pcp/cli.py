@@ -2,7 +2,8 @@
 data, and run the benchmark suites.
 
 Exit codes for decompose: 0 success, 1 input parse failure,
-2 non-convergence, 3 dimension errors.
+2 non-convergence, 3 dimension errors and invalid options (--lambda is
+accepted only with --method adm).
 """
 
 import argparse
@@ -41,11 +42,14 @@ def cmd_decompose(args):
             adm = AdmConfig(lam=args.lam, tol=args.tol or 1e-7)
             sol = solve_pcp(m, adm)
         else:
-            adm = AdmConfig(lam=args.lam, tol=args.tol or PIPELINE_TOL)
+            if args.lam is not None:
+                raise ValueError("--lambda applies only to --method adm: the l1filter "
+                                 "seed PCP uses the seed block's own default lambda")
+            adm = AdmConfig(tol=args.tol or PIPELINE_TOL)
             cfg = FilterConfig(
                 s_r=args.oversample_rows, s_c=args.oversample_cols,
                 rank_hint=args.rank_hint, rng_seed=args.seed,
-                adm=adm, parallelism=args.threads,
+                adm=adm,
             )
             sol = estimate_rank_and_solve(m, cfg)
     except ValueError as exc:
@@ -123,7 +127,7 @@ def cmd_bench(args):
         kwargs["adm_max_size"] = args.adm_max_size
     report = bench.run_suite(
         args.suite, scale=args.scale, seeds=range(args.seeds),
-        threads=args.threads, methods=args.methods, **kwargs,
+        methods=args.methods, **kwargs,
     )
     report["environment"]["suite_seconds"] = time.perf_counter() - t0
     if args.out_csv:
@@ -158,7 +162,6 @@ def build_parser():
     d.add_argument("--oversample-rows", type=float, default=10.0)
     d.add_argument("--oversample-cols", type=float, default=10.0)
     d.add_argument("--seed", type=int, default=0)
-    d.add_argument("--threads", type=int, default=1)
     d.add_argument("--out-l")
     d.add_argument("--out-s")
     d.add_argument("--stats-json")
@@ -190,7 +193,6 @@ def build_parser():
     b.add_argument("--suite", choices=sorted(bench.SUITES), required=True)
     b.add_argument("--scale", type=float, default=None)
     b.add_argument("--seeds", type=int, default=1, help="number of RNG seeds per point")
-    b.add_argument("--threads", type=int, default=1)
     b.add_argument("--methods", nargs="+", default=None)
     b.add_argument("--adm-max-size", type=int, default=None,
                    help="largest unscaled size the full ADM leg of size-sweep runs at")

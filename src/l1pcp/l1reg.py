@@ -26,10 +26,11 @@ all columns of a block jointly and freezes each one as it converges. The
 arithmetic is the same for every column, but BLAS rounds a matrix product
 differently for different block widths, so splitting X differently moves
 the result at rounding level (about 1e-16 * ||X||_inf between one block and
-64- or 512-column chunks). solve_l1reg_columnwise therefore cuts X at fixed
-CHUNK_COLS boundaries that do not depend on the parallelism degree, and its
-result is bit-identical for every parallelism. Per-column stopping implies
-the whole-matrix guard ||X - A Z - E||_inf <= eps * ||X||_inf.
+64- or 512-column chunks). solve_l1reg_columnwise runs the columns in
+sequential chunks of a fixed CHUNK_COLS = 512 columns, so a given X is
+always split the same way and its result is reproducible bit for bit.
+Per-column stopping implies the whole-matrix guard
+||X - A Z - E||_inf <= eps * ||X||_inf.
 
 Column j's penalty starts at beta0_j = 1 / ||x_j||_inf and is capped at
 beta0_j / tol (never below beta0_j), unless cfg.beta0 / cfg.beta_max
@@ -54,8 +55,6 @@ feasible non-optimal point once the penalty saturates. rho close to 1
 resolution.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -215,11 +214,9 @@ def solve_l1reg(x, a, cfg=None):
     )
 
 
-def solve_l1reg_columnwise(x, a, cfg=None, parallelism=0):
-    """Column-parallel variant of solve_l1reg with identical results.
-
-    parallelism=0 lets the runtime decide; 1 runs sequentially.
-    """
+def solve_l1reg_columnwise(x, a, cfg=None):
+    """solve_l1reg over fixed CHUNK_COLS-wide column chunks, one after the
+    other; the chunk results are stitched back into one solution."""
     x = as_dense(x)
     a = _check_dictionary(a)
     if x.shape[0] != a.shape[0]:
@@ -231,39 +228,17 @@ def solve_l1reg_columnwise(x, a, cfg=None, parallelism=0):
     if n_cols == 0 or scale == 0.0:
         return solve_l1reg(x, a, cfg)
 
-    if parallelism == 0:
-        parallelism = min(8, os.cpu_count() or 1)
-    workers = max(1, min(parallelism, n_cols))
-
-    # fixed chunk width: boundaries (hence results, bit for bit) do not
-    # depend on the parallelism degree
-    bounds = list(range(0, n_cols, CHUNK_COLS)) + [n_cols]
-    chunks = [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-
-    def run(chunk):
-        lo, hi = chunk
-        return lo, solve_l1reg(x[:, lo:hi], a, cfg)
-
-    if workers == 1:
-        parts = [run(c) for c in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run, chunks))
-
-    z = np.zeros((a.shape[1], n_cols))
-    e = np.zeros_like(x)
-    iterations = 0
-    residual_abs = 0.0
-    failed = []
-    for lo, sol in parts:
-        hi = lo + sol.z.shape[1]
-        z[:, lo:hi] = sol.z
-        e[:, lo:hi] = sol.e
-        iterations = max(iterations, sol.iterations)
-        residual_abs = max(residual_abs, sol.final_residual * linf_norm(x[:, lo:hi]))
-        failed.extend(lo + c for c in sol.failed_columns)
+    # the chunk solutions are joined only once all are solved, so no
+    # full-width Z and E are held while a chunk's work arrays are live
+    starts = range(0, n_cols, CHUNK_COLS)
+    parts = [solve_l1reg(x[:, lo:lo + CHUNK_COLS], a, cfg) for lo in starts]
+    residual_abs = max(sol.final_residual * linf_norm(x[:, lo:lo + CHUNK_COLS])
+                       for lo, sol in zip(starts, parts))
+    failed = [lo + c for lo, sol in zip(starts, parts) for c in sol.failed_columns]
     return L1RegSolution(
-        z=z, e=e, iterations=iterations,
+        z=np.concatenate([sol.z for sol in parts], axis=1),
+        e=np.concatenate([sol.e for sol in parts], axis=1),
+        iterations=max(sol.iterations for sol in parts),
         final_residual=residual_abs / scale,
-        converged=not failed, failed_columns=sorted(failed),
+        converged=not failed, failed_columns=failed,
     )

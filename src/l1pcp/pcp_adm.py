@@ -70,7 +70,10 @@ class PcpSolution:
     ||M_c - U Q - E_c||_inf / ||M_c||_inf and ||M_r - P^T V^T - E_r||_inf /
     ||M_r||_inf of the column and row filters; a converged solve keeps it
     at about the solver tolerance, an unconverged one shows a larger value.
-    The degenerate-zero-seed path reports 0.
+    The degenerate-zero-seed path returns L = 0 and reports
+    lambda * ||sign(M)||_2: (0, M) is optimal when it is at most 1, and the
+    path counts as converged only at 0.9 or below, a margin for the
+    power-iteration estimate of the norm.
     """
 
     l: np.ndarray

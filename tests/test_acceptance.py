@@ -227,7 +227,7 @@ def test_l1_regression_oracle():
         oracle_obj, _ = _l1_grid_oracle(x, a)
         worst_gap = max(worst_gap, adm_obj - oracle_obj)
 
-        colwise = solve_l1reg_columnwise(xm, a, cfg, parallelism=4)
+        colwise = solve_l1reg_columnwise(xm, a, cfg)
         worst_colwise = max(worst_colwise,
                             float(np.abs(colwise.e - sol.e).max()),
                             float(np.abs(colwise.z - sol.z).max()))

@@ -38,6 +38,46 @@ def test_run_suite_rejects_unknown_name():
         bench.run_suite("bogus")
 
 
+# (m, r, rho_s, sigma_scale) of each grid suite at a tiny scale, in run order
+GRID_POINTS = {
+    "table1": (0.025, ("l1filter", "adm"),
+               [(50, 0, 0.01, 1.0), (125, 1, 0.01, 1.0), (250, 2, 0.01, 1.0)]),
+    "rank-sweep": (0.1, ("l1filter", "adm"),
+                   [(100, 0, 0.02, 1.0), (100, 1, 0.02, 1.0), (100, 2, 0.02, 1.0),
+                    (100, 3, 0.02, 1.0), (100, 4, 0.02, 1.0), (100, 5, 0.02, 1.0)]),
+    "sparsity-sweep": (0.2, ("l1filter", "adm"),
+                       [(200, 1, 0.02, 1.0), (200, 1, 0.05, 1.0), (200, 1, 0.1, 1.0),
+                        (200, 1, 0.15, 1.0), (200, 1, 0.2, 1.0)]),
+    "sigma-sweep": (0.1, ("l1filter",),
+                    [(100, 1, 0.01, float(sigma)) for sigma in range(1, 11)]),
+}
+
+
+GRID_DEFAULTS = {
+    "table1": (0.25, ("l1filter", "adm")),
+    "rank-sweep": (1.0, ("l1filter", "adm")),
+    "sparsity-sweep": (1.0, ("l1filter", "adm")),
+    "sigma-sweep": (0.5, ("l1filter",)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRID_POINTS))
+def test_grid_suite_runs_its_grid(name):
+    assert bench.GRIDS[name][:2] == GRID_DEFAULTS[name]
+    scale, methods, points = GRID_POINTS[name]
+    report = bench.run_suite(name, scale=scale, seeds=(0, 1))
+    got = [(r["m"], r["r"], r["rho_s"], r["sigma_scale"], r["method"], r["seed"])
+           for r in report["records"]]
+    assert got == [(*point, method, seed)
+                   for point in points for seed in (0, 1) for method in methods]
+    assert all(r["error"] == "" for r in report["records"])
+    # each seed draws its own instance: ||S||_1 moves far beyond rounding
+    l1_s = {}
+    for key, r in zip(got, report["records"]):
+        l1_s.setdefault(key[:5], set()).add(round(r["l1_s"], 3))
+    assert all(len(values) == 2 for values in l1_s.values())
+
+
 def test_size_sweep_summary_shape():
     records, summary = bench.suite_size_sweep(
         scale=0.05, seeds=(0,), methods=("l1filter",), r=2, adm_max_size=2000)

@@ -83,6 +83,32 @@ def test_decompose_zero_matrix_exits_zero(tmp_path, capsys):
     assert not matio.read_matrix(out_s).any()
 
 
+def test_decompose_uncertified_zero_seed_exits_2(tmp_path, capsys):
+    # rank-2 L on 5 of 300 rows: the first seed misses them and recovers 0
+    rng = np.random.default_rng(1)
+    m = np.zeros((300, 300))
+    m[rng.choice(300, 5, replace=False)] = (rng.standard_normal((5, 2))
+                                            @ rng.standard_normal((300, 2)).T)
+    path = tmp_path / "rows.dmat"
+    matio.write_matrix(path, m)
+    assert main(["decompose", str(path)]) == 2
+    stats = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert stats["method"] == "degenerate-zero-seed"
+    assert stats["converged"] is False
+    assert stats["residual"] > 1.0
+
+
+def test_decompose_lambda_only_with_adm(tmp_path, capsys):
+    m_path, _ = _synth_files(tmp_path, m=100)
+    assert main(["decompose", str(m_path), "--method", "l1filter",
+                 "--lambda", "0.1"]) == 3
+    assert "--lambda applies only to --method adm" in capsys.readouterr().err
+    assert main(["decompose", str(m_path), "--method", "adm",
+                 "--lambda", "0.1"]) == 0
+    stats = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert stats["method"] == "adm"
+
+
 def test_decompose_unreadable_input_exit_1(tmp_path, capsys):
     missing = tmp_path / "nope.dmat"
     assert main(["decompose", str(missing)]) == 1

@@ -192,6 +192,12 @@ def test_config_validation():
         FilterConfig(max_seed_fraction=0.0)
 
 
+def test_parallelism_only_accepts_one():
+    assert FilterConfig(parallelism=1).parallelism == 1
+    with pytest.raises(ValueError, match="parallelism"):
+        FilterConfig(parallelism=2)
+
+
 def test_end_to_end_recovery_with_hint():
     spec = synth.SynthSpec(m=300, n=300, rho_r=0.01, rho_s=0.01, rng_seed=0)
     gt = synth.generate(spec)
@@ -303,13 +309,46 @@ def test_degenerate_zero_matrix():
     assert sol.rank_of_l == 0
     assert not sol.l.any()
     assert sol.stats["filter_failed_columns"] == 0
+    assert sol.final_residual == 0.0  # lambda * ||sign(0)||_2
+    assert sol.converged
+
+
+def _zero_seed_solve(m):
+    sol = estimate_rank_and_solve(m, FilterConfig(rng_seed=0))
+    assert sol.method == "degenerate-zero-seed"
+    assert not sol.l.any()
+    # lambda * ||sign(M)||_2, estimated from below by power iteration
+    exact = np.linalg.norm(np.sign(m), 2) / np.sqrt(max(m.shape))
+    assert 0.95 * exact <= sol.final_residual <= exact * (1 + 1e-12)
+    return sol
+
+
+@pytest.mark.parametrize("rows", [5, 30])
+def test_zero_seed_missing_low_rank_part_is_rejected(rows):
+    # rank-2 L on a few of 300 rows, no corruption; at data seed 1 the first
+    # 10x10 seed misses every one of them
+    rng = np.random.default_rng(1)
+    m = np.zeros((300, 300))
+    m[rng.choice(300, rows, replace=False)] = _low_rank(rng, rows, 300, 2)
+    sol = _zero_seed_solve(m)
+    assert sol.final_residual > 1.0
+    assert not sol.converged
+
+
+def test_zero_seed_certifies_sparse_only_matrix():
+    rng = np.random.default_rng(5)
+    m = np.zeros((300, 300))
+    idx = rng.choice(m.size, m.size // 100, replace=False)
+    m.flat[idx] = rng.uniform(-500, 500, idx.size)
+    sol = _zero_seed_solve(m)
+    assert sol.final_residual <= 0.9
+    assert sol.converged
 
 
 def test_cross_validation_agrees_on_clean_rank():
     spec = synth.SynthSpec(m=300, n=300, rho_r=0.01, rho_s=0.01, rng_seed=2)
     gt = synth.generate(spec)
-    sol = estimate_rank_and_solve(gt.m_obs,
-                                  FilterConfig(rng_seed=0, cross_validate=True))
+    sol = estimate_rank_and_solve(gt.m_obs, FilterConfig(rng_seed=0))
     assert sol.method == "l1-filter"
     assert sol.rank_of_l == spec.rank
     assert synth.rel_err(sol.l, gt.l0) <= 1e-5
