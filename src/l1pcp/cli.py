@@ -39,17 +39,13 @@ def cmd_decompose(args):
 
     try:
         if args.method == "adm":
-            adm = AdmConfig(lam=args.lam, tol=args.tol or 1e-7)
-            sol = solve_pcp(m, adm)
+            sol = solve_pcp(m, AdmConfig(lam=args.lam, tol=args.tol or 1e-7))
         else:
-            if args.lam is not None:
-                raise ValueError("--lambda applies only to --method adm: the l1filter "
-                                 "seed PCP uses the seed block's own default lambda")
-            adm = AdmConfig(tol=args.tol or PIPELINE_TOL)
+            # FilterConfig rejects --lambda: the seed PCP uses its own lambda
             cfg = FilterConfig(
                 s_r=args.oversample_rows, s_c=args.oversample_cols,
                 rank_hint=args.rank_hint, rng_seed=args.seed,
-                adm=adm,
+                adm=AdmConfig(lam=args.lam, tol=args.tol or PIPELINE_TOL),
             )
             sol = estimate_rank_and_solve(m, cfg)
     except ValueError as exc:
@@ -75,6 +71,8 @@ def cmd_decompose(args):
         "t2": sol.stats.get("t2"),
         "t_assemble": sol.stats.get("t_assemble"),
         "filter_failed_columns": sol.stats.get("filter_failed_columns"),
+        "seed_polish_iterations": sol.stats.get("seed_polish_iterations"),
+        "seed_residual": sol.stats.get("seed_residual"),
         "rel_err": synth.rel_err(sol.l, truth) if truth is not None else None,
         "max_dif": synth.max_dif(sol.l, truth) if truth is not None else None,
         "ave_dif": synth.ave_dif(sol.l, truth) if truth is not None else None,

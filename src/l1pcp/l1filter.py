@@ -7,6 +7,13 @@ block with the generalized Nystrom formula. When no target rank is known,
 the seed is grown geometrically until its recovered rank is consistent with
 the oversampling rates, falling back to a full PCP solve once the seed
 would exceed half the matrix.
+
+Only the seed that passes the oversampling check is polished: its PCP is
+resumed from the same iterate until it reaches SEED_TOL_RATIO times the
+filter tolerance, so that the seed's subspace error stays below the
+threshold at which each filtered column stops. Seeds rejected for an
+undersized rank are never polished, since a tight solve of a rank-deficient
+block can take many times the steps of the accepted one.
 """
 
 import time
@@ -32,6 +39,20 @@ SEED_RANK_TOL = 1e-6
 # completion step, so headroom here is cheap insurance on seed-sized blocks.
 PIPELINE_TOL = 1e-9
 
+# The accepted seed's PCP is resumed to adm.tol * SEED_TOL_RATIO. Solved
+# only to PIPELINE_TOL, a seed leaves the planted L's columns off span(U_s)
+# by up to 1.8e-8 * ||x_j||_inf (median 3.7e-10; 2000x2000, rank 10, 1%
+# corruption, 100x100 seed), above the filters' stopping threshold
+# 1e-9 * ||x_j||_inf, and those columns creep to their penalty cap. The
+# 1900-column filter block of that instance, by seed tolerance:
+#     seed tol   seed PCP steps   filter iterations per column: mean  max
+#     1e-9       24                                             30.3  51
+#     1e-10      28                                             21.7  50
+#     1e-11      31                                             11.4  28
+#     1e-12      35                                             11.4  28
+#     1e-13      38                                             11.4  28
+SEED_TOL_RATIO = 1e-2
+
 # Largest zero-seed certificate lam * ||sign(M)||_2 accepted as converged:
 # the power iteration underestimates the norm (0.206 against 0.209 for 1%
 # spikes at n=1000), so the KKT bound 1 gets a margin.
@@ -53,6 +74,7 @@ class SeedRecovery:
     pcp_iterations: int = 0
     pcp_residual: float = 0.0
     pcp_converged: bool = True
+    polish_iterations: int = 0
 
 
 @dataclass(frozen=True)
@@ -76,6 +98,10 @@ class FilterConfig:
     parallelism: int = 1
 
     def __post_init__(self):
+        if self.adm.lam is not None:
+            raise ValueError("--lambda applies only to --method adm: the l1filter seed "
+                             "PCP uses the seed block's own default lambda, so "
+                             "FilterConfig.adm.lam must be None")
         if self.parallelism != 1:
             raise ValueError("parallelism must be 1: the filters run sequentially")
         if self.s_r <= 1 or self.s_c <= 1:
@@ -108,18 +134,48 @@ def sample_submatrix(m, n_rows, n_cols, rng_seed):
     return row_idx, col_idx, m[np.ix_(row_idx, col_idx)]
 
 
+def _seed_factors(sol, rank_tol):
+    """The seed PCP's last SVT factors without the singular values at or
+    below rank_tol * sigma_1, or None when none is left (or the block was
+    zero, which takes no SVT)."""
+    f = sol.state.svt if sol.state is not None else None
+    if f is None or f.rank == 0:
+        return None
+    k = int((f.sigma > rank_tol * f.sigma[0]).sum())
+    return SkinnySvd(u=f.u[:, :k].copy(), sigma=f.sigma[:k].copy(), v=f.v[:, :k].copy())
+
+
 def recover_seed(seed_block, adm=None, rank_tol=SEED_RANK_TOL,
-                 row_idx=None, col_idx=None):
+                 row_idx=None, col_idx=None, max_rank=0):
     """Recover the low-rank part of a sampled block by small-scale PCP and
     factor it. Raises SeedRankZeroError when the block carries no signal.
 
     The PCP runs rank-adaptive (see solve_pcp): the seed's SVT rank is small
-    next to the block, so a certified partial SVD replaces most full SVDs."""
+    next to the block, so a certified partial SVD replaces most full SVDs.
+    The seed's factors are those of the PCP's last SVT, whose product is the
+    recovered L, less the singular values at or below rank_tol * sigma_1.
+    adm.lam=None picks the seed block's own default_lambda.
+
+    A converged PCP whose rank r' is at most max_rank (the largest rank the
+    seed's oversampling accepts; the default 0 never polishes) is resumed to
+    adm.tol * SEED_TOL_RATIO within the same max_iter budget. The polished
+    iterate is kept when its residual is at most adm.tol, the unpolished one
+    otherwise. pcp_converged says whether adm.tol was reached, pcp_residual
+    belongs to the iterate kept, polish_iterations counts the resumed steps
+    and pcp_iterations all steps.
+    """
     seed_block = as_dense(seed_block)
-    cfg = replace(adm or AdmConfig(), lam=default_lambda(*seed_block.shape))
-    sol = solve_pcp(seed_block, cfg, rank_adaptive=True)
-    f = svd(sol.l, rank_tol=rank_tol)
-    if f.rank == 0:
+    adm = adm or AdmConfig()
+    sol = solve_pcp(seed_block, adm, rank_adaptive=True)
+    f = _seed_factors(sol, rank_tol)
+    residual, polish = sol.final_residual, 0
+    if f is not None and sol.converged and f.rank <= max_rank:
+        polished = solve_pcp(seed_block, replace(adm, tol=adm.tol * SEED_TOL_RATIO),
+                             rank_adaptive=True, resume=sol)
+        polish = polished.iterations
+        if polished.final_residual <= adm.tol:
+            f, residual = _seed_factors(polished, rank_tol), polished.final_residual
+    if f is None:
         raise SeedRankZeroError("seed recovery produced a zero low-rank part")
     # use the truncated reconstruction so downstream blocks share exact factors
     seed_l = f.reconstruct()
@@ -130,8 +186,9 @@ def recover_seed(seed_block, adm=None, rank_tol=SEED_RANK_TOL,
     return SeedRecovery(
         row_idx=np.asarray(row_idx), col_idx=np.asarray(col_idx),
         seed_svd=f, seed_l=seed_l, seed_s=seed_block - seed_l,
-        r_prime=f.rank, pcp_iterations=sol.iterations,
-        pcp_residual=sol.final_residual, pcp_converged=sol.converged,
+        r_prime=f.rank, pcp_iterations=sol.iterations + polish,
+        pcp_residual=residual, pcp_converged=sol.converged,
+        polish_iterations=polish,
     )
 
 
@@ -212,13 +269,18 @@ def estimate_rank_and_solve(m, cfg=None):
     oversampling rates; when the required seed would exceed
     max_seed_fraction of either dimension, solves the whole matrix by
     reference ADM instead (method="full-pcp-fallback"). Seed and fallback
-    PCPs run with rank_adaptive=True (see solve_pcp).
+    PCPs run with rank_adaptive=True (see solve_pcp), and only the accepted
+    seed is polished (see recover_seed).
 
     On the l1-filter path, converged is True only when the seed PCP
     converged and no filtered column or row stopped short of its tolerance.
     A seed whose recovered low-rank part is zero returns L = 0
     (method="degenerate-zero-seed") with final_residual lam * ||sign(M)||_2,
     converged only when that is at most ZERO_SEED_CERT_MAX.
+
+    stats["seed_polish_iterations"] counts the accepted seed's resumed PCP
+    steps and stats["seed_residual"] is the PCP residual of the seed iterate
+    kept; both are 0 on the full-pcp-fallback and degenerate-zero-seed paths.
     """
     t_start = time.perf_counter()
     m = as_dense(m)
@@ -237,37 +299,38 @@ def estimate_rank_and_solve(m, cfg=None):
             sol = solve_pcp(m, cfg.adm, rank_adaptive=True)
             sol.method = "full-pcp-fallback"
             sol.stats.update({"attempts": attempts, "proposed_seed": (n_rows, n_cols),
-                              "filter_failed_columns": 0})
+                              "filter_failed_columns": 0, "seed_polish_iterations": 0,
+                              "seed_residual": 0.0})
             sol.elapsed = time.perf_counter() - t_start
             return sol
         n_rows, n_cols = min(n_rows, m_rows), min(n_cols, m_cols)
+        max_rank = int(min(n_rows / cfg.s_r, n_cols / cfg.s_c))
 
         t0 = time.perf_counter()
         row_idx, col_idx = _sample_indices(m.shape, n_rows, n_cols, ss.spawn(1)[0])
         block = m[np.ix_(row_idx, col_idx)]
         try:
-            seed = recover_seed(block, cfg.adm, cfg.rank_tol, row_idx, col_idx)
+            seed = recover_seed(block, cfg.adm, cfg.rank_tol, row_idx, col_idx, max_rank)
         except SeedRankZeroError:
             t1 += time.perf_counter() - t0
             # (0, M) solves PCP when Y = lam * sign(M) has ||Y||_2 <= 1 (the
             # KKT conditions of Candes, Li, Ma & Wright); above 1, L = 0 is wrong
-            lam = cfg.adm.lam if cfg.adm.lam is not None else default_lambda(m_rows, m_cols)
-            certificate = lam * spectral_norm_estimate(np.sign(m))
+            certificate = default_lambda(m_rows, m_cols) * spectral_norm_estimate(np.sign(m))
             return PcpSolution(
                 l=np.zeros_like(m), s=m.copy(), iterations=attempts,
                 final_residual=certificate, rank_of_l=0,
                 elapsed=time.perf_counter() - t_start,
                 converged=certificate <= ZERO_SEED_CERT_MAX,
                 method="degenerate-zero-seed",
-                stats={"t1": t1, "attempts": attempts, "filter_failed_columns": 0},
+                stats={"t1": t1, "attempts": attempts, "filter_failed_columns": 0,
+                       "seed_polish_iterations": 0, "seed_residual": 0.0},
             )
-        r_prime = seed.r_prime
         t1 += time.perf_counter() - t0
 
-        if n_rows / r_prime >= cfg.s_r and n_cols / r_prime >= cfg.s_c:
+        if seed.r_prime <= max_rank:
             break
         # undersized seed: grow to the oversampled size for the observed rank
-        r = max(r_prime, r + 1)
+        r = max(seed.r_prime, r + 1)
 
     t0 = time.perf_counter()
     comp_rows = np.setdiff1d(np.arange(m_rows), seed.row_idx)
@@ -300,5 +363,7 @@ def estimate_rank_and_solve(m, cfg=None):
             "r_prime": seed.r_prime, "attempts": attempts,
             "seed_iterations": seed.pcp_iterations, "filter_iterations": fr.iterations,
             "filter_failed_columns": failed,
+            "seed_polish_iterations": seed.polish_iterations,
+            "seed_residual": seed.pcp_residual,
         },
     )

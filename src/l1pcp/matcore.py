@@ -164,7 +164,8 @@ def _svt_rank_adaptive(w, eta, v_prev):
     """Singular value thresholding warm-started from the previous iterate's
     right singular vectors *v_prev* (None on the first iterate).
 
-    Returns (matrix, retained_rank, V_k). Falls back to the full SVD, with
+    Returns (matrix, factors): factors is the SkinnySvd (U_k, Sigma_k - eta,
+    V_k) whose reconstruction is the matrix. Falls back to the full SVD, with
     svt_with_rank's result bit for bit, when there is no rank guess, the
     sketch would be too wide, every sketched value survives the threshold,
     or the certificate is never met.
@@ -173,8 +174,9 @@ def _svt_rank_adaptive(w, eta, v_prev):
     factors = None if v_prev is None else _svt_partial_factors(w, eta, v_prev)
     if factors is None:
         factors = _svt_factors(w, eta)
-    matrix, k = _svt_compose(w, *factors)
-    return matrix, k, factors[2].copy()
+    matrix, _ = _svt_compose(w, *factors)
+    u, s, v = factors
+    return matrix, SkinnySvd(u=u.copy(), sigma=s.copy(), v=v.copy())
 
 
 def svt(w, eta):

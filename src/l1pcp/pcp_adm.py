@@ -9,6 +9,12 @@ residual ||M - L - S||_F / ||M||_F drops below tol.
 By default every iteration takes a full SVD, as in the paper's reference
 solver. With rank_adaptive=True the SVT after the first iteration comes from
 a certified partial SVD sized by the previous iterate's rank (see solve_pcp).
+
+A solve can be resumed: its solution carries the multiplier, the penalty and
+the last SVT's factors (AdmState), and solve_pcp(m, cfg, resume=sol) takes
+the next steps from there. The iterates never read tol, only the stopping
+test does, so a solve resumed at a tighter tol is bit for bit one solve at
+that tol.
 """
 
 import math
@@ -18,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .matcore import (
+    SkinnySvd,
     _svt_rank_adaptive,
     as_dense,
     frobenius_norm,
@@ -58,6 +65,24 @@ class AdmConfig:
                 raise ValueError("beta0 must be < beta_max")
 
 
+@dataclass(frozen=True)
+class AdmState:
+    """Where an ADM solve stopped, enough to take its next step.
+
+    y is the multiplier, beta the penalty of the last step, iterations the
+    steps taken so far in all. svt holds the last SVT's factors
+    (U, Sigma - eta, V) on the rank-adaptive path, so that U diag(Sigma - eta)
+    V^T is the returned L; the full-SVD path leaves it None.
+    """
+
+    y: np.ndarray
+    beta: float
+    beta_max: float
+    lam: float
+    iterations: int
+    svt: SkinnySvd | None = None
+
+
 @dataclass
 class PcpSolution:
     """A recovered decomposition M = L + S with its diagnostics.
@@ -74,6 +99,10 @@ class PcpSolution:
     lambda * ||sign(M)||_2: (0, M) is optimal when it is at most 1, and the
     path counts as converged only at 0.9 or below, a margin for the
     power-iteration estimate of the norm.
+
+    state is what solve_pcp(m, cfg, resume=sol) needs to continue the solve
+    (see AdmState); solves that return early (a zero M, the pipeline's
+    l1-filter and zero-seed paths) leave it None.
     """
 
     l: np.ndarray
@@ -85,6 +114,7 @@ class PcpSolution:
     converged: bool
     method: str = "adm"
     stats: dict = field(default_factory=dict)
+    state: AdmState | None = None
 
 
 def default_lambda(m_rows, m_cols):
@@ -115,7 +145,7 @@ def spectral_norm_estimate(m, iters=25):
     return float(sigma)
 
 
-def solve_pcp(m, cfg=None, rank_adaptive=False):
+def solve_pcp(m, cfg=None, rank_adaptive=False, resume=None):
     """Solve PCP by ADM. Returns a PcpSolution; converged=False flags
     max_iter exhaustion with final_residual above tol.
 
@@ -134,13 +164,22 @@ def solve_pcp(m, cfg=None, rank_adaptive=False):
     guess (the first iteration, or rank 0), when the sketch would exceed a
     quarter of min(m, n), when every sketched value survives the threshold,
     or when the certificate is never met. The l1-filter pipeline solves its
-    seeds and its full-pcp-fallback this way.
+    seeds and its full-pcp-fallback this way, and its state then carries
+    the last SVT's factors.
+
+    resume=sol continues an earlier solve of the same m from sol.state. It
+    keeps that solve's lambda and penalty schedule, takes tol, rho and
+    max_iter from cfg, counts max_iter over both calls, and reports in
+    iterations only the steps it took itself; L, S and the total step count
+    equal those of one solve at cfg.tol bit for bit.
     """
     t0 = time.perf_counter()
     m = as_dense(m)
     if m.size == 0:
         raise ValueError("matrix must be nonempty")
     cfg = cfg or AdmConfig()
+    if resume is not None and resume.state is None:
+        raise ValueError("resume needs a solution that carries its ADM state")
 
     norm_m = frobenius_norm(m)
     if norm_m == 0.0:
@@ -150,25 +189,35 @@ def solve_pcp(m, cfg=None, rank_adaptive=False):
             elapsed=time.perf_counter() - t0, converged=True,
         )
 
-    lam = cfg.lam if cfg.lam is not None else default_lambda(*m.shape)
-    beta = cfg.beta0 if cfg.beta0 is not None else 1.25 / max(
-        spectral_norm_estimate(m), np.finfo(float).tiny
-    )
-    beta_max = cfg.beta_max if cfg.beta_max is not None else 1e7 * beta
+    if resume is None:
+        lam = cfg.lam if cfg.lam is not None else default_lambda(*m.shape)
+        beta = cfg.beta0 if cfg.beta0 is not None else 1.25 / max(
+            spectral_norm_estimate(m), np.finfo(float).tiny
+        )
+        beta_max = cfg.beta_max if cfg.beta_max is not None else 1e7 * beta
+        l = np.zeros_like(m)
+        s = np.zeros_like(m)
+        y = np.zeros_like(m)
+        rank_l, factors, residual, done = 0, None, 1.0, 0
+    else:
+        st = resume.state
+        lam, beta, beta_max, done = st.lam, st.beta, st.beta_max, st.iterations
+        l, s, y = resume.l, resume.s, st.y.copy()
+        rank_l, residual = resume.rank_of_l, resume.final_residual
+        factors = st.svt if rank_adaptive else None
+    # a resumed iterate that already meets cfg.tol takes no step, as one
+    # solve at cfg.tol would have stopped there
+    stop = done if resume is not None and residual <= cfg.tol else cfg.max_iter
+    iters = done
 
-    l = np.zeros_like(m)
-    s = np.zeros_like(m)
-    y = np.zeros_like(m)
-    rank_l = 0
-    v = None
-    residual = 1.0
-    converged = False
-    iters = 0
-
-    for iters in range(1, cfg.max_iter + 1):
+    for iters in range(done + 1, stop + 1):
+        if iters > 1:
+            beta = min(cfg.rho * beta, beta_max)
         s = soft_threshold(m - l + y / beta, lam / beta)
         if rank_adaptive:
-            l, rank_l, v = _svt_rank_adaptive(m - s + y / beta, 1.0 / beta, v)
+            v = None if factors is None else factors.v
+            l, factors = _svt_rank_adaptive(m - s + y / beta, 1.0 / beta, v)
+            rank_l = factors.rank
         else:
             l, rank_l = svt_with_rank(m - s + y / beta, 1.0 / beta)
         r = m - l - s
@@ -179,12 +228,15 @@ def solve_pcp(m, cfg=None, rank_adaptive=False):
             )
         y += beta * r
         if residual <= cfg.tol:
-            converged = True
             break
-        beta = min(cfg.rho * beta, beta_max)
 
+    # iters is 0 only at max_iter=0; a resumed call that took no step
+    # judges the iterate it was given
+    converged = iters > 0 and residual <= cfg.tol
     return PcpSolution(
-        l=l, s=s, iterations=iters, final_residual=residual,
+        l=l, s=s, iterations=iters - done, final_residual=residual,
         rank_of_l=rank_l, elapsed=time.perf_counter() - t0,
         converged=converged, stats={"beta_final": beta, "lambda": lam},
+        state=AdmState(y=y, beta=beta, beta_max=beta_max, lam=lam,
+                       iterations=iters, svt=factors),
     )

@@ -35,6 +35,8 @@ def test_decompose_with_truth_stats(tmp_path, capsys):
     assert stats["rel_err"] <= 1e-5
     assert stats["rank"] == 2
     assert stats["filter_failed_columns"] == 0
+    assert stats["seed_polish_iterations"] > 0
+    assert 0 < stats["seed_residual"] <= 1e-11
     # stage timings are reported and account for the total
     assert stats["t"] >= stats["t1"] + stats["t2"] + stats["t_assemble"] - 1e-3
     printed = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
@@ -96,6 +98,7 @@ def test_decompose_uncertified_zero_seed_exits_2(tmp_path, capsys):
     assert stats["method"] == "degenerate-zero-seed"
     assert stats["converged"] is False
     assert stats["residual"] > 1.0
+    assert stats["seed_polish_iterations"] == 0 and stats["seed_residual"] == 0.0
 
 
 def test_decompose_lambda_only_with_adm(tmp_path, capsys):

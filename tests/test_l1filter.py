@@ -4,9 +4,11 @@ and row filtering, Nystrom completion, assembly, and rank estimation."""
 import numpy as np
 import pytest
 
-from l1pcp import matcore, synth
+from l1pcp import l1filter, matcore, synth
 from l1pcp.l1filter import (
     PIPELINE_TOL,
+    SEED_RANK_TOL,
+    SEED_TOL_RATIO,
     FilterConfig,
     FilterResult,
     SeedRankZeroError,
@@ -67,6 +69,56 @@ def test_recover_seed_uncorrupted_rank_two():
 def test_recover_seed_zero_block_raises():
     with pytest.raises(SeedRankZeroError):
         recover_seed(np.zeros((20, 20)))
+
+
+def _seed_block():
+    """A 100x100 seed of a 1000x1000 rank-10 instance with 1% corruption."""
+    gt = synth.generate(synth.SynthSpec(m=1000, n=1000, rho_r=0.01, rho_s=0.01,
+                                        rng_seed=0))
+    return sample_submatrix(gt.m_obs, 100, 100, 0)[2]
+
+
+def test_seed_factors_come_from_the_last_svt(monkeypatch):
+    block = _seed_block()
+    cfg = AdmConfig(tol=PIPELINE_TOL)
+    sol = solve_pcp(block, cfg, rank_adaptive=True)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("recover_seed took a fresh SVD")
+
+    monkeypatch.setattr(l1filter, "svd", forbidden)
+    seed = recover_seed(block, cfg)
+    monkeypatch.undo()
+    assert seed.r_prime == svd(sol.l, rank_tol=SEED_RANK_TOL).rank == 10
+    assert seed.polish_iterations == 0 and seed.pcp_iterations == sol.iterations
+    err = frobenius_norm(seed.seed_svd.reconstruct() - sol.l)
+    assert err <= 1e-12 * frobenius_norm(sol.l)
+
+
+def test_polish_shares_the_iteration_budget():
+    block = _seed_block()
+    base = solve_pcp(block, AdmConfig(tol=PIPELINE_TOL), rank_adaptive=True).iterations
+    seed = recover_seed(block, AdmConfig(tol=PIPELINE_TOL, max_iter=base + 2), max_rank=10)
+    assert seed.polish_iterations == 2 and seed.pcp_iterations == base + 2
+    assert seed.pcp_converged and seed.pcp_residual <= PIPELINE_TOL
+    full = recover_seed(block, AdmConfig(tol=PIPELINE_TOL), max_rank=10)
+    assert full.polish_iterations > 2
+    assert full.pcp_residual <= PIPELINE_TOL * SEED_TOL_RATIO
+    assert recover_seed(block, AdmConfig(tol=PIPELINE_TOL), max_rank=9).polish_iterations == 0
+
+
+def test_polish_that_overshoots_keeps_the_converged_iterate():
+    # at data seed 6 the step after convergence at 1e-7 reads 1.4e-7
+    rng = np.random.default_rng(6)
+    m = _low_rank(rng, 30, 30, 2)
+    hit = rng.random(m.shape) < 0.05
+    m[hit] += rng.uniform(-10, 10, hit.sum())
+    cfg = AdmConfig(tol=1e-7)
+    plain = recover_seed(m, cfg)
+    seed = recover_seed(m, AdmConfig(tol=1e-7, max_iter=plain.pcp_iterations + 1), max_rank=3)
+    assert seed.polish_iterations == 1 and seed.pcp_iterations == plain.pcp_iterations + 1
+    assert seed.pcp_converged and seed.pcp_residual == plain.pcp_residual <= 1e-7
+    np.testing.assert_array_equal(seed.seed_l, plain.seed_l)
 
 
 def test_filter_columns_exact_subspace():
@@ -192,6 +244,12 @@ def test_config_validation():
         FilterConfig(max_seed_fraction=0.0)
 
 
+def test_lambda_is_rejected():
+    # the seed PCP uses the seed block's own default lambda
+    with pytest.raises(ValueError, match="lambda"):
+        FilterConfig(adm=AdmConfig(lam=0.1))
+
+
 def test_parallelism_only_accepts_one():
     assert FilterConfig(parallelism=1).parallelism == 1
     with pytest.raises(ValueError, match="parallelism"):
@@ -220,6 +278,40 @@ def test_filter_iterations_stay_short_on_clean_columns():
                                       FilterConfig(rank_hint=5, rng_seed=seed))
         assert sol.stats["filter_iterations"] <= 80
         assert synth.rel_err(sol.l, gt.l0) <= 1e-5
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_polished_seed_keeps_filters_short(seed):
+    # a seed solved only to the filters' tolerance leaves L's columns off
+    # span(U_s) by more than their stopping threshold, and they run to the
+    # penalty cap at 50-51 iterations
+    spec = synth.SynthSpec(m=1000, n=1000, rho_r=0.01, rho_s=0.01, rng_seed=seed)
+    gt = synth.generate(spec)
+    sol = estimate_rank_and_solve(gt.m_obs, FilterConfig(rank_hint=10, rng_seed=seed))
+    assert sol.method == "l1-filter" and sol.converged
+    assert sol.stats["filter_iterations"] <= 35
+    assert 0 < sol.stats["seed_residual"] <= PIPELINE_TOL * SEED_TOL_RATIO
+    assert sol.stats["seed_polish_iterations"] > 0
+    assert synth.rel_err(sol.l, gt.l0) <= 1e-8
+
+
+def test_only_the_accepted_seed_is_polished(monkeypatch):
+    calls = []
+
+    def record(m, cfg=None, rank_adaptive=False, resume=None):
+        sol = solve_pcp(m, cfg, rank_adaptive, resume)
+        calls.append((m.shape, cfg.tol, resume is not None, sol.iterations))
+        return sol
+
+    monkeypatch.setattr(l1filter, "solve_pcp", record)
+    spec = synth.SynthSpec(m=500, n=500, rho_r=0.02, rho_s=0.01, rng_seed=4)
+    sol = estimate_rank_and_solve(synth.generate(spec).m_obs, FilterConfig(rng_seed=4))
+    assert sol.method == "l1-filter" and sol.stats["attempts"] > 1
+    assert [c[2] for c in calls] == [False] * sol.stats["attempts"] + [True]
+    shape, tol, _, iterations = calls[-1]
+    assert shape == calls[-2][0] == (sol.stats["seed_rows"], sol.stats["seed_cols"])
+    assert tol == PIPELINE_TOL * SEED_TOL_RATIO
+    assert sol.stats["seed_polish_iterations"] == iterations > 0
 
 
 def test_filter_failed_columns_reported():
@@ -266,6 +358,7 @@ def test_fallback_to_full_pcp_for_high_rank():
     res = frobenius_norm(gt.m_obs - sol.l - sol.s) / frobenius_norm(gt.m_obs)
     assert res <= 1e-7
     assert sol.stats["filter_failed_columns"] == 0
+    assert sol.stats["seed_polish_iterations"] == 0 and sol.stats["seed_residual"] == 0.0
 
 
 def test_fallback_matches_full_svd_adm(monkeypatch):
@@ -311,6 +404,7 @@ def test_degenerate_zero_matrix():
     assert sol.stats["filter_failed_columns"] == 0
     assert sol.final_residual == 0.0  # lambda * ||sign(0)||_2
     assert sol.converged
+    assert sol.stats["seed_polish_iterations"] == 0 and sol.stats["seed_residual"] == 0.0
 
 
 def _zero_seed_solve(m):

@@ -237,7 +237,8 @@ def test_partial_svt_fallbacks_return_full_svt(case):
     _, w, eta, v_prev = case
     if v_prev is not None:
         assert matcore._svt_partial_factors(w, eta, v_prev) is None
-    got, k, v = matcore._svt_rank_adaptive(w, eta, v_prev)
+    got, f = matcore._svt_rank_adaptive(w, eta, v_prev)
     want, k_full = svt_with_rank(w, eta)
     np.testing.assert_array_equal(got, want)
-    assert k == k_full == v.shape[1]
+    assert f.rank == k_full == f.v.shape[1]
+    np.testing.assert_array_equal(f.reconstruct(), got)

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from l1pcp import matcore, synth
+from l1pcp.l1filter import sample_submatrix
 from l1pcp.matcore import frobenius_norm, l1_norm, nuclear_norm
 from l1pcp.pcp_adm import AdmConfig, default_lambda, solve_pcp, spectral_norm_estimate
 
@@ -115,3 +118,54 @@ def test_rank_adaptive_matches_full_svd_solve():
     again = solve_pcp(gt.m_obs, cfg, rank_adaptive=True)
     np.testing.assert_array_equal(again.l, fast.l)
     np.testing.assert_array_equal(again.s, fast.s)
+
+
+def _resume_matches_tighter_solve(m, tol, max_iter, rank_adaptive):
+    """Solve at tol, resume at tol/100, and check that against one solve at
+    tol/100: the iterates never read tol, only the stopping test does."""
+    tight = AdmConfig(tol=tol * 1e-2, max_iter=max_iter)
+    first = solve_pcp(m, AdmConfig(tol=tol, max_iter=max_iter), rank_adaptive)
+    resumed = solve_pcp(m, tight, rank_adaptive, resume=first)
+    once = solve_pcp(m, tight, rank_adaptive)
+    np.testing.assert_array_equal(resumed.l, once.l)
+    np.testing.assert_array_equal(resumed.s, once.s)
+    assert first.iterations + resumed.iterations == once.iterations
+    assert resumed.state.iterations == once.state.iterations == once.iterations
+    assert resumed.final_residual == once.final_residual
+    assert resumed.converged == once.converged
+    assert resumed.rank_of_l == once.rank_of_l
+    return first, resumed
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(rows=st.integers(2, 40), cols=st.integers(2, 40), rank=st.integers(1, 3),
+       spikes=st.floats(0.0, 0.1), seed=st.integers(0, 2**32 - 1),
+       tol=st.sampled_from([1e-5, 1e-7, 1e-9]), max_iter=st.integers(1, 300),
+       rank_adaptive=st.booleans())
+def test_resumed_solve_equals_one_tighter_solve(rows, cols, rank, spikes, seed, tol,
+                                                max_iter, rank_adaptive):
+    rng = np.random.default_rng(seed)
+    rank = min(rank, rows, cols)
+    m = rng.standard_normal((rows, rank)) @ rng.standard_normal((cols, rank)).T
+    hit = rng.random(m.shape) < spikes
+    m[hit] += rng.uniform(-10, 10, hit.sum())
+    _resume_matches_tighter_solve(m, tol, max_iter, rank_adaptive)
+
+
+def test_resumed_seed_solve_equals_one_tighter_solve():
+    # a 100x100 seed of a rank-10 matrix: the partial SVT warm-starts from
+    # the carried factors across the resume
+    gt = synth.generate(synth.SynthSpec(m=1000, n=1000, rho_r=0.01, rho_s=0.01,
+                                        rng_seed=0))
+    _, _, block = sample_submatrix(gt.m_obs, 100, 100, 0)
+    first, resumed = _resume_matches_tighter_solve(block, 1e-9, 1000, True)
+    assert first.converged and resumed.converged and resumed.iterations > 0
+    assert first.state.svt.rank == 10
+    np.testing.assert_array_equal(first.state.svt.reconstruct(), first.l)
+    again = solve_pcp(block, AdmConfig(tol=1e-11), True, resume=first)
+    np.testing.assert_array_equal(again.l, resumed.l)  # resuming leaves first intact
+
+
+def test_resume_needs_a_state():
+    with pytest.raises(ValueError, match="resume"):
+        solve_pcp(np.zeros((5, 5)), resume=solve_pcp(np.zeros((5, 5))))
