@@ -20,7 +20,6 @@ from .pcp_adm import AdmConfig, PcpDivergenceError, PcpSolution, default_lambda,
 from .l1reg import L1RegSolution, solve_l1reg, solve_l1reg_columnwise
 from .l1filter import (
     FilterConfig,
-    FilterResult,
     SeedRankZeroError,
     SeedRecovery,
     assemble,

@@ -35,7 +35,7 @@ def environment_info():
     }
 
 
-def run_instance(method, gt, r, rho_s, sigma_scale, seed, rank_hint=None, adm=None):
+def run_instance(method, gt, r, rho_s, sigma_scale, seed, rank_hint=None):
     """Solve one instance and return a report record. Failures are caught
     and recorded so a sweep can continue."""
     m_rows, n_cols = gt.m_obs.shape
@@ -48,12 +48,10 @@ def run_instance(method, gt, r, rho_s, sigma_scale, seed, rank_hint=None, adm=No
     }
     try:
         if method == "adm":
-            sol = solve_pcp(gt.m_obs, adm or AdmConfig())
+            sol = solve_pcp(gt.m_obs, AdmConfig())
         elif method == "l1filter":
-            cfg = FilterConfig(rank_hint=rank_hint, rng_seed=seed)
-            if adm is not None:
-                cfg.adm = adm
-            sol = estimate_rank_and_solve(gt.m_obs, cfg)
+            sol = estimate_rank_and_solve(gt.m_obs,
+                                          FilterConfig(rank_hint=rank_hint, rng_seed=seed))
         else:
             raise ValueError(f"unknown method {method!r}")
     except Exception as exc:  # recorded per-row, sweep continues

@@ -1,12 +1,19 @@
 """Linear-time principal component pursuit by l1 filtering.
 
 Pipeline: sample a small seed submatrix, recover it exactly with the
-reference ADM solver, express the aligned column and row blocks in the
-seed's column/row subspaces via l1 regression, and fill in the remaining
-block with the generalized Nystrom formula. When no target rank is known,
-the seed is grown geometrically until its recovered rank is consistent with
-the oversampling rates, falling back to a full PCP solve once the seed
-would exceed half the matrix.
+reference ADM solver, and express the aligned column and row blocks in the
+seed's column/row subspaces via l1 regression. With the seed's SVD
+U Sigma V^T, the column coefficients Q and the row coefficients P, the
+generalized Nystrom formula gives all of L as one outer product
+
+    L = A B^T,   A = [U Sigma; P^T],   B = [V; (Sigma^{-1} Q)^T],
+
+where A's blocks sit at the seed rows and the other rows, and B's at the
+seed columns and the other columns. A and B take O(r'(m+n)) work to form;
+L = A B^T and S = M - L are the only O(mn) steps after filtering. When no
+target rank is known, the seed is grown geometrically until its recovered
+rank is consistent with the oversampling rates, falling back to a full PCP
+solve once the seed would exceed MAX_SEED_FRACTION of either side.
 
 Only the seed that passes the oversampling check is polished: its PCP is
 resumed from the same iterate until it reaches SEED_TOL_RATIO times the
@@ -33,6 +40,9 @@ from .pcp_adm import (
 )
 
 SEED_RANK_TOL = 1e-6
+
+# A seed larger than this share of either side hands over to a full PCP solve.
+MAX_SEED_FRACTION = 0.5
 
 # The pipeline's internal solves run tighter than the standalone solver
 # default: seed errors are amplified by the inverted seed spectrum in the
@@ -68,8 +78,6 @@ class SeedRecovery:
     row_idx: np.ndarray
     col_idx: np.ndarray
     seed_svd: SkinnySvd
-    seed_l: np.ndarray
-    seed_s: np.ndarray
     r_prime: int
     pcp_iterations: int = 0
     pcp_residual: float = 0.0
@@ -77,22 +85,13 @@ class SeedRecovery:
     polish_iterations: int = 0
 
 
-@dataclass(frozen=True)
-class FilterResult:
-    q_tilde: np.ndarray   # r' x (n - |col_idx|)
-    p_tilde: np.ndarray   # r' x (m - |row_idx|)
-    iterations: int = 0
-
-
 @dataclass
 class FilterConfig:
     s_r: float = 10.0
     s_c: float = 10.0
     rank_hint: int | None = None
-    max_seed_fraction: float = 0.5
     rng_seed: int = 0
     adm: AdmConfig = field(default_factory=lambda: AdmConfig(tol=PIPELINE_TOL))
-    rank_tol: float = SEED_RANK_TOL
     # Only 1 (sequential filters) is accepted; perfbench/run.py still passes
     # the field, so a later benchmark change drops the argument, then the field.
     parallelism: int = 1
@@ -106,8 +105,6 @@ class FilterConfig:
             raise ValueError("parallelism must be 1: the filters run sequentially")
         if self.s_r <= 1 or self.s_c <= 1:
             raise ValueError("oversampling rates must be > 1")
-        if not 0 < self.max_seed_fraction <= 1:
-            raise ValueError("max_seed_fraction must be in (0, 1]")
 
 
 def _sample_indices(shape, n_rows, n_cols, rng_seed):
@@ -134,26 +131,30 @@ def sample_submatrix(m, n_rows, n_cols, rng_seed):
     return row_idx, col_idx, m[np.ix_(row_idx, col_idx)]
 
 
-def _seed_factors(sol, rank_tol):
+def _complement(idx, size):
+    """Sorted indices of range(size) that are not in idx."""
+    return np.setdiff1d(np.arange(size), idx)
+
+
+def _seed_factors(sol):
     """The seed PCP's last SVT factors without the singular values at or
-    below rank_tol * sigma_1, or None when none is left (or the block was
+    below SEED_RANK_TOL * sigma_1, or None when none is left (or the block was
     zero, which takes no SVT)."""
     f = sol.state.svt if sol.state is not None else None
     if f is None or f.rank == 0:
         return None
-    k = int((f.sigma > rank_tol * f.sigma[0]).sum())
+    k = int((f.sigma > SEED_RANK_TOL * f.sigma[0]).sum())
     return SkinnySvd(u=f.u[:, :k].copy(), sigma=f.sigma[:k].copy(), v=f.v[:, :k].copy())
 
 
-def recover_seed(seed_block, adm=None, rank_tol=SEED_RANK_TOL,
-                 row_idx=None, col_idx=None, max_rank=0):
+def recover_seed(seed_block, adm=None, row_idx=None, col_idx=None, max_rank=0):
     """Recover the low-rank part of a sampled block by small-scale PCP and
     factor it. Raises SeedRankZeroError when the block carries no signal.
 
     The PCP runs rank-adaptive (see solve_pcp): the seed's SVT rank is small
     next to the block, so a certified partial SVD replaces most full SVDs.
     The seed's factors are those of the PCP's last SVT, whose product is the
-    recovered L, less the singular values at or below rank_tol * sigma_1.
+    recovered L, less the singular values at or below SEED_RANK_TOL * sigma_1.
     adm.lam=None picks the seed block's own default_lambda.
 
     A converged PCP whose rank r' is at most max_rank (the largest rank the
@@ -167,26 +168,23 @@ def recover_seed(seed_block, adm=None, rank_tol=SEED_RANK_TOL,
     seed_block = as_dense(seed_block)
     adm = adm or AdmConfig()
     sol = solve_pcp(seed_block, adm, rank_adaptive=True)
-    f = _seed_factors(sol, rank_tol)
+    f = _seed_factors(sol)
     residual, polish = sol.final_residual, 0
     if f is not None and sol.converged and f.rank <= max_rank:
         polished = solve_pcp(seed_block, replace(adm, tol=adm.tol * SEED_TOL_RATIO),
                              rank_adaptive=True, resume=sol)
         polish = polished.iterations
         if polished.final_residual <= adm.tol:
-            f, residual = _seed_factors(polished, rank_tol), polished.final_residual
+            f, residual = _seed_factors(polished), polished.final_residual
     if f is None:
         raise SeedRankZeroError("seed recovery produced a zero low-rank part")
-    # use the truncated reconstruction so downstream blocks share exact factors
-    seed_l = f.reconstruct()
     if row_idx is None:
         row_idx = np.arange(seed_block.shape[0])
     if col_idx is None:
         col_idx = np.arange(seed_block.shape[1])
     return SeedRecovery(
         row_idx=np.asarray(row_idx), col_idx=np.asarray(col_idx),
-        seed_svd=f, seed_l=seed_l, seed_s=seed_block - seed_l,
-        r_prime=f.rank, pcp_iterations=sol.iterations + polish,
+        seed_svd=f, r_prime=f.rank, pcp_iterations=sol.iterations + polish,
         pcp_residual=residual, pcp_converged=sol.converged,
         polish_iterations=polish,
     )
@@ -218,11 +216,26 @@ def filter_rows(m_r, v_s, cfg=None):
     return sol.z, sol.e.T, sol.iterations, sol.failed_columns
 
 
-def nystrom_complete(seed, fr):
-    """Completion block P^T Sigma^{-1} Q from the filtered factors."""
+def _stack(idx, on_seed, off_seed):
+    """Rows of on_seed at idx and rows of off_seed, in order, at the others."""
+    out = np.empty((idx.size + off_seed.shape[0], on_seed.shape[1]))
+    out[idx] = on_seed
+    out[_complement(idx, out.shape[0])] = off_seed
+    return out
+
+
+def nystrom_complete(seed, q, p):
+    """Stacked factors (A, B) of L = A B^T from the seed's SVD U Sigma V^T,
+    the column coefficients Q (r' x n-s) and the row coefficients P
+    (r' x m-s). A holds U Sigma on the seed rows and P^T on the others; B
+    holds V on the seed columns and (Sigma^{-1} Q)^T on the others. The
+    product's blocks are the generalized Nystrom ones: U Sigma V^T on the
+    seed, U Q and P^T V^T beside it, and P^T Sigma^{-1} Q elsewhere."""
     if seed.r_prime < 1:
         raise ValueError("seed rank must be >= 1")
-    return fr.p_tilde.T @ (fr.q_tilde / seed.seed_svd.sigma[:, None])
+    f = seed.seed_svd
+    return (_stack(seed.row_idx, f.u * f.sigma, p.T),
+            _stack(seed.col_idx, f.v, (q / f.sigma[:, None]).T))
 
 
 def nystrom_complete_via_pinv(l_row, seed_l, l_col, rank_tol=SEED_RANK_TOL):
@@ -232,23 +245,13 @@ def nystrom_complete_via_pinv(l_row, seed_l, l_col, rank_tol=SEED_RANK_TOL):
     return as_dense(l_row) @ matcore.pseudo_inverse_apply(f, as_dense(l_col))
 
 
-def assemble(seed, fr, completion, m_rows, m_cols):
-    """Place the four recovered blocks back at their original indices."""
-    row_idx, col_idx = seed.row_idx, seed.col_idx
-    comp_rows = np.setdiff1d(np.arange(m_rows), row_idx)
-    comp_cols = np.setdiff1d(np.arange(m_cols), col_idx)
-    if fr.q_tilde.shape[1] != comp_cols.size or fr.p_tilde.shape[1] != comp_rows.size:
-        raise RuntimeError("filter blocks inconsistent with index bookkeeping")
-    if completion.shape != (comp_rows.size, comp_cols.size):
-        raise RuntimeError("completion block inconsistent with index bookkeeping")
-
-    l = np.empty((m_rows, m_cols))
-    f = seed.seed_svd
-    l[np.ix_(row_idx, col_idx)] = seed.seed_l
-    l[np.ix_(row_idx, comp_cols)] = f.u @ fr.q_tilde
-    l[np.ix_(comp_rows, col_idx)] = fr.p_tilde.T @ f.v.T
-    l[np.ix_(comp_rows, comp_cols)] = completion
-    return l
+def assemble(m, a, b):
+    """L = A B^T and S = M - L from the stacked factors of nystrom_complete."""
+    if (a.shape[0], b.shape[0]) != m.shape:
+        raise ValueError(f"factors of {a.shape[0]} and {b.shape[0]} rows do not "
+                         f"match a {m.shape[0]}x{m.shape[1]} matrix")
+    l = a @ b.T
+    return l, m - l
 
 
 def _filter_residual(x, basis, coef, e):
@@ -256,6 +259,22 @@ def _filter_residual(x, basis, coef, e):
     of one filtered block."""
     scale = linf_norm(x)
     return linf_norm(x - basis @ coef - e) / scale if scale else 0.0
+
+
+def _filter_stage(m, seed, adm):
+    """Filter M's column and row blocks beside the seed. Returns (Q, P,
+    iterations, failed, residual): the slower filter's iterations, the number
+    of columns and rows that stopped short, and the larger constraint
+    residual. The blocks and their sparse parts are freed on return, before
+    the caller allocates L."""
+    f = seed.seed_svd
+    m_c = m[np.ix_(seed.row_idx, _complement(seed.col_idx, m.shape[1]))]
+    m_r = m[np.ix_(_complement(seed.row_idx, m.shape[0]), seed.col_idx)]
+    q, e_c, it_c, failed_c = filter_columns(m_c, f.u, adm)
+    p, e_r, it_r, failed_r = filter_rows(m_r, f.v, adm)
+    residual = max(_filter_residual(m_c, f.u, q, e_c),
+                   _filter_residual(m_r.T, f.v, p, e_r.T))
+    return q, p, max(it_c, it_r), len(failed_c) + len(failed_r), residual
 
 
 def _proposed_seed_shape(r, cfg):
@@ -267,7 +286,7 @@ def estimate_rank_and_solve(m, cfg=None):
 
     Grows the seed until its recovered rank is consistent with the
     oversampling rates; when the required seed would exceed
-    max_seed_fraction of either dimension, solves the whole matrix by
+    MAX_SEED_FRACTION of either dimension, solves the whole matrix by
     reference ADM instead (method="full-pcp-fallback"). Seed and fallback
     PCPs run with rank_adaptive=True (see solve_pcp), and only the accepted
     seed is polished (see recover_seed).
@@ -295,7 +314,7 @@ def estimate_rank_and_solve(m, cfg=None):
     while True:
         attempts += 1
         n_rows, n_cols = _proposed_seed_shape(r, cfg)
-        if max(n_rows / m_rows, n_cols / m_cols) > cfg.max_seed_fraction:
+        if max(n_rows / m_rows, n_cols / m_cols) > MAX_SEED_FRACTION:
             sol = solve_pcp(m, cfg.adm, rank_adaptive=True)
             sol.method = "full-pcp-fallback"
             sol.stats.update({"attempts": attempts, "proposed_seed": (n_rows, n_cols),
@@ -310,7 +329,7 @@ def estimate_rank_and_solve(m, cfg=None):
         row_idx, col_idx = _sample_indices(m.shape, n_rows, n_cols, ss.spawn(1)[0])
         block = m[np.ix_(row_idx, col_idx)]
         try:
-            seed = recover_seed(block, cfg.adm, cfg.rank_tol, row_idx, col_idx, max_rank)
+            seed = recover_seed(block, cfg.adm, row_idx, col_idx, max_rank)
         except SeedRankZeroError:
             t1 += time.perf_counter() - t0
             # (0, M) solves PCP when Y = lam * sign(M) has ||Y||_2 <= 1 (the
@@ -333,27 +352,17 @@ def estimate_rank_and_solve(m, cfg=None):
         r = max(seed.r_prime, r + 1)
 
     t0 = time.perf_counter()
-    comp_rows = np.setdiff1d(np.arange(m_rows), seed.row_idx)
-    comp_cols = np.setdiff1d(np.arange(m_cols), seed.col_idx)
-    m_c = m[np.ix_(seed.row_idx, comp_cols)]
-    m_r = m[np.ix_(comp_rows, seed.col_idx)]
-    q_tilde, s_col, it_c, failed_c = filter_columns(m_c, seed.seed_svd.u, cfg.adm)
-    p_tilde, s_row, it_r, failed_r = filter_rows(m_r, seed.seed_svd.v, cfg.adm)
-    fr = FilterResult(q_tilde=q_tilde, p_tilde=p_tilde, iterations=max(it_c, it_r))
+    q, p, filter_iterations, failed, filter_residual = _filter_stage(m, seed, cfg.adm)
     # certificates: the seed PCP residual and each filter's constraint residual
-    residual = max(seed.pcp_residual,
-                   _filter_residual(m_c, seed.seed_svd.u, q_tilde, s_col),
-                   _filter_residual(m_r.T, seed.seed_svd.v, p_tilde, s_row.T))
+    residual = max(seed.pcp_residual, filter_residual)
     t2 = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    l = assemble(seed, fr, nystrom_complete(seed, fr), m_rows, m_cols)
-    s = m - l
+    l, s = assemble(m, *nystrom_complete(seed, q, p))
     t_assemble = time.perf_counter() - t0
 
-    failed = len(failed_c) + len(failed_r)
     return PcpSolution(
-        l=l, s=s, iterations=seed.pcp_iterations + fr.iterations,
+        l=l, s=s, iterations=seed.pcp_iterations + filter_iterations,
         final_residual=residual, rank_of_l=seed.r_prime,
         elapsed=time.perf_counter() - t_start,
         converged=seed.pcp_converged and failed == 0, method="l1-filter",
@@ -361,7 +370,7 @@ def estimate_rank_and_solve(m, cfg=None):
             "t1": t1, "t2": t2, "t_assemble": t_assemble,
             "seed_rows": int(seed.row_idx.size), "seed_cols": int(seed.col_idx.size),
             "r_prime": seed.r_prime, "attempts": attempts,
-            "seed_iterations": seed.pcp_iterations, "filter_iterations": fr.iterations,
+            "seed_iterations": seed.pcp_iterations, "filter_iterations": filter_iterations,
             "filter_failed_columns": failed,
             "seed_polish_iterations": seed.polish_iterations,
             "seed_residual": seed.pcp_residual,

@@ -13,7 +13,6 @@ import pytest
 from l1pcp import bench, synth
 from l1pcp.l1filter import (
     FilterConfig,
-    FilterResult,
     estimate_rank_and_solve,
     filter_columns,
     filter_rows,
@@ -248,19 +247,17 @@ def test_nystrom_dual_formulas():
         l0 = rng.standard_normal((80, 5)) @ rng.standard_normal((70, 5)).T
         ri, ci, block = sample_submatrix(l0, 30, 30, rng)
         f = svd(block)
-        seed = SeedRecovery(row_idx=ri, col_idx=ci, seed_svd=f,
-                            seed_l=f.reconstruct(),
-                            seed_s=block - f.reconstruct(), r_prime=f.rank)
+        seed = SeedRecovery(row_idx=ri, col_idx=ci, seed_svd=f, r_prime=f.rank)
         comp_r = np.setdiff1d(np.arange(80), ri)
         comp_c = np.setdiff1d(np.arange(70), ci)
         q, _, _, _ = filter_columns(l0[np.ix_(ri, comp_c)], seed.seed_svd.u,
                                     AdmConfig(tol=1e-10))
         p, _, _, _ = filter_rows(l0[np.ix_(comp_r, ci)], seed.seed_svd.v,
                                  AdmConfig(tol=1e-10))
-        fr = FilterResult(q_tilde=q, p_tilde=p)
-        direct = nystrom_complete(seed, fr)
+        a, b = nystrom_complete(seed, q, p)
+        direct = a[comp_r] @ b[comp_c].T
         via_pinv = nystrom_complete_via_pinv(
-            l0[np.ix_(comp_r, ci)], seed.seed_l, l0[np.ix_(ri, comp_c)])
+            l0[np.ix_(comp_r, ci)], f.reconstruct(), l0[np.ix_(ri, comp_c)])
         worst = max(worst,
                     frobenius_norm(direct - via_pinv) / frobenius_norm(direct))
     ok = worst <= 1e-8

@@ -1,6 +1,8 @@
 """Tests for the l1-filtering pipeline: seed sampling and recovery, column
 and row filtering, Nystrom completion, assembly, and rank estimation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from l1pcp.l1filter import (
     SEED_RANK_TOL,
     SEED_TOL_RATIO,
     FilterConfig,
-    FilterResult,
     SeedRankZeroError,
     SeedRecovery,
     assemble,
@@ -60,10 +61,9 @@ def test_recover_seed_uncorrupted_rank_two():
     rng = np.random.default_rng(2)
     block = _low_rank(rng, 60, 60, 2)
     seed = recover_seed(block, AdmConfig(tol=1e-9))
-    assert seed.r_prime == 2
-    assert frobenius_norm(seed.seed_s) / frobenius_norm(block) <= 1e-6
-    rec = frobenius_norm(seed.seed_svd.reconstruct() - seed.seed_l)
-    assert rec <= 1e-8 * frobenius_norm(seed.seed_l)
+    assert seed.r_prime == seed.seed_svd.rank == 2
+    seed_s = block - seed.seed_svd.reconstruct()
+    assert frobenius_norm(seed_s) / frobenius_norm(block) <= 1e-6
 
 
 def test_recover_seed_zero_block_raises():
@@ -118,7 +118,7 @@ def test_polish_that_overshoots_keeps_the_converged_iterate():
     seed = recover_seed(m, AdmConfig(tol=1e-7, max_iter=plain.pcp_iterations + 1), max_rank=3)
     assert seed.polish_iterations == 1 and seed.pcp_iterations == plain.pcp_iterations + 1
     assert seed.pcp_converged and seed.pcp_residual == plain.pcp_residual <= 1e-7
-    np.testing.assert_array_equal(seed.seed_l, plain.seed_l)
+    np.testing.assert_array_equal(seed.seed_svd.reconstruct(), plain.seed_svd.reconstruct())
 
 
 def test_filter_columns_exact_subspace():
@@ -154,13 +154,12 @@ def _exact_seed(block, ri, ci):
     """Seed built from the exact SVD of an uncorrupted block (PCP-free, so
     Nystrom exactness holds to machine precision)."""
     f = svd(block)
-    return SeedRecovery(row_idx=ri, col_idx=ci, seed_svd=f,
-                        seed_l=f.reconstruct(), seed_s=block - f.reconstruct(),
-                        r_prime=f.rank)
+    return SeedRecovery(row_idx=ri, col_idx=ci, seed_svd=f, r_prime=f.rank)
 
 
 def _pipeline_pieces(rng, m_rows, m_cols, r, seed_rows, seed_cols):
-    """Uncorrupted exact-rank instance split into seed/filter blocks."""
+    """Uncorrupted exact-rank instance split into seed/filter blocks:
+    (L0, seed, Q, P, other rows, other columns)."""
     l0 = _low_rank(rng, m_rows, m_cols, r)
     ri, ci, block = sample_submatrix(l0, seed_rows, seed_cols, rng)
     seed = _exact_seed(block, ri, ci)
@@ -170,16 +169,15 @@ def _pipeline_pieces(rng, m_rows, m_cols, r, seed_rows, seed_cols):
                                 AdmConfig(tol=1e-10))
     p, _, _, _ = filter_rows(l0[np.ix_(comp_r, ci)], seed.seed_svd.v,
                              AdmConfig(tol=1e-10))
-    fr = FilterResult(q_tilde=q, p_tilde=p)
-    return l0, seed, fr
+    return l0, seed, q, p, comp_r, comp_c
 
 
 def test_nystrom_exactness_and_assembly():
     rng = np.random.default_rng(6)
-    l0, seed, fr = _pipeline_pieces(rng, 80, 70, 3, 30, 30)
-    completion = nystrom_complete(seed, fr)
-    l_hat = assemble(seed, fr, completion, 80, 70)
+    l0, seed, q, p, _, _ = _pipeline_pieces(rng, 80, 70, 3, 30, 30)
+    l_hat, s_hat = assemble(l0, *nystrom_complete(seed, q, p))
     assert frobenius_norm(l_hat - l0) / frobenius_norm(l0) <= 1e-8
+    np.testing.assert_array_equal(s_hat, l0 - l_hat)
     # assembled matrix is built from rank-r' factors
     sig = np.linalg.svd(l_hat, compute_uv=False)
     assert (sig > 1e-8 * sig[0]).sum() == seed.r_prime
@@ -188,60 +186,63 @@ def test_nystrom_exactness_and_assembly():
 def test_nystrom_dual_formulas_agree():
     rng = np.random.default_rng(7)
     for _ in range(10):
-        l0, seed, fr = _pipeline_pieces(rng, 60, 55, 5, 25, 25)
-        direct = nystrom_complete(seed, fr)
-        comp_r = np.setdiff1d(np.arange(60), seed.row_idx)
-        comp_c = np.setdiff1d(np.arange(55), seed.col_idx)
+        l0, seed, q, p, comp_r, comp_c = _pipeline_pieces(rng, 60, 55, 5, 25, 25)
+        a, b = nystrom_complete(seed, q, p)
+        direct = a[comp_r] @ b[comp_c].T
         l_row = l0[np.ix_(comp_r, seed.col_idx)]
         l_col = l0[np.ix_(seed.row_idx, comp_c)]
-        via_pinv = nystrom_complete_via_pinv(l_row, seed.seed_l, l_col)
+        via_pinv = nystrom_complete_via_pinv(l_row, seed.seed_svd.reconstruct(), l_col)
         err = frobenius_norm(direct - via_pinv) / frobenius_norm(direct)
         assert err <= 1e-8
 
 
 def test_nystrom_rank_one_completion_is_outer_product():
     rng = np.random.default_rng(8)
-    l0, seed, fr = _pipeline_pieces(rng, 30, 30, 1, 10, 10)
-    completion = nystrom_complete(seed, fr)
-    sig = np.linalg.svd(completion, compute_uv=False)
+    l0, seed, q, p, comp_r, comp_c = _pipeline_pieces(rng, 30, 30, 1, 10, 10)
+    a, b = nystrom_complete(seed, q, p)
+    assert a.shape == (30, 1) and b.shape == (30, 1)
+    sig = np.linalg.svd(a[comp_r] @ b[comp_c].T, compute_uv=False)
     assert (sig > 1e-10 * sig[0]).sum() == 1
 
 
 def test_assemble_whole_matrix_seed():
     rng = np.random.default_rng(9)
-    l0, seed, fr = _pipeline_pieces(rng, 20, 20, 2, 20, 20)
-    out = assemble(seed, fr, np.zeros((0, 0)), 20, 20)
-    np.testing.assert_allclose(out, seed.seed_l)
+    l0, seed, q, p, _, _ = _pipeline_pieces(rng, 20, 20, 2, 20, 20)
+    assert q.shape == p.shape == (2, 0)
+    l_hat, _ = assemble(l0, *nystrom_complete(seed, q, p))
+    np.testing.assert_allclose(l_hat, seed.seed_svd.reconstruct())
 
 
 def test_assemble_roundtrip_reextraction():
+    # each block of L = A B^T against its Nystrom formula
     rng = np.random.default_rng(10)
-    l0, seed, fr = _pipeline_pieces(rng, 40, 35, 2, 15, 15)
-    completion = nystrom_complete(seed, fr)
-    l_hat = assemble(seed, fr, completion, 40, 35)
-    comp_r = np.setdiff1d(np.arange(40), seed.row_idx)
-    comp_c = np.setdiff1d(np.arange(35), seed.col_idx)
-    np.testing.assert_array_equal(l_hat[np.ix_(seed.row_idx, seed.col_idx)],
-                                  seed.seed_l)
-    np.testing.assert_array_equal(l_hat[np.ix_(comp_r, comp_c)], completion)
-    np.testing.assert_array_equal(l_hat[np.ix_(seed.row_idx, comp_c)],
-                                  seed.seed_svd.u @ fr.q_tilde)
-    np.testing.assert_array_equal(l_hat[np.ix_(comp_r, seed.col_idx)],
-                                  fr.p_tilde.T @ seed.seed_svd.v.T)
+    l0, seed, q, p, comp_r, comp_c = _pipeline_pieces(rng, 40, 35, 2, 15, 15)
+    f, ri, ci = seed.seed_svd, seed.row_idx, seed.col_idx
+    l_hat, _ = assemble(l0, *nystrom_complete(seed, q, p))
+    tol = 1e-13 * matcore.linf_norm(l_hat)
+    for rows, cols, block in [
+        (ri, ci, f.reconstruct()),
+        (comp_r, comp_c, p.T @ (q / f.sigma[:, None])),
+        (ri, comp_c, f.u @ q),
+        (comp_r, ci, p.T @ f.v.T),
+    ]:
+        assert np.abs(l_hat[np.ix_(rows, cols)] - block).max() <= tol
 
 
-def test_assemble_rejects_inconsistent_blocks():
+def test_assemble_rejects_mismatched_factors():
     rng = np.random.default_rng(11)
-    l0, seed, fr = _pipeline_pieces(rng, 30, 30, 2, 12, 12)
-    with pytest.raises(RuntimeError):
-        assemble(seed, fr, np.zeros((5, 5)), 30, 30)
+    l0, seed, q, p, _, _ = _pipeline_pieces(rng, 30, 30, 2, 12, 12)
+    a, b = nystrom_complete(seed, q, p)
+    # a single row of A would broadcast silently against M
+    for m, a_bad, b_bad in [(l0, a[:1], b), (l0, a, b[:29]), (l0[:, :29], a, b),
+                            (l0, a[:, :1], b)]:
+        with pytest.raises(ValueError):
+            assemble(m, a_bad, b_bad)
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
         FilterConfig(s_r=1.0)
-    with pytest.raises(ValueError):
-        FilterConfig(max_seed_fraction=0.0)
 
 
 def test_lambda_is_rejected():
@@ -265,6 +266,21 @@ def test_end_to_end_recovery_with_hint():
     assert sol.rank_of_l == spec.rank
     assert synth.rel_err(sol.l, gt.l0) <= 1e-5
     np.testing.assert_allclose(sol.l + sol.s, gt.m_obs, atol=1e-10)
+
+
+def test_solve_peak_memory_is_l_and_s():
+    # L and S are the only dense outputs; the filter blocks and their sparse
+    # parts are freed before L = A B^T is formed, and no completion block is
+    spec = synth.SynthSpec(m=1000, n=1000, rho_r=0.01, rho_s=0.01, rng_seed=0)
+    m = synth.generate(spec).m_obs
+    tracemalloc.start()
+    try:
+        sol = estimate_rank_and_solve(m, FilterConfig(rank_hint=spec.rank, rng_seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.method == "l1-filter" and sol.converged
+    assert peak <= 2.2 * m.nbytes, f"peak {peak / m.nbytes:.2f}x M.nbytes"
 
 
 def test_filter_iterations_stay_short_on_clean_columns():
