@@ -20,9 +20,12 @@ from .pcp_adm import AdmConfig, PcpDivergenceError, PcpSolution, default_lambda,
 from .l1reg import L1RegSolution, solve_l1reg, solve_l1reg_columnwise
 from .l1filter import (
     FilterConfig,
+    LowRank,
+    Remainder,
     SeedRankZeroError,
     SeedRecovery,
     assemble,
+    estimate_rank_and_factor,
     estimate_rank_and_solve,
     filter_columns,
     filter_rows,

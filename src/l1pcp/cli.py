@@ -11,15 +11,54 @@ import json
 import sys
 import time
 
+import numpy as np
+
 from . import bench, matio, synth
-from .l1filter import PIPELINE_TOL, FilterConfig, estimate_rank_and_solve
-from .matcore import l0_count, l1_norm
+from .l1filter import PIPELINE_TOL, FilterConfig, estimate_rank_and_factor
+from .matcore import l0_count, l1_norm, linf_norm
 from .pcp_adm import AdmConfig, solve_pcp
 
 
 def _fail(code, message):
     print(f"error: {message}", file=sys.stderr)
     return code
+
+
+def _s_norms(s):
+    return l1_norm(s), linf_norm(s)
+
+
+def _l_errors(l, l0):
+    """Sums of squares of L - L0, L0 and L, and the sum and the max of
+    |L - L0|."""
+    dif = l - l0
+    np.abs(dif, out=dif)
+    return (float(np.vdot(dif, dif)), float(np.vdot(l0, l0)), float(np.vdot(l, l)),
+            float(dif.sum()), float(dif.max(initial=0.0)))
+
+
+def _block_stats(sol, truth):
+    """(l1_s, l0_s, errors) of a solution, where errors holds rel_err,
+    max_dif and ave_dif against the true L0 (None without one). All come
+    from the row blocks of matio.row_blocks, each released before the next is
+    formed, so a factored L or S is never formed whole. l0_s counts |S| above
+    1e-6 ||S||_inf, taken over all of S, which takes a second pass once
+    ||S||_inf is known."""
+    blocks = matio.row_blocks(sol.s.shape)
+    norms = [_s_norms(sol.s[rows]) for rows in blocks]
+    l1_s = sum(l1 for l1, _ in norms)
+    s_inf = max((linf for _, linf in norms), default=0.0)
+    l0_s = sum(l0_count(sol.s[rows], 1e-6 * s_inf) for rows in blocks)
+    if truth is None:
+        return l1_s, l0_s, {"rel_err": None, "max_dif": None, "ave_dif": None}
+    sq_dif, sq_l0, sq_l, sum_dif, max_dif = zip(
+        *[_l_errors(sol.l[rows], truth[rows]) for rows in blocks])
+    sq_l0 = sum(sq_l0)
+    return l1_s, l0_s, {
+        # as synth.rel_err: relative to ||L0||_F, or ||L||_F itself when L0 = 0
+        "rel_err": (sum(sq_dif) / sq_l0) ** 0.5 if sq_l0 else sum(sq_l) ** 0.5,
+        "max_dif": max(max_dif), "ave_dif": sum(sum_dif) / truth.size,
+    }
 
 
 def cmd_decompose(args):
@@ -47,7 +86,9 @@ def cmd_decompose(args):
                 rank_hint=args.rank_hint, rng_seed=args.seed,
                 adm=AdmConfig(lam=args.lam, tol=args.tol or PIPELINE_TOL),
             )
-            sol = estimate_rank_and_solve(m, cfg)
+            # L and S stay factored; the writes and stats below form them
+            # in row blocks
+            sol = estimate_rank_and_factor(m, cfg)
     except ValueError as exc:
         return _fail(3, str(exc))
 
@@ -56,6 +97,7 @@ def cmd_decompose(args):
     if args.out_s:
         matio.write_matrix(args.out_s, sol.s)
 
+    l1_s, l0_s, errors = _block_stats(sol, truth)
     stats = {
         "method": sol.method,
         "rows": m.shape[0], "cols": m.shape[1],
@@ -64,8 +106,8 @@ def cmd_decompose(args):
         "iterations": sol.iterations,
         "converged": sol.converged,
         "seed": args.seed,
-        "l1_s": l1_norm(sol.s),
-        "l0_s": l0_count(sol.s),
+        "l1_s": l1_s,
+        "l0_s": l0_s,
         "t": sol.elapsed,
         "t1": sol.stats.get("t1"),
         "t2": sol.stats.get("t2"),
@@ -73,9 +115,7 @@ def cmd_decompose(args):
         "filter_failed_columns": sol.stats.get("filter_failed_columns"),
         "seed_polish_iterations": sol.stats.get("seed_polish_iterations"),
         "seed_residual": sol.stats.get("seed_residual"),
-        "rel_err": synth.rel_err(sol.l, truth) if truth is not None else None,
-        "max_dif": synth.max_dif(sol.l, truth) if truth is not None else None,
-        "ave_dif": synth.ave_dif(sol.l, truth) if truth is not None else None,
+        **errors,
     }
     if args.stats_json:
         with open(args.stats_json, "w") as fh:

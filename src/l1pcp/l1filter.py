@@ -10,7 +10,16 @@ generalized Nystrom formula gives all of L as one outer product
 
 where A's blocks sit at the seed rows and the other rows, and B's at the
 seed columns and the other columns. A and B take O(r'(m+n)) work to form;
-L = A B^T and S = M - L are the only O(mn) steps after filtering. When no
+L = A B^T and S = M - L are the only O(mn) steps after filtering.
+
+The solve comes in two steps. estimate_rank_and_factor stops at the factors:
+on the l1-filter path it returns L as LowRank(A, B) and S as Remainder(M, L),
+row-sliceable stand-ins whose L[rows] is A[rows] B^T and S[rows] is
+M[rows] - L[rows], so a caller that streams L and S in row blocks (the
+decompose CLI) never holds a dense m x n L or S. estimate_rank_and_solve
+follows it with assemble, one A B^T and one subtraction, and returns dense
+L and S. The full-pcp-fallback and degenerate-zero-seed paths return dense
+arrays from either function; ndarrays slice into rows the same way. When no
 target rank is known, the seed is grown geometrically until its recovered
 rank is consistent with the oversampling rates, falling back to a full PCP
 solve once the seed would exceed MAX_SEED_FRACTION of either side.
@@ -133,7 +142,9 @@ def sample_submatrix(m, n_rows, n_cols, rng_seed):
 
 def _complement(idx, size):
     """Sorted indices of range(size) that are not in idx."""
-    return np.setdiff1d(np.arange(size), idx)
+    keep = np.ones(size, dtype=bool)
+    keep[idx] = False
+    return np.flatnonzero(keep)
 
 
 def _seed_factors(sol):
@@ -245,6 +256,39 @@ def nystrom_complete_via_pinv(l_row, seed_l, l_col, rank_tol=SEED_RANK_TOL):
     return as_dense(l_row) @ matcore.pseudo_inverse_apply(f, as_dense(l_col))
 
 
+@dataclass(frozen=True)
+class LowRank:
+    """L = A B^T held as its stacked factors A (m x r') and B (n x r').
+    L[rows] forms only those rows, A[rows] B^T."""
+
+    a: np.ndarray
+    b: np.ndarray
+
+    @property
+    def shape(self):
+        return self.a.shape[0], self.b.shape[0]
+
+    def __getitem__(self, rows):
+        return self.a[rows] @ self.b.T
+
+
+@dataclass(frozen=True)
+class Remainder:
+    """S = M - L for a dense M and a LowRank L. S[rows] forms only those
+    rows, M[rows] - L[rows]."""
+
+    m: np.ndarray
+    l: LowRank
+
+    @property
+    def shape(self):
+        return self.m.shape
+
+    def __getitem__(self, rows):
+        s = self.l[rows]
+        return np.subtract(self.m[rows], s, out=s)
+
+
 def assemble(m, a, b):
     """L = A B^T and S = M - L from the stacked factors of nystrom_complete."""
     if (a.shape[0], b.shape[0]) != m.shape:
@@ -281,8 +325,9 @@ def _proposed_seed_shape(r, cfg):
     return int(round(cfg.s_r * r)), int(round(cfg.s_c * r))
 
 
-def estimate_rank_and_solve(m, cfg=None):
-    """Full l1-filtering solve with target-rank estimation.
+def estimate_rank_and_factor(m, cfg=None):
+    """The l1-filtering solve with target-rank estimation, up to the factors
+    of L.
 
     Grows the seed until its recovered rank is consistent with the
     oversampling rates; when the required seed would exceed
@@ -300,6 +345,10 @@ def estimate_rank_and_solve(m, cfg=None):
     stats["seed_polish_iterations"] counts the accepted seed's resumed PCP
     steps and stats["seed_residual"] is the PCP residual of the seed iterate
     kept; both are 0 on the full-pcp-fallback and degenerate-zero-seed paths.
+
+    The l1-filter path returns l=LowRank(A, B) and s=Remainder(M, l), which
+    form their row blocks on demand, and stats["t_assemble"] times forming A
+    and B. The other two paths return dense L and S.
     """
     t_start = time.perf_counter()
     m = as_dense(m)
@@ -358,11 +407,11 @@ def estimate_rank_and_solve(m, cfg=None):
     t2 = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    l, s = assemble(m, *nystrom_complete(seed, q, p))
+    l = LowRank(*nystrom_complete(seed, q, p))
     t_assemble = time.perf_counter() - t0
 
     return PcpSolution(
-        l=l, s=s, iterations=seed.pcp_iterations + filter_iterations,
+        l=l, s=Remainder(m, l), iterations=seed.pcp_iterations + filter_iterations,
         final_residual=residual, rank_of_l=seed.r_prime,
         elapsed=time.perf_counter() - t_start,
         converged=seed.pcp_converged and failed == 0, method="l1-filter",
@@ -376,3 +425,19 @@ def estimate_rank_and_solve(m, cfg=None):
             "seed_residual": seed.pcp_residual,
         },
     )
+
+
+def estimate_rank_and_solve(m, cfg=None):
+    """Full l1-filtering solve with target-rank estimation:
+    estimate_rank_and_factor followed by assemble, so L and S are dense on
+    every path. stats["t_assemble"] includes the dense product and
+    subtraction; the other fields are as estimate_rank_and_factor documents.
+    """
+    t_start = time.perf_counter()
+    sol = estimate_rank_and_factor(m, cfg)
+    if isinstance(sol.l, LowRank):
+        t0 = time.perf_counter()
+        sol.l, sol.s = assemble(sol.s.m, sol.l.a, sol.l.b)
+        sol.stats["t_assemble"] += time.perf_counter() - t0
+        sol.elapsed = time.perf_counter() - t_start
+    return sol

@@ -2,14 +2,22 @@
 
 import functools
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from l1pcp import cli, matio
+from l1pcp import cli, matio, synth
 from l1pcp.cli import main
-from l1pcp.matcore import frobenius_norm
+from l1pcp.l1filter import FilterConfig, estimate_rank_and_solve
+from l1pcp.matcore import frobenius_norm, l0_count, l1_norm, linf_norm
 from l1pcp.pcp_adm import AdmConfig
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def _synth_files(tmp_path, m=200, seed=0):
@@ -182,3 +190,72 @@ def test_bench_suite_reports(tmp_path, capsys):
 def test_parser_rejects_unknown_suite():
     with pytest.raises(SystemExit):
         main(["bench", "--suite", "not-a-suite"])
+
+
+@pytest.fixture(scope="module")
+def rank10_dmat(tmp_path_factory):
+    """A 1000x1000 rank-10 instance with 1% corruption, as a DMAT file."""
+    path = tmp_path_factory.mktemp("rank10") / "m.dmat"
+    assert main(["synth", "--m", "1000", "--rho-r", "0.01", "--rho-s", "0.01",
+                 "--seed", "3", "--out-m", str(path)]) == 0
+    return path
+
+
+def test_decompose_streams_l_and_s(rank10_dmat, tmp_path, capsys):
+    # L and S are written from the factors in row blocks: besides M the
+    # process holds a few blocks, not the dense L, S and |S| temporaries
+    capsys.readouterr()
+    nbytes = 1000 * 1000 * 8
+    tracemalloc.start()
+    try:
+        rc = main(["decompose", str(rank10_dmat), "--rank-hint", "10",
+                   "--out-l", str(tmp_path / "l.dmat"), "--out-s", str(tmp_path / "s.dmat")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    capsys.readouterr()
+    assert peak <= 3.0 * nbytes, f"peak {peak / nbytes:.2f}x M.nbytes"
+
+
+def test_decompose_files_match_dense_solve(rank10_dmat, tmp_path, capsys):
+    out_l, out_s = tmp_path / "l.dmat", tmp_path / "s.dmat"
+    assert main(["decompose", str(rank10_dmat), "--rank-hint", "10",
+                 "--out-l", str(out_l), "--out-s", str(out_s)]) == 0
+    stats = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    m = matio.read_matrix(rank10_dmat)
+    sol = estimate_rank_and_solve(m, FilterConfig(rank_hint=10))
+    assert stats["method"] == sol.method == "l1-filter"
+    tol = 1e-15 * linf_norm(m)
+    assert linf_norm(matio.read_matrix(out_l) - sol.l) <= tol
+    assert linf_norm(matio.read_matrix(out_s) - sol.s) <= tol
+    assert stats["l0_s"] == l0_count(sol.s)
+    assert stats["rank"] == sol.rank_of_l
+    assert stats["residual"] == sol.final_residual
+    assert stats["converged"] is sol.converged is True
+    assert stats["l1_s"] == pytest.approx(l1_norm(sol.s), rel=1e-12)
+
+
+def test_decompose_truth_stats_match_dense_formulas(tmp_path, capsys, monkeypatch):
+    # several row blocks, the last one short
+    monkeypatch.setattr(matio, "BLOCK_BYTES", 7 * 200 * 8)
+    m_path, l0_path = _synth_files(tmp_path)
+    assert main(["decompose", str(m_path), "--rank-hint", "2",
+                 "--truth", str(l0_path), "--out-l", str(tmp_path / "l.dmat")]) == 0
+    stats = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    l = matio.read_matrix(tmp_path / "l.dmat")
+    l0 = matio.read_matrix(l0_path)
+    assert stats["rel_err"] == pytest.approx(synth.rel_err(l, l0), rel=1e-12)
+    assert stats["max_dif"] == synth.max_dif(l, l0)
+    assert stats["ave_dif"] == pytest.approx(synth.ave_dif(l, l0), rel=1e-12)
+
+
+def test_decompose_imports_no_masked_arrays(tmp_path):
+    # np.setdiff1d imports numpy.ma on first use, a cost every process paid
+    m_path, _ = _synth_files(tmp_path, m=100)
+    code = ("import sys; from l1pcp.cli import main; "
+            f"rc = main(['decompose', {str(m_path)!r}, '--rank-hint', '1']); "
+            "sys.exit(10 * ('numpy.ma' in sys.modules) + rc)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=SRC), timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()

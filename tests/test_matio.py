@@ -1,6 +1,7 @@
 """Tests for the CSV and DMAT matrix file formats."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -82,3 +83,74 @@ def test_csv_single_row_keeps_two_dims(tmp_path):
     matio.write_csv(path, np.array([[1.0, 2.0, 3.0]]))
     out = matio.read_csv(path)
     assert out.shape == (1, 3)
+
+
+def test_dmat_surplus_value_rejected(tmp_path):
+    path = tmp_path / "long.dmat"
+    matio.write_dmat(path, np.ones((3, 3)))
+    path.write_bytes(path.read_bytes() + np.float64(1.0).tobytes())
+    with pytest.raises(ValueError, match="expected"):
+        matio.read_dmat(path)
+
+
+def test_read_dmat_allocates_one_matrix(tmp_path):
+    m = np.random.default_rng(1).standard_normal((400, 300))
+    path = tmp_path / "m.dmat"
+    matio.write_dmat(path, m)
+    tracemalloc.start()
+    try:
+        out = matio.read_dmat(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(out, m)
+    assert peak <= 1.2 * m.nbytes
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 7, 9])
+@pytest.mark.parametrize("name", ["m.dmat", "m.csv"])
+def test_row_block_roundtrip(tmp_path, monkeypatch, rows, name):
+    # three 5-column rows per block: 7 and 1 rows end in a short block
+    monkeypatch.setattr(matio, "BLOCK_BYTES", 3 * 5 * 8)
+    m = np.random.default_rng(rows).standard_normal((rows, 5)) * 1e3
+    path = tmp_path / name
+    matio.write_matrix(path, m)
+    np.testing.assert_array_equal(matio.read_matrix(path), m)
+
+
+def test_row_blocks_cover_every_row(monkeypatch):
+    monkeypatch.setattr(matio, "BLOCK_BYTES", 3 * 5 * 8)
+    assert matio.row_blocks((7, 5)) == [slice(0, 3), slice(3, 6), slice(6, 7)]
+    assert matio.row_blocks((1, 5)) == [slice(0, 1)]
+    assert matio.row_blocks((0, 5)) == []
+    # a row wider than a block still makes a block of one row
+    assert matio.row_blocks((2, 100)) == [slice(0, 1), slice(1, 2)]
+
+
+class _RowSliced:
+    """A matrix that exists only as row blocks, like the l1filter's LowRank."""
+
+    def __init__(self, m):
+        self.m, self.shape = m, m.shape
+
+    def __getitem__(self, rows):
+        return self.m[rows].copy()
+
+
+@pytest.mark.parametrize("name", ["m.dmat", "m.csv"])
+def test_write_row_sliceable_matrix(tmp_path, monkeypatch, sample, name):
+    monkeypatch.setattr(matio, "BLOCK_BYTES", 2 * 4 * 8)
+    path = tmp_path / name
+    matio.write_matrix(path, _RowSliced(sample))
+    np.testing.assert_array_equal(matio.read_matrix(path), sample)
+
+
+@pytest.mark.parametrize("name", ["m.dmat", "m.csv"])
+def test_non_finite_block_leaves_no_file(tmp_path, monkeypatch, sample, name):
+    monkeypatch.setattr(matio, "BLOCK_BYTES", 2 * 4 * 8)
+    bad = sample.copy()
+    bad[-1, 0] = np.nan  # in the last block, after the others are written
+    path = tmp_path / name
+    with pytest.raises(ValueError, match="non-finite"):
+        matio.write_matrix(path, _RowSliced(bad))
+    assert not path.exists()
