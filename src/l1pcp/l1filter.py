@@ -2,7 +2,13 @@
 
 Pipeline: sample a small seed submatrix, recover it exactly with the
 reference ADM solver, and express the aligned column and row blocks in the
-seed's column/row subspaces via l1 regression. With the seed's SVD
+seed's column/row subspaces via l1 regression. Both filters hand their
+block to the certified exact-fit presolve of l1reg first: a column is
+solved by a least-squares fit on the rows off its detected support S when
+|S| <= r' with at least 2 r' rows left, the fit meets the ADM's stopping
+rule on those rows, and a least-squares dual certificate proves it an l1
+minimizer. The columns it leaves, possibly none, go to the ADM
+(solve_l1reg_columnwise) unchanged. With the seed's SVD
 U Sigma V^T, the column coefficients Q and the row coefficients P, the
 generalized Nystrom formula gives all of L as one outer product
 
@@ -20,9 +26,11 @@ decompose CLI) never holds a dense m x n L or S. estimate_rank_and_solve
 follows it with assemble, one A B^T and one subtraction, and returns dense
 L and S. The full-pcp-fallback and degenerate-zero-seed paths return dense
 arrays from either function; ndarrays slice into rows the same way. When no
-target rank is known, the seed is grown geometrically until its recovered
-rank is consistent with the oversampling rates, falling back to a full PCP
-solve once the seed would exceed MAX_SEED_FRACTION of either side.
+target rank is known, the seed starts at rank r = 1 and is resampled until
+its recovered rank r' is consistent with the oversampling rates: a seed that
+recovers too high a rank sets r <- max(r', r + 1), and the next seed is
+s_r r x s_c r. Once the seed would exceed MAX_SEED_FRACTION of either side,
+the pipeline falls back to a full PCP solve.
 
 Only the seed that passes the oversampling check is polished: its PCP is
 resumed from the same iterate until it reaches SEED_TOL_RATIO times the
@@ -39,7 +47,7 @@ import numpy as np
 
 from . import matcore
 from .matcore import SkinnySvd, as_dense, linf_norm, svd
-from .l1reg import solve_l1reg_columnwise
+from .l1reg import _exact_fit_presolve, solve_l1reg_columnwise
 from .pcp_adm import (
     AdmConfig,
     PcpSolution,
@@ -201,17 +209,30 @@ def recover_seed(seed_block, adm=None, row_idx=None, col_idx=None, max_rank=0):
     )
 
 
+def _filter_block(x, basis, cfg):
+    """min ||E||_l1 s.t. X = basis Z + E, column by column: the certified
+    presolve solves the columns it can, and the ADM the rest (possibly none).
+    Returns (Z, E, iterations, failed_columns), the last two the ADM's."""
+    cfg = cfg or AdmConfig()
+    z, e, rest = _exact_fit_presolve(x, basis, cfg.tol)
+    sol = solve_l1reg_columnwise(x[:, rest], basis, cfg)
+    z[:, rest] = sol.z
+    e[:, rest] = sol.e
+    return z, e, sol.iterations, rest[sol.failed_columns].tolist()
+
+
 def filter_columns(m_c, u_s, cfg=None):
     """Express the aligned column block as U^s Q + sparse residual.
 
-    Returns (Q, residual, iterations, failed_columns), where failed_columns
-    lists the columns whose l1 regression stopped short of its tolerance.
+    Returns (Q, residual, iterations, failed_columns): the columns the
+    certified presolve leaves go to the ADM, iterations counts its steps (0
+    when it had no column to solve), and failed_columns lists the columns
+    whose ADM stopped short of its tolerance.
     """
     m_c = as_dense(m_c)
     if m_c.shape[1] == 0:
         return np.zeros((u_s.shape[1], 0)), np.zeros_like(m_c), 0, []
-    sol = solve_l1reg_columnwise(m_c, u_s, cfg)
-    return sol.z, sol.e, sol.iterations, sol.failed_columns
+    return _filter_block(m_c, u_s, cfg)
 
 
 def filter_rows(m_r, v_s, cfg=None):
@@ -223,8 +244,8 @@ def filter_rows(m_r, v_s, cfg=None):
     m_r = as_dense(m_r)
     if m_r.shape[0] == 0:
         return np.zeros((v_s.shape[1], 0)), np.zeros_like(m_r), 0, []
-    sol = solve_l1reg_columnwise(m_r.T, v_s, cfg)
-    return sol.z, sol.e.T, sol.iterations, sol.failed_columns
+    p, e, iterations, failed = _filter_block(m_r.T, v_s, cfg)
+    return p, e.T, iterations, failed
 
 
 def _stack(idx, on_seed, off_seed):

@@ -59,6 +59,25 @@ regimes, but on small adversarial instances the iterates can freeze at a
 feasible non-optimal point once the penalty saturates. rho close to 1
 (e.g. 1.05 with a raised max_iter) tracks the optimum to within grid-oracle
 resolution.
+
+The l1 filters call a certified exact-fit presolve, _exact_fit_presolve,
+before the ADM. With an exact subspace and sparse corruption, each column's
+problem has a unique sparse solution (Candes & Tao, "Decoding by linear
+programming", IEEE TIT 2005), which the ADM approaches over 10-30 steps
+although its support shows after one or two. The presolve reads the
+support S off the residual of the projection X - A A^T X, fits Z by least
+squares on the other rows C (Woodbury on the orthonormal A: one |S| x |S|
+solve per column), and grows S from the fit's residual for at most
+PRESOLVE_ROUNDS fits. It keeps a column's fit only when all three
+certificates hold:
+  1. |S| <= k and |C| >= CLEAN_ROWS_PER_COEF * k;
+  2. max_C |x - A z| <= tol * ||x||_inf, the ADM's stopping rule, with
+     e = x - A z on S and 0 on C;
+  3. the least-squares dual y_S = sign(e_S),
+     y_C = -A_C (A_C^T A_C)^{-1} A_S^T sign(e_S) has max |y_C| < 1 (and
+     A^T y = 0 to DUAL_FEAS_TOL), so that (z, e) is an l1 minimizer.
+Every other column is left to the ADM, so the filters solve the same l1
+problems as before, and the kernel above is untouched by the presolve.
 """
 
 from dataclasses import dataclass, field
@@ -76,6 +95,29 @@ STAGNATION_ITERS = 20
 # it spilled the cache, and 256-512 were level at 165-190 ms; the widest of
 # those needs the fewest chunks.
 CHUNK_COLS = 512
+
+# Exact-fit presolve (see _exact_fit_presolve). A row joins a column's
+# candidate support when its residual exceeds this share of the column's
+# largest residual off the support: one spike leaves a projection residual
+# of about (1 - k/n) of itself on its own row and about sqrt(k)/n of itself
+# elsewhere, so half the peak separates the two with room on either side.
+# On the filter blocks of two 2000x2000 rank-10 solves with 1% corruption
+# (7600 columns) the shares 0.25, 0.5 and 0.75 certified 100.0%, 99.9% and
+# 99.6% of the columns.
+SUPPORT_SHARE = 0.5
+# Least-squares fits per column before it is left to the ADM. On the same
+# 7600 columns, 36.5% are certified by the projection alone (no spike), and
+# 84.9%, 98.8% and 99.9% after one, two and three fits.
+PRESOLVE_ROUNDS = 3
+# A certified column keeps at least this many clean rows per basis column,
+# and at most k support rows: the regime of exact l1 decoding, where the
+# fit on the clean rows is well conditioned.
+CLEAN_ROWS_PER_COEF = 2
+# Largest ||A^T y||_inf accepted of a dual certificate y. Rounding leaves
+# at most 1.5e-15 on the filter blocks of 2000x2000 solves and on the
+# 10x2 grid-oracle blocks; the margin above that rejects a y whose
+# |S| x |S| solve lost its accuracy, and its column goes to the ADM.
+DUAL_FEAS_TOL = 1e-9
 
 
 @dataclass
@@ -248,3 +290,115 @@ def solve_l1reg_columnwise(x, a, cfg=None):
         final_residual=residual_abs / scale,
         converged=not failed, failed_columns=failed,
     )
+
+
+def _exact_fit_presolve(x, a, tol):
+    """Certified exact-fit presolve of min ||E||_l1 s.t. X = A Z + E (see
+    the module docstring for its three certificates).
+
+    Column by column, take the candidate support S of E from the residual
+    of the projection X - A A^T X, fit Z by least squares on the other rows
+    C, and grow S from the fit's residual, for at most PRESOLVE_ROUNDS fits.
+    A column whose projection residual already meets the stopping rule is
+    solved by Z = A^T x, E = 0, as in the ADM's first step.
+
+    Runs in CHUNK_COLS-wide slices. Returns (Z, E, rest): rest holds the
+    sorted indices of the columns left uncertified, whose Z and E are zero.
+    """
+    if x.shape[0] != a.shape[0]:
+        raise ValueError(f"row mismatch: X has {x.shape[0]}, A has {a.shape[0]}")
+    n_rows, n_cols = x.shape
+    k = a.shape[1]
+    z = np.zeros((k, n_cols))
+    e = np.zeros((n_rows, n_cols))
+    max_support = min(k, n_rows - CLEAN_ROWS_PER_COEF * k)
+    if max_support < 0:
+        return z, e, np.arange(n_cols)
+    # a zero row at index n_rows pads the supports of a slice to one width
+    a_pad = np.vstack([a, np.zeros((1, k))])
+    rest = []
+    for lo in range(0, n_cols, CHUNK_COLS):
+        hi = min(lo + CHUNK_COLS, n_cols)
+        # one column of X per row, so that picking columns copies rows
+        xt = np.ascontiguousarray(x[:, lo:hi].T)
+        done = _presolve_slice(xt, a, a_pad, tol, max_support, z[:, lo:hi], e[:, lo:hi])
+        rest.append(lo + np.flatnonzero(~done))
+    return z, e, np.concatenate(rest)
+
+
+def _presolve_slice(xt, a, a_pad, tol, max_support, z_out, e_out):
+    """_exact_fit_presolve on the slice X^T = xt. Writes the certified
+    columns' Z and E into z_out and e_out and returns their mask."""
+    thresh = tol * np.abs(xt).max(axis=1)
+    z = xt @ a
+    res = xt - z @ a.T
+    off = np.abs(res)
+    peak = off.max(axis=1)
+    done = peak <= thresh
+    z_out[:, done] = z[done].T
+    live = np.flatnonzero(~done)
+    xt, off, peak, thresh = xt[live], off[live], peak[live], thresh[live]
+    support = np.zeros(xt.shape, dtype=bool)
+    for _ in range(PRESOLVE_ROUNDS):
+        support |= off > np.maximum(SUPPORT_SHARE * peak, thresh)[:, None]
+        small = support.sum(axis=1) <= max_support
+        live, xt, support, thresh = live[small], xt[small], support[small], thresh[small]
+        if live.size == 0:
+            break
+        system = _support_system(a_pad, support)
+        if system is None:
+            break
+        # Z = (A_C^T A_C)^{-1} A_C^T x_C
+        z = _clean_rows_apply(*system, np.where(support, 0.0, xt) @ a)
+        res = xt - z @ a.T
+        off = np.abs(res)
+        off[support] = 0.0
+        peak = off.max(axis=1)
+        fits = peak <= thresh
+        if fits.any():
+            f = np.flatnonzero(fits)
+            ok = _dual_certified(a, [m[f] for m in system], res[f], support[f])
+            f = f[ok]
+            z_out[:, live[f]] = z[f].T
+            e_out[:, live[f]] = np.where(support[f], res[f], 0.0).T
+            done[live[f]] = True
+        keep = ~fits
+        live, xt, support, thresh, off, peak = (
+            v[keep] for v in (live, xt, support, thresh, off, peak))
+    return done
+
+
+def _support_system(a_pad, support):
+    """(A_S, (I - A_S A_S^T)^{-1}) for each row of the support mask, A_S
+    padded with a_pad's zero row to the widest support; None when a system
+    is singular."""
+    n_rows = support.shape[1]
+    size = support.sum(axis=1)
+    cols, rows = np.nonzero(support)
+    idx = np.full((support.shape[0], int(size.max())), n_rows)
+    idx[cols, np.arange(cols.size) - np.repeat(np.cumsum(size) - size, size)] = rows
+    a_s = a_pad[idx]
+    try:
+        return a_s, np.linalg.inv(np.eye(idx.shape[1]) - a_s @ a_s.transpose(0, 2, 1))
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _clean_rows_apply(a_s, ginv, g):
+    """(A_C^T A_C)^{-1} g for each row of g, C the rows off the support.
+    With A orthonormal, A_C^T A_C = I - A_S^T A_S, and by Woodbury its
+    inverse is I + A_S^T (I - A_S A_S^T)^{-1} A_S: one |S| x |S| system per
+    column."""
+    w = ginv @ (a_s @ g[:, :, None])
+    return g + (a_s.transpose(0, 2, 1) @ w)[:, :, 0]
+
+
+def _dual_certified(a, system, res, support):
+    """Mask of the columns (rows of res) whose least-squares dual
+    certificate holds: y_S = sign(E_S), y_C = -A_C (A_C^T A_C)^{-1} A_S^T y_S
+    with ||y_C||_inf < 1 and ||A^T y||_inf <= DUAL_FEAS_TOL."""
+    y_s = np.where(support, np.sign(res), 0.0)
+    y = -(_clean_rows_apply(*system, y_s @ a) @ a.T)
+    y_c = np.where(support, 0.0, y)
+    np.copyto(y, y_s, where=support)
+    return (np.abs(y_c).max(axis=1) < 1.0) & (np.abs(y @ a).max(axis=1) <= DUAL_FEAS_TOL)

@@ -23,6 +23,7 @@ from l1pcp.l1filter import (
     recover_seed,
     sample_submatrix,
 )
+from l1pcp.l1reg import solve_l1reg_columnwise
 from l1pcp.matcore import frobenius_norm, svd
 from l1pcp.pcp_adm import AdmConfig, solve_pcp
 
@@ -148,6 +149,48 @@ def test_filter_empty_complement_is_noop():
     assert q.shape == (2, 0) and s_col.shape == (10, 0) and iters == 0 and failed == []
     p, s_row, iters, failed = filter_rows(np.zeros((0, 10)), u)
     assert p.shape == (2, 0) and s_row.shape == (0, 10) and iters == 0 and failed == []
+
+
+def test_presolve_solves_spiked_columns_the_adm_agrees_with():
+    # 1% spikes on a 100-row block in span(U): the presolve certifies every
+    # column, so the ADM takes no step, and the ADM alone reaches the same
+    # Z and E
+    rng = np.random.default_rng(6)
+    u, _ = np.linalg.qr(rng.standard_normal((100, 5)))
+    x = u @ rng.standard_normal((5, 300))
+    hit = rng.random(x.shape) < 0.01
+    x[hit] += rng.uniform(-50, 50, hit.sum())
+    cfg = AdmConfig(tol=PIPELINE_TOL)
+    q, e, iterations, failed = filter_columns(x, u, cfg)
+    ref = solve_l1reg_columnwise(x, u, cfg)
+    assert iterations == 0 and failed == [] and ref.converged
+    scale = np.abs(x).max()
+    assert np.abs(q - ref.z).max() <= 1e-8 * scale
+    assert np.abs(e - ref.e).max() <= 1e-8 * scale
+    assert np.abs(x - u @ q - e).max() <= PIPELINE_TOL * scale
+
+
+def test_declined_blocks_reach_the_adm_unchanged():
+    # The presolve declines every column of both blocks: seven spikes per
+    # column against a 5-column basis, and columns of a basis rotated by
+    # 1e-6. The filters then return the ADM's own solution bit for bit.
+    rng = np.random.default_rng(7)
+    u, _ = np.linalg.qr(rng.standard_normal((120, 5)))
+    spiky = u @ rng.standard_normal((5, 40))
+    for col in spiky.T:
+        col[rng.choice(120, 7, replace=False)] += rng.uniform(20, 40, 7)
+    rotated = np.linalg.qr(u + 1e-6 * rng.standard_normal(u.shape))[0]
+    rotated = rotated @ rng.standard_normal((5, 600))
+    cfg = AdmConfig(tol=PIPELINE_TOL)
+    for x in (spiky, rotated):
+        ref = solve_l1reg_columnwise(x, u, cfg)
+        q, e_c, it_c, failed_c = filter_columns(x, u, cfg)
+        p, e_r, it_r, failed_r = filter_rows(x.T, u, cfg)
+        for z, e in ((q, e_c), (p, e_r.T)):
+            np.testing.assert_array_equal(z, ref.z)
+            np.testing.assert_array_equal(e, ref.e)
+        assert it_c == it_r == ref.iterations
+        assert failed_c == failed_r == ref.failed_columns
 
 
 def _exact_seed(block, ri, ci):
@@ -462,3 +505,14 @@ def test_cross_validation_agrees_on_clean_rank():
     assert sol.method == "l1-filter"
     assert sol.rank_of_l == spec.rank
     assert synth.rel_err(sol.l, gt.l0) <= 1e-5
+
+
+@pytest.mark.xfail(strict=True, reason="rank_hint=2 solves the 512/64 checkerboard "
+                   "from a 20x20 seed to MaxDif 0.42 and reports converged=True")
+def test_checkerboard_rank_hint_two_is_exact_or_unconverged():
+    # With rank_hint=3 (a 30x30 seed) or no hint the solve is exact; with
+    # rank_hint=2 it returns MaxDif 0.42 and converged=True
+    img = synth.checkerboard(512, 64)
+    gt = synth.corrupt_impulsive(img, 0.1, 0)
+    sol = estimate_rank_and_solve(gt.m_obs, FilterConfig(rank_hint=2, rng_seed=0))
+    assert synth.max_dif(sol.l, img) <= 1e-3 or not sol.converged

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from l1pcp.l1reg import (
-    CHUNK_COLS, STAGNATION_EPS, STAGNATION_ITERS, _solve_block, solve_l1reg,
-    solve_l1reg_columnwise,
+    CHUNK_COLS, STAGNATION_EPS, STAGNATION_ITERS, _exact_fit_presolve, _solve_block,
+    solve_l1reg, solve_l1reg_columnwise,
 )
 from l1pcp.pcp_adm import AdmConfig
 
@@ -243,3 +245,98 @@ def test_failed_columns_reported_with_indices():
     assert not sol.converged
     assert sol.failed_columns
     assert all(0 <= c < 6 for c in sol.failed_columns)
+
+
+# ---------------------------------------------------------------- presolve
+
+ORACLE_CFG = AdmConfig(tol=1e-10, rho=1.05, max_iter=5000)
+
+
+def _spiked_block(rng, rows, k, cols, density):
+    a = _orthonormal(rng, rows, k)
+    x = a @ (3.0 * rng.standard_normal((k, cols)))
+    hit = rng.random(x.shape) < density
+    x[hit] += rng.uniform(-10, 10, hit.sum())
+    return x, a
+
+
+def _certified(x, a, tol):
+    z, e, rest = _exact_fit_presolve(x, a, tol)
+    done = np.setdiff1d(np.arange(x.shape[1]), rest)
+    return z, e, done
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(rows=st.integers(12, 120), k=st.integers(1, 5), cols=st.integers(1, 6),
+       density=st.floats(0.0, 0.1), data_seed=st.integers(0, 2**16))
+def test_presolve_certified_columns_are_l1_minimizers(rows, k, cols, density, data_seed):
+    x, a = _spiked_block(np.random.default_rng(data_seed), rows, k, cols, density)
+    tol = ORACLE_CFG.tol
+    z, e, done = _certified(x, a, tol)
+    if done.size == 0:
+        return
+    ref = solve_l1reg(x[:, done], a, ORACLE_CFG)
+    scale = np.abs(x[:, done]).max(axis=0)
+    assert ((e[:, done] != 0).sum(axis=0) <= k).all()
+    residual = np.abs(x[:, done] - a @ z[:, done] - e[:, done]).max(axis=0)
+    assert (residual <= tol * scale).all()
+    assert (np.abs(e[:, done]).sum(axis=0) <= np.abs(ref.e).sum(axis=0) + 1e-9 * scale).all()
+
+
+def _oracle_block(rng, n_spikes):
+    """A 10x2 block as in the grid-oracle acceptance gate: one column in
+    span(A) plus n_spikes spikes; returns (x, A, planted sparse part)."""
+    a = _orthonormal(rng, 10, 2)
+    x = a @ (3.0 * rng.standard_normal(2))
+    rows = rng.choice(10, size=n_spikes, replace=False)
+    e0 = np.zeros(10)
+    e0[rows] = rng.uniform(-10, 10, size=n_spikes)
+    return (x + e0)[:, None], a, e0
+
+
+def test_presolve_matches_adm_objective_on_oracle_blocks():
+    # no certified column may have a larger l1 objective than the slow ADM
+    certified, worst_gap = 0, -np.inf
+    for i in range(200):
+        x, a, _ = _oracle_block(np.random.default_rng(i), 1 + i % 3)
+        z, e, done = _certified(x, a, ORACLE_CFG.tol)
+        if done.size == 0:
+            continue
+        certified += 1
+        ref = solve_l1reg(x, a, ORACLE_CFG)
+        gap = np.abs(x - a @ z).sum() - np.abs(x - a @ ref.z).sum()
+        worst_gap = max(worst_gap, gap / np.abs(x).max())
+    assert certified >= 50
+    assert worst_gap <= 1e-9
+
+
+def test_presolve_declines_a_fit_that_is_not_l1_optimal():
+    # two spikes, one on a row of leverage 0.45: the exact fit on the other
+    # eight rows recovers the planted spikes, but moving z costs less, so
+    # only the dual certificate tells this fit from a minimizer
+    x, a, e0 = _oracle_block(np.random.default_rng(304), 2)
+    _, _, rest = _exact_fit_presolve(x, a, ORACLE_CFG.tol)
+    assert rest.tolist() == [0]
+    ref = solve_l1reg(x, a, ORACLE_CFG)
+    assert np.abs(x - a @ ref.z).sum() < np.abs(e0).sum() - 0.1
+
+
+def test_presolve_declines_more_spikes_than_k():
+    # seven spikes on 120 rows are an easy l1 decoding problem, but a
+    # certified support has at most k = 5 rows
+    rng = np.random.default_rng(3)
+    a = _orthonormal(rng, 120, 5)
+    x = a @ rng.standard_normal((5, 1))
+    x[rng.choice(120, 7, replace=False), 0] += rng.uniform(20, 40, 7)
+    _, _, rest = _exact_fit_presolve(x, a, 1e-9)
+    assert rest.tolist() == [0]
+
+
+def test_presolve_declines_a_rotated_basis():
+    # columns in span(A) rotated by 1e-6 miss every exact fit by about
+    # 1e-6 * ||x||_inf, far above the 1e-9 stopping threshold
+    x, a = _chunked_instance()
+    rot = np.linalg.qr(a + 1e-6 * np.random.default_rng(4).standard_normal(a.shape))[0]
+    x_rot = rot @ (a.T @ x) + (x - a @ (a.T @ x))
+    _, _, rest = _exact_fit_presolve(x_rot, a, 1e-9)
+    np.testing.assert_array_equal(rest, np.arange(x.shape[1]))
