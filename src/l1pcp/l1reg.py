@@ -68,7 +68,8 @@ although its support shows after one or two. The presolve reads the
 support S off the residual of the projection X - A A^T X, fits Z by least
 squares on the other rows C (Woodbury on the orthonormal A: one |S| x |S|
 solve per column), and grows S from the fit's residual for at most
-PRESOLVE_ROUNDS fits. It keeps a column's fit only when all three
+PRESOLVE_ROUNDS fits; a fit that certifies no column of a CHUNK_COLS-wide
+slice ends that slice. It keeps a column's fit only when all three
 certificates hold:
   1. |S| <= k and |C| >= CLEAN_ROWS_PER_COEF * k;
   2. max_C |x - A z| <= tol * ||x||_inf, the ADM's stopping rule, with
@@ -100,23 +101,30 @@ CHUNK_COLS = 512
 # candidate support when its residual exceeds this share of the column's
 # largest residual off the support: one spike leaves a projection residual
 # of about (1 - k/n) of itself on its own row and about sqrt(k)/n of itself
-# elsewhere, so half the peak separates the two with room on either side.
-# On the filter blocks of two 2000x2000 rank-10 solves with 1% corruption
-# (7600 columns) the shares 0.25, 0.5 and 0.75 certified 100.0%, 99.9% and
-# 99.6% of the columns.
-SUPPORT_SHARE = 0.5
+# elsewhere, so a share well inside that range separates the two, and a
+# lower one takes more of a many-spiked column's spikes into each fit.
+# Columns certified on the filter blocks of two 2000x2000 rank-10 solves
+# (synth seeds 0-1, rank hint 10), by share:
+#     corruption   columns    0.1     0.25     0.5     0.75
+#     1%           7600       97.8%   100.0%   99.9%   99.6%
+#     10%          7580       10.0%    47.8%   31.4%    5.6%
+SUPPORT_SHARE = 0.25
 # Least-squares fits per column before it is left to the ADM. On the same
-# 7600 columns, 36.5% are certified by the projection alone (no spike), and
-# 84.9%, 98.8% and 99.9% after one, two and three fits.
+# blocks the projection alone certifies 36.4% (1%) and 0.0% (10%), and one
+# to four fits 92.2/99.8/100.0/100.0% and 6.1/34.1/47.8/49.9%. A fit that
+# certifies no column of a slice ends the slice: with the basis rotated by
+# 1e-6 off the columns' subspace every fit fails, and on the 10% blocks
+# that stop cut the presolve from a fifth of the ADM's time to a tenth.
 PRESOLVE_ROUNDS = 3
 # A certified column keeps at least this many clean rows per basis column,
 # and at most k support rows: the regime of exact l1 decoding, where the
 # fit on the clean rows is well conditioned.
 CLEAN_ROWS_PER_COEF = 2
 # Largest ||A^T y||_inf accepted of a dual certificate y. Rounding leaves
-# at most 1.5e-15 on the filter blocks of 2000x2000 solves and on the
-# 10x2 grid-oracle blocks; the margin above that rejects a y whose
-# |S| x |S| solve lost its accuracy, and its column goes to the ADM.
+# at most 2.6e-15 on the filter blocks of 2000x2000 solves (1% and 10%
+# corruption) and on the 10x2 grid-oracle blocks; the margin above that
+# rejects a y whose |S| x |S| solve lost its accuracy, and its column goes
+# to the ADM.
 DUAL_FEAS_TOL = 1e-9
 
 
@@ -298,9 +306,10 @@ def _exact_fit_presolve(x, a, tol):
 
     Column by column, take the candidate support S of E from the residual
     of the projection X - A A^T X, fit Z by least squares on the other rows
-    C, and grow S from the fit's residual, for at most PRESOLVE_ROUNDS fits.
-    A column whose projection residual already meets the stopping rule is
-    solved by Z = A^T x, E = 0, as in the ADM's first step.
+    C, and grow S from the fit's residual, for at most PRESOLVE_ROUNDS fits
+    and only while a fit certifies some column of the slice. A column whose
+    projection residual already meets the stopping rule is solved by
+    Z = A^T x, E = 0, as in the ADM's first step.
 
     Runs in CHUNK_COLS-wide slices. Returns (Z, E, rest): rest holds the
     sorted indices of the columns left uncertified, whose Z and E are zero.
@@ -314,21 +323,25 @@ def _exact_fit_presolve(x, a, tol):
     max_support = min(k, n_rows - CLEAN_ROWS_PER_COEF * k)
     if max_support < 0:
         return z, e, np.arange(n_cols)
-    # a zero row at index n_rows pads the supports of a slice to one width
+    # a zero row at index n_rows pads the supports of a slice to one width,
+    # and each support's A_S A_S^T is read off the padded projection A A^T
     a_pad = np.vstack([a, np.zeros((1, k))])
+    p_pad = a_pad @ a_pad.T
     rest = []
     for lo in range(0, n_cols, CHUNK_COLS):
         hi = min(lo + CHUNK_COLS, n_cols)
         # one column of X per row, so that picking columns copies rows
         xt = np.ascontiguousarray(x[:, lo:hi].T)
-        done = _presolve_slice(xt, a, a_pad, tol, max_support, z[:, lo:hi], e[:, lo:hi])
+        done = _presolve_slice(xt, a, a_pad, p_pad, tol, max_support,
+                               z[:, lo:hi], e[:, lo:hi])
         rest.append(lo + np.flatnonzero(~done))
     return z, e, np.concatenate(rest)
 
 
-def _presolve_slice(xt, a, a_pad, tol, max_support, z_out, e_out):
+def _presolve_slice(xt, a, a_pad, p_pad, tol, max_support, z_out, e_out):
     """_exact_fit_presolve on the slice X^T = xt. Writes the certified
-    columns' Z and E into z_out and e_out and returns their mask."""
+    columns' Z and E into z_out and e_out and returns their mask. A fit
+    round that certifies no column ends the slice."""
     thresh = tol * np.abs(xt).max(axis=1)
     z = xt @ a
     res = xt - z @ a.T
@@ -345,51 +358,48 @@ def _presolve_slice(xt, a, a_pad, tol, max_support, z_out, e_out):
         live, xt, support, thresh = live[small], xt[small], support[small], thresh[small]
         if live.size == 0:
             break
-        system = _support_system(a_pad, support)
-        if system is None:
+        system = _support_system(a_pad, p_pad, support)
+        try:
+            # Z = (A_C^T A_C)^{-1} A_C^T x_C
+            z = _clean_rows_apply(*system, np.where(support, 0.0, xt) @ a)
+        except np.linalg.LinAlgError:  # a singular system: the ADM takes the rest
             break
-        # Z = (A_C^T A_C)^{-1} A_C^T x_C
-        z = _clean_rows_apply(*system, np.where(support, 0.0, xt) @ a)
         res = xt - z @ a.T
         off = np.abs(res)
         off[support] = 0.0
         peak = off.max(axis=1)
         fits = peak <= thresh
-        if fits.any():
-            f = np.flatnonzero(fits)
-            ok = _dual_certified(a, [m[f] for m in system], res[f], support[f])
-            f = f[ok]
-            z_out[:, live[f]] = z[f].T
-            e_out[:, live[f]] = np.where(support[f], res[f], 0.0).T
-            done[live[f]] = True
+        f = np.flatnonzero(fits)
+        f = f[_dual_certified(a, [m[f] for m in system], res[f], support[f])]
+        if f.size == 0:  # see PRESOLVE_ROUNDS
+            break
+        z_out[:, live[f]] = z[f].T
+        e_out[:, live[f]] = np.where(support[f], res[f], 0.0).T
+        done[live[f]] = True
         keep = ~fits
         live, xt, support, thresh, off, peak = (
             v[keep] for v in (live, xt, support, thresh, off, peak))
     return done
 
 
-def _support_system(a_pad, support):
-    """(A_S, (I - A_S A_S^T)^{-1}) for each row of the support mask, A_S
-    padded with a_pad's zero row to the widest support; None when a system
-    is singular."""
+def _support_system(a_pad, p_pad, support):
+    """(A_S, I - A_S A_S^T) for each row of the support mask, A_S padded
+    with a_pad's zero row to the widest support and A_S A_S^T read off the
+    padded projection p_pad."""
     n_rows = support.shape[1]
     size = support.sum(axis=1)
     cols, rows = np.nonzero(support)
     idx = np.full((support.shape[0], int(size.max())), n_rows)
     idx[cols, np.arange(cols.size) - np.repeat(np.cumsum(size) - size, size)] = rows
-    a_s = a_pad[idx]
-    try:
-        return a_s, np.linalg.inv(np.eye(idx.shape[1]) - a_s @ a_s.transpose(0, 2, 1))
-    except np.linalg.LinAlgError:
-        return None
+    return a_pad[idx], np.eye(idx.shape[1]) - p_pad[idx[:, :, None], idx[:, None, :]]
 
 
-def _clean_rows_apply(a_s, ginv, g):
+def _clean_rows_apply(a_s, core, g):
     """(A_C^T A_C)^{-1} g for each row of g, C the rows off the support.
     With A orthonormal, A_C^T A_C = I - A_S^T A_S, and by Woodbury its
-    inverse is I + A_S^T (I - A_S A_S^T)^{-1} A_S: one |S| x |S| system per
-    column."""
-    w = ginv @ (a_s @ g[:, :, None])
+    inverse is I + A_S^T core^{-1} A_S, core = I - A_S A_S^T: one |S| x |S|
+    solve per column."""
+    w = np.linalg.solve(core, a_s @ g[:, :, None])
     return g + (a_s.transpose(0, 2, 1) @ w)[:, :, 0]
 
 

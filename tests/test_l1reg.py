@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from l1pcp import l1reg
 from l1pcp.l1reg import (
     CHUNK_COLS, STAGNATION_EPS, STAGNATION_ITERS, _exact_fit_presolve, _solve_block,
     solve_l1reg, solve_l1reg_columnwise,
@@ -311,14 +312,20 @@ def test_presolve_matches_adm_objective_on_oracle_blocks():
 
 
 def test_presolve_declines_a_fit_that_is_not_l1_optimal():
-    # two spikes, one on a row of leverage 0.45: the exact fit on the other
-    # eight rows recovers the planted spikes, but moving z costs less, so
-    # only the dual certificate tells this fit from a minimizer
-    x, a, e0 = _oracle_block(np.random.default_rng(304), 2)
-    _, _, rest = _exact_fit_presolve(x, a, ORACLE_CFG.tol)
+    # one spike on row 0, of leverage 0.81, whose basis direction leans on
+    # row 1 (leverage 0.19): the support read off the projection is rows 0
+    # and 1, and the exact fit on the other eight rows recovers the planted
+    # spike, but moving z costs less, so only the dual certificate tells
+    # this fit from a minimizer
+    lean = np.array([0.9, 0.43] + [0.03] * 8)
+    other = np.random.default_rng(0).standard_normal(10)
+    a = np.linalg.qr(np.column_stack([lean, other]))[0]
+    x = a @ np.array([3.0, -2.0])
+    x[0] += 10.0
+    _, _, rest = _exact_fit_presolve(x[:, None], a, ORACLE_CFG.tol)
     assert rest.tolist() == [0]
-    ref = solve_l1reg(x, a, ORACLE_CFG)
-    assert np.abs(x - a @ ref.z).sum() < np.abs(e0).sum() - 0.1
+    ref = solve_l1reg(x[:, None], a, ORACLE_CFG)
+    assert np.abs(x - a @ ref.z[:, 0]).sum() < 10.0 - 1.0
 
 
 def test_presolve_declines_more_spikes_than_k():
@@ -332,11 +339,33 @@ def test_presolve_declines_more_spikes_than_k():
     assert rest.tolist() == [0]
 
 
-def test_presolve_declines_a_rotated_basis():
-    # columns in span(A) rotated by 1e-6 miss every exact fit by about
-    # 1e-6 * ||x||_inf, far above the 1e-9 stopping threshold
+def _rotated_instance():
+    """_chunked_instance with its columns' span(A) part rotated by 1e-6:
+    they miss every exact fit by about 1e-6 * ||x||_inf, far above a 1e-9
+    stopping threshold."""
     x, a = _chunked_instance()
     rot = np.linalg.qr(a + 1e-6 * np.random.default_rng(4).standard_normal(a.shape))[0]
-    x_rot = rot @ (a.T @ x) + (x - a @ (a.T @ x))
+    return rot @ (a.T @ x) + (x - a @ (a.T @ x)), a
+
+
+def test_presolve_declines_a_rotated_basis():
+    x_rot, a = _rotated_instance()
     _, _, rest = _exact_fit_presolve(x_rot, a, 1e-9)
-    np.testing.assert_array_equal(rest, np.arange(x.shape[1]))
+    np.testing.assert_array_equal(rest, np.arange(x_rot.shape[1]))
+
+
+def test_presolve_stops_a_slice_at_a_fit_that_certifies_nothing(monkeypatch):
+    # every fit on the rotated basis fails, so each of the three slices
+    # takes one fit instead of PRESOLVE_ROUNDS
+    x_rot, a = _rotated_instance()
+    fits = []
+    support_system = l1reg._support_system
+
+    def counted(a_pad, p_pad, support):
+        fits.append(support.shape[0])
+        return support_system(a_pad, p_pad, support)
+
+    monkeypatch.setattr(l1reg, "_support_system", counted)
+    _, _, rest = _exact_fit_presolve(x_rot, a, 1e-9)
+    assert rest.size == x_rot.shape[1]
+    assert 0 < len(fits) <= -(-x_rot.shape[1] // CHUNK_COLS)
