@@ -47,8 +47,8 @@ def run_instance(method, gt, r, rho_s, sigma_scale, seed, rank_hint=None):
         "iters": None, "seconds": None, "seed": seed, "error": "",
     }
     try:
-        if method == "adm":
-            sol = solve_pcp(gt.m_obs, AdmConfig())
+        if method in ("adm", "adm-partial"):
+            sol = solve_pcp(gt.m_obs, AdmConfig(), rank_adaptive=method == "adm-partial")
         elif method == "l1filter":
             sol = estimate_rank_and_solve(gt.m_obs,
                                           FilterConfig(rank_hint=rank_hint, rng_seed=seed))
@@ -121,9 +121,9 @@ def suite_size_sweep(scale=1.0, seeds=(0,), methods=("l1filter", "adm"),
                      r=10, rho_s=0.01, adm_max_size=2000):
     """Timing sweep over n in {1000, 2000, 4000} * scale at fixed rank.
 
-    The full-ADM leg is capped at adm_max_size * scale (dense SVDs beyond
-    that dominate the suite budget); its exponent is fitted on the sizes it
-    did run.
+    The full-matrix ADM legs, "adm" and its partial-SVD form "adm-partial",
+    are capped at adm_max_size * scale (dense SVDs beyond that dominate the
+    suite budget); their exponents are fitted on the sizes they did run.
     """
     sizes = [int(round(base * scale)) for base in (1000, 2000, 4000)]
     adm_cap = int(round(adm_max_size * scale))
@@ -133,7 +133,7 @@ def suite_size_sweep(scale=1.0, seeds=(0,), methods=("l1filter", "adm"),
         for seed in seeds:
             gt, _ = _synth_gt(m, r / m, rho_s, 1.0, seed)
             for method in methods:
-                if method == "adm" and m > adm_cap:
+                if method in ("adm", "adm-partial") and m > adm_cap:
                     continue
                 rec, _ = run_instance(method, gt, r, rho_s, 1.0, seed, rank_hint=r)
                 records.append(rec)

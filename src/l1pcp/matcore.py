@@ -63,11 +63,30 @@ def l0_count(m, threshold=None):
     return int((np.abs(m) > threshold).sum())
 
 
+def _soft_threshold_into(x, eta, work):
+    """Soft-threshold the float64 array *x* in place; *work*, shaped like x,
+    is overwritten as scratch. Returns x."""
+    np.abs(x, out=work)
+    np.subtract(work, eta, out=work)
+    np.maximum(work, 0.0, out=work)
+    np.sign(x, out=x)
+    return np.multiply(x, work, out=x)
+
+
 def soft_threshold(m, eta):
     """Elementwise soft shrinkage sgn(x) * max(|x| - eta, 0)."""
     if eta < 0:
         raise ValueError("eta must be nonnegative")
-    return np.sign(m) * np.maximum(np.abs(m) - eta, 0.0)
+    x = np.array(m, dtype=np.float64)
+    return _soft_threshold_into(x, eta, np.empty_like(x))
+
+
+def _lapack_svd(m):
+    """LAPACK's economy SVD (U, sigma, V^T) of the float64 matrix *m*."""
+    try:
+        return np.linalg.svd(m, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise SvdConvergenceError(f"SVD failed on {m.shape} matrix: {exc}") from exc
 
 
 def svd(m, rank_tol=1e-8):
@@ -79,10 +98,7 @@ def svd(m, rank_tol=1e-8):
     m = np.asarray(m, dtype=np.float64)
     if rank_tol < 0:
         raise ValueError("rank_tol must be nonnegative")
-    try:
-        u, s, vt = np.linalg.svd(m, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise SvdConvergenceError(f"SVD failed on {m.shape} matrix: {exc}") from exc
+    u, s, vt = _lapack_svd(m)
     cutoff = rank_tol * (s[0] if s.size else 0.0)
     k = int((s > cutoff).sum())
     return SkinnySvd(u=u[:, :k].copy(), sigma=s[:k].copy(), v=vt[:k].T.copy())
@@ -94,25 +110,40 @@ def nuclear_norm(m):
 
 
 def _svt_factors(w, eta):
-    """Thresholded factors (U_k, Sigma_k - eta, V_k) of *w* from its full SVD."""
-    f = svd(w, rank_tol=0.0)
-    s = f.sigma - eta
+    """Thresholded factors (U_k, Sigma_k - eta, V_k) of *w* from its full SVD.
+
+    Only the k retained columns of LAPACK's U and V are copied, U_k and V_k
+    C-contiguous; the full U and V^T are released on return. The partial
+    SVT's factors share that layout, and it must hold: the last bits of the
+    product in _svt_compose_into depend on how V_k^T is laid out.
+    """
+    u, sigma, vt = _lapack_svd(w)
+    s = sigma - eta
     k = int((s > 0).sum())
-    return f.u[:, :k], s[:k], f.v[:, :k]
+    return u[:, :k].copy(), s[:k].copy(), vt[:k].T.copy()
 
 
-def _svt_compose(w, u, s, v):
-    """The SVT matrix U diag(s) V^T, or zeros shaped like *w* at rank 0."""
+def _svt_compose_into(w, u, s, v):
+    """Overwrite *w* with U diag(s) V^T, or zeros at rank 0; returns the rank."""
     if s.size == 0:
-        return np.zeros_like(np.asarray(w, dtype=np.float64)), 0
-    return (u * s) @ v.T, s.size
+        w.fill(0.0)
+    else:
+        np.matmul(u * s, v.T, out=w)
+    return s.size
+
+
+def _svt_into(w, eta):
+    """Singular value thresholding in place: overwrite the C-contiguous
+    float64 matrix *w* with U S_eta(Sigma) V^T; returns the retained rank."""
+    return _svt_compose_into(w, *_svt_factors(w, eta))
 
 
 def svt_with_rank(w, eta):
     """Singular value thresholding, returning (matrix, retained_rank)."""
     if eta < 0:
         raise ValueError("eta must be nonnegative")
-    return _svt_compose(w, *_svt_factors(w, eta))
+    out = np.array(w, dtype=np.float64, order="C")
+    return out, _svt_into(out, eta)
 
 
 # Rank-adaptive SVT (Halko, Martinsson & Tropp, arXiv:0909.4061, with the
@@ -156,7 +187,7 @@ def _svt_partial_factors(w, eta, v_prev):
         if k:
             u = q @ f.u[:, :k]
             if np.abs(y[:, :k] - u * f.sigma[:k]).max() <= PARTIAL_CERT_TOL * f.sigma[0]:
-                return u, f.sigma[:k] - eta, f.v[:, :k]
+                return u, f.sigma[:k] - eta, f.v[:, :k].copy()
     return None
 
 
@@ -164,19 +195,19 @@ def _svt_rank_adaptive(w, eta, v_prev):
     """Singular value thresholding warm-started from the previous iterate's
     right singular vectors *v_prev* (None on the first iterate).
 
-    Returns (matrix, factors): factors is the SkinnySvd (U_k, Sigma_k - eta,
-    V_k) whose reconstruction is the matrix. Falls back to the full SVD, with
+    Overwrites the C-contiguous float64 matrix *w* with the thresholded
+    matrix and returns its factors, the SkinnySvd (U_k, Sigma_k - eta, V_k)
+    whose reconstruction it is. Falls back to the full SVD, with
     svt_with_rank's result bit for bit, when there is no rank guess, the
     sketch would be too wide, every sketched value survives the threshold,
     or the certificate is never met.
     """
-    w = np.asarray(w, dtype=np.float64)
     factors = None if v_prev is None else _svt_partial_factors(w, eta, v_prev)
     if factors is None:
         factors = _svt_factors(w, eta)
-    matrix, _ = _svt_compose(w, *factors)
-    u, s, v = factors
-    return matrix, SkinnySvd(u=u.copy(), sigma=s.copy(), v=v.copy())
+    factors = SkinnySvd(*factors)
+    _svt_compose_into(w, factors.u, factors.sigma, factors.v)
+    return factors
 
 
 def svt(w, eta):

@@ -10,6 +10,11 @@ By default every iteration takes a full SVD, as in the paper's reference
 solver. With rank_adaptive=True the SVT after the first iteration comes from
 a certified partial SVD sized by the previous iterate's rank (see solve_pcp).
 
+The iteration holds L, S, the multiplier Y and one work buffer, each the
+size of M, and writes every update into them in place; each SVT adds
+LAPACK's U and V^T (2x M for a square M) while it runs, of which only the
+retained columns are copied. The solve peaks at about 6x M on top of M.
+
 A solve can be resumed: its solution carries the multiplier, the penalty and
 the last SVT's factors (AdmState), and solve_pcp(m, cfg, resume=sol) takes
 the next steps from there. The iterates never read tol, only the stopping
@@ -25,11 +30,11 @@ import numpy as np
 
 from .matcore import (
     SkinnySvd,
+    _soft_threshold_into,
+    _svt_into,
     _svt_rank_adaptive,
     as_dense,
     frobenius_norm,
-    soft_threshold,
-    svt_with_rank,
 )
 
 
@@ -202,31 +207,43 @@ def solve_pcp(m, cfg=None, rank_adaptive=False, resume=None):
     else:
         st = resume.state
         lam, beta, beta_max, done = st.lam, st.beta, st.beta_max, st.iterations
-        l, s, y = resume.l, resume.s, st.y.copy()
+        # the loop writes in place: copy, so that the earlier solution stays
+        l, s, y = resume.l.copy(), resume.s.copy(), st.y.copy()
         rank_l, residual = resume.rank_of_l, resume.final_residual
         factors = st.svt if rank_adaptive else None
     # a resumed iterate that already meets cfg.tol takes no step, as one
     # solve at cfg.tol would have stopped there
     stop = done if resume is not None and residual <= cfg.tol else cfg.max_iter
     iters = done
+    work = np.empty_like(m)
 
     for iters in range(done + 1, stop + 1):
         if iters > 1:
             beta = min(cfg.rho * beta, beta_max)
-        s = soft_threshold(m - l + y / beta, lam / beta)
+        # S = shrink(M - L + Y/beta, lam/beta) in s; the old L is not read
+        # again, so l is the shrink's scratch and work keeps Y/beta
+        np.subtract(m, l, out=s)
+        np.divide(y, beta, out=work)
+        np.add(s, work, out=s)
+        _soft_threshold_into(s, lam / beta, l)
+        # L = SVT(M - S + Y/beta, 1/beta), thresholded in place in l
+        np.subtract(m, s, out=l)
+        np.add(l, work, out=l)
         if rank_adaptive:
             v = None if factors is None else factors.v
-            l, factors = _svt_rank_adaptive(m - s + y / beta, 1.0 / beta, v)
+            factors = _svt_rank_adaptive(l, 1.0 / beta, v)
             rank_l = factors.rank
         else:
-            l, rank_l = svt_with_rank(m - s + y / beta, 1.0 / beta)
-        r = m - l - s
-        residual = frobenius_norm(r) / norm_m
+            rank_l = _svt_into(l, 1.0 / beta)
+        # R = M - L - S, then beta * R, in work
+        np.subtract(m, l, out=work)
+        np.subtract(work, s, out=work)
+        residual = frobenius_norm(work) / norm_m
         if not np.isfinite(residual):
             raise PcpDivergenceError(
                 f"non-finite residual at iteration {iters} (beta={beta:.3g})"
             )
-        y += beta * r
+        y += np.multiply(beta, work, out=work)
         if residual <= cfg.tol:
             break
 

@@ -33,6 +33,27 @@ def test_run_instance_success_record():
     assert set(rec) == set(bench.CSV_HEADER)
 
 
+def test_adm_partial_runs_the_rank_adaptive_adm():
+    gt = synth.generate(synth.SynthSpec(m=60, n=60, rho_r=0.05, rho_s=0.02,
+                                        rng_seed=1))
+    rec, sol = bench.run_instance("adm-partial", gt, 3, 0.02, 1.0, 1)
+    assert rec["error"] == "" and rec["method"] == "adm-partial"
+    assert sol.converged and sol.state.svt is not None  # the rank-adaptive path
+    full, _ = bench.run_instance("adm", gt, 3, 0.02, 1.0, 1)
+    assert rec["rank_l"] == full["rank_l"]
+    assert rec["rel_err"] <= 1e-4
+    assert set(rec) == set(bench.CSV_HEADER)
+
+
+def test_size_sweep_caps_both_adm_methods():
+    records, summary = bench.suite_size_sweep(
+        scale=0.05, seeds=(0,), methods=("adm", "adm-partial"), r=2, adm_max_size=2000)
+    assert [(r["method"], r["m"]) for r in records] == [
+        (method, m) for m in (50, 100) for method in ("adm", "adm-partial")]
+    assert all(r["error"] == "" for r in records)
+    assert set(summary["exponents"]) == {"adm", "adm-partial"}
+
+
 def test_run_suite_rejects_unknown_name():
     with pytest.raises(ValueError, match="unknown suite"):
         bench.run_suite("bogus")

@@ -101,6 +101,16 @@ def test_svt_eta_zero_is_identity():
     np.testing.assert_allclose(svt(w, 0.0), w, atol=1e-12)
 
 
+def test_thresholds_leave_their_argument_intact():
+    rng = np.random.default_rng(10)
+    w = rng.standard_normal((9, 7))
+    before = w.copy()
+    soft_threshold(w, 0.5)
+    svt_with_rank(w, 0.5)
+    svt(w, 0.5)
+    np.testing.assert_array_equal(w, before)
+
+
 def _svt_objective(a, w, eta):
     return eta * nuclear_norm(a) + 0.5 * frobenius_norm(a - w) ** 2
 
@@ -185,7 +195,7 @@ def _seed_solve_svt_calls(monkeypatch):
     calls = []
 
     def record(w, eta, v_prev):
-        calls.append((w, eta, v_prev))
+        calls.append((w.copy(), eta, v_prev))  # the SVT overwrites w
         return matcore._svt_rank_adaptive(w, eta, v_prev)
 
     monkeypatch.setattr(pcp_adm, "_svt_rank_adaptive", record)
@@ -202,7 +212,8 @@ def test_partial_svt_matches_full_svt_on_seed_iterates(monkeypatch):
         if factors is None:
             continue
         partial += 1
-        got, k = matcore._svt_compose(w, *factors)
+        got = np.empty_like(w)
+        k = matcore._svt_compose_into(got, *factors)
         want, k_full = svt_with_rank(w, eta)
         assert k == k_full
         sigma_1 = np.linalg.svd(w, compute_uv=False)[0]
@@ -237,7 +248,8 @@ def test_partial_svt_fallbacks_return_full_svt(case):
     _, w, eta, v_prev = case
     if v_prev is not None:
         assert matcore._svt_partial_factors(w, eta, v_prev) is None
-    got, f = matcore._svt_rank_adaptive(w, eta, v_prev)
+    got = w.copy()
+    f = matcore._svt_rank_adaptive(got, eta, v_prev)
     want, k_full = svt_with_rank(w, eta)
     np.testing.assert_array_equal(got, want)
     assert f.rank == k_full == f.v.shape[1]

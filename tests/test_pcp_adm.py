@@ -1,6 +1,7 @@
 """Tests for the reference ADM principal component pursuit solver."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -125,8 +126,12 @@ def _resume_matches_tighter_solve(m, tol, max_iter, rank_adaptive):
     tol/100: the iterates never read tol, only the stopping test does."""
     tight = AdmConfig(tol=tol * 1e-2, max_iter=max_iter)
     first = solve_pcp(m, AdmConfig(tol=tol, max_iter=max_iter), rank_adaptive)
+    before = [a.copy() for a in (first.l, first.s, first.state.y)]
     resumed = solve_pcp(m, tight, rank_adaptive, resume=first)
     once = solve_pcp(m, tight, rank_adaptive)
+    # the resume works in copies: the earlier solution stays as it was
+    for was, now in zip(before, (first.l, first.s, first.state.y)):
+        np.testing.assert_array_equal(now, was)
     np.testing.assert_array_equal(resumed.l, once.l)
     np.testing.assert_array_equal(resumed.s, once.s)
     assert first.iterations + resumed.iterations == once.iterations
@@ -153,17 +158,73 @@ def test_resumed_solve_equals_one_tighter_solve(rows, cols, rank, spikes, seed, 
 
 
 def test_resumed_seed_solve_equals_one_tighter_solve():
-    # a 100x100 seed of a rank-10 matrix: the partial SVT warm-starts from
-    # the carried factors across the resume
+    # a 100x100 seed of a rank-10 matrix: on the rank-adaptive path the
+    # partial SVT warm-starts from the carried factors across the resume
     gt = synth.generate(synth.SynthSpec(m=1000, n=1000, rho_r=0.01, rho_s=0.01,
                                         rng_seed=0))
     _, _, block = sample_submatrix(gt.m_obs, 100, 100, 0)
-    first, resumed = _resume_matches_tighter_solve(block, 1e-9, 1000, True)
-    assert first.converged and resumed.converged and resumed.iterations > 0
-    assert first.state.svt.rank == 10
-    np.testing.assert_array_equal(first.state.svt.reconstruct(), first.l)
-    again = solve_pcp(block, AdmConfig(tol=1e-11), True, resume=first)
-    np.testing.assert_array_equal(again.l, resumed.l)  # resuming leaves first intact
+    for rank_adaptive in (False, True):
+        first, resumed = _resume_matches_tighter_solve(block, 1e-9, 1000, rank_adaptive)
+        assert first.converged and resumed.converged and resumed.iterations > 0
+        assert first.rank_of_l == 10
+        if rank_adaptive:
+            assert first.state.svt.rank == 10
+            np.testing.assert_array_equal(first.state.svt.reconstruct(), first.l)
+        else:
+            assert first.state.svt is None
+        again = solve_pcp(block, AdmConfig(tol=1e-11), rank_adaptive, resume=first)
+        np.testing.assert_array_equal(again.l, resumed.l)  # resuming leaves first intact
+
+
+def _reference_adm(m, tol):
+    """The paper's ADM with a full SVD per step, out of place, in
+    solve_pcp's order of operations and at its default parameters."""
+    lam = default_lambda(*m.shape)
+    beta = 1.25 / spectral_norm_estimate(m)
+    beta_max = 1e7 * beta
+    l, s, y = np.zeros_like(m), np.zeros_like(m), np.zeros_like(m)
+    for iters in range(1, 1001):
+        if iters > 1:
+            beta = min(1.5 * beta, beta_max)
+        x = m - l + y / beta
+        s = np.sign(x) * np.maximum(np.abs(x) - lam / beta, 0.0)
+        u, sigma, vt = np.linalg.svd(m - s + y / beta, full_matrices=False)
+        k = int((sigma - 1 / beta > 0).sum())
+        # V_k^T as the transpose of a C-contiguous V_k, as solve_pcp passes
+        # it: the product's last bits depend on the operands' layout
+        l = (u[:, :k] * (sigma[:k] - 1 / beta)) @ vt[:k].T.copy().T
+        r = m - l - s
+        y += beta * r
+        if np.linalg.norm(r) / np.linalg.norm(m) <= tol:
+            return l, s, y, iters
+    raise AssertionError("reference ADM did not converge")
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_solve_equals_out_of_place_reference_bit_for_bit(seed):
+    spec = synth.SynthSpec(m=60 + 20 * seed, n=50, rho_r=0.05, rho_s=0.05, rng_seed=seed)
+    m = synth.generate(spec).m_obs
+    sol = solve_pcp(m, AdmConfig(tol=1e-7))
+    l, s, y, iters = _reference_adm(m, 1e-7)
+    assert sol.iterations == iters
+    assert np.array_equal(sol.l, l) and np.array_equal(sol.s, s)
+    assert np.array_equal(sol.state.y, y)
+
+
+@pytest.mark.parametrize("rank_adaptive", [False, True])
+def test_solve_peak_memory_is_four_buffers_and_one_svd(rank_adaptive):
+    # L, S, Y and one work buffer, plus LAPACK's U and V^T during each SVD:
+    # about 6x M.nbytes on top of the input
+    spec = synth.SynthSpec(m=200, n=200, rho_r=0.025, rho_s=0.05, rng_seed=0)
+    m = synth.generate(spec).m_obs
+    tracemalloc.start()
+    try:
+        sol = solve_pcp(m, rank_adaptive=rank_adaptive)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.converged
+    assert peak <= 6.5 * m.nbytes, f"peak {peak / m.nbytes:.2f}x M.nbytes"
 
 
 def test_resume_needs_a_state():
