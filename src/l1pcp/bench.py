@@ -35,6 +35,11 @@ def environment_info():
     }
 
 
+# the methods that run solve_pcp on the whole matrix, "adm-partial" with
+# rank_adaptive=True
+FULL_ADM_METHODS = ("adm", "adm-partial")
+
+
 def run_instance(method, gt, r, rho_s, sigma_scale, seed, rank_hint=None):
     """Solve one instance and return a report record. Failures are caught
     and recorded so a sweep can continue."""
@@ -47,7 +52,7 @@ def run_instance(method, gt, r, rho_s, sigma_scale, seed, rank_hint=None):
         "iters": None, "seconds": None, "seed": seed, "error": "",
     }
     try:
-        if method in ("adm", "adm-partial"):
+        if method in FULL_ADM_METHODS:
             sol = solve_pcp(gt.m_obs, AdmConfig(), rank_adaptive=method == "adm-partial")
         elif method == "l1filter":
             sol = estimate_rank_and_solve(gt.m_obs,
@@ -117,7 +122,7 @@ def fit_time_exponent(sizes, seconds):
     return float(np.polyfit(np.log(sizes), np.log(seconds), 1)[0])
 
 
-def suite_size_sweep(scale=1.0, seeds=(0,), methods=("l1filter", "adm"),
+def suite_size_sweep(scale=1.0, seeds=(0,), methods=("l1filter",) + FULL_ADM_METHODS,
                      r=10, rho_s=0.01, adm_max_size=2000):
     """Timing sweep over n in {1000, 2000, 4000} * scale at fixed rank.
 
@@ -133,7 +138,7 @@ def suite_size_sweep(scale=1.0, seeds=(0,), methods=("l1filter", "adm"),
         for seed in seeds:
             gt, _ = _synth_gt(m, r / m, rho_s, 1.0, seed)
             for method in methods:
-                if method in ("adm", "adm-partial") and m > adm_cap:
+                if method in FULL_ADM_METHODS and m > adm_cap:
                     continue
                 rec, _ = run_instance(method, gt, r, rho_s, 1.0, seed, rank_hint=r)
                 records.append(rec)

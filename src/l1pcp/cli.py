@@ -233,7 +233,7 @@ def build_parser():
     b.add_argument("--seeds", type=int, default=1, help="number of RNG seeds per point")
     b.add_argument("--methods", nargs="+", default=None)
     b.add_argument("--adm-max-size", type=int, default=None,
-                   help="largest unscaled size the full ADM leg of size-sweep runs at")
+                   help="largest unscaled size the full-matrix ADM legs of size-sweep run at")
     b.add_argument("--out-csv")
     b.add_argument("--out-json")
     b.set_defaults(func=cmd_bench)

@@ -66,11 +66,12 @@ def l0_count(m, threshold=None):
 def _soft_threshold_into(x, eta, work):
     """Soft-threshold the float64 array *x* in place; *work*, shaped like x,
     is overwritten as scratch. Returns x."""
-    np.abs(x, out=work)
-    np.subtract(work, eta, out=work)
-    np.maximum(work, 0.0, out=work)
-    np.sign(x, out=x)
-    return np.multiply(x, work, out=x)
+    # the sign goes to work: numpy's sign is several times slower in place
+    np.sign(x, out=work)
+    np.abs(x, out=x)
+    np.subtract(x, eta, out=x)
+    np.maximum(x, 0.0, out=x)
+    return np.multiply(work, x, out=x)
 
 
 def soft_threshold(m, eta):
@@ -81,25 +82,22 @@ def soft_threshold(m, eta):
     return _soft_threshold_into(x, eta, np.empty_like(x))
 
 
-def _lapack_svd(m):
-    """LAPACK's economy SVD (U, sigma, V^T) of the float64 matrix *m*."""
-    try:
-        return np.linalg.svd(m, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise SvdConvergenceError(f"SVD failed on {m.shape} matrix: {exc}") from exc
-
-
-def svd(m, rank_tol=1e-8):
-    """Skinny SVD of *m*, dropping singular values <= rank_tol * sigma_max.
+def svd(m, rank_tol=1e-8, atol=0.0):
+    """Skinny SVD of *m*, dropping singular values <= max(rank_tol *
+    sigma_max, atol).
 
     Exact zeros are always dropped, so the result has strictly positive
-    singular values even at rank_tol=0.
+    singular values even at rank_tol=0. Only the retained columns of
+    LAPACK's U and V are copied, u and v C-contiguous.
     """
     m = np.asarray(m, dtype=np.float64)
-    if rank_tol < 0:
-        raise ValueError("rank_tol must be nonnegative")
-    u, s, vt = _lapack_svd(m)
-    cutoff = rank_tol * (s[0] if s.size else 0.0)
+    if rank_tol < 0 or atol < 0:
+        raise ValueError("rank_tol and atol must be nonnegative")
+    try:
+        u, s, vt = np.linalg.svd(m, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise SvdConvergenceError(f"SVD failed on {m.shape} matrix: {exc}") from exc
+    cutoff = max(rank_tol * (s[0] if s.size else 0.0), atol)
     k = int((s > cutoff).sum())
     return SkinnySvd(u=u[:, :k].copy(), sigma=s[:k].copy(), v=vt[:k].T.copy())
 
@@ -112,38 +110,31 @@ def nuclear_norm(m):
 def _svt_factors(w, eta):
     """Thresholded factors (U_k, Sigma_k - eta, V_k) of *w* from its full SVD.
 
-    Only the k retained columns of LAPACK's U and V are copied, U_k and V_k
-    C-contiguous; the full U and V^T are released on return. The partial
-    SVT's factors share that layout, and it must hold: the last bits of the
-    product in _svt_compose_into depend on how V_k^T is laid out.
+    The SVD keeps only the k values above eta, so LAPACK's full U and V^T
+    are released on return. The partial SVT's factors share the layout of
+    U_k and V_k, and it must hold: the last bits of the product in
+    _svt_compose depend on how V_k^T is laid out.
     """
-    u, sigma, vt = _lapack_svd(w)
-    s = sigma - eta
-    k = int((s > 0).sum())
-    return u[:, :k].copy(), s[:k].copy(), vt[:k].T.copy()
+    f = svd(w, rank_tol=0.0, atol=eta)
+    return f.u, f.sigma - eta, f.v
 
 
-def _svt_compose_into(w, u, s, v):
-    """Overwrite *w* with U diag(s) V^T, or zeros at rank 0; returns the rank."""
+def _svt_compose(w, u, s, v):
+    """The SVT matrix U diag(s) V^T, or zeros shaped like *w* at rank 0.
+
+    Called once the factors exist, so the new matrix never lives beside
+    the SVD's U and V^T.
+    """
     if s.size == 0:
-        w.fill(0.0)
-    else:
-        np.matmul(u * s, v.T, out=w)
-    return s.size
-
-
-def _svt_into(w, eta):
-    """Singular value thresholding in place: overwrite the C-contiguous
-    float64 matrix *w* with U S_eta(Sigma) V^T; returns the retained rank."""
-    return _svt_compose_into(w, *_svt_factors(w, eta))
+        return np.zeros_like(np.asarray(w, dtype=np.float64)), 0
+    return (u * s) @ v.T, s.size
 
 
 def svt_with_rank(w, eta):
     """Singular value thresholding, returning (matrix, retained_rank)."""
     if eta < 0:
         raise ValueError("eta must be nonnegative")
-    out = np.array(w, dtype=np.float64, order="C")
-    return out, _svt_into(out, eta)
+    return _svt_compose(w, *_svt_factors(w, eta))
 
 
 # Rank-adaptive SVT (Halko, Martinsson & Tropp, arXiv:0909.4061, with the
@@ -195,19 +186,18 @@ def _svt_rank_adaptive(w, eta, v_prev):
     """Singular value thresholding warm-started from the previous iterate's
     right singular vectors *v_prev* (None on the first iterate).
 
-    Overwrites the C-contiguous float64 matrix *w* with the thresholded
-    matrix and returns its factors, the SkinnySvd (U_k, Sigma_k - eta, V_k)
-    whose reconstruction it is. Falls back to the full SVD, with
+    Returns (matrix, factors): factors is the SkinnySvd (U_k, Sigma_k - eta,
+    V_k) whose reconstruction is the matrix. Falls back to the full SVD, with
     svt_with_rank's result bit for bit, when there is no rank guess, the
     sketch would be too wide, every sketched value survives the threshold,
     or the certificate is never met.
     """
+    w = np.asarray(w, dtype=np.float64)
     factors = None if v_prev is None else _svt_partial_factors(w, eta, v_prev)
     if factors is None:
         factors = _svt_factors(w, eta)
-    factors = SkinnySvd(*factors)
-    _svt_compose_into(w, factors.u, factors.sigma, factors.v)
-    return factors
+    matrix, _ = _svt_compose(w, *factors)
+    return matrix, SkinnySvd(*factors)
 
 
 def svt(w, eta):

@@ -10,10 +10,13 @@ By default every iteration takes a full SVD, as in the paper's reference
 solver. With rank_adaptive=True the SVT after the first iteration comes from
 a certified partial SVD sized by the previous iterate's rank (see solve_pcp).
 
-The iteration holds L, S, the multiplier Y and one work buffer, each the
-size of M, and writes every update into them in place; each SVT adds
-LAPACK's U and V^T (2x M for a square M) while it runs, of which only the
-retained columns are copied. The solve peaks at about 6x M on top of M.
+The working set is L, S, the multiplier Y and one work buffer, each the
+size of M. S, Y and the work buffer are updated in place and W = M - S +
+Y/beta is formed in L's buffer. Each SVT adds LAPACK's U and V^T (2x M for
+a square M) while it runs, copies only their retained columns, and
+allocates the new L after they are freed. numpy's allocations peak at about
+6x M on top of M; LAPACK's own copy of W and its workspace, which numpy does
+not allocate, come on top of that.
 
 A solve can be resumed: its solution carries the multiplier, the penalty and
 the last SVT's factors (AdmState), and solve_pcp(m, cfg, resume=sol) takes
@@ -31,10 +34,10 @@ import numpy as np
 from .matcore import (
     SkinnySvd,
     _soft_threshold_into,
-    _svt_into,
     _svt_rank_adaptive,
     as_dense,
     frobenius_norm,
+    svt_with_rank,
 )
 
 
@@ -226,15 +229,15 @@ def solve_pcp(m, cfg=None, rank_adaptive=False, resume=None):
         np.divide(y, beta, out=work)
         np.add(s, work, out=s)
         _soft_threshold_into(s, lam / beta, l)
-        # L = SVT(M - S + Y/beta, 1/beta), thresholded in place in l
+        # L = SVT(M - S + Y/beta, 1/beta), with W formed in l's buffer
         np.subtract(m, s, out=l)
         np.add(l, work, out=l)
         if rank_adaptive:
             v = None if factors is None else factors.v
-            factors = _svt_rank_adaptive(l, 1.0 / beta, v)
+            l, factors = _svt_rank_adaptive(l, 1.0 / beta, v)
             rank_l = factors.rank
         else:
-            rank_l = _svt_into(l, 1.0 / beta)
+            l, rank_l = svt_with_rank(l, 1.0 / beta)
         # R = M - L - S, then beta * R, in work
         np.subtract(m, l, out=work)
         np.subtract(work, s, out=work)

@@ -90,6 +90,17 @@ def test_svd_rank_tol_drops_small_singular_values():
     assert f.rank == 4
 
 
+def test_svd_atol_is_an_absolute_cutoff():
+    m = np.diag([4.0, 2.0, 1.0])
+    np.testing.assert_array_equal(svd(m, rank_tol=0.0, atol=2.0).sigma, [4.0])
+    np.testing.assert_array_equal(svd(m, rank_tol=0.4, atol=0.5).sigma, [4.0, 2.0])
+    f = svd(m, rank_tol=0.0, atol=1.5)
+    assert f.u.shape == (3, 2) and f.v.shape == (3, 2)
+    assert f.u.flags.c_contiguous and f.v.flags.c_contiguous
+    with pytest.raises(ValueError):
+        svd(m, atol=-1.0)
+
+
 def test_svt_diagonal():
     out = svt(np.diag([3.0, 1.0]), 2.0)
     np.testing.assert_allclose(out, np.diag([1.0, 0.0]), atol=1e-12)
@@ -195,7 +206,7 @@ def _seed_solve_svt_calls(monkeypatch):
     calls = []
 
     def record(w, eta, v_prev):
-        calls.append((w.copy(), eta, v_prev))  # the SVT overwrites w
+        calls.append((w, eta, v_prev))
         return matcore._svt_rank_adaptive(w, eta, v_prev)
 
     monkeypatch.setattr(pcp_adm, "_svt_rank_adaptive", record)
@@ -212,8 +223,7 @@ def test_partial_svt_matches_full_svt_on_seed_iterates(monkeypatch):
         if factors is None:
             continue
         partial += 1
-        got = np.empty_like(w)
-        k = matcore._svt_compose_into(got, *factors)
+        got, k = matcore._svt_compose(w, *factors)
         want, k_full = svt_with_rank(w, eta)
         assert k == k_full
         sigma_1 = np.linalg.svd(w, compute_uv=False)[0]
@@ -248,8 +258,7 @@ def test_partial_svt_fallbacks_return_full_svt(case):
     _, w, eta, v_prev = case
     if v_prev is not None:
         assert matcore._svt_partial_factors(w, eta, v_prev) is None
-    got = w.copy()
-    f = matcore._svt_rank_adaptive(got, eta, v_prev)
+    got, f = matcore._svt_rank_adaptive(w, eta, v_prev)
     want, k_full = svt_with_rank(w, eta)
     np.testing.assert_array_equal(got, want)
     assert f.rank == k_full == f.v.shape[1]
