@@ -5,34 +5,23 @@ benchmark harness."""
 from .matcore import (
     SkinnySvd,
     SvdConvergenceError,
-    as_dense,
     frobenius_norm,
     l0_count,
     l1_norm,
     linf_norm,
     nuclear_norm,
-    pseudo_inverse_apply,
     soft_threshold,
     svd,
     svt,
 )
 from .pcp_adm import AdmConfig, PcpDivergenceError, PcpSolution, default_lambda, solve_pcp
-from .l1reg import L1RegSolution, solve_l1reg, solve_l1reg_columnwise
+from .l1reg import L1RegSolution, solve_l1reg_columnwise
 from .l1filter import (
     FilterConfig,
     LowRank,
     Remainder,
-    SeedRankZeroError,
-    SeedRecovery,
-    assemble,
     estimate_rank_and_factor,
     estimate_rank_and_solve,
-    filter_columns,
-    filter_rows,
-    nystrom_complete,
-    nystrom_complete_via_pinv,
-    recover_seed,
-    sample_submatrix,
 )
 from .synth import (
     GroundTruth,

@@ -38,6 +38,13 @@ filter tolerance, so that the seed's subspace error stays below the
 threshold at which each filtered column stops. Seeds rejected for an
 undersized rank are never polished, since a tight solve of a rank-deficient
 block can take many times the steps of the accepted one.
+
+Input is checked once, at the public boundary: estimate_rank_and_factor
+(and through it estimate_rank_and_solve) rejects a matrix that is not 2-D,
+is empty or holds NaN or Inf, and solve_pcp and solve_l1reg_columnwise check
+what they are given. The stages in between (sample_submatrix, recover_seed,
+filter_columns, filter_rows, nystrom_complete, assemble) take trusted
+float64 arrays cut from that checked matrix and check nothing again.
 """
 
 import time
@@ -45,8 +52,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import matcore
-from .matcore import SkinnySvd, as_dense, linf_norm, svd
+# svd is unused here, but perfbench's self-test reads the l1filter.svd binding
+from .matcore import SkinnySvd, as_dense, linf_norm, svd  # noqa: F401
 from .l1reg import _exact_fit_presolve, solve_l1reg_columnwise
 from .pcp_adm import (
     AdmConfig,
@@ -124,27 +131,19 @@ class FilterConfig:
             raise ValueError("oversampling rates must be > 1")
 
 
-def _sample_indices(shape, n_rows, n_cols, rng_seed):
-    """Sorted row/column index sets drawn uniformly without replacement
-    from a matrix of the given shape."""
-    if n_rows > shape[0] or n_cols > shape[1]:
-        raise ValueError(
-            f"requested {n_rows}x{n_cols} block from {shape[0]}x{shape[1]} matrix"
-        )
-    rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
-    row_idx = np.sort(rng.choice(shape[0], size=n_rows, replace=False))
-    col_idx = np.sort(rng.choice(shape[1], size=n_cols, replace=False))
-    return row_idx, col_idx
-
-
 def sample_submatrix(m, n_rows, n_cols, rng_seed):
     """Sample row/column index sets uniformly without replacement.
 
     rng_seed may be an integer, a SeedSequence, or a Generator. Index sets
     are returned sorted; the block is M restricted to them.
     """
-    m = as_dense(m)
-    row_idx, col_idx = _sample_indices(m.shape, n_rows, n_cols, rng_seed)
+    if n_rows > m.shape[0] or n_cols > m.shape[1]:
+        raise ValueError(
+            f"requested {n_rows}x{n_cols} block from {m.shape[0]}x{m.shape[1]} matrix"
+        )
+    rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
+    row_idx = np.sort(rng.choice(m.shape[0], size=n_rows, replace=False))
+    col_idx = np.sort(rng.choice(m.shape[1], size=n_cols, replace=False))
     return row_idx, col_idx, m[np.ix_(row_idx, col_idx)]
 
 
@@ -184,7 +183,6 @@ def recover_seed(seed_block, adm=None, row_idx=None, col_idx=None, max_rank=0):
     belongs to the iterate kept, polish_iterations counts the resumed steps
     and pcp_iterations all steps.
     """
-    seed_block = as_dense(seed_block)
     adm = adm or AdmConfig()
     sol = solve_pcp(seed_block, adm, rank_adaptive=True)
     f = _seed_factors(sol)
@@ -213,6 +211,8 @@ def _filter_block(x, basis, cfg):
     """min ||E||_l1 s.t. X = basis Z + E, column by column: the certified
     presolve solves the columns it can, and the ADM the rest (possibly none).
     Returns (Z, E, iterations, failed_columns), the last two the ADM's."""
+    if x.shape[1] == 0:
+        return np.zeros((basis.shape[1], 0)), np.zeros_like(x), 0, []
     cfg = cfg or AdmConfig()
     z, e, rest = _exact_fit_presolve(x, basis, cfg.tol)
     sol = solve_l1reg_columnwise(x[:, rest], basis, cfg)
@@ -229,9 +229,6 @@ def filter_columns(m_c, u_s, cfg=None):
     when it had no column to solve), and failed_columns lists the columns
     whose ADM stopped short of its tolerance.
     """
-    m_c = as_dense(m_c)
-    if m_c.shape[1] == 0:
-        return np.zeros((u_s.shape[1], 0)), np.zeros_like(m_c), 0, []
     return _filter_block(m_c, u_s, cfg)
 
 
@@ -241,9 +238,6 @@ def filter_rows(m_r, v_s, cfg=None):
     Solved by transposing into column form over the same kernel; returns
     (P, residual, iterations, failed_rows) like filter_columns.
     """
-    m_r = as_dense(m_r)
-    if m_r.shape[0] == 0:
-        return np.zeros((v_s.shape[1], 0)), np.zeros_like(m_r), 0, []
     p, e, iterations, failed = _filter_block(m_r.T, v_s, cfg)
     return p, e.T, iterations, failed
 
@@ -268,13 +262,6 @@ def nystrom_complete(seed, q, p):
     f = seed.seed_svd
     return (_stack(seed.row_idx, f.u * f.sigma, p.T),
             _stack(seed.col_idx, f.v, (q / f.sigma[:, None]).T))
-
-
-def nystrom_complete_via_pinv(l_row, seed_l, l_col, rank_tol=SEED_RANK_TOL):
-    """Completion block L^r pinv(L^s) L^c, recomputing the pseudo-inverse
-    from the seed matrix itself (independent cross-check path)."""
-    f = svd(as_dense(seed_l), rank_tol=rank_tol)
-    return as_dense(l_row) @ matcore.pseudo_inverse_apply(f, as_dense(l_col))
 
 
 @dataclass(frozen=True)
@@ -373,6 +360,8 @@ def estimate_rank_and_factor(m, cfg=None):
     """
     t_start = time.perf_counter()
     m = as_dense(m)
+    if m.size == 0:
+        raise ValueError("matrix must be nonempty")
     cfg = cfg or FilterConfig()
     m_rows, m_cols = m.shape
 
@@ -396,8 +385,7 @@ def estimate_rank_and_factor(m, cfg=None):
         max_rank = int(min(n_rows / cfg.s_r, n_cols / cfg.s_c))
 
         t0 = time.perf_counter()
-        row_idx, col_idx = _sample_indices(m.shape, n_rows, n_cols, ss.spawn(1)[0])
-        block = m[np.ix_(row_idx, col_idx)]
+        row_idx, col_idx, block = sample_submatrix(m, n_rows, n_cols, ss.spawn(1)[0])
         try:
             seed = recover_seed(block, cfg.adm, row_idx, col_idx, max_rank)
         except SeedRankZeroError:

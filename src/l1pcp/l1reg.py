@@ -79,6 +79,11 @@ certificates hold:
      A^T y = 0 to DUAL_FEAS_TOL), so that (z, e) is an l1 minimizer.
 Every other column is left to the ADM, so the filters solve the same l1
 problems as before, and the kernel above is untouched by the presolve.
+
+solve_l1reg_columnwise is the one public entry point, and the only place
+where input is checked: X once (2-D, finite, as many rows as A) and A once
+(orthonormal columns). solve_l1reg, its chunk kernel, and the presolve take
+those trusted arrays and check nothing again.
 """
 
 from dataclasses import dataclass, field
@@ -248,11 +253,8 @@ def _solve_block(x, a, cfg):
 
 
 def solve_l1reg(x, a, cfg=None):
-    """Solve min ||E||_l1 s.t. X = A Z + E for orthonormal-column A."""
-    x = as_dense(x)
-    a = _check_dictionary(a)
-    if x.shape[0] != a.shape[0]:
-        raise ValueError(f"row mismatch: X has {x.shape[0]}, A has {a.shape[0]}")
+    """Solve min ||E||_l1 s.t. X = A Z + E over one chunk of columns, for
+    the trusted X and orthonormal-column A of solve_l1reg_columnwise."""
     cfg = cfg or AdmConfig()
 
     scale = linf_norm(x)
@@ -271,8 +273,11 @@ def solve_l1reg(x, a, cfg=None):
 
 
 def solve_l1reg_columnwise(x, a, cfg=None):
-    """solve_l1reg over fixed CHUNK_COLS-wide column chunks, one after the
-    other; the chunk results are stitched back into one solution."""
+    """Solve min ||E||_l1 s.t. X = A Z + E for orthonormal-column A.
+
+    Checks X and A, then runs solve_l1reg over fixed CHUNK_COLS-wide column
+    chunks, one after the other; the chunk results are stitched back into
+    one solution."""
     x = as_dense(x)
     a = _check_dictionary(a)
     if x.shape[0] != a.shape[0]:
@@ -314,8 +319,6 @@ def _exact_fit_presolve(x, a, tol):
     Runs in CHUNK_COLS-wide slices. Returns (Z, E, rest): rest holds the
     sorted indices of the columns left uncertified, whose Z and E are zero.
     """
-    if x.shape[0] != a.shape[0]:
-        raise ValueError(f"row mismatch: X has {x.shape[0]}, A has {a.shape[0]}")
     n_rows, n_cols = x.shape
     k = a.shape[1]
     z = np.zeros((k, n_cols))

@@ -207,12 +207,3 @@ def svt(w, eta):
     """
     return svt_with_rank(w, eta)[0]
 
-
-def pseudo_inverse_apply(f, rhs):
-    """Apply V Sigma^{-1} U^T to *rhs* using the retained singular values."""
-    rhs = np.asarray(rhs, dtype=np.float64)
-    if f.u.shape[0] != rhs.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: factor has {f.u.shape[0]} rows, rhs has {rhs.shape[0]}"
-        )
-    return f.v @ ((f.u.T @ rhs) / f.sigma[:, None])

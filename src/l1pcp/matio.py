@@ -97,7 +97,8 @@ def read_dmat(path):
             raise ValueError(f"{path}: expected {rows * cols} values "
                              f"({rows * cols * 8} bytes), got {size} bytes")
         data = np.empty((rows, cols), dtype="<f8")
-        if fh.readinto(memoryview(data).cast("B")) != size:
+        # an empty matrix has no values to read, and memoryview cannot cast it
+        if size and fh.readinto(memoryview(data).cast("B")) != size:
             raise ValueError(f"{path}: expected {rows * cols} values, file changed while read")
     return as_dense(data)
 

@@ -17,13 +17,13 @@ from l1pcp.l1filter import (
     filter_columns,
     filter_rows,
     nystrom_complete,
-    nystrom_complete_via_pinv,
     sample_submatrix,
 )
 from l1pcp.l1filter import SeedRecovery
 from l1pcp.matcore import frobenius_norm, l1_norm, nuclear_norm, svd, svt
 from l1pcp.pcp_adm import AdmConfig, solve_pcp
 from l1pcp.l1reg import solve_l1reg, solve_l1reg_columnwise
+from oracles import nystrom_complete_via_pinv
 
 
 def _report(name, ok, detail):

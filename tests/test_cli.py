@@ -126,7 +126,12 @@ def test_decompose_unreadable_input_exit_1(tmp_path, capsys):
     garbled = tmp_path / "garbled.csv"
     garbled.write_text("1,2\n3\n")
     assert main(["decompose", str(garbled)]) == 1
+    non_finite = tmp_path / "nan.dmat"
+    non_finite.write_bytes(matio._HEADER.pack(matio.MAGIC, 2, 2)
+                           + np.array([1.0, 2.0, 3.0, np.nan], dtype="<f8").tobytes())
     capsys.readouterr()
+    assert main(["decompose", str(non_finite)]) == 1
+    assert "non-finite" in capsys.readouterr().err
 
 
 def test_decompose_dimension_mismatch_exit_3(tmp_path, capsys):
@@ -135,6 +140,16 @@ def test_decompose_dimension_mismatch_exit_3(tmp_path, capsys):
     matio.write_matrix(truth, np.zeros((5, 5)))
     assert main(["decompose", str(m_path), "--truth", str(truth)]) == 3
     capsys.readouterr()
+
+
+@pytest.mark.filterwarnings("ignore:loadtxt")  # numpy warns of an empty CSV
+@pytest.mark.parametrize("method", ["l1filter", "adm"])
+@pytest.mark.parametrize("name", ["empty.dmat", "empty.csv"])
+def test_decompose_empty_matrix_exit_3(tmp_path, capsys, method, name):
+    path = tmp_path / name
+    matio.write_matrix(path, np.zeros((0, 5)))
+    assert main(["decompose", str(path), "--method", method]) == 3
+    assert "error: matrix must be nonempty" in capsys.readouterr().err
 
 
 def test_synth_same_seed_byte_identical(tmp_path, capsys):

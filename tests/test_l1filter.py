@@ -19,13 +19,13 @@ from l1pcp.l1filter import (
     filter_columns,
     filter_rows,
     nystrom_complete,
-    nystrom_complete_via_pinv,
     recover_seed,
     sample_submatrix,
 )
 from l1pcp.l1reg import solve_l1reg_columnwise
 from l1pcp.matcore import frobenius_norm, svd
 from l1pcp.pcp_adm import AdmConfig, solve_pcp
+from oracles import nystrom_complete_via_pinv
 
 
 def _low_rank(rng, m, n, r):
@@ -407,6 +407,22 @@ def test_rank_estimation_without_hint():
     assert sol.rank_of_l == 2
     assert sol.stats["seed_rows"] >= 10 * 2
     assert synth.rel_err(sol.l, gt.l0) <= 1e-5
+
+
+def test_every_seed_is_sampled_by_sample_submatrix(monkeypatch):
+    # the rank-growing instance above: one sample_submatrix call per attempt
+    calls = []
+    sample = l1filter.sample_submatrix
+
+    def count(*args):
+        calls.append(args[1:3])
+        return sample(*args)
+
+    monkeypatch.setattr(l1filter, "sample_submatrix", count)
+    spec = synth.SynthSpec(m=400, n=400, rho_r=0.005, rho_s=0.01, rng_seed=1)
+    sol = estimate_rank_and_solve(synth.generate(spec).m_obs, FilterConfig(rng_seed=3))
+    assert sol.stats["attempts"] == len(calls) > 1
+    assert calls[-1] == (sol.stats["seed_rows"], sol.stats["seed_cols"])
 
 
 def test_fallback_to_full_pcp_for_high_rank():

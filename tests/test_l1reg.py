@@ -205,14 +205,14 @@ def test_non_orthonormal_dictionary_rejected():
     rng = np.random.default_rng(4)
     a = rng.standard_normal((30, 3))
     with pytest.raises(ValueError, match="orthonormal"):
-        solve_l1reg(rng.standard_normal((30, 2)), a)
+        solve_l1reg_columnwise(rng.standard_normal((30, 2)), a)
 
 
 def test_row_count_mismatch_rejected():
     rng = np.random.default_rng(5)
     a = _orthonormal(rng, 20, 3)
     with pytest.raises(ValueError, match="row mismatch"):
-        solve_l1reg(rng.standard_normal((19, 2)), a)
+        solve_l1reg_columnwise(rng.standard_normal((19, 2)), a)
 
 
 def test_zero_and_empty_inputs():

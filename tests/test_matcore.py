@@ -12,7 +12,6 @@ from l1pcp.matcore import (
     l1_norm,
     linf_norm,
     nuclear_norm,
-    pseudo_inverse_apply,
     soft_threshold,
     svd,
     svt,
@@ -147,29 +146,6 @@ def test_svt_nuclear_norm_matches_shrunk_spectrum():
         sig = np.linalg.svd(w, compute_uv=False)
         expected = np.maximum(sig - eta, 0.0).sum()
         assert nuclear_norm(svt(w, eta)) == pytest.approx(expected, abs=1e-9)
-
-
-def test_pseudo_inverse_apply_identity():
-    f = svd(np.eye(4))
-    rhs = np.arange(8.0).reshape(4, 2)
-    np.testing.assert_allclose(pseudo_inverse_apply(f, rhs), rhs, atol=1e-12)
-
-
-def test_pseudo_inverse_apply_diagonal():
-    f = svd(np.diag([2.0, 4.0]))
-    out = pseudo_inverse_apply(f, np.array([[2.0], [4.0]]))
-    np.testing.assert_allclose(out, [[1.0], [1.0]], atol=1e-12)
-
-
-def test_pseudo_inverse_apply_consistency():
-    rng = np.random.default_rng(7)
-    g1 = rng.standard_normal((20, 3))
-    g2 = rng.standard_normal((15, 3))
-    l = g1 @ g2.T  # rank 3
-    x = rng.standard_normal((15, 4))
-    rhs = l @ x
-    y = pseudo_inverse_apply(svd(l), rhs)
-    assert frobenius_norm(l @ y - rhs) / frobenius_norm(rhs) <= 1e-8
 
 
 def test_as_dense_rejects_bad_input():

@@ -85,6 +85,15 @@ def test_csv_single_row_keeps_two_dims(tmp_path):
     assert out.shape == (1, 3)
 
 
+@pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
+def test_dmat_empty_roundtrip(tmp_path, shape):
+    path = tmp_path / "empty.dmat"
+    matio.write_dmat(path, np.zeros(shape))
+    assert path.stat().st_size == 16  # the header alone
+    out = matio.read_dmat(path)
+    assert out.shape == shape and out.dtype == np.float64
+
+
 def test_dmat_surplus_value_rejected(tmp_path):
     path = tmp_path / "long.dmat"
     matio.write_dmat(path, np.ones((3, 3)))
