@@ -40,19 +40,18 @@ def _l_errors(l, l0):
 def _block_stats(sol, truth):
     """(l1_s, l0_s, errors) of a solution, where errors holds rel_err,
     max_dif and ave_dif against the true L0 (None without one). All come
-    from the row blocks of matio.row_blocks, each released before the next is
-    formed, so a factored L or S is never formed whole. l0_s counts |S| above
-    1e-6 ||S||_inf, taken over all of S, which takes a second pass once
-    ||S||_inf is known."""
-    blocks = matio.row_blocks(sol.s.shape)
-    norms = [_s_norms(sol.s[rows]) for rows in blocks]
+    from the row blocks of matio.iter_row_blocks, so a factored L or S is
+    never formed whole, and each pass forms its blocks into one buffer. l0_s
+    counts |S| above 1e-6 ||S||_inf, taken over all of S, which takes a
+    second pass once ||S||_inf is known."""
+    norms = [_s_norms(block) for _, block in matio.iter_row_blocks(sol.s)]
     l1_s = sum(l1 for l1, _ in norms)
     s_inf = max((linf for _, linf in norms), default=0.0)
-    l0_s = sum(l0_count(sol.s[rows], 1e-6 * s_inf) for rows in blocks)
+    l0_s = sum(l0_count(block, 1e-6 * s_inf) for _, block in matio.iter_row_blocks(sol.s))
     if truth is None:
         return l1_s, l0_s, {"rel_err": None, "max_dif": None, "ave_dif": None}
     sq_dif, sq_l0, sq_l, sum_dif, max_dif = zip(
-        *[_l_errors(sol.l[rows], truth[rows]) for rows in blocks])
+        *[_l_errors(block, truth[rows]) for rows, block in matio.iter_row_blocks(sol.l)])
     sq_l0 = sum(sq_l0)
     return l1_s, l0_s, {
         # as synth.rel_err: relative to ||L0||_F, or ||L||_F itself when L0 = 0

@@ -2,15 +2,18 @@
 
 Pipeline: sample a small seed submatrix, recover it exactly with the
 reference ADM solver, and express the aligned column and row blocks in the
-seed's column/row subspaces via l1 regression. Both filters hand their
-block to the certified exact-fit presolve of l1reg first: a column is
-solved by a least-squares fit on the rows off its detected support S when
-|S| <= r' with at least 2 r' rows left, the fit meets the ADM's stopping
-rule on those rows, and a least-squares dual certificate proves it an l1
+seed's column/row subspaces via l1 regression. The filters take those
+blocks one CHUNK_COLS-wide chunk at a time, gathered straight from M, so
+they hold O(s CHUNK_COLS) of block data for an s-row seed besides their
+r' x n coefficients, whatever the size of M. Each chunk goes to the
+certified exact-fit presolve of l1reg first: a column is solved by a
+least-squares fit on the rows off its detected support S when |S| <= r'
+with at least 2 r' rows left, the fit meets the ADM's stopping rule on
+those rows, and a least-squares dual certificate proves it an l1
 minimizer. The columns it leaves, possibly none, go to the ADM
-(solve_l1reg_columnwise) unchanged. With the seed's SVD
-U Sigma V^T, the column coefficients Q and the row coefficients P, the
-generalized Nystrom formula gives all of L as one outer product
+(solve_l1reg_columnwise) unchanged. With the seed's SVD U Sigma V^T, the
+column coefficients Q and the row coefficients P, the generalized Nystrom
+formula gives all of L as one outer product
 
     L = A B^T,   A = [U Sigma; P^T],   B = [V; (Sigma^{-1} Q)^T],
 
@@ -22,15 +25,17 @@ The solve comes in two steps. estimate_rank_and_factor stops at the factors:
 on the l1-filter path it returns L as LowRank(A, B) and S as Remainder(M, L),
 row-sliceable stand-ins whose L[rows] is A[rows] B^T and S[rows] is
 M[rows] - L[rows], so a caller that streams L and S in row blocks (the
-decompose CLI) never holds a dense m x n L or S. estimate_rank_and_solve
-follows it with assemble, one A B^T and one subtraction, and returns dense
-L and S. The full-pcp-fallback and degenerate-zero-seed paths return dense
-arrays from either function; ndarrays slice into rows the same way. When no
-target rank is known, the seed starts at rank r = 1 and is resampled until
-its recovered rank r' is consistent with the oversampling rates: a seed that
-recovers too high a rank sets r <- max(r', r + 1), and the next seed is
-s_r r x s_c r. Once the seed would exceed MAX_SEED_FRACTION of either side,
-the pipeline falls back to a full PCP solve.
+decompose CLI) never holds a dense m x n L or S; rows_into forms a block
+into the caller's buffer, so one buffer serves every block.
+estimate_rank_and_solve follows it with assemble, one A B^T and one
+subtraction, and returns dense L and S. The full-pcp-fallback and
+degenerate-zero-seed paths return dense arrays from either function;
+ndarrays slice into rows the same way. When no target rank is known, the
+seed starts at rank r = 1 and is resampled until its recovered rank r' is
+consistent with the oversampling rates: a seed that recovers too high a
+rank sets r <- max(r', r + 1), and the next seed is s_r r x s_c r. Once
+the seed would exceed MAX_SEED_FRACTION of either side, the pipeline falls
+back to a full PCP solve.
 
 Only the seed that passes the oversampling check is polished: its PCP is
 resumed from the same iterate until it reaches SEED_TOL_RATIO times the
@@ -54,7 +59,7 @@ import numpy as np
 
 # svd is unused here, but perfbench's self-test reads the l1filter.svd binding
 from .matcore import SkinnySvd, as_dense, linf_norm, svd  # noqa: F401
-from .l1reg import _exact_fit_presolve, solve_l1reg_columnwise
+from .l1reg import CHUNK_COLS, _exact_fit_presolve, solve_l1reg_columnwise
 from .pcp_adm import (
     AdmConfig,
     PcpSolution,
@@ -279,6 +284,10 @@ class LowRank:
     def __getitem__(self, rows):
         return self.a[rows] @ self.b.T
 
+    def rows_into(self, rows, out):
+        """L[rows] formed into out, a float64 array of its shape; returns out."""
+        return np.matmul(self.a[rows], self.b.T, out=out)
+
 
 @dataclass(frozen=True)
 class Remainder:
@@ -296,6 +305,10 @@ class Remainder:
         s = self.l[rows]
         return np.subtract(self.m[rows], s, out=s)
 
+    def rows_into(self, rows, out):
+        """S[rows] formed into out, a float64 array of its shape; returns out."""
+        return np.subtract(self.m[rows], self.l.rows_into(rows, out), out=out)
+
 
 def assemble(m, a, b):
     """L = A B^T and S = M - L from the stacked factors of nystrom_complete."""
@@ -306,27 +319,54 @@ def assemble(m, a, b):
     return l, m - l
 
 
-def _filter_residual(x, basis, coef, e):
-    """Relative constraint residual ||X - basis coef - E||_inf / ||X||_inf
-    of one filtered block."""
-    scale = linf_norm(x)
-    return linf_norm(x - basis @ coef - e) / scale if scale else 0.0
+def _chunks(size):
+    """CHUNK_COLS-wide slices of range(size), the last one ragged."""
+    return [slice(lo, min(lo + CHUNK_COLS, size)) for lo in range(0, size, CHUNK_COLS)]
+
+
+def _relative_residual(fits):
+    """max ||X - basis coef - E||_inf / max ||X||_inf over the (misfit,
+    scale) pairs of one filter's chunks, or 0 when X is zero."""
+    misfit = max((f for f, _ in fits), default=0.0)
+    scale = max((s for _, s in fits), default=0.0)
+    return misfit / scale if scale else 0.0
 
 
 def _filter_stage(m, seed, adm):
-    """Filter M's column and row blocks beside the seed. Returns (Q, P,
-    iterations, failed, residual): the slower filter's iterations, the number
-    of columns and rows that stopped short, and the larger constraint
-    residual. The blocks and their sparse parts are freed on return, before
-    the caller allocates L."""
+    """Filter M's column and row blocks beside the seed, one chunk at a time.
+    Returns (Q, P, iterations, failed, residual): the slowest chunk's
+    iterations, the number of columns and rows that stopped short, and the
+    larger relative constraint residual of the two filters.
+
+    Each filter runs over CHUNK_COLS-wide chunks of its block, gathered
+    straight from M; a chunk and its sparse part are dropped before the next
+    is gathered, so the stage holds O(s CHUNK_COLS) of block data besides Q
+    and P, whatever the size of M. The chunks are the presolve's own slices,
+    so a column it certifies gets the same Z as from the whole block; the
+    columns it declines reach the ADM chunk by chunk, which moves them at
+    rounding level (see l1reg)."""
     f = seed.seed_svd
-    m_c = m[np.ix_(seed.row_idx, _complement(seed.col_idx, m.shape[1]))]
-    m_r = m[np.ix_(_complement(seed.row_idx, m.shape[0]), seed.col_idx)]
-    q, e_c, it_c, failed_c = filter_columns(m_c, f.u, adm)
-    p, e_r, it_r, failed_r = filter_rows(m_r, f.v, adm)
-    residual = max(_filter_residual(m_c, f.u, q, e_c),
-                   _filter_residual(m_r.T, f.v, p, e_r.T))
-    return q, p, max(it_c, it_r), len(failed_c) + len(failed_r), residual
+    comp_c = _complement(seed.col_idx, m.shape[1])
+    comp_r = _complement(seed.row_idx, m.shape[0])
+    q = np.empty((seed.r_prime, comp_c.size))
+    p = np.empty((seed.r_prime, comp_r.size))
+    iterations, failed, fits_c, fits_r = 0, 0, [], []
+    for cols in _chunks(comp_c.size):
+        x = m[np.ix_(seed.row_idx, comp_c[cols])]
+        z, e, it, bad = filter_columns(x, f.u, adm)
+        q[:, cols] = z
+        fits_c.append((linf_norm(x - f.u @ z - e), linf_norm(x)))
+        iterations, failed = max(iterations, it), failed + len(bad)
+        del x, z, e
+    for rows in _chunks(comp_r.size):
+        x = m[np.ix_(comp_r[rows], seed.col_idx)]
+        z, e, it, bad = filter_rows(x, f.v, adm)
+        p[:, rows] = z
+        fits_r.append((linf_norm(x.T - f.v @ z - e.T), linf_norm(x)))
+        iterations, failed = max(iterations, it), failed + len(bad)
+        del x, z, e
+    return q, p, iterations, failed, max(_relative_residual(fits_c),
+                                         _relative_residual(fits_r))
 
 
 def _proposed_seed_shape(r, cfg):

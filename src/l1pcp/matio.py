@@ -6,17 +6,18 @@ Two formats:
     little-endian, 4 bytes padding) followed by rows*cols little-endian
     float64 values in row-major order.
 
-The writers stream their input in row blocks of about BLOCK_BYTES each,
-validating every block with as_dense. Besides ndarrays they take any
-row-sliceable matrix with a shape, such as the l1filter's LowRank L and
-Remainder S, whose blocks are formed on demand, so writing them never holds
-a dense copy of the whole matrix. A write that fails part way, on a
-non-finite block say, removes the partial file. read_dmat reads the values
-into one preallocated array.
+The writers stream their input in row blocks of about BLOCK_BYTES each
+(iter_row_blocks), validating every block with as_dense. Besides ndarrays
+they take any row-sliceable matrix with a shape, such as the l1filter's
+LowRank L and Remainder S, whose blocks are formed on demand into one
+reused buffer, so writing them never holds a dense copy of the whole
+matrix. A write that fails part way, on a non-finite block say, removes the
+partial file. read_dmat reads the values into one preallocated array.
 """
 
 import os
 import struct
+import warnings
 
 import numpy as np
 
@@ -25,8 +26,8 @@ from .matcore import as_dense
 MAGIC = b"DMAT"
 _HEADER = struct.Struct("<4sII4x")
 
-# Bytes of float64 values per row block (at least one row per block). Each
-# block and its temporaries are freed before the next, and small blocks let
+# Bytes of float64 values per row block (at least one row per block). A
+# block's temporaries are freed before the next block, and small blocks let
 # malloc reuse that memory: on a 2000x2000 decompose (glibc, 2-core box) the
 # row-block stats pass took about 190 ms with 4 MB blocks, which fault in
 # fresh pages for every block, and 35-75 ms with 1 MB blocks.
@@ -41,6 +42,22 @@ def row_blocks(shape):
     return [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
 
 
+def iter_row_blocks(m):
+    """Yield (rows, m[rows]) for the row_blocks of m. A matrix that forms its
+    rows on demand through rows_into(rows, out), such as the l1filter's
+    LowRank and Remainder, forms every block into one buffer, which each
+    block overwrites in turn; any other matrix yields its own m[rows]."""
+    rows_into = getattr(m, "rows_into", None)
+    buf = None
+    for rows in row_blocks(m.shape):
+        if rows_into is None:
+            yield rows, m[rows]
+            continue
+        if buf is None:
+            buf = np.empty((rows.stop - rows.start, m.shape[1]))
+        yield rows, rows_into(rows, buf[:rows.stop - rows.start])
+
+
 def _row_sliceable(m):
     """m itself when it has a shape (an ndarray, or a matrix formed in row
     blocks), else m converted to an array."""
@@ -53,12 +70,12 @@ def _row_sliceable(m):
 
 def _write_blocks(path, head, m, write_block):
     """Write head, then each row block of m validated by as_dense; remove the
-    file if a block fails. A block is released before the next is formed."""
+    file if a block fails. A block is written before the next is formed."""
     with open(path, "wb") as fh:
         try:
             fh.write(head)
-            for rows in row_blocks(m.shape):
-                write_block(fh, as_dense(m[rows]))
+            for _, block in iter_row_blocks(m):
+                write_block(fh, as_dense(block))
         except BaseException:
             fh.close()
             os.unlink(path)
@@ -71,7 +88,11 @@ def write_csv(path, m):
 
 
 def read_csv(path):
-    m = np.loadtxt(path, delimiter=",", ndmin=2)
+    with warnings.catch_warnings():
+        # an empty file reads as an empty matrix, which the solvers reject;
+        # numpy would also print a warning about it
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        m = np.loadtxt(path, delimiter=",", ndmin=2)
     return as_dense(m)
 
 

@@ -142,7 +142,6 @@ def test_decompose_dimension_mismatch_exit_3(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.filterwarnings("ignore:loadtxt")  # numpy warns of an empty CSV
 @pytest.mark.parametrize("method", ["l1filter", "adm"])
 @pytest.mark.parametrize("name", ["empty.dmat", "empty.csv"])
 def test_decompose_empty_matrix_exit_3(tmp_path, capsys, method, name):
@@ -150,6 +149,18 @@ def test_decompose_empty_matrix_exit_3(tmp_path, capsys, method, name):
     matio.write_matrix(path, np.zeros((0, 5)))
     assert main(["decompose", str(path), "--method", method]) == 3
     assert "error: matrix must be nonempty" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["l1filter", "adm"])
+def test_decompose_empty_csv_prints_only_the_error(tmp_path, method):
+    # numpy's loadtxt warns of an empty file on stderr unless the reader stops it
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    proc = subprocess.run([sys.executable, "-m", "l1pcp.cli", "decompose", str(path),
+                           "--method", method], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=SRC), timeout=120)
+    assert proc.returncode == 3
+    assert proc.stderr == "error: matrix must be nonempty\n"
 
 
 def test_synth_same_seed_byte_identical(tmp_path, capsys):

@@ -22,8 +22,8 @@ from l1pcp.l1filter import (
     recover_seed,
     sample_submatrix,
 )
-from l1pcp.l1reg import solve_l1reg_columnwise
-from l1pcp.matcore import frobenius_norm, svd
+from l1pcp.l1reg import CHUNK_COLS, _exact_fit_presolve, solve_l1reg_columnwise
+from l1pcp.matcore import frobenius_norm, linf_norm, svd
 from l1pcp.pcp_adm import AdmConfig, solve_pcp
 from oracles import nystrom_complete_via_pinv
 
@@ -324,6 +324,77 @@ def test_solve_peak_memory_is_l_and_s():
         tracemalloc.stop()
     assert sol.method == "l1-filter" and sol.converged
     assert peak <= 2.2 * m.nbytes, f"peak {peak / m.nbytes:.2f}x M.nbytes"
+
+
+def test_filter_working_set_does_not_grow_with_n():
+    # the filters gather CHUNK_COLS-wide chunks of their blocks from M, so
+    # besides Q and P (r' x n) the stage holds O(s CHUNK_COLS), not O(s n)
+    rng = np.random.default_rng(0)
+    big = rng.standard_normal((4000, 5)) @ rng.standard_normal((4000, 5)).T
+    spikes = rng.integers(0, 4000, (2, 160_000))
+    big[spikes[0], spikes[1]] += rng.uniform(-50, 50, spikes.shape[1])
+    cfg = FilterConfig(rank_hint=5)
+    s = int(cfg.s_r * 5)
+    peaks = []
+    for n in (1000, 4000):
+        m = np.ascontiguousarray(big[:n, :n])
+        ri, ci, block = sample_submatrix(m, s, s, 0)
+        seed = recover_seed(block, cfg.adm, ri, ci, max_rank=5)
+        assert seed.r_prime == 5
+        tracemalloc.start()
+        try:
+            *_, failed, _ = l1filter._filter_stage(m, seed, cfg.adm)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert failed == 0
+    chunk_bytes = s * CHUNK_COLS * 8
+    assert max(peaks) <= 16 * chunk_bytes, [p / chunk_bytes for p in peaks]
+    assert peaks[1] <= 2 * peaks[0], peaks
+
+
+def _chunk_instance(width, declined):
+    """A rank-3 M of (50 + width) x (40 + width), its seed (the first 50
+    rows and 40 columns, an exact SVD of the uncorrupted seed block) and the
+    complements. Each filtered column and row carries one spike off the seed
+    block, which the presolve certifies; with declined, every third one
+    carries seven instead, more than the rank, which it leaves to the ADM."""
+    rng = np.random.default_rng(width + declined)
+    m = _low_rank(rng, 50 + width, 40 + width, 3)
+    ri, ci = np.arange(50), np.arange(40)
+    for j in range(40, m.shape[1]):
+        hits = 7 if declined and j % 3 == 0 else 1
+        m[rng.choice(50, hits, replace=False), j] += rng.uniform(20, 40, hits)
+    for i in range(50, m.shape[0]):
+        hits = 7 if declined and i % 3 == 0 else 1
+        m[i, rng.choice(40, hits, replace=False)] += rng.uniform(20, 40, hits)
+    seed = _exact_seed(m[:50, :40], ri, ci)
+    return m, seed, np.arange(50, m.shape[0]), np.arange(40, m.shape[1])
+
+
+@pytest.mark.parametrize("declined", [False, True])
+@pytest.mark.parametrize("width", [CHUNK_COLS - 1, CHUNK_COLS, CHUNK_COLS + 1])
+def test_filter_stage_chunks_match_whole_blocks(width, declined):
+    m, seed, comp_r, comp_c = _chunk_instance(width, declined)
+    f, cfg = seed.seed_svd, AdmConfig(tol=PIPELINE_TOL)
+    x_c = m[np.ix_(seed.row_idx, comp_c)]
+    x_r = m[np.ix_(comp_r, seed.col_idx)]
+    assert (_exact_fit_presolve(x_c, f.u, cfg.tol)[2].size > 0) == declined
+    assert (_exact_fit_presolve(x_r.T, f.v, cfg.tol)[2].size > 0) == declined
+    q, p, _, failed, residual = l1filter._filter_stage(m, seed, cfg)
+    q_ref, e_c, _, failed_c = filter_columns(x_c, f.u, cfg)
+    p_ref, e_r, _, failed_r = filter_rows(x_r, f.v, cfg)
+    assert failed == len(failed_c) + len(failed_r) == 0
+    if not declined:
+        np.testing.assert_array_equal(q, q_ref)
+        np.testing.assert_array_equal(p, p_ref)
+        assert residual == max(linf_norm(x - b @ z - e) / linf_norm(x) for x, b, z, e in
+                               ((x_c, f.u, q_ref, e_c), (x_r.T, f.v, p_ref, e_r.T)))
+    # a declined column reaches the ADM in its chunk's block, not the whole
+    # block's: rounding level (see l1reg)
+    assert np.abs(q - q_ref).max() <= 1e-12 * linf_norm(x_c)
+    assert np.abs(p - p_ref).max() <= 1e-12 * linf_norm(x_r)
+    assert residual <= PIPELINE_TOL
 
 
 def test_filter_iterations_stay_short_on_clean_columns():

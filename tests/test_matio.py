@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from l1pcp import matio
+from l1pcp.l1filter import LowRank, Remainder
 
 
 @pytest.fixture
@@ -144,6 +145,22 @@ class _RowSliced:
 
     def __getitem__(self, rows):
         return self.m[rows].copy()
+
+
+def test_formed_blocks_share_one_buffer(monkeypatch):
+    # LowRank and Remainder form every row block into the same buffer, with
+    # the values their own row slices give; an ndarray yields views of itself
+    monkeypatch.setattr(matio, "BLOCK_BYTES", 3 * 6 * 8)
+    rng = np.random.default_rng(0)
+    l = LowRank(rng.standard_normal((7, 2)), rng.standard_normal((6, 2)))
+    m = rng.standard_normal((7, 6))
+    for mat in (l, Remainder(m, l)):
+        blocks = list(matio.iter_row_blocks(mat))
+        assert [rows for rows, _ in blocks] == matio.row_blocks((7, 6))
+        assert all(np.shares_memory(block, blocks[0][1]) for _, block in blocks)
+        for rows, block in matio.iter_row_blocks(mat):
+            np.testing.assert_array_equal(block, mat[rows])
+    assert all(np.shares_memory(block, m) for _, block in matio.iter_row_blocks(m))
 
 
 @pytest.mark.parametrize("name", ["m.dmat", "m.csv"])
