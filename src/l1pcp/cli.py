@@ -77,13 +77,15 @@ def cmd_decompose(args):
 
     try:
         if args.method == "adm":
-            sol = solve_pcp(m, AdmConfig(lam=args.lam, tol=args.tol or 1e-7))
+            tol = 1e-7 if args.tol is None else args.tol
+            sol = solve_pcp(m, AdmConfig(lam=args.lam, tol=tol))
         else:
             # FilterConfig rejects --lambda: the seed PCP uses its own lambda
             cfg = FilterConfig(
                 s_r=args.oversample_rows, s_c=args.oversample_cols,
                 rank_hint=args.rank_hint, rng_seed=args.seed,
-                adm=AdmConfig(lam=args.lam, tol=args.tol or PIPELINE_TOL),
+                adm=AdmConfig(lam=args.lam,
+                              tol=PIPELINE_TOL if args.tol is None else args.tol),
             )
             # L and S stay factored; the writes and stats below form them
             # in row blocks

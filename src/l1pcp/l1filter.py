@@ -369,6 +369,11 @@ def _filter_stage(m, seed, adm):
                                          _relative_residual(fits_r))
 
 
+# the stats of the paths that filter no column and polish no seed
+_NO_FILTER_STATS = {"filter_failed_columns": 0, "seed_polish_iterations": 0,
+                    "seed_residual": 0.0}
+
+
 def _proposed_seed_shape(r, cfg):
     return int(round(cfg.s_r * r)), int(round(cfg.s_c * r))
 
@@ -417,11 +422,9 @@ def estimate_rank_and_factor(m, cfg=None):
             sol = solve_pcp(m, cfg.adm, rank_adaptive=True)
             sol.method = "full-pcp-fallback"
             sol.stats.update({"attempts": attempts, "proposed_seed": (n_rows, n_cols),
-                              "filter_failed_columns": 0, "seed_polish_iterations": 0,
-                              "seed_residual": 0.0})
+                              **_NO_FILTER_STATS})
             sol.elapsed = time.perf_counter() - t_start
             return sol
-        n_rows, n_cols = min(n_rows, m_rows), min(n_cols, m_cols)
         max_rank = int(min(n_rows / cfg.s_r, n_cols / cfg.s_c))
 
         t0 = time.perf_counter()
@@ -439,8 +442,7 @@ def estimate_rank_and_factor(m, cfg=None):
                 elapsed=time.perf_counter() - t_start,
                 converged=certificate <= ZERO_SEED_CERT_MAX,
                 method="degenerate-zero-seed",
-                stats={"t1": t1, "attempts": attempts, "filter_failed_columns": 0,
-                       "seed_polish_iterations": 0, "seed_residual": 0.0},
+                stats={"t1": t1, "attempts": attempts, **_NO_FILTER_STATS},
             )
         t1 += time.perf_counter() - t0
 

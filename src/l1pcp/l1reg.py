@@ -33,11 +33,11 @@ Per-column stopping implies the whole-matrix guard
 ||X - A Z - E||_inf <= eps * ||X||_inf.
 
 Column j's penalty starts at beta0_j = 1 / ||x_j||_inf and is capped at
-beta0_j / tol (never below beta0_j), unless cfg.beta0 / cfg.beta_max
-override. The E-update shrinks by 1 / beta, so this cap lets the shrink
-threshold fall to the column's stopping threshold tol * ||x_j||_inf; a
-lower cap leaves columns whose only misfit is a small subspace error
-creeping towards the threshold through the multiplier alone. At the
+beta0_j / tol (never below beta0_j). The E-update shrinks by 1 / beta, so
+this cap lets the shrink threshold fall to the column's stopping threshold
+tol * ||x_j||_inf; a lower cap leaves columns whose only misfit is a small
+subspace error creeping towards the threshold through the multiplier
+alone. At the
 default tol = 1e-7 the cap equals the 1e7 * beta0 that solve_pcp uses.
 Even at the cap such a column creeps until the shrink threshold reaches its
 misfit, which takes about 50 iterations at tol = 1e-9. The l1-filter
@@ -157,9 +157,8 @@ def _check_dictionary(a):
 def _solve_block(x, a, cfg):
     """Scaled-multiplier ADM over a block of columns. Column j stops once
     its residual drops to cfg.tol times its own linf norm, or fails once it
-    stalls at its penalty cap; its penalty starts at 1 / ||x_j||_inf unless
-    cfg.beta0 overrides, and is capped at that start over cfg.tol unless
-    cfg.beta_max overrides."""
+    stalls at its penalty cap; its penalty starts at 1 / ||x_j||_inf and is
+    capped at that start over cfg.tol."""
     n_rows, n_cols = x.shape
     k = a.shape[1]
     col_scale = np.abs(x).max(axis=0)
@@ -173,14 +172,8 @@ def _solve_block(x, a, cfg):
 
     live = col_scale > 0.0  # zero columns are solved by Z = E = 0
     active = np.flatnonzero(live)
-    if cfg.beta0 is not None:
-        beta = np.full(active.size, float(cfg.beta0))
-    else:
-        beta = 1.0 / col_scale[active]
-    if cfg.beta_max is not None:
-        beta_max = np.full_like(beta, float(cfg.beta_max))
-    else:
-        beta_max = np.maximum(beta * (1.0 / cfg.tol), beta)
+    beta = 1.0 / col_scale[active]
+    beta_max = np.maximum(beta * (1.0 / cfg.tol), beta)
 
     xa = x[:, active].copy()
     z = np.zeros((k, active.size))

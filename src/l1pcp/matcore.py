@@ -107,36 +107,6 @@ def nuclear_norm(m):
     return float(np.linalg.svd(np.asarray(m, dtype=np.float64), compute_uv=False).sum())
 
 
-def _svt_factors(w, eta):
-    """Thresholded factors (U_k, Sigma_k - eta, V_k) of *w* from its full SVD.
-
-    The SVD keeps only the k values above eta, so LAPACK's full U and V^T
-    are released on return. The partial SVT's factors share the layout of
-    U_k and V_k, and it must hold: the last bits of the product in
-    _svt_compose depend on how V_k^T is laid out.
-    """
-    f = svd(w, rank_tol=0.0, atol=eta)
-    return f.u, f.sigma - eta, f.v
-
-
-def _svt_compose(w, u, s, v):
-    """The SVT matrix U diag(s) V^T, or zeros shaped like *w* at rank 0.
-
-    Called once the factors exist, so the new matrix never lives beside
-    the SVD's U and V^T.
-    """
-    if s.size == 0:
-        return np.zeros_like(np.asarray(w, dtype=np.float64)), 0
-    return (u * s) @ v.T, s.size
-
-
-def svt_with_rank(w, eta):
-    """Singular value thresholding, returning (matrix, retained_rank)."""
-    if eta < 0:
-        raise ValueError("eta must be nonnegative")
-    return _svt_compose(w, *_svt_factors(w, eta))
-
-
 # Rank-adaptive SVT (Halko, Martinsson & Tropp, arXiv:0909.4061, with the
 # rank predicted from the previous iterate as in IALM, arXiv:1009.5055).
 PARTIAL_MAX_FRACTION = 0.25   # sketch wider than this share of min(m, n): full SVD
@@ -149,8 +119,9 @@ PARTIAL_SKETCH_SEED = 0
 
 
 def _svt_partial_factors(w, eta, v_prev):
-    """Thresholded factors from a warm-started randomized range finder, or
-    None when the sketch cannot be trusted and the full SVD must decide.
+    """Thresholded factors (U_k, Sigma_k - eta, V_k) from a warm-started
+    randomized range finder, or None when the sketch cannot be trusted and
+    the full SVD must decide.
 
     The sketch has p = k + max(10, k // 2) columns for the previous rank k;
     its first k columns are the previous right singular vectors and the rest
@@ -178,26 +149,34 @@ def _svt_partial_factors(w, eta, v_prev):
         if k:
             u = q @ f.u[:, :k]
             if np.abs(y[:, :k] - u * f.sigma[:k]).max() <= PARTIAL_CERT_TOL * f.sigma[0]:
-                return u, f.sigma[:k] - eta, f.v[:, :k].copy()
+                return SkinnySvd(u, f.sigma[:k] - eta, f.v[:, :k].copy())
     return None
 
 
-def _svt_rank_adaptive(w, eta, v_prev):
-    """Singular value thresholding warm-started from the previous iterate's
-    right singular vectors *v_prev* (None on the first iterate).
+def svt_with_rank(w, eta, v_prev=None):
+    """Singular value thresholding U_k (Sigma_k - eta) V_k^T of *w*, over the
+    k singular values above eta. Returns (matrix, factors): factors is the
+    SkinnySvd (U_k, Sigma_k - eta, V_k) whose reconstruction is the matrix.
 
-    Returns (matrix, factors): factors is the SkinnySvd (U_k, Sigma_k - eta,
-    V_k) whose reconstruction is the matrix. Falls back to the full SVD, with
-    svt_with_rank's result bit for bit, when there is no rank guess, the
-    sketch would be too wide, every sketched value survives the threshold,
-    or the certificate is never met.
+    With the previous iterate's right singular vectors *v_prev* the factors
+    come from the certified partial SVD (_svt_partial_factors). Without
+    them, or when that sketch cannot be trusted (too wide, every sketched
+    value survives the threshold, or no certificate), they come from the
+    full SVD, which keeps only the k values above eta, so LAPACK's full U
+    and V^T are released before the matrix is allocated. Both share the
+    layout of U_k and V_k, and it must hold: the last bits of the product
+    depend on how V_k^T is laid out.
     """
+    if eta < 0:
+        raise ValueError("eta must be nonnegative")
     w = np.asarray(w, dtype=np.float64)
     factors = None if v_prev is None else _svt_partial_factors(w, eta, v_prev)
     if factors is None:
-        factors = _svt_factors(w, eta)
-    matrix, _ = _svt_compose(w, *factors)
-    return matrix, SkinnySvd(*factors)
+        f = svd(w, rank_tol=0.0, atol=eta)
+        factors = SkinnySvd(f.u, f.sigma - eta, f.v)
+    if factors.rank == 0:
+        return np.zeros_like(w), factors
+    return factors.reconstruct(), factors
 
 
 def svt(w, eta):

@@ -6,15 +6,18 @@ Alternates a soft-threshold update of S, a singular-value-threshold update
 of L, then the multiplier and penalty updates, until the relative Frobenius
 residual ||M - L - S||_F / ||M||_F drops below tol.
 
-By default every iteration takes a full SVD, as in the paper's reference
-solver. With rank_adaptive=True the SVT after the first iteration comes from
-a certified partial SVD sized by the previous iterate's rank (see solve_pcp).
+Each iteration makes one matcore.svt_with_rank call. By default it takes a
+full SVD, as in the paper's reference solver. With rank_adaptive=True it is
+given the previous SVT's V_k and tries a certified partial SVD sized by the
+previous iterate's rank first (see solve_pcp).
 
 The working set is L, S, the multiplier Y and one work buffer, each the
 size of M. S, Y and the work buffer are updated in place and W = M - S +
 Y/beta is formed in L's buffer. Each SVT adds LAPACK's U and V^T (2x M for
 a square M) while it runs, copies only their retained columns, and
-allocates the new L after they are freed. numpy's allocations peak at about
+allocates the new L after they are freed; the full-SVD path drops the
+retained U_k and V_k once it has read the rank, so they are not held into
+the next SVD. numpy's allocations peak at about
 6x M on top of M; LAPACK's own copy of W and its workspace, which numpy does
 not allocate, come on top of that.
 
@@ -34,7 +37,6 @@ import numpy as np
 from .matcore import (
     SkinnySvd,
     _soft_threshold_into,
-    _svt_rank_adaptive,
     as_dense,
     frobenius_norm,
     svt_with_rank,
@@ -49,18 +51,16 @@ class PcpDivergenceError(RuntimeError):
 class AdmConfig:
     """Hyperparameters for the ADM solvers.
 
-    lam=None picks 1/sqrt(max(m, n)); beta0=None picks 1.25 over a
-    power-iteration estimate of the spectral norm. beta_max=None picks
-    1e7 * beta0 in solve_pcp; the l1-regression solver instead caps each
-    column at beta0_j / tol, its own starting penalty over the stopping
-    tolerance, which is the same 1e7 * beta0_j at the default tol.
+    lam=None picks 1/sqrt(max(m, n)). The penalty is not a setting:
+    solve_pcp starts it at beta0 = 1.25 over a power-iteration estimate of
+    the spectral norm and caps it at 1e7 * beta0; the l1-regression solver
+    starts column j at beta0_j = 1 / ||x_j||_inf and caps it at
+    beta0_j / tol, which is the same 1e7 * beta0_j at the default tol.
     """
 
     lam: float | None = None
     tol: float = 1e-7
-    beta0: float | None = None
     rho: float = 1.5
-    beta_max: float | None = None
     max_iter: int = 1000
 
     def __post_init__(self):
@@ -68,9 +68,6 @@ class AdmConfig:
             raise ValueError("rho must be > 1")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
-        if self.beta0 is not None and self.beta_max is not None:
-            if self.beta0 >= self.beta_max:
-                raise ValueError("beta0 must be < beta_max")
 
 
 @dataclass(frozen=True)
@@ -132,15 +129,15 @@ def default_lambda(m_rows, m_cols):
     return 1.0 / math.sqrt(max(m_rows, m_cols))
 
 
-def spectral_norm_estimate(m, iters=25):
-    """Power-iteration estimate of the largest singular value.
+def spectral_norm_estimate(m):
+    """Power-iteration estimate of the largest singular value, from 25 steps.
 
     Deterministic: starts from the all-ones vector.
     """
     m = np.asarray(m, dtype=np.float64)
     v = np.ones(m.shape[1]) / math.sqrt(m.shape[1])
     sigma = 0.0
-    for _ in range(iters):
+    for _ in range(25):
         w = m @ v
         nw = np.linalg.norm(w)
         if nw == 0:
@@ -161,17 +158,18 @@ def solve_pcp(m, cfg=None, rank_adaptive=False, resume=None):
     thresholds a full SVD. It stays the default because it is the reference
     the l1-filter pipeline is measured against.
 
-    rank_adaptive=True replaces that SVD, from the second iteration on, by a
-    randomized range finder sized by the previous iterate's SVT rank k: a
-    sketch of k + max(10, k // 2) columns whose first k are the previous
-    right singular vectors (a warm start) and the rest a fixed-seed Gaussian
-    draw, so solves stay deterministic. A Rayleigh-Ritz step gives the
-    singular triplets above the threshold, which are accepted only when
-    max|W V_k - U_k Sigma_k| <= 1e-14 sigma_1 holds, after up to eight power
-    steps. The iteration falls back to the full SVD when there is no rank
-    guess (the first iteration, or rank 0), when the sketch would exceed a
-    quarter of min(m, n), when every sketched value survives the threshold,
-    or when the certificate is never met. The l1-filter pipeline solves its
+    rank_adaptive=True passes each SVT the previous one's right singular
+    vectors, so that from the second iteration on svt_with_rank replaces
+    the full SVD by a randomized range finder sized by the previous
+    iterate's SVT rank k: a sketch of k + max(10, k // 2) columns whose
+    first k are the previous right singular vectors (a warm start) and the
+    rest a fixed-seed Gaussian draw, so solves stay deterministic. A
+    Rayleigh-Ritz step gives the singular triplets above the threshold,
+    which are accepted only when max|W V_k - U_k Sigma_k| <= 1e-14 sigma_1
+    holds, after up to eight power steps. The SVT falls back to the full
+    SVD when there is no rank guess (the first iteration, or rank 0), when
+    the sketch would exceed a quarter of min(m, n), when every sketched
+    value survives the threshold, or when the certificate is never met. The l1-filter pipeline solves its
     seeds and its full-pcp-fallback this way, and its state then carries
     the last SVT's factors.
 
@@ -199,10 +197,8 @@ def solve_pcp(m, cfg=None, rank_adaptive=False, resume=None):
 
     if resume is None:
         lam = cfg.lam if cfg.lam is not None else default_lambda(*m.shape)
-        beta = cfg.beta0 if cfg.beta0 is not None else 1.25 / max(
-            spectral_norm_estimate(m), np.finfo(float).tiny
-        )
-        beta_max = cfg.beta_max if cfg.beta_max is not None else 1e7 * beta
+        beta = 1.25 / max(spectral_norm_estimate(m), np.finfo(float).tiny)
+        beta_max = 1e7 * beta
         l = np.zeros_like(m)
         s = np.zeros_like(m)
         y = np.zeros_like(m)
@@ -232,12 +228,10 @@ def solve_pcp(m, cfg=None, rank_adaptive=False, resume=None):
         # L = SVT(M - S + Y/beta, 1/beta), with W formed in l's buffer
         np.subtract(m, s, out=l)
         np.add(l, work, out=l)
-        if rank_adaptive:
-            v = None if factors is None else factors.v
-            l, factors = _svt_rank_adaptive(l, 1.0 / beta, v)
-            rank_l = factors.rank
-        else:
-            l, rank_l = svt_with_rank(l, 1.0 / beta)
+        l, factors = svt_with_rank(l, 1.0 / beta, None if factors is None else factors.v)
+        rank_l = factors.rank
+        if not rank_adaptive:
+            factors = None  # not held into the next SVD, nor returned
         # R = M - L - S, then beta * R, in work
         np.subtract(m, l, out=work)
         np.subtract(work, s, out=work)

@@ -120,6 +120,15 @@ def test_decompose_lambda_only_with_adm(tmp_path, capsys):
     assert stats["method"] == "adm"
 
 
+@pytest.mark.parametrize("method", ["adm", "l1filter"])
+@pytest.mark.parametrize("tol", ["0", "-1"])
+def test_decompose_nonpositive_tol_exit_3(tmp_path, capsys, method, tol):
+    m_path, _ = _synth_files(tmp_path, m=100)
+    capsys.readouterr()
+    assert main(["decompose", str(m_path), "--method", method, "--tol", tol]) == 3
+    assert capsys.readouterr().err == "error: tol must be positive\n"
+
+
 def test_decompose_unreadable_input_exit_1(tmp_path, capsys):
     missing = tmp_path / "nope.dmat"
     assert main(["decompose", str(missing)]) == 1

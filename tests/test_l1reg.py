@@ -22,11 +22,12 @@ def _orthonormal(rng, rows, cols):
     return q
 
 
-def _reference_solve_block(x, a, cfg):
+def _reference_solve_block(x, a, cfg, cap_ratio=None):
     """The kernel in its plain unscaled-multiplier form: Y is carried as is
     and every step builds fresh arrays. Same thresholds, penalty cap and
     compaction as the solver; its stagnation rule also counts iterations
-    below the penalty cap."""
+    below the penalty cap. cap_ratio sets the cap as a multiple of each
+    column's starting penalty instead of the solver's 1 / cfg.tol."""
     n_rows, n_cols = x.shape
     k = a.shape[1]
     col_scale = np.abs(x).max(axis=0)
@@ -38,14 +39,8 @@ def _reference_solve_block(x, a, cfg):
     failed = []
 
     active = np.flatnonzero(col_scale > 0.0)
-    if cfg.beta0 is not None:
-        beta = np.full(active.size, float(cfg.beta0))
-    else:
-        beta = 1.0 / col_scale[active]
-    if cfg.beta_max is not None:
-        beta_max = np.full_like(beta, float(cfg.beta_max))
-    else:
-        beta_max = np.maximum(beta * (1.0 / cfg.tol), beta)
+    beta = 1.0 / col_scale[active]
+    beta_max = np.maximum(beta * (1.0 / cfg.tol if cap_ratio is None else cap_ratio), beta)
 
     xa = x[:, active].copy()
     z = np.zeros((k, active.size))
@@ -187,18 +182,25 @@ def test_columnwise_matches_joint():
 def test_default_penalty_cap_unchanged_at_default_tol():
     # With unit column norms beta0_j = 1, and the default cap beta0_j / tol
     # must be exactly the 1e7 * beta0 cap used before it followed tol. The
-    # dense noise keeps every column iterating until its penalty nears the cap.
+    # dense noise keeps every column iterating until its penalty nears the
+    # cap, so a cap of half that moves Z and E by about 1e-8.
     rng = np.random.default_rng(9)
     a = _orthonormal(rng, 100, 4)
     x = a @ rng.standard_normal((4, 40))
     x.flat[rng.choice(x.size, 80, replace=False)] += rng.uniform(-20, 20, 80)
     x += 1e-5 * rng.standard_normal(x.shape)
     x /= np.abs(x).max(axis=0)
-    default = solve_l1reg(x, a, AdmConfig())
-    explicit = solve_l1reg(x, a, AdmConfig(beta_max=1e7))
-    np.testing.assert_array_equal(default.z, explicit.z)
-    np.testing.assert_array_equal(default.e, explicit.e)
-    assert default.iterations == explicit.iterations
+    z, e, iters, _, failed = _solve_block(x, a, AdmConfig())
+
+    def gap(cap_ratio):
+        z_ref, e_ref, iters_ref, failed_ref = _reference_solve_block(x, a, AdmConfig(),
+                                                                     cap_ratio)
+        np.testing.assert_array_equal(iters, iters_ref)
+        assert failed == failed_ref == []
+        return max(np.abs(z - z_ref).max(), np.abs(e - e_ref).max())
+
+    assert gap(1e7) <= 1e-12
+    assert gap(5e6) > 1e-9
 
 
 def test_non_orthonormal_dictionary_rejected():

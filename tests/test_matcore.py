@@ -181,11 +181,11 @@ def _seed_solve_svt_calls(monkeypatch):
     _, _, block = sample_submatrix(gt.m_obs, 320, 320, 1)
     calls = []
 
-    def record(w, eta, v_prev):
+    def record(w, eta, v_prev=None):
         calls.append((w, eta, v_prev))
-        return matcore._svt_rank_adaptive(w, eta, v_prev)
+        return svt_with_rank(w, eta, v_prev)
 
-    monkeypatch.setattr(pcp_adm, "_svt_rank_adaptive", record)
+    monkeypatch.setattr(pcp_adm, "svt_with_rank", record)
     recover_seed(block, pcp_adm.AdmConfig(tol=PIPELINE_TOL))
     return calls
 
@@ -193,15 +193,12 @@ def _seed_solve_svt_calls(monkeypatch):
 def test_partial_svt_matches_full_svt_on_seed_iterates(monkeypatch):
     partial = 0
     for w, eta, v_prev in _seed_solve_svt_calls(monkeypatch):
-        if v_prev is None:
-            continue
-        factors = matcore._svt_partial_factors(w, eta, v_prev)
-        if factors is None:
+        if v_prev is None or matcore._svt_partial_factors(w, eta, v_prev) is None:
             continue
         partial += 1
-        got, k = matcore._svt_compose(w, *factors)
-        want, k_full = svt_with_rank(w, eta)
-        assert k == k_full
+        got, f = svt_with_rank(w, eta, v_prev)
+        want, full = svt_with_rank(w, eta)
+        assert f.rank == full.rank
         sigma_1 = np.linalg.svd(w, compute_uv=False)[0]
         assert np.abs(got - want).max() <= 1e-12 * sigma_1
     assert partial >= 15
@@ -234,8 +231,8 @@ def test_partial_svt_fallbacks_return_full_svt(case):
     _, w, eta, v_prev = case
     if v_prev is not None:
         assert matcore._svt_partial_factors(w, eta, v_prev) is None
-    got, f = matcore._svt_rank_adaptive(w, eta, v_prev)
-    want, k_full = svt_with_rank(w, eta)
+    got, f = svt_with_rank(w, eta, v_prev)
+    want, full = svt_with_rank(w, eta)
     np.testing.assert_array_equal(got, want)
-    assert f.rank == k_full == f.v.shape[1]
+    assert f.rank == full.rank == f.v.shape[1]
     np.testing.assert_array_equal(f.reconstruct(), got)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from l1pcp import matcore, synth
+from l1pcp import matcore, pcp_adm, synth
 from l1pcp.l1filter import sample_submatrix
 from l1pcp.matcore import frobenius_norm, l1_norm, nuclear_norm
 from l1pcp.pcp_adm import AdmConfig, default_lambda, solve_pcp, spectral_norm_estimate
@@ -50,8 +50,6 @@ def test_config_validation():
         AdmConfig(rho=1.0)
     with pytest.raises(ValueError):
         AdmConfig(tol=0.0)
-    with pytest.raises(ValueError):
-        AdmConfig(beta0=1.0, beta_max=0.5)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -105,6 +103,22 @@ def test_default_solve_never_takes_partial_path(monkeypatch):
     assert solve_pcp(gt.m_obs).converged
     with pytest.raises(AssertionError):
         solve_pcp(gt.m_obs, rank_adaptive=True)
+
+
+@pytest.mark.parametrize("rank_adaptive", [False, True])
+def test_one_svt_call_per_iteration(monkeypatch, rank_adaptive):
+    calls = []
+
+    def count(w, eta, v_prev=None):
+        calls.append(v_prev is not None)
+        return matcore.svt_with_rank(w, eta, v_prev)
+
+    monkeypatch.setattr(pcp_adm, "svt_with_rank", count)
+    spec = synth.SynthSpec(m=100, n=100, rho_r=0.05, rho_s=0.05, rng_seed=0)
+    sol = solve_pcp(synth.generate(spec).m_obs, rank_adaptive=rank_adaptive)
+    assert sol.converged and len(calls) == sol.iterations
+    # only the rank-adaptive path hands each SVT the previous factors
+    assert any(calls) == rank_adaptive
 
 
 def test_rank_adaptive_matches_full_svd_solve():
