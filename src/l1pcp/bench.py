@@ -17,12 +17,16 @@ from .l1filter import FilterConfig, estimate_rank_and_solve
 from .matcore import l0_count, l1_norm
 from .pcp_adm import AdmConfig, solve_pcp
 
-CSV_SCHEMA_VERSION = 1
+CSV_SCHEMA_VERSION = 2
 CSV_HEADER = [
     "method", "m", "n", "r", "rho_s", "sigma_scale",
     "rel_err", "max_dif", "ave_dif",
     "rank_l", "l0_s", "l1_s", "iters", "seconds", "seed", "error",
+    "solution_method", "converged", "final_residual", "attempts",
 ]
+
+# a solve that claims converged=True with rel_err above this is wrong
+CONVERGED_WRONG_REL_ERR = 1e-5
 
 
 def environment_info():
@@ -50,6 +54,8 @@ def run_instance(method, gt, r, rho_s, sigma_scale, seed, rank_hint=None):
         "rel_err": None, "max_dif": None, "ave_dif": None,
         "rank_l": None, "l0_s": None, "l1_s": None,
         "iters": None, "seconds": None, "seed": seed, "error": "",
+        "solution_method": None, "converged": None, "final_residual": None,
+        "attempts": None,
     }
     try:
         if method in FULL_ADM_METHODS:
@@ -72,6 +78,10 @@ def run_instance(method, gt, r, rho_s, sigma_scale, seed, rank_hint=None):
         "l1_s": l1_norm(sol.s),
         "iters": sol.iterations,
         "seconds": sol.elapsed,
+        "solution_method": sol.method,
+        "converged": sol.converged,
+        "final_residual": sol.final_residual,
+        "attempts": sol.stats.get("attempts"),
     })
     return record, sol
 
@@ -108,7 +118,8 @@ def suite_grid(name, scale=None, seeds=(0,), methods=None):
         for seed in seeds:
             gt, r = _synth_gt(m, rho_r, rho_s, sigma, seed)
             for method in methods or default_methods:
-                rec, _ = run_instance(method, gt, r, rho_s, sigma, seed, rank_hint=r)
+                # a scaled-down point can round to rank 0, which hints nothing
+                rec, _ = run_instance(method, gt, r, rho_s, sigma, seed, rank_hint=r or None)
                 records.append(rec)
     return records, {}
 
@@ -185,6 +196,8 @@ def run_suite(name, scale=None, seeds=(0,), methods=None, **kwargs):
     if methods is not None:
         kwargs["methods"] = tuple(methods)
     records, summary = fn(seeds=tuple(seeds), **kwargs)
+    summary["converged_wrong"] = sum(
+        bool(r["converged"]) and r["rel_err"] > CONVERGED_WRONG_REL_ERR for r in records)
     return {"environment": environment_info(), "suite": name,
             "records": records, "summary": summary}
 

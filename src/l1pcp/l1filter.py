@@ -30,12 +30,15 @@ into the caller's buffer, so one buffer serves every block.
 estimate_rank_and_solve follows it with assemble, one A B^T and one
 subtraction, and returns dense L and S. The full-pcp-fallback and
 degenerate-zero-seed paths return dense arrays from either function;
-ndarrays slice into rows the same way. When no target rank is known, the
-seed starts at rank r = 1 and is resampled until its recovered rank r' is
-consistent with the oversampling rates: a seed that recovers too high a
-rank sets r <- max(r', r + 1), and the next seed is s_r r x s_c r. Once
-the seed would exceed MAX_SEED_FRACTION of either side, the pipeline falls
-back to a full PCP solve.
+ndarrays slice into rows the same way.
+
+estimate_rank_and_factor is one seed-attempt loop. From r = rank_hint or
+1, each pass proposes an s_r r x s_c r seed, leaves with none once that
+exceeds MAX_SEED_FRACTION of either side, samples and recovers the seed,
+and accepts it when its recovered rank r' fits the oversampling, or else
+grows r <- max(r', r + 1). One branch then builds the solution: no seed
+solves all of M by PCP (full-pcp-fallback), r' = 0 returns L = 0
+(degenerate-zero-seed), and any other seed is filtered (l1-filter).
 
 Only the seed that passes the oversampling check is polished: its PCP is
 resumed from the same iterate until it reaches SEED_TOL_RATIO times the
@@ -98,10 +101,6 @@ SEED_TOL_RATIO = 1e-2
 ZERO_SEED_CERT_MAX = 0.9
 
 
-class SeedRankZeroError(RuntimeError):
-    """The recovered seed matrix is (numerically) zero."""
-
-
 @dataclass(frozen=True)
 class SeedRecovery:
     row_idx: np.ndarray
@@ -126,6 +125,8 @@ class FilterConfig:
     parallelism: int = 1
 
     def __post_init__(self):
+        if self.rank_hint is not None and self.rank_hint < 1:
+            raise ValueError("rank_hint must be >= 1")
         if self.adm.lam is not None:
             raise ValueError("--lambda applies only to --method adm: the l1filter seed "
                              "PCP uses the seed block's own default lambda, so "
@@ -161,18 +162,19 @@ def _complement(idx, size):
 
 def _seed_factors(sol):
     """The seed PCP's last SVT factors without the singular values at or
-    below SEED_RANK_TOL * sigma_1, or None when none is left (or the block was
-    zero, which takes no SVT)."""
+    below SEED_RANK_TOL * sigma_1; rank 0 when none is left or the block was
+    zero, which takes no SVT."""
     f = sol.state.svt if sol.state is not None else None
-    if f is None or f.rank == 0:
-        return None
-    k = int((f.sigma > SEED_RANK_TOL * f.sigma[0]).sum())
+    if f is None:
+        f = SkinnySvd(u=np.zeros((sol.l.shape[0], 0)), sigma=np.zeros(0),
+                      v=np.zeros((sol.l.shape[1], 0)))
+    k = int((f.sigma > SEED_RANK_TOL * f.sigma.max(initial=0.0)).sum())
     return SkinnySvd(u=f.u[:, :k].copy(), sigma=f.sigma[:k].copy(), v=f.v[:, :k].copy())
 
 
 def recover_seed(seed_block, adm=None, row_idx=None, col_idx=None, max_rank=0):
     """Recover the low-rank part of a sampled block by small-scale PCP and
-    factor it. Raises SeedRankZeroError when the block carries no signal.
+    factor it. A block with no signal gives r' = 0 and an empty seed_svd.
 
     The PCP runs rank-adaptive (see solve_pcp): the seed's SVT rank is small
     next to the block, so a certified partial SVD replaces most full SVDs.
@@ -180,26 +182,24 @@ def recover_seed(seed_block, adm=None, row_idx=None, col_idx=None, max_rank=0):
     recovered L, less the singular values at or below SEED_RANK_TOL * sigma_1.
     adm.lam=None picks the seed block's own default_lambda.
 
-    A converged PCP whose rank r' is at most max_rank (the largest rank the
-    seed's oversampling accepts; the default 0 never polishes) is resumed to
-    adm.tol * SEED_TOL_RATIO within the same max_iter budget. The polished
-    iterate is kept when its residual is at most adm.tol, the unpolished one
-    otherwise. pcp_converged says whether adm.tol was reached, pcp_residual
-    belongs to the iterate kept, polish_iterations counts the resumed steps
-    and pcp_iterations all steps.
+    A converged PCP whose rank r' is at least 1 and at most max_rank (the
+    largest rank the seed's oversampling accepts; the default 0 never
+    polishes) is resumed to adm.tol * SEED_TOL_RATIO within the same
+    max_iter budget. The polished iterate is kept when its residual is at
+    most adm.tol, the unpolished one otherwise. pcp_converged says whether
+    adm.tol was reached, pcp_residual belongs to the iterate kept,
+    polish_iterations counts the resumed steps and pcp_iterations all steps.
     """
     adm = adm or AdmConfig()
     sol = solve_pcp(seed_block, adm, rank_adaptive=True)
     f = _seed_factors(sol)
     residual, polish = sol.final_residual, 0
-    if f is not None and sol.converged and f.rank <= max_rank:
+    if sol.converged and 0 < f.rank <= max_rank:
         polished = solve_pcp(seed_block, replace(adm, tol=adm.tol * SEED_TOL_RATIO),
                              rank_adaptive=True, resume=sol)
         polish = polished.iterations
         if polished.final_residual <= adm.tol:
             f, residual = _seed_factors(polished), polished.final_residual
-    if f is None:
-        raise SeedRankZeroError("seed recovery produced a zero low-rank part")
     if row_idx is None:
         row_idx = np.arange(seed_block.shape[0])
     if col_idx is None:
@@ -369,35 +369,23 @@ def _filter_stage(m, seed, adm):
                                          _relative_residual(fits_r))
 
 
-# the stats of the paths that filter no column and polish no seed
-_NO_FILTER_STATS = {"filter_failed_columns": 0, "seed_polish_iterations": 0,
-                    "seed_residual": 0.0}
-
-
-def _proposed_seed_shape(r, cfg):
-    return int(round(cfg.s_r * r)), int(round(cfg.s_c * r))
-
-
 def estimate_rank_and_factor(m, cfg=None):
     """The l1-filtering solve with target-rank estimation, up to the factors
-    of L.
-
-    Grows the seed until its recovered rank is consistent with the
-    oversampling rates; when the required seed would exceed
-    MAX_SEED_FRACTION of either dimension, solves the whole matrix by
-    reference ADM instead (method="full-pcp-fallback"). Seed and fallback
+    of L: the seed-attempt loop of the module docstring. Seed and fallback
     PCPs run with rank_adaptive=True (see solve_pcp), and only the accepted
     seed is polished (see recover_seed).
 
     On the l1-filter path, converged is True only when the seed PCP
     converged and no filtered column or row stopped short of its tolerance.
-    A seed whose recovered low-rank part is zero returns L = 0
-    (method="degenerate-zero-seed") with final_residual lam * ||sign(M)||_2,
+    The degenerate-zero-seed path reports final_residual lam * ||sign(M)||_2,
     converged only when that is at most ZERO_SEED_CERT_MAX.
 
+    On every path stats["t1"] times the seed attempts and stats["attempts"]
+    counts them, the fallback's oversized proposal included.
     stats["seed_polish_iterations"] counts the accepted seed's resumed PCP
     steps and stats["seed_residual"] is the PCP residual of the seed iterate
-    kept; both are 0 on the full-pcp-fallback and degenerate-zero-seed paths.
+    kept; both, and stats["filter_failed_columns"], are 0 off the l1-filter
+    path.
 
     The l1-filter path returns l=LowRank(A, B) and s=Remainder(M, l), which
     form their row blocks on demand, and stats["t_assemble"] times forming A
@@ -411,71 +399,61 @@ def estimate_rank_and_factor(m, cfg=None):
     m_rows, m_cols = m.shape
 
     ss = np.random.SeedSequence(cfg.rng_seed)
-    r = max(1, cfg.rank_hint or 1)
-    seed = None
-    attempts = 0
-    t1 = 0.0
+    r = cfg.rank_hint or 1
+    stats = {"t1": 0.0, "attempts": 0, "filter_failed_columns": 0,
+             "seed_polish_iterations": 0, "seed_residual": 0.0}
     while True:
-        attempts += 1
-        n_rows, n_cols = _proposed_seed_shape(r, cfg)
+        stats["attempts"] += 1
+        n_rows, n_cols = int(round(cfg.s_r * r)), int(round(cfg.s_c * r))
         if max(n_rows / m_rows, n_cols / m_cols) > MAX_SEED_FRACTION:
-            sol = solve_pcp(m, cfg.adm, rank_adaptive=True)
-            sol.method = "full-pcp-fallback"
-            sol.stats.update({"attempts": attempts, "proposed_seed": (n_rows, n_cols),
-                              **_NO_FILTER_STATS})
-            sol.elapsed = time.perf_counter() - t_start
-            return sol
+            seed = None
+            break
         max_rank = int(min(n_rows / cfg.s_r, n_cols / cfg.s_c))
-
         t0 = time.perf_counter()
         row_idx, col_idx, block = sample_submatrix(m, n_rows, n_cols, ss.spawn(1)[0])
-        try:
-            seed = recover_seed(block, cfg.adm, row_idx, col_idx, max_rank)
-        except SeedRankZeroError:
-            t1 += time.perf_counter() - t0
-            # (0, M) solves PCP when Y = lam * sign(M) has ||Y||_2 <= 1 (the
-            # KKT conditions of Candes, Li, Ma & Wright); above 1, L = 0 is wrong
-            certificate = default_lambda(m_rows, m_cols) * spectral_norm_estimate(np.sign(m))
-            return PcpSolution(
-                l=np.zeros_like(m), s=m.copy(), iterations=attempts,
-                final_residual=certificate, rank_of_l=0,
-                elapsed=time.perf_counter() - t_start,
-                converged=certificate <= ZERO_SEED_CERT_MAX,
-                method="degenerate-zero-seed",
-                stats={"t1": t1, "attempts": attempts, **_NO_FILTER_STATS},
-            )
-        t1 += time.perf_counter() - t0
-
+        seed = recover_seed(block, cfg.adm, row_idx, col_idx, max_rank)
+        stats["t1"] += time.perf_counter() - t0
         if seed.r_prime <= max_rank:
             break
         # undersized seed: grow to the oversampled size for the observed rank
         r = max(seed.r_prime, r + 1)
 
-    t0 = time.perf_counter()
-    q, p, filter_iterations, failed, filter_residual = _filter_stage(m, seed, cfg.adm)
-    # certificates: the seed PCP residual and each filter's constraint residual
-    residual = max(seed.pcp_residual, filter_residual)
-    t2 = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    l = LowRank(*nystrom_complete(seed, q, p))
-    t_assemble = time.perf_counter() - t0
-
-    return PcpSolution(
-        l=l, s=Remainder(m, l), iterations=seed.pcp_iterations + filter_iterations,
-        final_residual=residual, rank_of_l=seed.r_prime,
-        elapsed=time.perf_counter() - t_start,
-        converged=seed.pcp_converged and failed == 0, method="l1-filter",
-        stats={
-            "t1": t1, "t2": t2, "t_assemble": t_assemble,
-            "seed_rows": int(seed.row_idx.size), "seed_cols": int(seed.col_idx.size),
-            "r_prime": seed.r_prime, "attempts": attempts,
-            "seed_iterations": seed.pcp_iterations, "filter_iterations": filter_iterations,
-            "filter_failed_columns": failed,
-            "seed_polish_iterations": seed.polish_iterations,
-            "seed_residual": seed.pcp_residual,
-        },
-    )
+    if seed is None:
+        sol = solve_pcp(m, cfg.adm, rank_adaptive=True)
+        sol.method = "full-pcp-fallback"
+        sol.stats.update(stats, proposed_seed=(n_rows, n_cols))
+    elif seed.r_prime == 0:
+        # (0, M) solves PCP when Y = lam * sign(M) has ||Y||_2 <= 1 (the
+        # KKT conditions of Candes, Li, Ma & Wright); above 1, L = 0 is wrong
+        certificate = default_lambda(m_rows, m_cols) * spectral_norm_estimate(np.sign(m))
+        sol = PcpSolution(
+            l=np.zeros_like(m), s=m.copy(), iterations=stats["attempts"],
+            final_residual=certificate, rank_of_l=0, elapsed=0.0,
+            converged=certificate <= ZERO_SEED_CERT_MAX,
+            method="degenerate-zero-seed", stats=stats,
+        )
+    else:
+        t0 = time.perf_counter()
+        q, p, filter_iterations, failed, filter_residual = _filter_stage(m, seed, cfg.adm)
+        stats["t2"] = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        l = LowRank(*nystrom_complete(seed, q, p))
+        stats["t_assemble"] = time.perf_counter() - t0
+        stats.update(
+            seed_rows=int(seed.row_idx.size), seed_cols=int(seed.col_idx.size),
+            r_prime=seed.r_prime, seed_iterations=seed.pcp_iterations,
+            filter_iterations=filter_iterations, filter_failed_columns=failed,
+            seed_polish_iterations=seed.polish_iterations, seed_residual=seed.pcp_residual,
+        )
+        sol = PcpSolution(
+            l=l, s=Remainder(m, l), iterations=seed.pcp_iterations + filter_iterations,
+            # certificates: the seed PCP residual and each filter's constraint residual
+            final_residual=max(seed.pcp_residual, filter_residual),
+            rank_of_l=seed.r_prime, elapsed=0.0,
+            converged=seed.pcp_converged and failed == 0, method="l1-filter", stats=stats,
+        )
+    sol.elapsed = time.perf_counter() - t_start
+    return sol
 
 
 def estimate_rank_and_solve(m, cfg=None):

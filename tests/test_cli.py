@@ -129,6 +129,26 @@ def test_decompose_nonpositive_tol_exit_3(tmp_path, capsys, method, tol):
     assert capsys.readouterr().err == "error: tol must be positive\n"
 
 
+@pytest.mark.parametrize("rank_hint", ["0", "-3"])
+def test_decompose_rank_hint_below_one_exit_3(tmp_path, capsys, rank_hint):
+    m_path, _ = _synth_files(tmp_path, m=100)
+    capsys.readouterr()
+    assert main(["decompose", str(m_path), "--rank-hint", rank_hint]) == 3
+    assert capsys.readouterr().err == "error: rank_hint must be >= 1\n"
+
+
+def test_decompose_fallback_reports_its_seed_attempts(tmp_path, capsys):
+    # rank 40 at m=100: two grown seeds, then a full PCP solve
+    m_path = tmp_path / "m.dmat"
+    assert main(["synth", "--m", "100", "--rho-r", "0.4", "--rho-s", "0.01",
+                 "--out-m", str(m_path)]) == 0
+    assert main(["decompose", str(m_path)]) == 0
+    stats = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert stats["method"] == "full-pcp-fallback" and stats["converged"] is True
+    assert isinstance(stats["t1"], float) and stats["t1"] > 0
+    assert stats["t2"] is None and stats["t_assemble"] is None
+
+
 def test_decompose_unreadable_input_exit_1(tmp_path, capsys):
     missing = tmp_path / "nope.dmat"
     assert main(["decompose", str(missing)]) == 1

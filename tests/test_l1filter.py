@@ -12,9 +12,9 @@ from l1pcp.l1filter import (
     SEED_RANK_TOL,
     SEED_TOL_RATIO,
     FilterConfig,
-    SeedRankZeroError,
     SeedRecovery,
     assemble,
+    estimate_rank_and_factor,
     estimate_rank_and_solve,
     filter_columns,
     filter_rows,
@@ -67,9 +67,11 @@ def test_recover_seed_uncorrupted_rank_two():
     assert frobenius_norm(seed_s) / frobenius_norm(block) <= 1e-6
 
 
-def test_recover_seed_zero_block_raises():
-    with pytest.raises(SeedRankZeroError):
-        recover_seed(np.zeros((20, 20)))
+def test_recover_seed_zero_block_is_rank_zero():
+    seed = recover_seed(np.zeros((20, 15)), max_rank=2)
+    assert seed.r_prime == seed.seed_svd.rank == 0
+    assert seed.seed_svd.u.shape == (20, 0) and seed.seed_svd.v.shape == (15, 0)
+    assert seed.polish_iterations == 0  # a zero seed is never polished
 
 
 def _seed_block():
@@ -286,6 +288,10 @@ def test_assemble_rejects_mismatched_factors():
 def test_config_validation():
     with pytest.raises(ValueError):
         FilterConfig(s_r=1.0)
+    for rank_hint in (0, -3):
+        with pytest.raises(ValueError, match="rank_hint must be >= 1"):
+            FilterConfig(rank_hint=rank_hint)
+    assert FilterConfig(rank_hint=1).rank_hint == 1
 
 
 def test_lambda_is_rejected():
@@ -528,6 +534,29 @@ def test_fallback_matches_full_svd_adm(monkeypatch):
     assert sum(f is not None for f in partial) >= ref.iterations // 2
     assert sol.converged and sol.iterations == ref.iterations
     assert frobenius_norm(sol.l - ref.l) <= 1e-12 * frobenius_norm(ref.l)
+
+
+# the stats keys every exit of the seed-attempt loop reports
+_LOOP_STATS = {"t1", "attempts", "filter_failed_columns", "seed_polish_iterations",
+               "seed_residual"}
+
+
+@pytest.mark.parametrize("method, spec, attempts, keys", [
+    # rank 3 at m=300: the rank-1 seed recovers 3 and grows once
+    ("l1-filter", synth.SynthSpec(m=300, n=300, rho_r=0.01, rho_s=0.01, rng_seed=0), 2,
+     {"t2", "t_assemble", "seed_rows", "seed_cols", "r_prime", "seed_iterations",
+      "filter_iterations"}),
+    # rank 40 at m=100: the seed grows twice, then would pass MAX_SEED_FRACTION
+    ("full-pcp-fallback", synth.SynthSpec(m=100, n=100, rho_r=0.4, rho_s=0.01, rng_seed=0), 3,
+     {"beta_final", "lambda", "proposed_seed"}),
+    ("degenerate-zero-seed", None, 1, set()),
+], ids=["l1-filter", "full-pcp-fallback", "degenerate-zero-seed"])
+def test_each_loop_exit_reports_its_method_and_stats(method, spec, attempts, keys):
+    m = np.zeros((50, 50)) if spec is None else synth.generate(spec).m_obs
+    sol = estimate_rank_and_factor(m, FilterConfig(rng_seed=0))
+    assert sol.method == method
+    assert set(sol.stats) == _LOOP_STATS | keys
+    assert sol.stats["attempts"] == attempts and sol.stats["t1"] > 0
 
 
 def test_rank_growing_solve_is_deterministic():

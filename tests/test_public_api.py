@@ -22,8 +22,7 @@ ROOT_API = {
 # pipeline stages, the l1-regression chunk kernel, the input check and the
 # test oracles: internal, or moved into the tests
 NOT_AT_ROOT = {
-    "sample_submatrix", "recover_seed", "SeedRecovery", "SeedRankZeroError",
-    "filter_columns", "filter_rows", "nystrom_complete", "assemble",
+    "sample_submatrix", "recover_seed", "SeedRecovery", "filter_columns", "filter_rows", "nystrom_complete", "assemble",
     "solve_l1reg", "as_dense", "nystrom_complete_via_pinv", "pseudo_inverse_apply",
 }
 
