@@ -5,15 +5,14 @@ reference ADM solver, and express the aligned column and row blocks in the
 seed's column/row subspaces via l1 regression. The filters take those
 blocks one CHUNK_COLS-wide chunk at a time, gathered straight from M, so
 they hold O(s CHUNK_COLS) of block data for an s-row seed besides their
-r' x n coefficients, whatever the size of M. Each chunk goes to the
-certified exact-fit presolve of l1reg first: a column is solved by a
-least-squares fit on the rows off its detected support S when |S| <= r'
-with at least 2 r' rows left, the fit meets the ADM's stopping rule on
-those rows, and a least-squares dual certificate proves it an l1
-minimizer. The columns it leaves, possibly none, go to the ADM
-(solve_l1reg_columnwise) unchanged. With the seed's SVD U Sigma V^T, the
-column coefficients Q and the row coefficients P, the generalized Nystrom
-formula gives all of L as one outer product
+r' x n coefficients, whatever the size of M. Each chunk is one
+solve_l1reg_columnwise call: l1reg's certified exact-fit presolve solves a
+column by a least-squares fit on the rows off its detected support S when
+|S| <= r' with at least 2 r' rows left, the fit meets the ADM's stopping
+rule on those rows, and a least-squares dual certificate proves it an l1
+minimizer; the ADM solves the columns it leaves, possibly none. With the
+seed's SVD U Sigma V^T, the column coefficients Q and the row coefficients
+P, the generalized Nystrom formula gives all of L as one outer product
 
     L = A B^T,   A = [U Sigma; P^T],   B = [V; (Sigma^{-1} Q)^T],
 
@@ -47,14 +46,16 @@ threshold at which each filtered column stops. Seeds rejected for an
 undersized rank are never polished, since a tight solve of a rank-deficient
 block can take many times the steps of the accepted one.
 
-Input is checked once, at the public boundary: estimate_rank_and_factor
-(and through it estimate_rank_and_solve) rejects a matrix that is not 2-D,
-is empty or holds NaN or Inf, and solve_pcp and solve_l1reg_columnwise check
-what they are given. The stages in between (sample_submatrix, recover_seed,
-filter_columns, filter_rows, nystrom_complete, assemble) take trusted
-float64 arrays cut from that checked matrix and check nothing again.
+Input is checked at the public boundary: estimate_rank_and_factor (and
+through it estimate_rank_and_solve) rejects a matrix that is not 2-D, is
+empty or holds NaN or Inf, and solve_pcp and solve_l1reg_columnwise check
+what they are given. sample_submatrix, recover_seed, nystrom_complete and
+assemble take trusted float64 arrays cut from that checked matrix and check
+nothing again; filter_columns and filter_rows hand each chunk to
+solve_l1reg_columnwise, which checks it and its basis once more.
 """
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -62,7 +63,7 @@ import numpy as np
 
 # svd is unused here, but perfbench's self-test reads the l1filter.svd binding
 from .matcore import SkinnySvd, as_dense, linf_norm, svd  # noqa: F401
-from .l1reg import CHUNK_COLS, _exact_fit_presolve, solve_l1reg_columnwise
+from .l1reg import CHUNK_COLS, solve_l1reg_columnwise
 from .pcp_adm import (
     AdmConfig,
     PcpSolution,
@@ -133,8 +134,8 @@ class FilterConfig:
                              "FilterConfig.adm.lam must be None")
         if self.parallelism != 1:
             raise ValueError("parallelism must be 1: the filters run sequentially")
-        if self.s_r <= 1 or self.s_c <= 1:
-            raise ValueError("oversampling rates must be > 1")
+        if not (1 < self.s_r < math.inf and 1 < self.s_c < math.inf):
+            raise ValueError("oversampling rates must be finite and > 1")
 
 
 def sample_submatrix(m, n_rows, n_cols, rng_seed):
@@ -212,39 +213,26 @@ def recover_seed(seed_block, adm=None, row_idx=None, col_idx=None, max_rank=0):
     )
 
 
-def _filter_block(x, basis, cfg):
-    """min ||E||_l1 s.t. X = basis Z + E, column by column: the certified
-    presolve solves the columns it can, and the ADM the rest (possibly none).
-    Returns (Z, E, iterations, failed_columns), the last two the ADM's."""
-    if x.shape[1] == 0:
-        return np.zeros((basis.shape[1], 0)), np.zeros_like(x), 0, []
-    cfg = cfg or AdmConfig()
-    z, e, rest = _exact_fit_presolve(x, basis, cfg.tol)
-    sol = solve_l1reg_columnwise(x[:, rest], basis, cfg)
-    z[:, rest] = sol.z
-    e[:, rest] = sol.e
-    return z, e, sol.iterations, rest[sol.failed_columns].tolist()
-
-
 def filter_columns(m_c, u_s, cfg=None):
     """Express the aligned column block as U^s Q + sparse residual.
 
-    Returns (Q, residual, iterations, failed_columns): the columns the
-    certified presolve leaves go to the ADM, iterations counts its steps (0
-    when it had no column to solve), and failed_columns lists the columns
-    whose ADM stopped short of its tolerance.
+    Returns (Q, residual, iterations, failed_columns) of
+    solve_l1reg_columnwise: iterations counts the ADM's steps on the columns
+    the certified presolve leaves (0 when it left none), and failed_columns
+    lists the columns whose ADM stopped short of its tolerance.
     """
-    return _filter_block(m_c, u_s, cfg)
+    sol = solve_l1reg_columnwise(m_c, u_s, cfg)
+    return sol.z, sol.e, sol.iterations, sol.failed_columns
 
 
 def filter_rows(m_r, v_s, cfg=None):
     """Express the aligned row block as P^T (V^s)^T + sparse residual.
 
-    Solved by transposing into column form over the same kernel; returns
+    Solved by transposing into column form over the same solver; returns
     (P, residual, iterations, failed_rows) like filter_columns.
     """
-    p, e, iterations, failed = _filter_block(m_r.T, v_s, cfg)
-    return p, e.T, iterations, failed
+    sol = solve_l1reg_columnwise(m_r.T, v_s, cfg)
+    return sol.z, sol.e.T, sol.iterations, sol.failed_columns
 
 
 def _stack(idx, on_seed, off_seed):
@@ -324,14 +312,6 @@ def _chunks(size):
     return [slice(lo, min(lo + CHUNK_COLS, size)) for lo in range(0, size, CHUNK_COLS)]
 
 
-def _relative_residual(fits):
-    """max ||X - basis coef - E||_inf / max ||X||_inf over the (misfit,
-    scale) pairs of one filter's chunks, or 0 when X is zero."""
-    misfit = max((f for f, _ in fits), default=0.0)
-    scale = max((s for _, s in fits), default=0.0)
-    return misfit / scale if scale else 0.0
-
-
 def _filter_stage(m, seed, adm):
     """Filter M's column and row blocks beside the seed, one chunk at a time.
     Returns (Q, P, iterations, failed, residual): the slowest chunk's
@@ -341,32 +321,38 @@ def _filter_stage(m, seed, adm):
     Each filter runs over CHUNK_COLS-wide chunks of its block, gathered
     straight from M; a chunk and its sparse part are dropped before the next
     is gathered, so the stage holds O(s CHUNK_COLS) of block data besides Q
-    and P, whatever the size of M. The chunks are the presolve's own slices,
-    so a column it certifies gets the same Z as from the whole block; the
-    columns it declines reach the ADM chunk by chunk, which moves them at
-    rounding level (see l1reg)."""
+    and P, whatever the size of M. The chunks are solve_l1reg_columnwise's
+    own, so every column gets the same Z and E as from the whole block.
+    residual is each filter's largest ||X - basis coef - E||_inf over its
+    largest ||X||_inf (0 for a zero block), the larger of the two."""
     f = seed.seed_svd
     comp_c = _complement(seed.col_idx, m.shape[1])
     comp_r = _complement(seed.row_idx, m.shape[0])
     q = np.empty((seed.r_prime, comp_c.size))
     p = np.empty((seed.r_prime, comp_r.size))
-    iterations, failed, fits_c, fits_r = 0, 0, [], []
+    iterations, failed = 0, 0
+    misfit_c = scale_c = misfit_r = scale_r = 0.0
     for cols in _chunks(comp_c.size):
         x = m[np.ix_(seed.row_idx, comp_c[cols])]
         z, e, it, bad = filter_columns(x, f.u, adm)
         q[:, cols] = z
-        fits_c.append((linf_norm(x - f.u @ z - e), linf_norm(x)))
+        misfit_c = max(misfit_c, linf_norm(x - f.u @ z - e))
+        scale_c = max(scale_c, linf_norm(x))
         iterations, failed = max(iterations, it), failed + len(bad)
         del x, z, e
     for rows in _chunks(comp_r.size):
-        x = m[np.ix_(comp_r[rows], seed.col_idx)]
+        # gathered as its transpose, so that the column form filter_rows
+        # hands to solve_l1reg_columnwise is contiguous and not copied
+        x = m.T[np.ix_(seed.col_idx, comp_r[rows])].T
         z, e, it, bad = filter_rows(x, f.v, adm)
         p[:, rows] = z
-        fits_r.append((linf_norm(x.T - f.v @ z - e.T), linf_norm(x)))
+        misfit_r = max(misfit_r, linf_norm(x.T - f.v @ z - e.T))
+        scale_r = max(scale_r, linf_norm(x))
         iterations, failed = max(iterations, it), failed + len(bad)
         del x, z, e
-    return q, p, iterations, failed, max(_relative_residual(fits_c),
-                                         _relative_residual(fits_r))
+    residual = max(misfit_c / scale_c if scale_c else 0.0,
+                   misfit_r / scale_r if scale_r else 0.0)
+    return q, p, iterations, failed, residual
 
 
 def estimate_rank_and_factor(m, cfg=None):

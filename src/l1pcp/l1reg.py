@@ -60,30 +60,34 @@ feasible non-optimal point once the penalty saturates. rho close to 1
 (e.g. 1.05 with a raised max_iter) tracks the optimum to within grid-oracle
 resolution.
 
-The l1 filters call a certified exact-fit presolve, _exact_fit_presolve,
-before the ADM. With an exact subspace and sparse corruption, each column's
-problem has a unique sparse solution (Candes & Tao, "Decoding by linear
-programming", IEEE TIT 2005), which the ADM approaches over 10-30 steps
-although its support shows after one or two. The presolve reads the
-support S off the residual of the projection X - A A^T X, fits Z by least
-squares on the other rows C (Woodbury on the orthonormal A: one |S| x |S|
-solve per column), and grows S from the fit's residual for at most
-PRESOLVE_ROUNDS fits; a fit that certifies no column of a CHUNK_COLS-wide
-slice ends that slice. It keeps a column's fit only when all three
-certificates hold:
+solve_l1reg_columnwise is the one l1 solve, the one the l1 filters call.
+It checks X once (2-D, finite, as many rows as A) and A once (orthonormal
+columns), then takes X one CHUNK_COLS-wide chunk after another: the
+certified exact-fit presolve, _exact_fit_presolve, solves the chunk's
+columns it can, and solve_l1reg runs the ADM above on the rest, possibly
+none, so it is called once per chunk. Both take the trusted arrays and
+check nothing again. The solution's iterations and failed_columns are the
+ADM's, mapped to X's columns, and final_residual is
+||X - A Z - E||_inf / ||X||_inf over every column.
+
+With an exact subspace and sparse corruption, each column's problem has a
+unique sparse solution (Candes & Tao, "Decoding by linear programming",
+IEEE TIT 2005), which the ADM approaches over 10-30 steps although its
+support shows after one or two. The presolve reads the support S off the
+residual of the projection X - A A^T X, fits Z by least squares on the
+other rows C (Woodbury on the orthonormal A: one |S| x |S| solve per
+column), and grows S from the fit's residual for at most PRESOLVE_ROUNDS
+fits; a fit that certifies no column of the chunk ends the chunk's
+presolve. It keeps a column's fit only when all three certificates hold:
   1. |S| <= k and |C| >= CLEAN_ROWS_PER_COEF * k;
   2. max_C |x - A z| <= tol * ||x||_inf, the ADM's stopping rule, with
      e = x - A z on S and 0 on C;
   3. the least-squares dual y_S = sign(e_S),
      y_C = -A_C (A_C^T A_C)^{-1} A_S^T sign(e_S) has max |y_C| < 1 (and
      A^T y = 0 to DUAL_FEAS_TOL), so that (z, e) is an l1 minimizer.
-Every other column is left to the ADM, so the filters solve the same l1
-problems as before, and the kernel above is untouched by the presolve.
-
-solve_l1reg_columnwise is the one public entry point, and the only place
-where input is checked: X once (2-D, finite, as many rows as A) and A once
-(orthonormal columns). solve_l1reg, its chunk kernel, and the presolve take
-those trusted arrays and check nothing again.
+Every other column is left to the ADM, and the kernel above is untouched
+by the presolve. A certified column gets the exact minimizer, where the
+ADM would stop within its tolerance of it.
 """
 
 from dataclasses import dataclass, field
@@ -117,7 +121,7 @@ SUPPORT_SHARE = 0.25
 # Least-squares fits per column before it is left to the ADM. On the same
 # blocks the projection alone certifies 36.4% (1%) and 0.0% (10%), and one
 # to four fits 92.2/99.8/100.0/100.0% and 6.1/34.1/47.8/49.9%. A fit that
-# certifies no column of a slice ends the slice: with the basis rotated by
+# certifies no column of a chunk ends its presolve: with the basis rotated by
 # 1e-6 off the columns' subspace every fit fails, and on the 10% blocks
 # that stop cut the presolve from a fifth of the ADM's time to a tenth.
 PRESOLVE_ROUNDS = 3
@@ -246,8 +250,9 @@ def _solve_block(x, a, cfg):
 
 
 def solve_l1reg(x, a, cfg=None):
-    """Solve min ||E||_l1 s.t. X = A Z + E over one chunk of columns, for
-    the trusted X and orthonormal-column A of solve_l1reg_columnwise."""
+    """Solve min ||E||_l1 s.t. X = A Z + E by the ADM alone over one chunk
+    of columns, for the trusted X and orthonormal-column A of
+    solve_l1reg_columnwise."""
     cfg = cfg or AdmConfig()
 
     scale = linf_norm(x)
@@ -268,76 +273,65 @@ def solve_l1reg(x, a, cfg=None):
 def solve_l1reg_columnwise(x, a, cfg=None):
     """Solve min ||E||_l1 s.t. X = A Z + E for orthonormal-column A.
 
-    Checks X and A, then runs solve_l1reg over fixed CHUNK_COLS-wide column
-    chunks, one after the other; the chunk results are stitched back into
-    one solution."""
+    Checks X and A, then takes fixed CHUNK_COLS-wide column chunks one
+    after the other: the exact-fit presolve solves the columns it certifies,
+    and solve_l1reg the rest of the chunk, possibly none. iterations and
+    failed_columns are the ADM's; final_residual is
+    ||X - A Z - E||_inf / ||X||_inf over every column."""
     x = as_dense(x)
     a = _check_dictionary(a)
     if x.shape[0] != a.shape[0]:
         raise ValueError(f"row mismatch: X has {x.shape[0]}, A has {a.shape[0]}")
     cfg = cfg or AdmConfig()
 
-    n_cols = x.shape[1]
+    z = np.empty((a.shape[1], x.shape[1]))
+    e = np.empty_like(x)
+    iterations, failed, misfit = 0, [], 0.0
+    for lo in range(0, x.shape[1], CHUNK_COLS):
+        cols = slice(lo, lo + CHUNK_COLS)
+        chunk = x[:, cols]
+        z[:, cols], e[:, cols], rest = _exact_fit_presolve(chunk, a, cfg.tol)
+        sol = solve_l1reg(chunk[:, rest], a, cfg)
+        z[:, lo + rest], e[:, lo + rest] = sol.z, sol.e
+        misfit = max(misfit, linf_norm(chunk - a @ z[:, cols] - e[:, cols]))
+        iterations = max(iterations, sol.iterations)
+        failed.extend((lo + rest[sol.failed_columns]).tolist())
     scale = linf_norm(x)
-    if n_cols == 0 or scale == 0.0:
-        return solve_l1reg(x, a, cfg)
-
-    # the chunk solutions are joined only once all are solved, so no
-    # full-width Z and E are held while a chunk's work arrays are live
-    starts = range(0, n_cols, CHUNK_COLS)
-    parts = [solve_l1reg(x[:, lo:lo + CHUNK_COLS], a, cfg) for lo in starts]
-    residual_abs = max(sol.final_residual * linf_norm(x[:, lo:lo + CHUNK_COLS])
-                       for lo, sol in zip(starts, parts))
-    failed = [lo + c for lo, sol in zip(starts, parts) for c in sol.failed_columns]
     return L1RegSolution(
-        z=np.concatenate([sol.z for sol in parts], axis=1),
-        e=np.concatenate([sol.e for sol in parts], axis=1),
-        iterations=max(sol.iterations for sol in parts),
-        final_residual=residual_abs / scale,
+        z=z, e=e, iterations=iterations,
+        final_residual=misfit / scale if scale else 0.0,
         converged=not failed, failed_columns=failed,
     )
 
 
 def _exact_fit_presolve(x, a, tol):
-    """Certified exact-fit presolve of min ||E||_l1 s.t. X = A Z + E (see
-    the module docstring for its three certificates).
+    """Certified exact-fit presolve of min ||E||_l1 s.t. X = A Z + E over
+    one chunk of columns (see the module docstring for its three
+    certificates).
 
     Column by column, take the candidate support S of E from the residual
     of the projection X - A A^T X, fit Z by least squares on the other rows
     C, and grow S from the fit's residual, for at most PRESOLVE_ROUNDS fits
-    and only while a fit certifies some column of the slice. A column whose
+    and only while a fit certifies some column of the chunk. A column whose
     projection residual already meets the stopping rule is solved by
     Z = A^T x, E = 0, as in the ADM's first step.
 
-    Runs in CHUNK_COLS-wide slices. Returns (Z, E, rest): rest holds the
-    sorted indices of the columns left uncertified, whose Z and E are zero.
+    Returns (Z, E, rest): rest holds the sorted indices of the columns left
+    uncertified, whose Z and E are zero.
     """
     n_rows, n_cols = x.shape
     k = a.shape[1]
-    z = np.zeros((k, n_cols))
-    e = np.zeros((n_rows, n_cols))
+    z_out = np.zeros((k, n_cols))
+    e_out = np.zeros((n_rows, n_cols))
     max_support = min(k, n_rows - CLEAN_ROWS_PER_COEF * k)
     if max_support < 0:
-        return z, e, np.arange(n_cols)
-    # a zero row at index n_rows pads the supports of a slice to one width,
-    # and each support's A_S A_S^T is read off the padded projection A A^T
+        return z_out, e_out, np.arange(n_cols)
+    # a zero row at index n_rows pads the supports of the chunk to one
+    # width, and each support's A_S A_S^T is read off the padded projection
     a_pad = np.vstack([a, np.zeros((1, k))])
     p_pad = a_pad @ a_pad.T
-    rest = []
-    for lo in range(0, n_cols, CHUNK_COLS):
-        hi = min(lo + CHUNK_COLS, n_cols)
-        # one column of X per row, so that picking columns copies rows
-        xt = np.ascontiguousarray(x[:, lo:hi].T)
-        done = _presolve_slice(xt, a, a_pad, p_pad, tol, max_support,
-                               z[:, lo:hi], e[:, lo:hi])
-        rest.append(lo + np.flatnonzero(~done))
-    return z, e, np.concatenate(rest)
-
-
-def _presolve_slice(xt, a, a_pad, p_pad, tol, max_support, z_out, e_out):
-    """_exact_fit_presolve on the slice X^T = xt. Writes the certified
-    columns' Z and E into z_out and e_out and returns their mask. A fit
-    round that certifies no column ends the slice."""
+    # one column of X per row, so that picking columns copies rows
+    xt = np.ascontiguousarray(x.T)
     thresh = tol * np.abs(xt).max(axis=1)
     z = xt @ a
     res = xt - z @ a.T
@@ -375,7 +369,7 @@ def _presolve_slice(xt, a, a_pad, p_pad, tol, max_support, z_out, e_out):
         keep = ~fits
         live, xt, support, thresh, off, peak = (
             v[keep] for v in (live, xt, support, thresh, off, peak))
-    return done
+    return z_out, e_out, np.flatnonzero(~done)
 
 
 def _support_system(a_pad, p_pad, support):

@@ -64,10 +64,13 @@ class AdmConfig:
     max_iter: int = 1000
 
     def __post_init__(self):
-        if self.rho <= 1:
-            raise ValueError("rho must be > 1")
-        if self.tol <= 0:
+        # each test is written so that NaN fails it
+        if not 1 < self.rho < math.inf:
+            raise ValueError("rho must be finite and > 1")
+        if not self.tol > 0:
             raise ValueError("tol must be positive")
+        if not self.tol < math.inf:
+            raise ValueError("tol must be finite")
 
 
 @dataclass(frozen=True)

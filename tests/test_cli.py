@@ -121,12 +121,22 @@ def test_decompose_lambda_only_with_adm(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("method", ["adm", "l1filter"])
-@pytest.mark.parametrize("tol", ["0", "-1"])
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
 def test_decompose_nonpositive_tol_exit_3(tmp_path, capsys, method, tol):
     m_path, _ = _synth_files(tmp_path, m=100)
     capsys.readouterr()
     assert main(["decompose", str(m_path), "--method", method, "--tol", tol]) == 3
-    assert capsys.readouterr().err == "error: tol must be positive\n"
+    reason = "finite" if tol == "inf" else "positive"
+    assert capsys.readouterr().err == f"error: tol must be {reason}\n"
+
+
+@pytest.mark.parametrize("flag", ["--oversample-rows", "--oversample-cols"])
+@pytest.mark.parametrize("rate", ["nan", "inf"])
+def test_decompose_nonfinite_oversampling_exit_3(tmp_path, capsys, flag, rate):
+    m_path, _ = _synth_files(tmp_path, m=100)
+    capsys.readouterr()
+    assert main(["decompose", str(m_path), flag, rate]) == 3
+    assert capsys.readouterr().err == "error: oversampling rates must be finite and > 1\n"
 
 
 @pytest.mark.parametrize("rank_hint", ["0", "-3"])

@@ -22,7 +22,7 @@ from l1pcp.l1filter import (
     recover_seed,
     sample_submatrix,
 )
-from l1pcp.l1reg import CHUNK_COLS, _exact_fit_presolve, solve_l1reg_columnwise
+from l1pcp.l1reg import CHUNK_COLS, _exact_fit_presolve, solve_l1reg
 from l1pcp.matcore import frobenius_norm, linf_norm, svd
 from l1pcp.pcp_adm import AdmConfig, solve_pcp
 from oracles import nystrom_complete_via_pinv
@@ -164,7 +164,7 @@ def test_presolve_solves_spiked_columns_the_adm_agrees_with():
     x[hit] += rng.uniform(-50, 50, hit.sum())
     cfg = AdmConfig(tol=PIPELINE_TOL)
     q, e, iterations, failed = filter_columns(x, u, cfg)
-    ref = solve_l1reg_columnwise(x, u, cfg)
+    ref = solve_l1reg(x, u, cfg)
     assert iterations == 0 and failed == [] and ref.converged
     scale = np.abs(x).max()
     assert np.abs(q - ref.z).max() <= 1e-8 * scale
@@ -175,7 +175,8 @@ def test_presolve_solves_spiked_columns_the_adm_agrees_with():
 def test_declined_blocks_reach_the_adm_unchanged():
     # The presolve declines every column of both blocks: seven spikes per
     # column against a 5-column basis, and columns of a basis rotated by
-    # 1e-6. The filters then return the ADM's own solution bit for bit.
+    # 1e-6. The filters then return the ADM's own solution, chunk by chunk,
+    # bit for bit.
     rng = np.random.default_rng(7)
     u, _ = np.linalg.qr(rng.standard_normal((120, 5)))
     spiky = u @ rng.standard_normal((5, 40))
@@ -185,14 +186,16 @@ def test_declined_blocks_reach_the_adm_unchanged():
     rotated = rotated @ rng.standard_normal((5, 600))
     cfg = AdmConfig(tol=PIPELINE_TOL)
     for x in (spiky, rotated):
-        ref = solve_l1reg_columnwise(x, u, cfg)
+        starts = range(0, x.shape[1], CHUNK_COLS)
+        ref = [solve_l1reg(x[:, lo:lo + CHUNK_COLS], u, cfg) for lo in starts]
         q, e_c, it_c, failed_c = filter_columns(x, u, cfg)
         p, e_r, it_r, failed_r = filter_rows(x.T, u, cfg)
         for z, e in ((q, e_c), (p, e_r.T)):
-            np.testing.assert_array_equal(z, ref.z)
-            np.testing.assert_array_equal(e, ref.e)
-        assert it_c == it_r == ref.iterations
-        assert failed_c == failed_r == ref.failed_columns
+            np.testing.assert_array_equal(z, np.concatenate([sol.z for sol in ref], axis=1))
+            np.testing.assert_array_equal(e, np.concatenate([sol.e for sol in ref], axis=1))
+        assert it_c == it_r == max(sol.iterations for sol in ref)
+        assert failed_c == failed_r == [lo + c for lo, sol in zip(starts, ref)
+                                        for c in sol.failed_columns]
 
 
 def _exact_seed(block, ri, ci):
@@ -288,6 +291,10 @@ def test_assemble_rejects_mismatched_factors():
 def test_config_validation():
     with pytest.raises(ValueError):
         FilterConfig(s_r=1.0)
+    for rate in (np.inf, np.nan):
+        for bad in ({"s_r": rate}, {"s_c": rate}):
+            with pytest.raises(ValueError, match="oversampling rates must be finite"):
+                FilterConfig(**bad)
     for rank_hint in (0, -3):
         with pytest.raises(ValueError, match="rank_hint must be >= 1"):
             FilterConfig(rank_hint=rank_hint)
@@ -396,8 +403,9 @@ def test_filter_stage_chunks_match_whole_blocks(width, declined):
         np.testing.assert_array_equal(p, p_ref)
         assert residual == max(linf_norm(x - b @ z - e) / linf_norm(x) for x, b, z, e in
                                ((x_c, f.u, q_ref, e_c), (x_r.T, f.v, p_ref, e_r.T)))
-    # a declined column reaches the ADM in its chunk's block, not the whole
-    # block's: rounding level (see l1reg)
+    # the whole-block filters split their blocks into the same chunks, so a
+    # declined column reaches the same ADM block either way; the bound
+    # leaves room for rounding only
     assert np.abs(q - q_ref).max() <= 1e-12 * linf_norm(x_c)
     assert np.abs(p - p_ref).max() <= 1e-12 * linf_norm(x_r)
     assert residual <= PIPELINE_TOL

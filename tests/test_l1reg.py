@@ -10,6 +10,7 @@ from l1pcp.l1reg import (
     CHUNK_COLS, STAGNATION_EPS, STAGNATION_ITERS, _exact_fit_presolve, _solve_block,
     solve_l1reg, solve_l1reg_columnwise,
 )
+from l1pcp.matcore import linf_norm
 from l1pcp.pcp_adm import AdmConfig
 
 
@@ -172,11 +173,24 @@ def test_single_column_hand_solvable():
 
 
 def test_columnwise_matches_joint():
-    x, a = _chunked_instance()
-    joint = solve_l1reg(x, a)
-    colwise = solve_l1reg_columnwise(x, a)
+    # where the presolve declines every column, the columnwise solve is the
+    # ADM's, and chunking moves it at rounding level only
+    x_rot, a = _rotated_instance()
+    assert _exact_fit_presolve(x_rot, a, AdmConfig().tol)[2].size == x_rot.shape[1]
+    joint = solve_l1reg(x_rot, a)
+    colwise = solve_l1reg_columnwise(x_rot, a)
     assert np.abs(joint.e - colwise.e).max() <= 1e-8
     assert np.abs(joint.z - colwise.z).max() <= 1e-8
+    # where it certifies columns, it returns their exact l1 minimizers, which
+    # meet the ADM's stopping rule and are no worse than where the ADM stops
+    x, a = _chunked_instance()
+    cfg = AdmConfig()
+    joint = solve_l1reg(x, a, cfg)
+    colwise = solve_l1reg_columnwise(x, a, cfg)
+    scale = np.abs(x).max(axis=0)
+    assert (np.abs(x - a @ colwise.z - colwise.e).max(axis=0) <= cfg.tol * scale).all()
+    objective = [np.abs(x - a @ sol.z).sum(axis=0) for sol in (colwise, joint)]
+    assert (objective[0] <= objective[1] + 1e-9 * scale).all()
 
 
 def test_default_penalty_cap_unchanged_at_default_tol():
@@ -357,8 +371,8 @@ def test_presolve_declines_a_rotated_basis():
 
 
 def test_presolve_stops_a_slice_at_a_fit_that_certifies_nothing(monkeypatch):
-    # every fit on the rotated basis fails, so each of the three slices
-    # takes one fit instead of PRESOLVE_ROUNDS
+    # every fit on the rotated basis fails, so each of the three chunks of
+    # solve_l1reg_columnwise takes one fit instead of PRESOLVE_ROUNDS
     x_rot, a = _rotated_instance()
     fits = []
     support_system = l1reg._support_system
@@ -368,6 +382,35 @@ def test_presolve_stops_a_slice_at_a_fit_that_certifies_nothing(monkeypatch):
         return support_system(a_pad, p_pad, support)
 
     monkeypatch.setattr(l1reg, "_support_system", counted)
-    _, _, rest = _exact_fit_presolve(x_rot, a, 1e-9)
-    assert rest.size == x_rot.shape[1]
+    sol = solve_l1reg_columnwise(x_rot, a, AdmConfig(tol=1e-9, max_iter=1))
+    assert sol.failed_columns == list(range(x_rot.shape[1]))
     assert 0 < len(fits) <= -(-x_rot.shape[1] // CHUNK_COLS)
+
+
+def test_columnwise_calls_the_adm_once_per_chunk(monkeypatch):
+    # perfbench counts l1reg.chunks as solve_l1reg calls: one per chunk,
+    # made even when the presolve leaves the ADM no column
+    calls = []
+    adm = l1reg.solve_l1reg
+
+    def counted(x, a, cfg=None):
+        calls.append(x.shape[1])
+        return adm(x, a, cfg)
+
+    monkeypatch.setattr(l1reg, "solve_l1reg", counted)
+    x, a = _spiked_block(np.random.default_rng(10), 100, 5, 300, 0.01)
+    cfg = AdmConfig(tol=1e-9)
+    sol = solve_l1reg_columnwise(x, a, cfg)
+    assert calls == [0] and sol.iterations == 0 and sol.converged
+    assert sol.final_residual == linf_norm(x - a @ sol.z - sol.e) / linf_norm(x) <= cfg.tol
+
+    calls.clear()
+    x_rot, a = _rotated_instance()
+    sol = solve_l1reg_columnwise(x_rot, a, AdmConfig(tol=1e-9, max_iter=1))
+    assert calls == [CHUNK_COLS, CHUNK_COLS, N_COLS_CHUNKED - 2 * CHUNK_COLS]
+    assert sol.iterations == 1
+
+    calls.clear()
+    sol = solve_l1reg_columnwise(np.zeros((a.shape[0], 0)), a)
+    assert calls == [] and sol.converged and sol.final_residual == 0.0
+    assert sol.z.shape == (a.shape[1], 0) and sol.e.shape == (a.shape[0], 0)

@@ -50,6 +50,13 @@ def test_config_validation():
         AdmConfig(rho=1.0)
     with pytest.raises(ValueError):
         AdmConfig(tol=0.0)
+    for value in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="rho must be finite"):
+            AdmConfig(rho=value)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        AdmConfig(tol=np.nan)
+    with pytest.raises(ValueError, match="tol must be finite"):
+        AdmConfig(tol=np.inf)
 
 
 @pytest.mark.parametrize("seed", range(5))
