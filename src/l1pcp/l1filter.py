@@ -216,23 +216,24 @@ def recover_seed(seed_block, adm=None, row_idx=None, col_idx=None, max_rank=0):
 def filter_columns(m_c, u_s, cfg=None):
     """Express the aligned column block as U^s Q + sparse residual.
 
-    Returns (Q, residual, iterations, failed_columns) of
+    Returns (Q, residual, iterations, failed_columns, misfit) of
     solve_l1reg_columnwise: iterations counts the ADM's steps on the columns
-    the certified presolve leaves (0 when it left none), and failed_columns
-    lists the columns whose ADM stopped short of its tolerance.
+    the certified presolve leaves (0 when it left none), failed_columns
+    lists the columns whose ADM stopped short of its tolerance, and misfit
+    is ||M_c - U^s Q - residual||_inf.
     """
     sol = solve_l1reg_columnwise(m_c, u_s, cfg)
-    return sol.z, sol.e, sol.iterations, sol.failed_columns
+    return sol.z, sol.e, sol.iterations, sol.failed_columns, sol.misfit
 
 
 def filter_rows(m_r, v_s, cfg=None):
     """Express the aligned row block as P^T (V^s)^T + sparse residual.
 
     Solved by transposing into column form over the same solver; returns
-    (P, residual, iterations, failed_rows) like filter_columns.
+    (P, residual, iterations, failed_rows, misfit) like filter_columns.
     """
     sol = solve_l1reg_columnwise(m_r.T, v_s, cfg)
-    return sol.z, sol.e.T, sol.iterations, sol.failed_columns
+    return sol.z, sol.e.T, sol.iterations, sol.failed_columns, sol.misfit
 
 
 def _stack(idx, on_seed, off_seed):
@@ -334,9 +335,9 @@ def _filter_stage(m, seed, adm):
     misfit_c = scale_c = misfit_r = scale_r = 0.0
     for cols in _chunks(comp_c.size):
         x = m[np.ix_(seed.row_idx, comp_c[cols])]
-        z, e, it, bad = filter_columns(x, f.u, adm)
+        z, e, it, bad, misfit = filter_columns(x, f.u, adm)
         q[:, cols] = z
-        misfit_c = max(misfit_c, linf_norm(x - f.u @ z - e))
+        misfit_c = max(misfit_c, misfit)
         scale_c = max(scale_c, linf_norm(x))
         iterations, failed = max(iterations, it), failed + len(bad)
         del x, z, e
@@ -344,9 +345,9 @@ def _filter_stage(m, seed, adm):
         # gathered as its transpose, so that the column form filter_rows
         # hands to solve_l1reg_columnwise is contiguous and not copied
         x = m.T[np.ix_(seed.col_idx, comp_r[rows])].T
-        z, e, it, bad = filter_rows(x, f.v, adm)
+        z, e, it, bad, misfit = filter_rows(x, f.v, adm)
         p[:, rows] = z
-        misfit_r = max(misfit_r, linf_norm(x.T - f.v @ z - e.T))
+        misfit_r = max(misfit_r, misfit)
         scale_r = max(scale_r, linf_norm(x))
         iterations, failed = max(iterations, it), failed + len(bad)
         del x, z, e

@@ -139,12 +139,16 @@ DUAL_FEAS_TOL = 1e-9
 
 @dataclass
 class L1RegSolution:
+    """Z and E of X = A Z + E. misfit is ||X - A Z - E||_inf and
+    final_residual that over ||X||_inf (0 for a zero X)."""
+
     z: np.ndarray
     e: np.ndarray
     iterations: int
     final_residual: float
     converged: bool
     failed_columns: list = field(default_factory=list)
+    misfit: float = 0.0
 
 
 def _check_dictionary(a):
@@ -263,10 +267,10 @@ def solve_l1reg(x, a, cfg=None):
         )
 
     z, e, iters, res, failed = _solve_block(x, a, cfg)
+    misfit = float(res.max(initial=0.0))
     return L1RegSolution(
-        z=z, e=e, iterations=int(iters.max(initial=0)),
-        final_residual=float(res.max(initial=0.0)) / scale,
-        converged=not failed, failed_columns=failed,
+        z=z, e=e, iterations=int(iters.max(initial=0)), final_residual=misfit / scale,
+        converged=not failed, failed_columns=failed, misfit=misfit,
     )
 
 
@@ -276,8 +280,8 @@ def solve_l1reg_columnwise(x, a, cfg=None):
     Checks X and A, then takes fixed CHUNK_COLS-wide column chunks one
     after the other: the exact-fit presolve solves the columns it certifies,
     and solve_l1reg the rest of the chunk, possibly none. iterations and
-    failed_columns are the ADM's; final_residual is
-    ||X - A Z - E||_inf / ||X||_inf over every column."""
+    failed_columns are the ADM's; misfit is ||X - A Z - E||_inf over every
+    column, and final_residual that over ||X||_inf."""
     x = as_dense(x)
     a = _check_dictionary(a)
     if x.shape[0] != a.shape[0]:
@@ -300,7 +304,7 @@ def solve_l1reg_columnwise(x, a, cfg=None):
     return L1RegSolution(
         z=z, e=e, iterations=iterations,
         final_residual=misfit / scale if scale else 0.0,
-        converged=not failed, failed_columns=failed,
+        converged=not failed, failed_columns=failed, misfit=misfit,
     )
 
 

@@ -11,15 +11,18 @@ full SVD, as in the paper's reference solver. With rank_adaptive=True it is
 given the previous SVT's V_k and tries a certified partial SVD sized by the
 previous iterate's rank first (see solve_pcp).
 
-The working set is L, S, the multiplier Y and one work buffer, each the
-size of M. S, Y and the work buffer are updated in place and W = M - S +
-Y/beta is formed in L's buffer. Each SVT adds LAPACK's U and V^T (2x M for
-a square M) while it runs, copies only their retained columns, and
-allocates the new L after they are freed; the full-SVD path drops the
-retained U_k and V_k once it has read the rank, so they are not held into
-the next SVD. numpy's allocations peak at about
-6x M on top of M; LAPACK's own copy of W and its workspace, which numpy does
-not allocate, come on top of that.
+The working set is L, S and the multiplier Y, each the size of M. S and Y
+are updated in place; Y/beta and then W = M - S + Y/beta are formed in the
+old L's buffer, with a second Y/beta as a transient freed before the SVD,
+and R = M - L - S and beta R in W's buffer once the SVT has run. So an
+SVT holds only W, S and Y besides its own arrays: LAPACK's U and V^T (2x M
+for a square M) while a full SVD runs, of which it copies only the
+retained columns, allocating the new L after they are freed. The full-SVD
+path drops the retained U_k and V_k once it has read the rank, so they are
+not held into the next SVD. numpy's allocations peak at about 5x M on top
+of M with a full SVD, and at about 4x M on a resumed solve whose steps all
+take the partial SVD; LAPACK's own copy of W and its workspace, which numpy
+does not allocate, come on top of that.
 
 A solve can be resumed: its solution carries the multiplier, the penalty and
 the last SVT's factors (AdmState), and solve_pcp(m, cfg, resume=sol) takes
@@ -41,6 +44,16 @@ from .matcore import (
     frobenius_norm,
     svt_with_rank,
 )
+
+
+# The stopping test divides two Frobenius norms, each the square root of a
+# sum of squares, so solve_pcp takes only an M whose squares stay in range:
+# the residual's, about min(tol, eps) max|M|, must square above the
+# smallest normal number, and ||M||_F^2 must stay a factor 1/eps^2 below
+# overflow, which leaves the iterates room to exceed M.
+_EPS = np.finfo(float).eps
+_SQRT_TINY = math.sqrt(np.finfo(float).tiny)     # about 1.5e-154
+_MAX_NORM = math.sqrt(np.finfo(float).max) * _EPS  # about 3.0e138
 
 
 class PcpDivergenceError(RuntimeError):
@@ -181,6 +194,11 @@ def solve_pcp(m, cfg=None, rank_adaptive=False, resume=None):
     max_iter from cfg, counts max_iter over both calls, and reports in
     iterations only the steps it took itself; L, S and the total step count
     equal those of one solve at cfg.tol bit for bit.
+
+    A nonzero M whose scale the stopping test cannot resolve raises
+    ValueError: max|M| min(tol, eps) must be at least sqrt(tiny), about
+    1.5e-154, and sqrt(mn) max|M| at most eps sqrt(max), about 3.0e138.
+    Rescale such an M first.
     """
     t0 = time.perf_counter()
     m = as_dense(m)
@@ -190,13 +208,20 @@ def solve_pcp(m, cfg=None, rank_adaptive=False, resume=None):
     if resume is not None and resume.state is None:
         raise ValueError("resume needs a solution that carries its ADM state")
 
-    norm_m = frobenius_norm(m)
-    if norm_m == 0.0:
+    peak = max(m.max(), -m.min())  # max|M|, without an M-sized temporary
+    if peak == 0.0:
         return PcpSolution(
             l=np.zeros_like(m), s=np.zeros_like(m), iterations=1,
             final_residual=0.0, rank_of_l=0,
             elapsed=time.perf_counter() - t0, converged=True,
         )
+    if not (peak * min(cfg.tol, _EPS) >= _SQRT_TINY
+            and peak * math.sqrt(m.size) <= _MAX_NORM):
+        raise ValueError(
+            f"max|M| = {peak:.3g} of a {m.shape[0]}x{m.shape[1]} PCP input is out of "
+            f"the range its stopping test resolves at tol {cfg.tol:.3g}; rescale the matrix"
+        )
+    norm_m = frobenius_norm(m)
 
     if resume is None:
         lam = cfg.lam if cfg.lam is not None else default_lambda(*m.shape)
@@ -217,33 +242,34 @@ def solve_pcp(m, cfg=None, rank_adaptive=False, resume=None):
     # solve at cfg.tol would have stopped there
     stop = done if resume is not None and residual <= cfg.tol else cfg.max_iter
     iters = done
-    work = np.empty_like(m)
 
     for iters in range(done + 1, stop + 1):
         if iters > 1:
             beta = min(cfg.rho * beta, beta_max)
         # S = shrink(M - L + Y/beta, lam/beta) in s; the old L is not read
-        # again, so l is the shrink's scratch and work keeps Y/beta
+        # again, so l holds Y/beta and then the shrink's scratch
         np.subtract(m, l, out=s)
-        np.divide(y, beta, out=work)
-        np.add(s, work, out=s)
+        np.divide(y, beta, out=l)
+        np.add(s, l, out=s)
         _soft_threshold_into(s, lam / beta, l)
-        # L = SVT(M - S + Y/beta, 1/beta), with W formed in l's buffer
-        np.subtract(m, s, out=l)
-        np.add(l, work, out=l)
-        l, factors = svt_with_rank(l, 1.0 / beta, None if factors is None else factors.v)
+        # L = SVT(M - S + Y/beta, 1/beta), with W formed in l's buffer; this
+        # Y/beta is freed before the SVD starts
+        w = np.subtract(m, s, out=l)
+        np.add(w, np.divide(y, beta), out=w)
+        l, factors = svt_with_rank(w, 1.0 / beta, None if factors is None else factors.v)
         rank_l = factors.rank
         if not rank_adaptive:
             factors = None  # not held into the next SVD, nor returned
-        # R = M - L - S, then beta * R, in work
-        np.subtract(m, l, out=work)
-        np.subtract(work, s, out=work)
-        residual = frobenius_norm(work) / norm_m
+        # R = M - L - S, then beta * R, in W's buffer, dead once the SVT ran
+        np.subtract(m, l, out=w)
+        np.subtract(w, s, out=w)
+        residual = frobenius_norm(w) / norm_m
         if not np.isfinite(residual):
             raise PcpDivergenceError(
                 f"non-finite residual at iteration {iters} (beta={beta:.3g})"
             )
-        y += np.multiply(beta, work, out=work)
+        y += np.multiply(beta, w, out=w)
+        del w  # not held into the next iteration's SVD
         if residual <= cfg.tol:
             break
 

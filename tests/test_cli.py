@@ -139,6 +139,17 @@ def test_decompose_nonfinite_oversampling_exit_3(tmp_path, capsys, flag, rate):
     assert capsys.readouterr().err == "error: oversampling rates must be finite and > 1\n"
 
 
+@pytest.mark.parametrize("method", ["adm", "l1filter"])
+def test_decompose_unresolvable_scale_exit_3(tmp_path, capsys, method):
+    m_path = tmp_path / "tiny.dmat"
+    rng = np.random.default_rng(0)
+    matio.write_matrix(m_path, 1e-160 * np.outer(rng.standard_normal(60),
+                                                 rng.standard_normal(60)))
+    assert main(["decompose", str(m_path), "--method", method]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: max|M| = ") and err.endswith("rescale the matrix\n")
+
+
 @pytest.mark.parametrize("rank_hint", ["0", "-3"])
 def test_decompose_rank_hint_below_one_exit_3(tmp_path, capsys, rank_hint):
     m_path, _ = _synth_files(tmp_path, m=100)

@@ -128,7 +128,7 @@ def test_filter_columns_exact_subspace():
     rng = np.random.default_rng(3)
     u, _ = np.linalg.qr(rng.standard_normal((40, 3)))
     q0 = rng.standard_normal((3, 15))
-    q, s_col, _, _ = filter_columns(u @ q0, u, AdmConfig(tol=1e-10))
+    q, s_col, _, _, _ = filter_columns(u @ q0, u, AdmConfig(tol=1e-10))
     assert np.abs(s_col).max() <= 1e-8
     assert np.abs(q - q0).max() <= 1e-6
 
@@ -138,7 +138,7 @@ def test_filter_rows_transposed_form():
     v, _ = np.linalg.qr(rng.standard_normal((30, 3)))
     p0 = rng.standard_normal((3, 12))
     m_r = p0.T @ v.T
-    p, s_row, _, _ = filter_rows(m_r, v, AdmConfig(tol=1e-10))
+    p, s_row, _, _, _ = filter_rows(m_r, v, AdmConfig(tol=1e-10))
     assert s_row.shape == m_r.shape
     assert np.abs(s_row).max() <= 1e-8
     assert np.abs(p - p0).max() <= 1e-6
@@ -147,10 +147,12 @@ def test_filter_rows_transposed_form():
 def test_filter_empty_complement_is_noop():
     rng = np.random.default_rng(5)
     u, _ = np.linalg.qr(rng.standard_normal((10, 2)))
-    q, s_col, iters, failed = filter_columns(np.zeros((10, 0)), u)
+    q, s_col, iters, failed, misfit = filter_columns(np.zeros((10, 0)), u)
     assert q.shape == (2, 0) and s_col.shape == (10, 0) and iters == 0 and failed == []
-    p, s_row, iters, failed = filter_rows(np.zeros((0, 10)), u)
+    assert misfit == 0.0
+    p, s_row, iters, failed, misfit = filter_rows(np.zeros((0, 10)), u)
     assert p.shape == (2, 0) and s_row.shape == (0, 10) and iters == 0 and failed == []
+    assert misfit == 0.0
 
 
 def test_presolve_solves_spiked_columns_the_adm_agrees_with():
@@ -163,13 +165,13 @@ def test_presolve_solves_spiked_columns_the_adm_agrees_with():
     hit = rng.random(x.shape) < 0.01
     x[hit] += rng.uniform(-50, 50, hit.sum())
     cfg = AdmConfig(tol=PIPELINE_TOL)
-    q, e, iterations, failed = filter_columns(x, u, cfg)
+    q, e, iterations, failed, misfit = filter_columns(x, u, cfg)
     ref = solve_l1reg(x, u, cfg)
     assert iterations == 0 and failed == [] and ref.converged
     scale = np.abs(x).max()
     assert np.abs(q - ref.z).max() <= 1e-8 * scale
     assert np.abs(e - ref.e).max() <= 1e-8 * scale
-    assert np.abs(x - u @ q - e).max() <= PIPELINE_TOL * scale
+    assert misfit == np.abs(x - u @ q - e).max() <= PIPELINE_TOL * scale
 
 
 def test_declined_blocks_reach_the_adm_unchanged():
@@ -188,8 +190,8 @@ def test_declined_blocks_reach_the_adm_unchanged():
     for x in (spiky, rotated):
         starts = range(0, x.shape[1], CHUNK_COLS)
         ref = [solve_l1reg(x[:, lo:lo + CHUNK_COLS], u, cfg) for lo in starts]
-        q, e_c, it_c, failed_c = filter_columns(x, u, cfg)
-        p, e_r, it_r, failed_r = filter_rows(x.T, u, cfg)
+        q, e_c, it_c, failed_c, _ = filter_columns(x, u, cfg)
+        p, e_r, it_r, failed_r, _ = filter_rows(x.T, u, cfg)
         for z, e in ((q, e_c), (p, e_r.T)):
             np.testing.assert_array_equal(z, np.concatenate([sol.z for sol in ref], axis=1))
             np.testing.assert_array_equal(e, np.concatenate([sol.e for sol in ref], axis=1))
@@ -213,10 +215,8 @@ def _pipeline_pieces(rng, m_rows, m_cols, r, seed_rows, seed_cols):
     seed = _exact_seed(block, ri, ci)
     comp_r = np.setdiff1d(np.arange(m_rows), ri)
     comp_c = np.setdiff1d(np.arange(m_cols), ci)
-    q, _, _, _ = filter_columns(l0[np.ix_(ri, comp_c)], seed.seed_svd.u,
-                                AdmConfig(tol=1e-10))
-    p, _, _, _ = filter_rows(l0[np.ix_(comp_r, ci)], seed.seed_svd.v,
-                             AdmConfig(tol=1e-10))
+    q = filter_columns(l0[np.ix_(ri, comp_c)], seed.seed_svd.u, AdmConfig(tol=1e-10))[0]
+    p = filter_rows(l0[np.ix_(comp_r, ci)], seed.seed_svd.v, AdmConfig(tol=1e-10))[0]
     return l0, seed, q, p, comp_r, comp_c
 
 
@@ -395,14 +395,15 @@ def test_filter_stage_chunks_match_whole_blocks(width, declined):
     assert (_exact_fit_presolve(x_c, f.u, cfg.tol)[2].size > 0) == declined
     assert (_exact_fit_presolve(x_r.T, f.v, cfg.tol)[2].size > 0) == declined
     q, p, _, failed, residual = l1filter._filter_stage(m, seed, cfg)
-    q_ref, e_c, _, failed_c = filter_columns(x_c, f.u, cfg)
-    p_ref, e_r, _, failed_r = filter_rows(x_r, f.v, cfg)
+    q_ref, e_c, _, failed_c, misfit_c = filter_columns(x_c, f.u, cfg)
+    p_ref, e_r, _, failed_r, misfit_r = filter_rows(x_r, f.v, cfg)
     assert failed == len(failed_c) + len(failed_r) == 0
     if not declined:
         np.testing.assert_array_equal(q, q_ref)
         np.testing.assert_array_equal(p, p_ref)
         assert residual == max(linf_norm(x - b @ z - e) / linf_norm(x) for x, b, z, e in
                                ((x_c, f.u, q_ref, e_c), (x_r.T, f.v, p_ref, e_r.T)))
+        assert residual == max(misfit_c / linf_norm(x_c), misfit_r / linf_norm(x_r))
     # the whole-block filters split their blocks into the same chunks, so a
     # declined column reaches the same ADM block either way; the bound
     # leaves room for rounding only
@@ -588,6 +589,30 @@ def test_degenerate_zero_matrix():
     assert sol.final_residual == 0.0  # lambda * ||sign(0)||_2
     assert sol.converged
     assert sol.stats["seed_polish_iterations"] == 0 and sol.stats["seed_residual"] == 0.0
+
+
+def _rank_three_300():
+    spec = synth.SynthSpec(m=300, n=300, rho_r=0.01, rho_s=0.01, rng_seed=0)
+    return synth.generate(spec)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e160])
+def test_scale_the_seed_pcp_cannot_resolve_is_rejected(scale):
+    # unchecked, 1e-160 gave an l1-filter solve with converged=True and
+    # RelErr 3.8e-5 (1e-9 at scale 1), and the others an unconverged L = 0
+    with pytest.raises(ValueError, match="rescale the matrix"):
+        estimate_rank_and_solve(scale * _rank_three_300().m_obs)
+
+
+@pytest.mark.parametrize("exponent", [-440, 440])
+def test_power_of_two_scale_in_range_scales_the_pipeline_exactly(exponent):
+    m = _rank_three_300().m_obs
+    ref = estimate_rank_and_solve(m)
+    sol = estimate_rank_and_solve(2.0**exponent * m)
+    assert ref.method == sol.method == "l1-filter" and sol.converged
+    assert sol.final_residual == ref.final_residual and sol.rank_of_l == ref.rank_of_l
+    np.testing.assert_array_equal(sol.l, 2.0**exponent * ref.l)
+    np.testing.assert_array_equal(sol.s, 2.0**exponent * ref.s)
 
 
 def _zero_seed_solve(m):

@@ -402,7 +402,8 @@ def test_columnwise_calls_the_adm_once_per_chunk(monkeypatch):
     cfg = AdmConfig(tol=1e-9)
     sol = solve_l1reg_columnwise(x, a, cfg)
     assert calls == [0] and sol.iterations == 0 and sol.converged
-    assert sol.final_residual == linf_norm(x - a @ sol.z - sol.e) / linf_norm(x) <= cfg.tol
+    assert sol.misfit == linf_norm(x - a @ sol.z - sol.e)
+    assert sol.final_residual == sol.misfit / linf_norm(x) <= cfg.tol
 
     calls.clear()
     x_rot, a = _rotated_instance()
@@ -412,5 +413,5 @@ def test_columnwise_calls_the_adm_once_per_chunk(monkeypatch):
 
     calls.clear()
     sol = solve_l1reg_columnwise(np.zeros((a.shape[0], 0)), a)
-    assert calls == [] and sol.converged and sol.final_residual == 0.0
+    assert calls == [] and sol.converged and sol.final_residual == sol.misfit == 0.0
     assert sol.z.shape == (a.shape[1], 0) and sol.e.shape == (a.shape[0], 0)

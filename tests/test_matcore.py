@@ -182,7 +182,8 @@ def _seed_solve_svt_calls(monkeypatch):
     calls = []
 
     def record(w, eta, v_prev=None):
-        calls.append((w, eta, v_prev))
+        # a copy: solve_pcp reuses W's buffer for the residual after the SVT
+        calls.append((w.copy(), eta, v_prev))
         return svt_with_rank(w, eta, v_prev)
 
     monkeypatch.setattr(pcp_adm, "svt_with_rank", record)

@@ -232,20 +232,67 @@ def test_solve_equals_out_of_place_reference_bit_for_bit(seed):
     assert np.array_equal(sol.state.y, y)
 
 
-@pytest.mark.parametrize("rank_adaptive", [False, True])
-def test_solve_peak_memory_is_four_buffers_and_one_svd(rank_adaptive):
-    # L, S, Y and one work buffer, plus LAPACK's U and V^T during each SVD:
-    # about 6x M.nbytes on top of the input
-    spec = synth.SynthSpec(m=200, n=200, rho_r=0.025, rho_s=0.05, rng_seed=0)
-    m = synth.generate(spec).m_obs
+def _traced_peak(solve):
+    """solve() and the tracemalloc peak of the call in bytes."""
     tracemalloc.start()
     try:
-        sol = solve_pcp(m, rank_adaptive=rank_adaptive)
+        sol = solve()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return sol, peak
+
+
+def _peak_memory_instance():
+    spec = synth.SynthSpec(m=200, n=200, rho_r=0.025, rho_s=0.05, rng_seed=0)
+    return synth.generate(spec).m_obs
+
+
+@pytest.mark.parametrize("rank_adaptive", [False, True])
+def test_solve_peak_memory_is_three_buffers_and_one_svd(rank_adaptive):
+    # W (in the buffer of the L it replaces), S and Y, plus LAPACK's U and
+    # V^T during each full SVD: about 5x M.nbytes on top of the input
+    m = _peak_memory_instance()
+    sol, peak = _traced_peak(lambda: solve_pcp(m, rank_adaptive=rank_adaptive))
     assert sol.converged
-    assert peak <= 6.5 * m.nbytes, f"peak {peak / m.nbytes:.2f}x M.nbytes"
+    assert peak <= 5.5 * m.nbytes, f"peak {peak / m.nbytes:.2f}x M.nbytes"
+
+
+def test_resumed_partial_svd_solve_peaks_at_four_buffers():
+    # resumed from a rank-adaptive iterate, every step takes the partial
+    # SVD: the copied L, S and Y, and W or the new L beside them, about 4x
+    # M.nbytes; a held work buffer would make it 5x
+    m = _peak_memory_instance()
+    first = solve_pcp(m, rank_adaptive=True)
+    sol, peak = _traced_peak(
+        lambda: solve_pcp(m, AdmConfig(tol=1e-9), rank_adaptive=True, resume=first))
+    assert first.converged and sol.converged and sol.iterations > 0
+    assert peak <= 4.5 * m.nbytes, f"peak {peak / m.nbytes:.2f}x M.nbytes"
+
+
+def _rank_one_20():
+    rng = np.random.default_rng(0)
+    return np.outer(rng.standard_normal(20), rng.standard_normal(20))
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e160])
+def test_scale_the_stopping_test_cannot_resolve_is_rejected(scale):
+    # ||M||_F or ||M - L - S||_F would underflow or overflow: unchecked,
+    # each of these solves reported converged=True with a wrong L
+    with pytest.raises(ValueError, match="rescale the matrix"):
+        solve_pcp(scale * _rank_one_20())
+
+
+@pytest.mark.parametrize("rank_adaptive", [False, True])
+@pytest.mark.parametrize("exponent", [-440, 440])
+def test_power_of_two_scale_in_range_scales_the_solution_exactly(exponent, rank_adaptive):
+    m = _rank_one_20()
+    ref = solve_pcp(m, rank_adaptive=rank_adaptive)
+    sol = solve_pcp(2.0**exponent * m, rank_adaptive=rank_adaptive)
+    assert sol.converged and sol.iterations == ref.iterations
+    assert sol.final_residual == ref.final_residual
+    np.testing.assert_array_equal(sol.l, 2.0**exponent * ref.l)
+    np.testing.assert_array_equal(sol.s, 2.0**exponent * ref.s)
 
 
 def test_resume_needs_a_state():
