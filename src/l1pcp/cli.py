@@ -1,12 +1,18 @@
 """Command-line surface: decompose matrices from files, generate synthetic
 data, and run the benchmark suites.
 
-Exit codes for decompose: 0 success, 1 input parse failure,
-2 non-convergence, 3 dimension errors and invalid options (--lambda is
-accepted only with --method adm).
+Exit codes for decompose: 0 success; 1 a file that cannot be read or
+written: an input that does not parse or holds NaN or Inf, an output
+(--out-l, --out-s, --stats-json) that cannot be opened, which is found
+before the solve starts, or a write that fails, a non-finite block
+included; 2 non-convergence; 3 dimension errors and invalid options
+(--lambda is accepted only with --method adm). Every output is opened
+before the solve and removed again unless decompose gets as far as exit 0
+or 2, so a failed run leaves no partial file.
 """
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -14,8 +20,10 @@ import time
 import numpy as np
 
 from . import bench, matio, synth
-from .l1filter import PIPELINE_TOL, FilterConfig, estimate_rank_and_factor
-from .matcore import l0_count, l1_norm, linf_norm
+from .l1filter import PIPELINE_TOL, FilterConfig, Remainder, estimate_rank_and_factor
+# l1_norm is not called here since the output pass sums |S| in place, but
+# perfbench's self-test reads the binding that its cli.stats span wraps
+from .matcore import l0_count, l1_norm  # noqa: F401
 from .pcp_adm import AdmConfig, solve_pcp
 
 
@@ -24,39 +32,75 @@ def _fail(code, message):
     return code
 
 
-def _s_norms(s):
-    return l1_norm(s), linf_norm(s)
+class _Exit(Exception):
+    """Ends decompose with an error line and an exit code; raised inside the
+    with-block that holds the outputs, so they are removed on the way out."""
+
+    def __init__(self, code, message):
+        super().__init__(message)
+        self.code = code
 
 
-def _l_errors(l, l0):
-    """Sums of squares of L - L0, L0 and L, and the sum and the max of
-    |L - L0|."""
-    dif = l - l0
-    np.abs(dif, out=dif)
-    return (float(np.vdot(dif, dif)), float(np.vdot(l0, l0)), float(np.vdot(l, l)),
-            float(dif.sum()), float(dif.max(initial=0.0)))
+def _open_output(outputs, path, opener):
+    """opener(path) entered on the ExitStack outputs, or None without a
+    path; a path that cannot be opened ends decompose with exit 1."""
+    if not path:
+        return None
+    try:
+        return outputs.enter_context(opener(path))
+    except OSError as exc:
+        raise _Exit(1, f"cannot write {path}: {exc}") from None
 
 
-def _block_stats(sol, truth):
-    """(l1_s, l0_s, errors) of a solution, where errors holds rel_err,
-    max_dif and ave_dif against the true L0 (None without one). All come
-    from the row blocks of matio.iter_row_blocks, so a factored L or S is
-    never formed whole, and each pass forms its blocks into one buffer. l0_s
-    counts |S| above 1e-6 ||S||_inf, taken over all of S, which takes a
-    second pass once ||S||_inf is known."""
-    norms = [_s_norms(block) for _, block in matio.iter_row_blocks(sol.s)]
-    l1_s = sum(l1 for l1, _ in norms)
-    s_inf = max((linf for _, linf in norms), default=0.0)
+def _output_pass(sol, truth, write_l, write_s):
+    """Write L and S and gather their stats in one pass over the row blocks
+    of matio.iter_row_blocks(L). Returns (l1_s, l0_s, errors): errors holds
+    rel_err, max_dif and ave_dif against the true L0 (None without one).
+    write_l and write_s write a block, or are None.
+
+    A factored L or S is never formed whole: an L block is formed into the
+    row-block iterator's buffer, and its S block into one more buffer, from
+    the L block when S is factored, copied from a dense S otherwise. Once
+    both are written, |S| and then |L - L0| are formed in S's buffer. l0_s
+    counts |S| above 1e-6 ||S||_inf, taken over all of S, so it takes a
+    second pass over S once ||S||_inf is known, after both buffers are
+    freed."""
+    factored = isinstance(sol.s, Remainder)
+    s_buf = None
+    l1_s = s_inf = 0.0
+    sq_dif = sq_l0 = sq_l = sum_dif = max_dif = 0.0
+    for rows, l in matio.iter_row_blocks(sol.l):
+        if s_buf is None:
+            s_buf = np.empty(l.shape)
+        s = s_buf[:l.shape[0]]
+        if factored:
+            sol.s.rows_into(rows, s, l_rows=l)
+        else:
+            np.copyto(s, sol.s[rows])
+        if write_l:
+            write_l(l)
+        if write_s:
+            write_s(s)
+        np.abs(s, out=s)
+        l1_s += float(s.sum())
+        s_inf = max(s_inf, float(s.max()))
+        if truth is not None:
+            l0 = truth[rows]
+            np.subtract(l, l0, out=s)  # |L - L0| from here on
+            np.abs(s, out=s)
+            sq_dif += float(np.vdot(s, s))
+            sq_l0 += float(np.vdot(l0, l0))
+            sq_l += float(np.vdot(l, l))
+            sum_dif += float(s.sum())
+            max_dif = max(max_dif, float(s.max(initial=0.0)))
+    del s_buf, l, s
     l0_s = sum(l0_count(block, 1e-6 * s_inf) for _, block in matio.iter_row_blocks(sol.s))
     if truth is None:
         return l1_s, l0_s, {"rel_err": None, "max_dif": None, "ave_dif": None}
-    sq_dif, sq_l0, sq_l, sum_dif, max_dif = zip(
-        *[_l_errors(block, truth[rows]) for rows, block in matio.iter_row_blocks(sol.l)])
-    sq_l0 = sum(sq_l0)
     return l1_s, l0_s, {
         # as synth.rel_err: relative to ||L0||_F, or ||L||_F itself when L0 = 0
-        "rel_err": (sum(sq_dif) / sq_l0) ** 0.5 if sq_l0 else sum(sq_l) ** 0.5,
-        "max_dif": max(max_dif), "ave_dif": sum(sum_dif) / truth.size,
+        "rel_err": (sq_dif / sq_l0) ** 0.5 if sq_l0 else sq_l ** 0.5,
+        "max_dif": max_dif, "ave_dif": sum_dif / truth.size,
     }
 
 
@@ -76,57 +120,64 @@ def cmd_decompose(args):
             return _fail(3, f"truth shape {truth.shape} != input shape {m.shape}")
 
     try:
-        if args.method == "adm":
-            tol = 1e-7 if args.tol is None else args.tol
-            sol = solve_pcp(m, AdmConfig(lam=args.lam, tol=tol))
-        else:
-            # FilterConfig rejects --lambda: the seed PCP uses its own lambda
-            cfg = FilterConfig(
-                s_r=args.oversample_rows, s_c=args.oversample_cols,
-                rank_hint=args.rank_hint, rng_seed=args.seed,
-                adm=AdmConfig(lam=args.lam,
-                              tol=PIPELINE_TOL if args.tol is None else args.tol),
-            )
-            # L and S stay factored; the writes and stats below form them
-            # in row blocks
-            sol = estimate_rank_and_factor(m, cfg)
-    except ValueError as exc:
-        return _fail(3, str(exc))
-
-    if args.out_l:
-        matio.write_matrix(args.out_l, sol.l)
-    if args.out_s:
-        matio.write_matrix(args.out_s, sol.s)
-
-    l1_s, l0_s, errors = _block_stats(sol, truth)
-    stats = {
-        "method": sol.method,
-        "rows": m.shape[0], "cols": m.shape[1],
-        "residual": sol.final_residual,
-        "rank": sol.rank_of_l,
-        "iterations": sol.iterations,
-        "converged": sol.converged,
-        "seed": args.seed,
-        "l1_s": l1_s,
-        "l0_s": l0_s,
-        "t": sol.elapsed,
-        "t1": sol.stats.get("t1"),
-        "t2": sol.stats.get("t2"),
-        "t_assemble": sol.stats.get("t_assemble"),
-        "filter_failed_columns": sol.stats.get("filter_failed_columns"),
-        "seed_polish_iterations": sol.stats.get("seed_polish_iterations"),
-        "seed_residual": sol.stats.get("seed_residual"),
-        **errors,
-    }
-    if args.stats_json:
-        with open(args.stats_json, "w") as fh:
-            json.dump(stats, fh, indent=2)
-            fh.write("\n")
+        with contextlib.ExitStack() as outputs:
+            write_l = _open_output(outputs, args.out_l,
+                                   lambda path: matio.matrix_writer(path, m.shape))
+            write_s = _open_output(outputs, args.out_s,
+                                   lambda path: matio.matrix_writer(path, m.shape))
+            stats_file = _open_output(outputs, args.stats_json, matio.output_file)
+            sol = _solve(m, args)
+            try:
+                l1_s, l0_s, errors = _output_pass(sol, truth, write_l, write_s)
+                stats = {
+                    "method": sol.method,
+                    "rows": m.shape[0], "cols": m.shape[1],
+                    "residual": sol.final_residual,
+                    "rank": sol.rank_of_l,
+                    "iterations": sol.iterations,
+                    "converged": sol.converged,
+                    "seed": args.seed,
+                    "l1_s": l1_s,
+                    "l0_s": l0_s,
+                    "t": sol.elapsed,
+                    "t1": sol.stats.get("t1"),
+                    "t2": sol.stats.get("t2"),
+                    "t_assemble": sol.stats.get("t_assemble"),
+                    "filter_failed_columns": sol.stats.get("filter_failed_columns"),
+                    "seed_polish_iterations": sol.stats.get("seed_polish_iterations"),
+                    "seed_residual": sol.stats.get("seed_residual"),
+                    **errors,
+                }
+                if stats_file:
+                    stats_file.write(json.dumps(stats, indent=2).encode() + b"\n")
+            except (OSError, ValueError) as exc:
+                raise _Exit(1, f"cannot write the decomposition: {exc}") from None
+    except _Exit as exc:
+        return _fail(exc.code, str(exc))
     print(json.dumps(stats))
 
     if not sol.converged:
         return _fail(2, f"did not converge: residual {sol.final_residual:.3g}")
     return 0
+
+
+def _solve(m, args):
+    """The decompose solve the options ask for; invalid options end it with
+    exit 3."""
+    try:
+        if args.method == "adm":
+            tol = 1e-7 if args.tol is None else args.tol
+            return solve_pcp(m, AdmConfig(lam=args.lam, tol=tol))
+        # FilterConfig rejects --lambda: the seed PCP uses its own lambda
+        cfg = FilterConfig(
+            s_r=args.oversample_rows, s_c=args.oversample_cols,
+            rank_hint=args.rank_hint, rng_seed=args.seed,
+            adm=AdmConfig(lam=args.lam, tol=PIPELINE_TOL if args.tol is None else args.tol),
+        )
+        # L and S stay factored; the output pass forms them in row blocks
+        return estimate_rank_and_factor(m, cfg)
+    except ValueError as exc:
+        raise _Exit(3, str(exc)) from None
 
 
 def cmd_synth(args):

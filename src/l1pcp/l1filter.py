@@ -294,9 +294,13 @@ class Remainder:
         s = self.l[rows]
         return np.subtract(self.m[rows], s, out=s)
 
-    def rows_into(self, rows, out):
-        """S[rows] formed into out, a float64 array of its shape; returns out."""
-        return np.subtract(self.m[rows], self.l.rows_into(rows, out), out=out)
+    def rows_into(self, rows, out, l_rows=None):
+        """S[rows] formed into out, a float64 array of its shape; returns out.
+        l_rows, when given, is L[rows] already formed, which is then not
+        formed again."""
+        if l_rows is None:
+            l_rows = self.l.rows_into(rows, out)
+        return np.subtract(self.m[rows], l_rows, out=out)
 
 
 def assemble(m, a, b):

@@ -294,10 +294,15 @@ def solve_l1reg_columnwise(x, a, cfg=None):
     for lo in range(0, x.shape[1], CHUNK_COLS):
         cols = slice(lo, lo + CHUNK_COLS)
         chunk = x[:, cols]
-        z[:, cols], e[:, cols], rest = _exact_fit_presolve(chunk, a, cfg.tol)
+        rest = _exact_fit_presolve(chunk, a, cfg.tol, z[:, cols], e[:, cols])
         sol = solve_l1reg(chunk[:, rest], a, cfg)
         z[:, lo + rest], e[:, lo + rest] = sol.z, sol.e
-        misfit = max(misfit, linf_norm(chunk - a @ z[:, cols] - e[:, cols]))
+        # |X - A Z - E| over the chunk, formed in A Z's buffer
+        t = a @ z[:, cols]
+        np.subtract(chunk, t, out=t)
+        t -= e[:, cols]
+        misfit = max(misfit, float(np.abs(t, out=t).max(initial=0.0)))
+        del t
         iterations = max(iterations, sol.iterations)
         failed.extend((lo + rest[sol.failed_columns]).tolist())
     scale = linf_norm(x)
@@ -308,7 +313,7 @@ def solve_l1reg_columnwise(x, a, cfg=None):
     )
 
 
-def _exact_fit_presolve(x, a, tol):
+def _exact_fit_presolve(x, a, tol, z_out, e_out):
     """Certified exact-fit presolve of min ||E||_l1 s.t. X = A Z + E over
     one chunk of columns (see the module docstring for its three
     certificates).
@@ -320,16 +325,22 @@ def _exact_fit_presolve(x, a, tol):
     projection residual already meets the stopping rule is solved by
     Z = A^T x, E = 0, as in the ADM's first step.
 
-    Returns (Z, E, rest): rest holds the sorted indices of the columns left
-    uncertified, whose Z and E are zero.
+    Writes the certified columns' Z and E into z_out and e_out, which
+    solve_l1reg_columnwise passes as slices of its own Z and E, and leaves
+    the other columns as they were. Returns rest, the sorted indices of the
+    columns left uncertified.
+
+    Its chunk-sized arrays do not pile up: the projection residual is
+    formed in A A^T X's buffer and its absolute value in place, a fit's
+    residual in A Z's buffer, and the fit's absolute residual, and the
+    support systems of the columns that did not fit, are dropped before
+    the dual certificate, which forms y and |y_C| in one buffer.
     """
     n_rows, n_cols = x.shape
     k = a.shape[1]
-    z_out = np.zeros((k, n_cols))
-    e_out = np.zeros((n_rows, n_cols))
     max_support = min(k, n_rows - CLEAN_ROWS_PER_COEF * k)
     if max_support < 0:
-        return z_out, e_out, np.arange(n_cols)
+        return np.arange(n_cols)
     # a zero row at index n_rows pads the supports of the chunk to one
     # width, and each support's A_S A_S^T is read off the padded projection
     a_pad = np.vstack([a, np.zeros((1, k))])
@@ -338,16 +349,19 @@ def _exact_fit_presolve(x, a, tol):
     xt = np.ascontiguousarray(x.T)
     thresh = tol * np.abs(xt).max(axis=1)
     z = xt @ a
-    res = xt - z @ a.T
-    off = np.abs(res)
+    off = z @ a.T
+    np.subtract(xt, off, out=off)
+    np.abs(off, out=off)
     peak = off.max(axis=1)
     done = peak <= thresh
     z_out[:, done] = z[done].T
+    e_out[:, done] = 0.0
     live = np.flatnonzero(~done)
-    xt, off, peak, thresh = xt[live], off[live], peak[live], thresh[live]
-    support = np.zeros(xt.shape, dtype=bool)
+    thresh = thresh[live]
+    support = off[live] > np.maximum(SUPPORT_SHARE * peak[live], thresh)[:, None]
+    del off
+    xt = xt[live]
     for _ in range(PRESOLVE_ROUNDS):
-        support |= off > np.maximum(SUPPORT_SHARE * peak, thresh)[:, None]
         small = support.sum(axis=1) <= max_support
         live, xt, support, thresh = live[small], xt[small], support[small], thresh[small]
         if live.size == 0:
@@ -358,22 +372,30 @@ def _exact_fit_presolve(x, a, tol):
             z = _clean_rows_apply(*system, np.where(support, 0.0, xt) @ a)
         except np.linalg.LinAlgError:  # a singular system: the ADM takes the rest
             break
-        res = xt - z @ a.T
+        res = z @ a.T
+        np.subtract(xt, res, out=res)
         off = np.abs(res)
         off[support] = 0.0
         peak = off.max(axis=1)
         fits = peak <= thresh
         f = np.flatnonzero(fits)
-        f = f[_dual_certified(a, [m[f] for m in system], res[f], support[f])]
+        e = res[f]
+        np.copyto(e, 0.0, where=~support[f])
+        # the next fit's support grows from this fit's residual; a column
+        # that fits has no residual above its threshold, so its S stays
+        support |= off > np.maximum(SUPPORT_SHARE * peak, thresh)[:, None]
+        del off, res
+        system = [m[f] for m in system]
+        certified = _dual_certified(a, system, e, support[f])
+        f = f[certified]
         if f.size == 0:  # see PRESOLVE_ROUNDS
             break
         z_out[:, live[f]] = z[f].T
-        e_out[:, live[f]] = np.where(support[f], res[f], 0.0).T
+        e_out[:, live[f]] = e[certified].T
         done[live[f]] = True
         keep = ~fits
-        live, xt, support, thresh, off, peak = (
-            v[keep] for v in (live, xt, support, thresh, off, peak))
-    return z_out, e_out, np.flatnonzero(~done)
+        live, xt, support, thresh = (v[keep] for v in (live, xt, support, thresh))
+    return np.flatnonzero(~done)
 
 
 def _support_system(a_pad, p_pad, support):
@@ -397,12 +419,16 @@ def _clean_rows_apply(a_s, core, g):
     return g + (a_s.transpose(0, 2, 1) @ w)[:, :, 0]
 
 
-def _dual_certified(a, system, res, support):
-    """Mask of the columns (rows of res) whose least-squares dual
-    certificate holds: y_S = sign(E_S), y_C = -A_C (A_C^T A_C)^{-1} A_S^T y_S
-    with ||y_C||_inf < 1 and ||A^T y||_inf <= DUAL_FEAS_TOL."""
-    y_s = np.where(support, np.sign(res), 0.0)
-    y = -(_clean_rows_apply(*system, y_s @ a) @ a.T)
-    y_c = np.where(support, 0.0, y)
-    np.copyto(y, y_s, where=support)
-    return (np.abs(y_c).max(axis=1) < 1.0) & (np.abs(y @ a).max(axis=1) <= DUAL_FEAS_TOL)
+def _dual_certified(a, system, e, support):
+    """Mask of the columns (rows of e, each zero off its support) whose
+    least-squares dual certificate holds: y_S = sign(E_S),
+    y_C = -A_C (A_C^T A_C)^{-1} A_S^T y_S with ||y_C||_inf < 1 and
+    ||A^T y||_inf <= DUAL_FEAS_TOL. y and then |y_C| are formed in one
+    buffer."""
+    g = np.sign(e) @ a
+    y = _clean_rows_apply(*system, g) @ a.T
+    np.negative(y, out=y)
+    np.sign(e, out=y, where=support)
+    feasible = np.abs(y @ a).max(axis=1) <= DUAL_FEAS_TOL
+    np.copyto(y, 0.0, where=support)
+    return (np.abs(y, out=y).max(axis=1) < 1.0) & feasible

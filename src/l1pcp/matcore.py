@@ -10,14 +10,26 @@ class SvdConvergenceError(RuntimeError):
     """The underlying SVD factorization failed to converge."""
 
 
+# as_dense checks finiteness over row blocks of about this many values (at
+# least one row each), so its boolean mask stays at 64 KiB, below glibc's
+# default mmap threshold, whatever the size of the matrix
+FINITE_CHECK_VALUES = 1 << 16
+
+
 def as_dense(a):
-    """Coerce *a* to a 2-D float64 array, rejecting NaN/Inf entries."""
+    """Coerce *a* to a C-contiguous 2-D float64 array, rejecting NaN/Inf
+    entries. Finiteness is checked one row block of about
+    FINITE_CHECK_VALUES values at a time, so besides a copy made to
+    convert *a* the check holds only one block's boolean mask."""
     arr = np.asarray(a, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={arr.ndim}")
-    if not np.isfinite(arr).all():
-        raise ValueError("matrix contains non-finite entries")
-    return np.ascontiguousarray(arr)
+    arr = np.ascontiguousarray(arr)
+    step = max(1, FINITE_CHECK_VALUES // max(1, arr.shape[1]))
+    for lo in range(0, arr.shape[0], step):
+        if not np.isfinite(arr[lo:lo + step]).all():
+            raise ValueError("matrix contains non-finite entries")
+    return arr
 
 
 @dataclass(frozen=True)

@@ -7,14 +7,20 @@ Two formats:
     float64 values in row-major order.
 
 The writers stream their input in row blocks of about BLOCK_BYTES each
-(iter_row_blocks), validating every block with as_dense. Besides ndarrays
-they take any row-sliceable matrix with a shape, such as the l1filter's
-LowRank L and Remainder S, whose blocks are formed on demand into one
-reused buffer, so writing them never holds a dense copy of the whole
-matrix. A write that fails part way, on a non-finite block say, removes the
-partial file. read_dmat reads the values into one preallocated array.
+(iter_row_blocks), validating every block with as_dense, which checks
+finiteness over smaller row blocks still and so holds no mask of the whole
+block. Besides ndarrays they take any row-sliceable matrix with a shape,
+such as the l1filter's LowRank L and Remainder S, whose blocks are formed
+on demand into one reused buffer, so writing them never holds a dense copy
+of the whole matrix. matrix_writer opens a matrix file for blocks that the
+caller forms itself, so that one pass can write several matrices. A write
+that fails part way, on a non-finite block say, removes the partial file.
+read_dmat reads the values into one preallocated array, and the readers
+validate what they read with as_dense, so a read holds the matrix and one
+small mask.
 """
 
+import contextlib
 import os
 import struct
 import warnings
@@ -68,23 +74,58 @@ def _row_sliceable(m):
     return m
 
 
-def _write_blocks(path, head, m, write_block):
-    """Write head, then each row block of m validated by as_dense; remove the
-    file if a block fails. A block is written before the next is formed."""
+@contextlib.contextmanager
+def output_file(path):
+    """path opened for binary writing, removed again when the with-body
+    raises, so that a write that fails leaves no partial file. Only a
+    regular file is removed: a device such as /dev/null is left alone."""
     with open(path, "wb") as fh:
         try:
-            fh.write(head)
-            for _, block in iter_row_blocks(m):
-                write_block(fh, as_dense(block))
+            yield fh
         except BaseException:
             fh.close()
-            os.unlink(path)
+            if os.path.isfile(path):
+                os.unlink(path)
             raise
 
 
+def _csv_block(fh, block):
+    np.savetxt(fh, block, delimiter=",", fmt="%.17g")
+
+
+def _dmat_block(fh, block):
+    # as_dense returns C order; write the block's buffer without a bytes copy
+    fh.write(memoryview(block.astype("<f8", copy=False)))
+
+
+@contextlib.contextmanager
+def _block_writer(path, head, write_block):
+    with output_file(path) as fh:
+        fh.write(head)
+        yield lambda block: write_block(fh, as_dense(block))
+
+
+def matrix_writer(path, shape):
+    """Context manager that opens path for a matrix of the given shape and
+    yields write(block), which validates a row block with as_dense and
+    appends it; the blocks must cover the rows in order. A .csv extension
+    selects CSV, anything else DMAT. The file is removed if the with-body
+    raises, on a non-finite block say."""
+    if str(path).endswith(".csv"):
+        return _block_writer(path, b"", _csv_block)
+    return _block_writer(path, _HEADER.pack(MAGIC, *shape), _dmat_block)
+
+
+def _write_rows(writer, m):
+    """Write every row block of m through writer; a block is written before
+    the next is formed."""
+    with writer as write:
+        for _, block in iter_row_blocks(m):
+            write(block)
+
+
 def write_csv(path, m):
-    _write_blocks(path, b"", _row_sliceable(m),
-                  lambda fh, block: np.savetxt(fh, block, delimiter=",", fmt="%.17g"))
+    _write_rows(_block_writer(path, b"", _csv_block), _row_sliceable(m))
 
 
 def read_csv(path):
@@ -98,9 +139,7 @@ def read_csv(path):
 
 def write_dmat(path, m):
     m = _row_sliceable(m)
-    # as_dense returns C order; write each block's buffer without a bytes copy
-    _write_blocks(path, _HEADER.pack(MAGIC, *m.shape), m,
-                  lambda fh, block: fh.write(memoryview(block.astype("<f8", copy=False))))
+    _write_rows(_block_writer(path, _HEADER.pack(MAGIC, *m.shape), _dmat_block), m)
 
 
 def read_dmat(path):
@@ -139,7 +178,5 @@ def read_matrix(path):
 def write_matrix(path, m):
     """Write a matrix in row blocks; .csv extension selects CSV, anything
     else DMAT."""
-    if str(path).endswith(".csv"):
-        write_csv(path, m)
-    else:
-        write_dmat(path, m)
+    m = _row_sliceable(m)
+    _write_rows(matrix_writer(path, m.shape), m)

@@ -13,9 +13,9 @@ import pytest
 
 from l1pcp import cli, matio, synth
 from l1pcp.cli import main
-from l1pcp.l1filter import FilterConfig, estimate_rank_and_solve
+from l1pcp.l1filter import FilterConfig, estimate_rank_and_factor, estimate_rank_and_solve
 from l1pcp.matcore import frobenius_norm, l0_count, l1_norm, linf_norm
-from l1pcp.pcp_adm import AdmConfig
+from l1pcp.pcp_adm import AdmConfig, solve_pcp
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -291,7 +291,10 @@ def test_decompose_streams_l_and_s(rank10_dmat, tmp_path, capsys):
         tracemalloc.stop()
     assert rc == 0
     capsys.readouterr()
-    assert peak <= 3.0 * nbytes, f"peak {peak / nbytes:.2f}x M.nbytes"
+    # M itself, then 0.33x M: the filter stage's chunks, or the output
+    # pass's two row blocks (1.51x while the finiteness check held an m x n
+    # mask and the presolve its own chunk-sized copies)
+    assert peak <= 1.45 * nbytes, f"peak {peak / nbytes:.2f}x M.nbytes"
 
 
 def test_decompose_files_match_dense_solve(rank10_dmat, tmp_path, capsys):
@@ -324,6 +327,116 @@ def test_decompose_truth_stats_match_dense_formulas(tmp_path, capsys, monkeypatc
     assert stats["rel_err"] == pytest.approx(synth.rel_err(l, l0), rel=1e-12)
     assert stats["max_dif"] == synth.max_dif(l, l0)
     assert stats["ave_dif"] == pytest.approx(synth.ave_dif(l, l0), rel=1e-12)
+
+
+def _dense_stats(l, s, l0):
+    """decompose's S and truth stats by the dense formulas."""
+    errors = ({"rel_err": None, "max_dif": None, "ave_dif": None} if l0 is None else
+              {"rel_err": synth.rel_err(l, l0), "max_dif": synth.max_dif(l, l0),
+               "ave_dif": synth.ave_dif(l, l0)})
+    return {"l1_s": l1_norm(s), "l0_s": l0_count(s), **errors}
+
+
+@pytest.mark.parametrize("truth", [False, True], ids=["plain", "truth"])
+@pytest.mark.parametrize("method", ["l1-filter", "full-pcp-fallback", "adm"])
+def test_decompose_output_pass_matches_dense_solve(tmp_path, capsys, monkeypatch, method,
+                                                   truth):
+    if method == "full-pcp-fallback":  # rank 40 at m=100: the seed grows past half
+        m_path, l0_path = tmp_path / "m.dmat", tmp_path / "l0.dmat"
+        assert main(["synth", "--m", "100", "--rho-r", "0.4", "--rho-s", "0.01",
+                     "--out-m", str(m_path), "--out-l0", str(l0_path)]) == 0
+        argv, solve = [], lambda m: estimate_rank_and_solve(m)
+    else:
+        m_path, l0_path = _synth_files(tmp_path)
+        if method == "adm":
+            argv, solve = ["--method", "adm"], lambda m: solve_pcp(m, AdmConfig())
+        else:
+            argv = ["--rank-hint", "2"]
+            solve = lambda m: estimate_rank_and_solve(m, FilterConfig(rank_hint=2))
+    if truth:
+        argv += ["--truth", str(l0_path)]
+    out_l, out_s = tmp_path / "l.dmat", tmp_path / "s.dmat"
+    m = matio.read_matrix(m_path)
+    # several row blocks, the last one short
+    monkeypatch.setattr(matio, "BLOCK_BYTES", 7 * m.shape[1] * 8)
+    capsys.readouterr()
+    assert main(["decompose", str(m_path), "--out-l", str(out_l), "--out-s", str(out_s)]
+                + argv) == 0
+    stats = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    sol = solve(m)
+    assert stats["method"] == sol.method
+    l, s = matio.read_matrix(out_l), matio.read_matrix(out_s)
+    if method == "l1-filter":  # the factors' row blocks against one dense product
+        tol = 1e-15 * linf_norm(m)
+        assert linf_norm(l - sol.l) <= tol and linf_norm(s - sol.s) <= tol
+    else:
+        np.testing.assert_array_equal(l, sol.l)
+        np.testing.assert_array_equal(s, sol.s)
+    dense = _dense_stats(l, s, matio.read_matrix(l0_path) if truth else None)
+    assert stats["l0_s"] == dense.pop("l0_s")
+    if truth:
+        assert stats["max_dif"] == dense.pop("max_dif")
+    assert {k: stats[k] for k in dense} == pytest.approx(dense, rel=1e-12)
+
+
+def _poisoned_solve(monkeypatch):
+    """Make decompose's l1filter solve return an L whose last row is NaN,
+    so that only its last row block fails to write."""
+    def solve(m, cfg):
+        sol = estimate_rank_and_factor(m, cfg)
+        sol.l.a[-1] = np.nan
+        return sol
+
+    monkeypatch.setattr(cli, "estimate_rank_and_factor", solve)
+
+
+def _output_argv(tmp_path, bad_flag=None):
+    """(decompose output options, their paths): bad_flag's path is in a
+    directory that does not exist."""
+    paths = {"--out-l": tmp_path / "l.dmat", "--out-s": tmp_path / "s.csv",
+             "--stats-json": tmp_path / "stats.json"}
+    if bad_flag:
+        paths[bad_flag] = tmp_path / "missing" / "out"
+    return [a for flag, path in paths.items() for a in (flag, str(path))], paths
+
+
+@pytest.mark.parametrize("flag", ["--out-l", "--out-s", "--stats-json"])
+def test_decompose_unwritable_output_exits_1_before_the_solve(tmp_path, capsys, monkeypatch,
+                                                              flag):
+    m_path, _ = _synth_files(tmp_path, m=100)
+
+    def no_solve(m, cfg):
+        raise AssertionError("the solve started")
+
+    monkeypatch.setattr(cli, "estimate_rank_and_factor", no_solve)
+    argv, paths = _output_argv(tmp_path, flag)
+    capsys.readouterr()
+    assert main(["decompose", str(m_path)] + argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {paths[flag]}: ") and err.count("\n") == 1
+    assert not any(path.exists() for path in paths.values())
+
+
+def test_decompose_failed_write_removes_every_output(tmp_path, capsys, monkeypatch):
+    # the first row blocks of L and S are written before the last L block fails
+    m_path, _ = _synth_files(tmp_path)
+    monkeypatch.setattr(matio, "BLOCK_BYTES", 7 * 200 * 8)
+    _poisoned_solve(monkeypatch)
+    argv, paths = _output_argv(tmp_path)
+    capsys.readouterr()
+    assert main(["decompose", str(m_path), "--rank-hint", "2"] + argv) == 1
+    err = capsys.readouterr().err
+    assert err == "error: cannot write the decomposition: matrix contains non-finite entries\n"
+    assert not any(path.exists() for path in paths.values())
+
+
+def test_decompose_invalid_option_leaves_no_output(tmp_path, capsys):
+    m_path, _ = _synth_files(tmp_path, m=100)
+    argv, paths = _output_argv(tmp_path)
+    capsys.readouterr()
+    assert main(["decompose", str(m_path), "--rank-hint", "0"] + argv) == 3
+    assert capsys.readouterr().err == "error: rank_hint must be >= 1\n"
+    assert not any(path.exists() for path in paths.values())
 
 
 def test_decompose_imports_no_masked_arrays(tmp_path):

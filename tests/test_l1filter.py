@@ -392,8 +392,10 @@ def test_filter_stage_chunks_match_whole_blocks(width, declined):
     f, cfg = seed.seed_svd, AdmConfig(tol=PIPELINE_TOL)
     x_c = m[np.ix_(seed.row_idx, comp_c)]
     x_r = m[np.ix_(comp_r, seed.col_idx)]
-    assert (_exact_fit_presolve(x_c, f.u, cfg.tol)[2].size > 0) == declined
-    assert (_exact_fit_presolve(x_r.T, f.v, cfg.tol)[2].size > 0) == declined
+    for x, basis in ((x_c, f.u), (x_r.T, f.v)):
+        rest = _exact_fit_presolve(x, basis, cfg.tol, np.zeros((basis.shape[1], x.shape[1])),
+                                   np.zeros(x.shape))
+        assert (rest.size > 0) == declined
     q, p, _, failed, residual = l1filter._filter_stage(m, seed, cfg)
     q_ref, e_c, _, failed_c, misfit_c = filter_columns(x_c, f.u, cfg)
     p_ref, e_r, _, failed_r, misfit_r = filter_rows(x_r, f.v, cfg)

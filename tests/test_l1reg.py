@@ -1,5 +1,7 @@
 """Tests for the column-separable l1 regression ADM solver."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -176,7 +178,7 @@ def test_columnwise_matches_joint():
     # where the presolve declines every column, the columnwise solve is the
     # ADM's, and chunking moves it at rounding level only
     x_rot, a = _rotated_instance()
-    assert _exact_fit_presolve(x_rot, a, AdmConfig().tol)[2].size == x_rot.shape[1]
+    assert _presolve(x_rot, a, AdmConfig().tol)[2].size == x_rot.shape[1]
     joint = solve_l1reg(x_rot, a)
     colwise = solve_l1reg_columnwise(x_rot, a)
     assert np.abs(joint.e - colwise.e).max() <= 1e-8
@@ -277,8 +279,15 @@ def _spiked_block(rng, rows, k, cols, density):
     return x, a
 
 
+def _presolve(x, a, tol):
+    """(Z, E, rest) of the presolve written into zeroed Z and E."""
+    z, e = np.zeros((a.shape[1], x.shape[1])), np.zeros(x.shape)
+    rest = _exact_fit_presolve(x, a, tol, z, e)
+    return z, e, rest
+
+
 def _certified(x, a, tol):
-    z, e, rest = _exact_fit_presolve(x, a, tol)
+    z, e, rest = _presolve(x, a, tol)
     done = np.setdiff1d(np.arange(x.shape[1]), rest)
     return z, e, done
 
@@ -327,6 +336,24 @@ def test_presolve_matches_adm_objective_on_oracle_blocks():
     assert worst_gap <= 1e-9
 
 
+@pytest.mark.parametrize("density, bound", [(0.01, 4.0), (0.1, 5.5)])
+def test_presolve_allocates_a_few_chunks(density, bound):
+    # a filter chunk: a 100-row seed, k = 10, CHUNK_COLS columns. Written
+    # into solve_l1reg_columnwise's own Z and E, the presolve peaks at 3.3x
+    # (1%) and 5.0x (10%) the chunk's bytes, against 6.4x and 7.7x with its
+    # own zeroed E and its side-by-side residuals
+    x, a = _spiked_block(np.random.default_rng(0), 100, 10, CHUNK_COLS, density)
+    z, e = np.empty((10, CHUNK_COLS)), np.empty_like(x)
+    tracemalloc.start()
+    try:
+        rest = _exact_fit_presolve(x, a, 1e-9, z, e)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rest.size < CHUNK_COLS
+    assert peak <= bound * x.nbytes, f"peak {peak / x.nbytes:.2f}x the chunk"
+
+
 def test_presolve_declines_a_fit_that_is_not_l1_optimal():
     # one spike on row 0, of leverage 0.81, whose basis direction leans on
     # row 1 (leverage 0.19): the support read off the projection is rows 0
@@ -338,7 +365,7 @@ def test_presolve_declines_a_fit_that_is_not_l1_optimal():
     a = np.linalg.qr(np.column_stack([lean, other]))[0]
     x = a @ np.array([3.0, -2.0])
     x[0] += 10.0
-    _, _, rest = _exact_fit_presolve(x[:, None], a, ORACLE_CFG.tol)
+    _, _, rest = _presolve(x[:, None], a, ORACLE_CFG.tol)
     assert rest.tolist() == [0]
     ref = solve_l1reg(x[:, None], a, ORACLE_CFG)
     assert np.abs(x - a @ ref.z[:, 0]).sum() < 10.0 - 1.0
@@ -351,7 +378,7 @@ def test_presolve_declines_more_spikes_than_k():
     a = _orthonormal(rng, 120, 5)
     x = a @ rng.standard_normal((5, 1))
     x[rng.choice(120, 7, replace=False), 0] += rng.uniform(20, 40, 7)
-    _, _, rest = _exact_fit_presolve(x, a, 1e-9)
+    _, _, rest = _presolve(x, a, 1e-9)
     assert rest.tolist() == [0]
 
 
@@ -366,7 +393,7 @@ def _rotated_instance():
 
 def test_presolve_declines_a_rotated_basis():
     x_rot, a = _rotated_instance()
-    _, _, rest = _exact_fit_presolve(x_rot, a, 1e-9)
+    _, _, rest = _presolve(x_rot, a, 1e-9)
     np.testing.assert_array_equal(rest, np.arange(x_rot.shape[1]))
 
 

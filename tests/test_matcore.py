@@ -1,5 +1,7 @@
 """Unit tests for the dense matrix core: norms, shrinkage, SVD wrappers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,36 @@ def test_as_dense_rejects_bad_input():
         as_dense(np.array([[np.nan, 0.0]]))
     with pytest.raises(ValueError):
         as_dense(np.array([[np.inf], [1.0]]))
+
+
+def test_as_dense_holds_one_row_block_mask():
+    # the finiteness check of a 2000x2000 matrix holds one row block's mask,
+    # not the 4 MB mask of the whole matrix
+    m = np.random.default_rng(0).standard_normal((2000, 2000))
+    tracemalloc.start()
+    try:
+        out = as_dense(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out is m
+    assert peak <= 2 * matcore.FINITE_CHECK_VALUES
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("shape, where", [
+    ((7, 4), (0, 0)),    # first of the row blocks 0-1, 2-3, 4-5 and 6
+    ((7, 4), (3, 2)),    # a middle one
+    ((7, 4), (6, 3)),    # the last, short one
+    ((1, 25), (0, 24)),  # one row wider than a block
+], ids=["first", "middle", "last", "wide"])
+def test_as_dense_rejects_non_finite_in_any_row_block(monkeypatch, bad, shape, where):
+    monkeypatch.setattr(matcore, "FINITE_CHECK_VALUES", 10)
+    m = np.ones(shape)
+    assert as_dense(m) is m
+    m[where] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        as_dense(m)
 
 
 def test_svt_property_suite_many_instances():
