@@ -21,8 +21,9 @@ import numpy as np
 
 from . import bench, matio, synth
 from .l1filter import PIPELINE_TOL, FilterConfig, Remainder, estimate_rank_and_factor
-# l1_norm is not called here since the output pass sums |S| in place, but
-# perfbench's self-test reads the binding that its cli.stats span wraps
+# decompose calls neither, since the output pass sums and counts |S| in
+# place; l0_count serves checkerboard, and perfbench's self-test reads the
+# l1_norm binding that its cli.stats span wraps
 from .matcore import l0_count, l1_norm  # noqa: F401
 from .pcp_adm import AdmConfig, solve_pcp
 
@@ -52,49 +53,59 @@ def _open_output(outputs, path, opener):
         raise _Exit(1, f"cannot write {path}: {exc}") from None
 
 
+def _rows_into(m, rows, out):
+    """m[rows] formed into out, a float64 array of its shape: by
+    m.rows_into for a matrix that forms its rows on demand, such as the
+    l1filter's LowRank and Remainder, else copied; returns out."""
+    if hasattr(m, "rows_into"):
+        return m.rows_into(rows, out)
+    np.copyto(out, m[rows])
+    return out
+
+
 def _output_pass(sol, truth, write_l, write_s):
     """Write L and S and gather their stats in one pass over the row blocks
-    of matio.iter_row_blocks(L). Returns (l1_s, l0_s, errors): errors holds
+    of matio.row_blocks. Returns (l1_s, l0_s, errors): errors holds
     rel_err, max_dif and ave_dif against the true L0 (None without one).
-    write_l and write_s write a block, or are None.
+    write_l and write_s write a block, or are None. truth, the CLI's own
+    array, is overwritten: each of its row blocks by |L - L0|.
 
-    A factored L or S is never formed whole: an L block is formed into the
-    row-block iterator's buffer, and its S block into one more buffer, from
-    the L block when S is factored, copied from a dense S otherwise. Once
-    both are written, |S| and then |L - L0| are formed in S's buffer. l0_s
-    counts |S| above 1e-6 ||S||_inf, taken over all of S, so it takes a
-    second pass over S once ||S||_inf is known, after both buffers are
-    freed."""
+    It holds one row block: each L block is formed into one buffer and
+    written, the truth sums are taken, with |L - L0| formed in truth's
+    rows, and then S = M - L is formed in the same buffer from the L block
+    (copied from a dense S), written, and |S| summed in place. A factored L
+    or S is never formed whole. l0_s counts |S| above 1e-6 ||S||_inf, taken
+    over all of S, so a second pass forms each S block into the buffer once
+    more and counts it in place."""
     factored = isinstance(sol.s, Remainder)
-    s_buf = None
+    blocks = matio.row_blocks(sol.l.shape)
+    buf = np.empty((blocks[0].stop, sol.l.shape[1]))  # the first block is the largest
     l1_s = s_inf = 0.0
     sq_dif = sq_l0 = sq_l = sum_dif = max_dif = 0.0
-    for rows, l in matio.iter_row_blocks(sol.l):
-        if s_buf is None:
-            s_buf = np.empty(l.shape)
-        s = s_buf[:l.shape[0]]
-        if factored:
-            sol.s.rows_into(rows, s, l_rows=l)
-        else:
-            np.copyto(s, sol.s[rows])
+    for rows in blocks:
+        l = _rows_into(sol.l, rows, buf[:rows.stop - rows.start])
         if write_l:
             write_l(l)
+        if truth is not None:
+            l0 = truth[rows]
+            sq_l0 += float(np.vdot(l0, l0))
+            sq_l += float(np.vdot(l, l))
+            dif = np.subtract(l, l0, out=l0)
+            np.abs(dif, out=dif)
+            sq_dif += float(np.vdot(dif, dif))
+            sum_dif += float(dif.sum())
+            max_dif = max(max_dif, float(dif.max(initial=0.0)))
+        # S = M - L, formed in L's buffer
+        s = sol.s.rows_into(rows, l, l_rows=l) if factored else _rows_into(sol.s, rows, l)
         if write_s:
             write_s(s)
         np.abs(s, out=s)
         l1_s += float(s.sum())
         s_inf = max(s_inf, float(s.max()))
-        if truth is not None:
-            l0 = truth[rows]
-            np.subtract(l, l0, out=s)  # |L - L0| from here on
-            np.abs(s, out=s)
-            sq_dif += float(np.vdot(s, s))
-            sq_l0 += float(np.vdot(l0, l0))
-            sq_l += float(np.vdot(l, l))
-            sum_dif += float(s.sum())
-            max_dif = max(max_dif, float(s.max(initial=0.0)))
-    del s_buf, l, s
-    l0_s = sum(l0_count(block, 1e-6 * s_inf) for _, block in matio.iter_row_blocks(sol.s))
+    l0_s = 0
+    for rows in blocks:
+        s = _rows_into(sol.s, rows, buf[:rows.stop - rows.start])
+        l0_s += int(np.count_nonzero(np.abs(s, out=s) > 1e-6 * s_inf))
     if truth is None:
         return l1_s, l0_s, {"rel_err": None, "max_dif": None, "ave_dif": None}
     return l1_s, l0_s, {

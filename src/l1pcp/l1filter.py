@@ -326,8 +326,12 @@ def _filter_stage(m, seed, adm):
     Each filter runs over CHUNK_COLS-wide chunks of its block, gathered
     straight from M; a chunk and its sparse part are dropped before the next
     is gathered, so the stage holds O(s CHUNK_COLS) of block data besides Q
-    and P, whatever the size of M. The chunks are solve_l1reg_columnwise's
-    own, so every column gets the same Z and E as from the whole block.
+    and P, whatever the size of M. The sparse part is dropped unread, and
+    solve_l1reg_columnwise allocates it only once the chunk's presolve has
+    freed its arrays, so the stage peaks inside the presolve, holding the
+    chunk and at most two more arrays of its size. The chunks are
+    solve_l1reg_columnwise's own, so every column gets the same Z and E as
+    from the whole block.
     residual is each filter's largest ||X - basis coef - E||_inf over its
     largest ||X||_inf (0 for a zero block), the larger of the two."""
     f = seed.seed_svd
@@ -403,6 +407,7 @@ def estimate_rank_and_factor(m, cfg=None):
         t0 = time.perf_counter()
         row_idx, col_idx, block = sample_submatrix(m, n_rows, n_cols, ss.spawn(1)[0])
         seed = recover_seed(block, cfg.adm, row_idx, col_idx, max_rank)
+        del block  # not held through the filter stage
         stats["t1"] += time.perf_counter() - t0
         if seed.r_prime <= max_rank:
             break

