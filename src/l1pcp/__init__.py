@@ -9,10 +9,7 @@ from .matcore import (
     l0_count,
     l1_norm,
     linf_norm,
-    nuclear_norm,
-    soft_threshold,
     svd,
-    svt,
 )
 from .pcp_adm import AdmConfig, PcpDivergenceError, PcpSolution, default_lambda, solve_pcp
 from .l1reg import L1RegSolution, solve_l1reg_columnwise

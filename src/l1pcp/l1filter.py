@@ -26,9 +26,10 @@ row-sliceable stand-ins whose L[rows] is A[rows] B^T and S[rows] is
 M[rows] - L[rows], so a caller that streams L and S in row blocks (the
 decompose CLI) never holds a dense m x n L or S; rows_into forms a block
 into the caller's buffer, so one buffer serves every block.
-estimate_rank_and_solve follows it with assemble, one A B^T and one
-subtraction, and returns dense L and S. The full-pcp-fallback and
-degenerate-zero-seed paths return dense arrays from either function;
+The degenerate-zero-seed path returns L = 0 the same way, as factors with
+no columns, and S = M as Remainder(M, L). estimate_rank_and_solve follows
+it with assemble, one A B^T and one subtraction, and returns dense L and S.
+Only the full-pcp-fallback path returns dense arrays from either function;
 ndarrays slice into rows the same way.
 
 estimate_rank_and_factor is one seed-attempt loop. From r = rank_hint or
@@ -384,7 +385,9 @@ def estimate_rank_and_factor(m, cfg=None):
 
     The l1-filter path returns l=LowRank(A, B) and s=Remainder(M, l), which
     form their row blocks on demand, and stats["t_assemble"] times forming A
-    and B. The other two paths return dense L and S.
+    and B. The degenerate-zero-seed path returns L = 0 the same way, as
+    LowRank factors with no columns, and the full-pcp-fallback path returns
+    dense L and S.
     """
     t_start = time.perf_counter()
     m = as_dense(m)
@@ -422,8 +425,9 @@ def estimate_rank_and_factor(m, cfg=None):
         # (0, M) solves PCP when Y = lam * sign(M) has ||Y||_2 <= 1 (the
         # KKT conditions of Candes, Li, Ma & Wright); above 1, L = 0 is wrong
         certificate = default_lambda(m_rows, m_cols) * spectral_norm_estimate(np.sign(m))
+        l = LowRank(np.zeros((m_rows, 0)), np.zeros((m_cols, 0)))
         sol = PcpSolution(
-            l=np.zeros_like(m), s=m.copy(), iterations=stats["attempts"],
+            l=l, s=Remainder(m, l), iterations=stats["attempts"],
             final_residual=certificate, rank_of_l=0, elapsed=0.0,
             converged=certificate <= ZERO_SEED_CERT_MAX,
             method="degenerate-zero-seed", stats=stats,
@@ -456,13 +460,15 @@ def estimate_rank_and_solve(m, cfg=None):
     """Full l1-filtering solve with target-rank estimation:
     estimate_rank_and_factor followed by assemble, so L and S are dense on
     every path. stats["t_assemble"] includes the dense product and
-    subtraction; the other fields are as estimate_rank_and_factor documents.
+    subtraction (it times only those on the degenerate-zero-seed path); the
+    other fields are as estimate_rank_and_factor documents.
     """
     t_start = time.perf_counter()
     sol = estimate_rank_and_factor(m, cfg)
     if isinstance(sol.l, LowRank):
         t0 = time.perf_counter()
         sol.l, sol.s = assemble(sol.s.m, sol.l.a, sol.l.b)
-        sol.stats["t_assemble"] += time.perf_counter() - t0
+        # the zero-seed path forms no factors, so it has no t_assemble yet
+        sol.stats["t_assemble"] = sol.stats.get("t_assemble", 0.0) + time.perf_counter() - t0
         sol.elapsed = time.perf_counter() - t_start
     return sol

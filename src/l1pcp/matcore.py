@@ -1,5 +1,6 @@
 """Dense matrix primitives: norms, skinny SVD, and the two proximal operators
-(soft thresholding and singular value thresholding) used by every solver."""
+used by every solver, in-place soft thresholding and singular value
+thresholding with its rank."""
 
 from dataclasses import dataclass
 
@@ -86,14 +87,6 @@ def _soft_threshold_into(x, eta, work):
     return np.multiply(work, x, out=x)
 
 
-def soft_threshold(m, eta):
-    """Elementwise soft shrinkage sgn(x) * max(|x| - eta, 0)."""
-    if eta < 0:
-        raise ValueError("eta must be nonnegative")
-    x = np.array(m, dtype=np.float64)
-    return _soft_threshold_into(x, eta, np.empty_like(x))
-
-
 def svd(m, rank_tol=1e-8, atol=0.0):
     """Skinny SVD of *m*, dropping singular values <= max(rank_tol *
     sigma_max, atol).
@@ -112,11 +105,6 @@ def svd(m, rank_tol=1e-8, atol=0.0):
     cutoff = max(rank_tol * (s[0] if s.size else 0.0), atol)
     k = int((s > cutoff).sum())
     return SkinnySvd(u=u[:, :k].copy(), sigma=s[:k].copy(), v=vt[:k].T.copy())
-
-
-def nuclear_norm(m):
-    """Sum of singular values."""
-    return float(np.linalg.svd(np.asarray(m, dtype=np.float64), compute_uv=False).sum())
 
 
 # Rank-adaptive SVT (Halko, Martinsson & Tropp, arXiv:0909.4061, with the
@@ -189,12 +177,3 @@ def svt_with_rank(w, eta, v_prev=None):
     if factors.rank == 0:
         return np.zeros_like(w), factors
     return factors.reconstruct(), factors
-
-
-def svt(w, eta):
-    """Singular value thresholding: U S_eta(Sigma) V^T.
-
-    Closed-form minimizer of eta*||A||_* + 0.5*||A - W||_F^2.
-    """
-    return svt_with_rank(w, eta)[0]
-

@@ -6,18 +6,19 @@ Two formats:
     little-endian, 4 bytes padding) followed by rows*cols little-endian
     float64 values in row-major order.
 
-The writers stream their input in row blocks of about BLOCK_BYTES each
-(iter_row_blocks), validating every block with as_dense, which checks
-finiteness over smaller row blocks still and so holds no mask of the whole
-block. Besides ndarrays they take any row-sliceable matrix with a shape,
-such as the l1filter's LowRank L and Remainder S, whose blocks are formed
-on demand into one reused buffer, so writing them never holds a dense copy
-of the whole matrix. matrix_writer opens a matrix file for blocks that the
-caller forms itself, so that one pass can write several matrices. A write
-that fails part way, on a non-finite block say, removes the partial file.
-read_dmat reads the values into one preallocated array, and the readers
-validate what they read with as_dense, so a read holds the matrix and one
-small mask.
+matrix_writer opens a matrix file, picking the format by its extension,
+and takes the matrix one row block at a time, validating every block with
+as_dense, which checks finiteness over smaller row blocks still and so
+holds no mask of the whole block. write_matrix writes a whole matrix
+through it, one row_blocks slice m[rows] at a time; besides ndarrays it
+takes any row-sliceable matrix with a shape, such as the l1filter's LowRank
+L and Remainder S, so writing them holds one formed block, not a dense copy
+of the whole matrix. A caller that forms its blocks itself, such as the
+decompose CLI, which writes L and S in one pass, uses matrix_writer
+directly. A write that fails part way, on a non-finite block say, removes
+the partial file. read_dmat reads the values into one preallocated array,
+and the readers validate what they read with as_dense, so a read holds the
+matrix and one small mask.
 """
 
 import contextlib
@@ -48,32 +49,6 @@ def row_blocks(shape):
     return [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
 
 
-def iter_row_blocks(m):
-    """Yield (rows, m[rows]) for the row_blocks of m. A matrix that forms its
-    rows on demand through rows_into(rows, out), such as the l1filter's
-    LowRank and Remainder, forms every block into one buffer, which each
-    block overwrites in turn; any other matrix yields its own m[rows]."""
-    rows_into = getattr(m, "rows_into", None)
-    buf = None
-    for rows in row_blocks(m.shape):
-        if rows_into is None:
-            yield rows, m[rows]
-            continue
-        if buf is None:
-            buf = np.empty((rows.stop - rows.start, m.shape[1]))
-        yield rows, rows_into(rows, buf[:rows.stop - rows.start])
-
-
-def _row_sliceable(m):
-    """m itself when it has a shape (an ndarray, or a matrix formed in row
-    blocks), else m converted to an array."""
-    if not hasattr(m, "shape"):
-        m = np.asarray(m, dtype=np.float64)
-    if len(m.shape) != 2:
-        raise ValueError(f"expected a 2-D matrix, got ndim={len(m.shape)}")
-    return m
-
-
 @contextlib.contextmanager
 def output_file(path):
     """path opened for binary writing, removed again when the with-body
@@ -89,43 +64,27 @@ def output_file(path):
             raise
 
 
-def _csv_block(fh, block):
-    np.savetxt(fh, block, delimiter=",", fmt="%.17g")
-
-
-def _dmat_block(fh, block):
-    # as_dense returns C order; write the block's buffer without a bytes copy
-    fh.write(memoryview(block.astype("<f8", copy=False)))
-
-
 @contextlib.contextmanager
-def _block_writer(path, head, write_block):
-    with output_file(path) as fh:
-        fh.write(head)
-        yield lambda block: write_block(fh, as_dense(block))
-
-
 def matrix_writer(path, shape):
     """Context manager that opens path for a matrix of the given shape and
     yields write(block), which validates a row block with as_dense and
     appends it; the blocks must cover the rows in order. A .csv extension
     selects CSV, anything else DMAT. The file is removed if the with-body
     raises, on a non-finite block say."""
-    if str(path).endswith(".csv"):
-        return _block_writer(path, b"", _csv_block)
-    return _block_writer(path, _HEADER.pack(MAGIC, *shape), _dmat_block)
+    csv = str(path).endswith(".csv")
+    with output_file(path) as fh:
+        if not csv:
+            fh.write(_HEADER.pack(MAGIC, *shape))
 
+        def write(block):
+            block = as_dense(block)
+            if csv:
+                np.savetxt(fh, block, delimiter=",", fmt="%.17g")
+            else:
+                # as_dense returns C order; write the buffer without a bytes copy
+                fh.write(memoryview(block.astype("<f8", copy=False)))
 
-def _write_rows(writer, m):
-    """Write every row block of m through writer; a block is written before
-    the next is formed."""
-    with writer as write:
-        for _, block in iter_row_blocks(m):
-            write(block)
-
-
-def write_csv(path, m):
-    _write_rows(_block_writer(path, b"", _csv_block), _row_sliceable(m))
+        yield write
 
 
 def read_csv(path):
@@ -135,11 +94,6 @@ def read_csv(path):
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         m = np.loadtxt(path, delimiter=",", ndmin=2)
     return as_dense(m)
-
-
-def write_dmat(path, m):
-    m = _row_sliceable(m)
-    _write_rows(_block_writer(path, _HEADER.pack(MAGIC, *m.shape), _dmat_block), m)
 
 
 def read_dmat(path):
@@ -176,7 +130,13 @@ def read_matrix(path):
 
 
 def write_matrix(path, m):
-    """Write a matrix in row blocks; .csv extension selects CSV, anything
-    else DMAT."""
-    m = _row_sliceable(m)
-    _write_rows(matrix_writer(path, m.shape), m)
+    """Write a matrix one row block m[rows] at a time; .csv extension
+    selects CSV, anything else DMAT. m is an ndarray, any row-sliceable
+    matrix with a shape, or else anything np.asarray takes."""
+    if not hasattr(m, "shape"):
+        m = np.asarray(m, dtype=np.float64)
+    if len(m.shape) != 2:
+        raise ValueError(f"expected a 2-D matrix, got ndim={len(m.shape)}")
+    with matrix_writer(path, m.shape) as write:
+        for rows in row_blocks(m.shape):
+            write(m[rows])

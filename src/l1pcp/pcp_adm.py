@@ -152,13 +152,26 @@ def spectral_norm_estimate(m):
     rows sum to zero that start vanishes, M 1 = 0, and the iteration starts
     over from a fixed-seed Gaussian vector, so that the estimate is 0 only
     for a zero M; every other M keeps the all-ones iterates.
+
+    M is first scaled by the power of two 2^-e that brings max|M| into
+    [1, 2), and the estimate scaled back by 2^e. A power of two scales
+    exactly, so the estimate of 2^k M is 2^k times that of M, and it holds
+    at scales whose squares would overflow or underflow; an M with max|M|
+    in [1, 2) already, such as a sign matrix, is not copied.
     """
     m = np.asarray(m, dtype=np.float64)
+    # max|M| without an M-sized temporary; 0 for an empty M
+    peak = max(m.max(), -m.min()) if m.size else 0.0
+    if peak == 0.0:
+        return 0.0
+    e = math.frexp(peak)[1] - 1
+    if e:
+        m = np.ldexp(m, -e)
     sigma = _power_iteration(m, np.ones(m.shape[1]) / math.sqrt(m.shape[1]))
-    if sigma == 0.0 and m.any():
+    if sigma == 0.0:
         v = np.random.default_rng(0).standard_normal(m.shape[1])
         sigma = _power_iteration(m, v / np.linalg.norm(v))
-    return sigma
+    return float(np.ldexp(sigma, e))
 
 
 def _power_iteration(m, v):

@@ -5,6 +5,8 @@ product of two Gaussian factor matrices, the sparse part has a uniformly
 random support with entries i.i.d. uniform in [-magnitude, magnitude].
 RNG is numpy's PCG64; factor and support streams are split off the spec
 seed with SeedSequence.spawn so results are reproducible across platforms.
+checkerboard and moving_object give structured instances instead: an image,
+and a video whose corruption is one moving square.
 """
 
 from dataclasses import dataclass
@@ -71,6 +73,34 @@ def checkerboard(m, cell):
     idx = np.arange(m) // cell
     parity = (idx[:, None] + idx[None, :]) % 2
     return np.where(parity == 0, 0.2, 0.8)
+
+
+def moving_object(height=40, width=50, frames=400, size=12, rank=2, rng_seed=1):
+    """A video of a moving square over a low-rank background, as (M, L0, S0):
+    one column of M per frame, one row per pixel of the height x width frame
+    in row-major order.
+
+    L0 = bg light / 2, with bg uniform in [50, 200] (pixels x rank) and
+    light 1 + 0.1 N(0, 1) (rank x frames), whose first row is replaced by
+    the slow 1 + 0.2 sin(linspace(0, 6, frames)). A size x size square
+    starts at row y, drawn from [0, height - size), and column 0, with a
+    vertical step vy = +-1. In each frame in turn it covers its pixels with
+    one value uniform in [0, 255]; then y moves by vy, clipped to
+    [0, height - size], and x by 2, modulo width - size. S0 = M - L0 has a
+    density of size^2 / (height width), 7.2% by default."""
+    rng = np.random.default_rng(rng_seed)
+    bg = rng.uniform(50, 200, (height * width, rank))
+    light = 1 + 0.1 * rng.standard_normal((rank, frames))
+    light[0] = 1 + 0.2 * np.sin(np.linspace(0, 6, frames))
+    l0 = bg @ light / 2
+    y_max, x_max = height - size, width - size
+    y, x, vy = rng.integers(0, y_max), 0, rng.choice([-1, 1])
+    m = l0.copy()
+    video = m.reshape(height, width, frames)  # a view of M
+    for t in range(frames):
+        video[y:y + size, x:x + size, t] = rng.uniform(0, 255)
+        y, x = min(max(y + vy, 0), y_max), (x + 2) % x_max
+    return GroundTruth(m_obs=m, l0=l0, s0=m - l0)
 
 
 def corrupt_impulsive(img, fraction, rng_seed):

@@ -1,14 +1,39 @@
-"""Independent cross-check paths that the solver itself does not use.
+"""Cross-check paths and whole-matrix operators that the solver itself does
+not use.
 
 The l1filter pipeline completes L from the seed's SVD factors; these
 oracles recompute the same blocks from an explicit pseudo-inverse of the
 seed matrix, so that the tests can hold the factored formulas against them.
+soft_threshold and svt are the whole-matrix forms of the solvers' in-place
+soft threshold and of svt_with_rank, and nuclear_norm the objective's
+nuclear norm, for the tests of the proximal operators.
 """
 
 import numpy as np
 
 from l1pcp.l1filter import SEED_RANK_TOL
-from l1pcp.matcore import as_dense, svd
+from l1pcp.matcore import _soft_threshold_into, as_dense, svd, svt_with_rank
+
+
+def soft_threshold(m, eta):
+    """Elementwise soft shrinkage sgn(x) * max(|x| - eta, 0)."""
+    if eta < 0:
+        raise ValueError("eta must be nonnegative")
+    x = np.array(m, dtype=np.float64)
+    return _soft_threshold_into(x, eta, np.empty_like(x))
+
+
+def svt(w, eta):
+    """Singular value thresholding: U S_eta(Sigma) V^T.
+
+    Closed-form minimizer of eta*||A||_* + 0.5*||A - W||_F^2.
+    """
+    return svt_with_rank(w, eta)[0]
+
+
+def nuclear_norm(m):
+    """Sum of singular values."""
+    return float(np.linalg.svd(np.asarray(m, dtype=np.float64), compute_uv=False).sum())
 
 
 def pseudo_inverse_apply(f, rhs):

@@ -109,6 +109,36 @@ def test_decompose_uncertified_zero_seed_exits_2(tmp_path, capsys):
     assert stats["seed_polish_iterations"] == 0 and stats["seed_residual"] == 0.0
 
 
+def _sparse_only(size):
+    """A size x size M of 1% uniform spikes in [-500, 500] and nothing else."""
+    rng = np.random.default_rng(5)
+    m = np.zeros((size, size))
+    idx = rng.choice(m.size, m.size // 100, replace=False)
+    m.flat[idx] = rng.uniform(-500, 500, idx.size)
+    return m
+
+
+def test_decompose_zero_seed_streams_l_and_s(tmp_path, capsys):
+    # L = 0 and S = M stay factored: besides M the process holds sign(M)
+    # for the certificate, then one output row block
+    path = tmp_path / "m.dmat"
+    matio.write_matrix(path, _sparse_only(1000))
+    capsys.readouterr()
+    nbytes = 1000 * 1000 * 8
+    tracemalloc.start()
+    try:
+        rc = main(["decompose", str(path), "--out-l", str(tmp_path / "l.dmat"),
+                   "--out-s", str(tmp_path / "s.dmat"), "--stats-json",
+                   str(tmp_path / "stats.json")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert json.loads((tmp_path / "stats.json").read_text())["method"] == "degenerate-zero-seed"
+    # M and sign(M) (2.03x M in all), against 3.18x with a dense L = 0 and a copy of M
+    assert peak <= 2.25 * nbytes, f"peak {peak / nbytes:.2f}x M.nbytes"
+
+
 def test_decompose_rows_that_sum_to_zero_exit_2(tmp_path, capsys):
     # rows 0, 33, ..., 957 hold u_i v, v alternating +-1: the seed misses
     # them, and the zero-seed certificate lambda ||sign(M)||_2 is 5.48
@@ -376,13 +406,19 @@ def _dense_stats(l, s, l0):
 
 
 @pytest.mark.parametrize("truth", [False, True], ids=["plain", "truth"])
-@pytest.mark.parametrize("method", ["l1-filter", "full-pcp-fallback", "adm"])
+@pytest.mark.parametrize("method", ["l1-filter", "full-pcp-fallback", "degenerate-zero-seed",
+                                    "adm"])
 def test_decompose_output_pass_matches_dense_solve(tmp_path, capsys, monkeypatch, method,
                                                    truth):
     if method == "full-pcp-fallback":  # rank 40 at m=100: the seed grows past half
         m_path, l0_path = tmp_path / "m.dmat", tmp_path / "l0.dmat"
         assert main(["synth", "--m", "100", "--rho-r", "0.4", "--rho-s", "0.01",
                      "--out-m", str(m_path), "--out-l0", str(l0_path)]) == 0
+        argv, solve = [], lambda m: estimate_rank_and_solve(m)
+    elif method == "degenerate-zero-seed":  # 1% spikes and no L: certified L = 0
+        m_path, l0_path = tmp_path / "m.dmat", tmp_path / "l0.dmat"
+        matio.write_matrix(m_path, _sparse_only(300))
+        matio.write_matrix(l0_path, np.zeros((300, 300)))
         argv, solve = [], lambda m: estimate_rank_and_solve(m)
     else:
         m_path, l0_path = _synth_files(tmp_path)

@@ -1,6 +1,7 @@
 """Tests for the l1-filtering pipeline: seed sampling and recovery, column
 and row filtering, Nystrom completion, assembly, and rank estimation."""
 
+import functools
 import math
 import tracemalloc
 
@@ -13,6 +14,8 @@ from l1pcp.l1filter import (
     SEED_RANK_TOL,
     SEED_TOL_RATIO,
     FilterConfig,
+    LowRank,
+    Remainder,
     SeedRecovery,
     assemble,
     estimate_rank_and_factor,
@@ -659,6 +662,9 @@ def test_zero_seed_rejects_rows_that_sum_to_zero(rng_seed):
     m[rows] = np.outer(np.linspace(1.0, 2.0, rows.size), np.resize([1.0, -1.0], 1000))
     sol = estimate_rank_and_factor(m, FilterConfig(rng_seed=rng_seed))
     assert sol.method == "degenerate-zero-seed"
+    # L = 0 and S = M stay factored, as on the l1-filter path
+    assert isinstance(sol.l, LowRank) and sol.l.a.shape == (1000, 0)
+    assert isinstance(sol.s, Remainder) and sol.s.m is m
     # lambda ||sign(M)||_2 = sqrt(30 * 1000) / sqrt(1000)
     assert sol.final_residual == pytest.approx(math.sqrt(rows.size), rel=1e-12)
     assert not sol.converged
@@ -682,3 +688,36 @@ def test_checkerboard_rank_hint_two_is_exact_or_unconverged():
     gt = synth.corrupt_impulsive(img, 0.1, 0)
     sol = estimate_rank_and_solve(gt.m_obs, FilterConfig(rank_hint=2, rng_seed=0))
     assert synth.max_dif(sol.l, img) <= 1e-3 or not sol.converged
+
+
+@functools.cache
+def _moving_object_pcp_l():
+    """solve_pcp's L on synth.moving_object(): rank 64 and RelErr 0.14
+    against L0, so L0 alone is not the reference on this instance."""
+    return solve_pcp(synth.moving_object().m_obs, rank_adaptive=True).l
+
+
+def _moving_object_exact_or_unconverged(rng_seed):
+    """Whether the l1-filter solve of synth.moving_object() at rng_seed is
+    within 1e-6 of L0, within 1e-5 of solve_pcp's L, or reports
+    converged=False."""
+    gt = synth.moving_object()
+    sol = estimate_rank_and_solve(gt.m_obs, FilterConfig(rng_seed=rng_seed))
+    return (not sol.converged or synth.rel_err(sol.l, gt.l0) <= 1e-6
+            or synth.rel_err(sol.l, _moving_object_pcp_l()) <= 1e-5)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="rng_seeds 1, 3, 4 and 6 return r' = 3-5 with "
+                   "RelErr 3.41, 39.3, 0.579 and 0.411 and converged=True")
+def test_moving_object_is_exact_or_unconverged():
+    # a 12x12 square moving over a 40x50 rank-2 background for 400 frames:
+    # 7.2% corruption on a few rows per column; rng_seeds 0, 2 and 5 are exact
+    wrong = [k for k in range(7) if not _moving_object_exact_or_unconverged(k)]
+    assert not wrong, f"converged to a wrong L at rng_seeds {wrong}"
+
+
+@pytest.mark.slow
+def test_moving_object_seed_7_is_exact_or_unconverged():
+    # the seed grows to full-pcp-fallback, which reports converged=False
+    assert _moving_object_exact_or_unconverged(7)

@@ -18,19 +18,19 @@ def sample():
 
 def test_csv_roundtrip(tmp_path, sample):
     path = tmp_path / "m.csv"
-    matio.write_csv(path, sample)
+    matio.write_matrix(path, sample)
     np.testing.assert_array_equal(matio.read_csv(path), sample)
 
 
 def test_dmat_roundtrip(tmp_path, sample):
     path = tmp_path / "m.dmat"
-    matio.write_dmat(path, sample)
+    matio.write_matrix(path, sample)
     np.testing.assert_array_equal(matio.read_dmat(path), sample)
 
 
 def test_dmat_roundtrip_fortran_order(tmp_path, sample):
     path = tmp_path / "f.dmat"
-    matio.write_dmat(path, np.asfortranarray(sample))
+    matio.write_matrix(path, np.asfortranarray(sample))
     np.testing.assert_array_equal(matio.read_dmat(path), sample)
     values = np.frombuffer(path.read_bytes()[16:], dtype="<f8")
     np.testing.assert_array_equal(values, sample.ravel(order="C"))  # row-major
@@ -38,7 +38,7 @@ def test_dmat_roundtrip_fortran_order(tmp_path, sample):
 
 def test_dmat_header_layout(tmp_path):
     path = tmp_path / "m.dmat"
-    matio.write_dmat(path, np.arange(6.0).reshape(2, 3))
+    matio.write_matrix(path, np.arange(6.0).reshape(2, 3))
     raw = path.read_bytes()
     assert raw[:4] == b"DMAT"
     rows, cols = struct.unpack("<II", raw[4:12])
@@ -62,7 +62,7 @@ def test_dmat_truncated(tmp_path):
         matio.read_dmat(path)
 
     path2 = tmp_path / "short2.dmat"
-    matio.write_dmat(path2, np.ones((3, 3)))
+    matio.write_matrix(path2, np.ones((3, 3)))
     path2.write_bytes(path2.read_bytes()[:-8])
     with pytest.raises(ValueError, match="expected"):
         matio.read_dmat(path2)
@@ -81,7 +81,7 @@ def test_dispatch_by_extension_and_magic(tmp_path, sample):
 
 def test_csv_single_row_keeps_two_dims(tmp_path):
     path = tmp_path / "row.csv"
-    matio.write_csv(path, np.array([[1.0, 2.0, 3.0]]))
+    matio.write_matrix(path, np.array([[1.0, 2.0, 3.0]]))
     out = matio.read_csv(path)
     assert out.shape == (1, 3)
 
@@ -89,7 +89,7 @@ def test_csv_single_row_keeps_two_dims(tmp_path):
 @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
 def test_dmat_empty_roundtrip(tmp_path, shape):
     path = tmp_path / "empty.dmat"
-    matio.write_dmat(path, np.zeros(shape))
+    matio.write_matrix(path, np.zeros(shape))
     assert path.stat().st_size == 16  # the header alone
     out = matio.read_dmat(path)
     assert out.shape == shape and out.dtype == np.float64
@@ -97,7 +97,7 @@ def test_dmat_empty_roundtrip(tmp_path, shape):
 
 def test_dmat_surplus_value_rejected(tmp_path):
     path = tmp_path / "long.dmat"
-    matio.write_dmat(path, np.ones((3, 3)))
+    matio.write_matrix(path, np.ones((3, 3)))
     path.write_bytes(path.read_bytes() + np.float64(1.0).tobytes())
     with pytest.raises(ValueError, match="expected"):
         matio.read_dmat(path)
@@ -106,7 +106,7 @@ def test_dmat_surplus_value_rejected(tmp_path):
 def test_read_dmat_allocates_one_matrix(tmp_path):
     m = np.random.default_rng(1).standard_normal((400, 300))
     path = tmp_path / "m.dmat"
-    matio.write_dmat(path, m)
+    matio.write_matrix(path, m)
     tracemalloc.start()
     try:
         out = matio.read_dmat(path)
@@ -147,20 +147,18 @@ class _RowSliced:
         return self.m[rows].copy()
 
 
-def test_formed_blocks_share_one_buffer(monkeypatch):
-    # LowRank and Remainder form every row block into the same buffer, with
-    # the values their own row slices give; an ndarray yields views of itself
+@pytest.mark.parametrize("name", ["m.dmat", "m.csv"])
+def test_write_factored_matrix(tmp_path, monkeypatch, name):
+    # LowRank and Remainder are written through their own row slices
     monkeypatch.setattr(matio, "BLOCK_BYTES", 3 * 6 * 8)
     rng = np.random.default_rng(0)
     l = LowRank(rng.standard_normal((7, 2)), rng.standard_normal((6, 2)))
     m = rng.standard_normal((7, 6))
     for mat in (l, Remainder(m, l)):
-        blocks = list(matio.iter_row_blocks(mat))
-        assert [rows for rows, _ in blocks] == matio.row_blocks((7, 6))
-        assert all(np.shares_memory(block, blocks[0][1]) for _, block in blocks)
-        for rows, block in matio.iter_row_blocks(mat):
-            np.testing.assert_array_equal(block, mat[rows])
-    assert all(np.shares_memory(block, m) for _, block in matio.iter_row_blocks(m))
+        path = tmp_path / name
+        matio.write_matrix(path, mat)
+        blocks = [mat[rows] for rows in matio.row_blocks((7, 6))]
+        np.testing.assert_array_equal(matio.read_matrix(path), np.concatenate(blocks))
 
 
 @pytest.mark.parametrize("name", ["m.dmat", "m.csv"])

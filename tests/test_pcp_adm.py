@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 from l1pcp import matcore, pcp_adm, synth
 from l1pcp.l1filter import sample_submatrix
-from l1pcp.matcore import frobenius_norm, l1_norm, nuclear_norm
+from l1pcp.matcore import frobenius_norm, l1_norm
 from l1pcp.pcp_adm import AdmConfig, default_lambda, solve_pcp, spectral_norm_estimate
+from oracles import nuclear_norm
 
 
 def test_default_lambda_values():
@@ -27,6 +28,20 @@ def test_spectral_norm_estimate():
     m = np.diag([5.0, 2.0, 1.0])
     assert spectral_norm_estimate(m) == pytest.approx(5.0, rel=1e-6)
     assert spectral_norm_estimate(np.zeros((3, 3))) == 0.0
+
+
+@pytest.mark.parametrize("value", [1e200, 1e-162])
+def test_spectral_norm_estimate_at_extreme_scales(value):
+    # unscaled, the squares overflow (1e200) or underflow (1e-162), and the
+    # estimate read 0
+    assert spectral_norm_estimate(np.full((3, 3), value)) == pytest.approx(3 * value,
+                                                                          rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [-1000, -300, -1, 1, 300, 900])
+def test_spectral_norm_estimate_scales_exactly_by_powers_of_two(k):
+    m = np.random.default_rng(3).standard_normal((30, 20))
+    assert spectral_norm_estimate(np.ldexp(m, k)) == np.ldexp(spectral_norm_estimate(m), k)
 
 
 def _alternating_rank_one(size):

@@ -14,8 +14,8 @@ ROOT_API = {
     "FilterConfig", "estimate_rank_and_solve", "estimate_rank_and_factor",
     "LowRank", "Remainder", "PcpSolution", "AdmConfig", "solve_pcp",
     "default_lambda", "PcpDivergenceError", "solve_l1reg_columnwise", "L1RegSolution",
-    "SkinnySvd", "SvdConvergenceError", "svd", "svt", "soft_threshold",
-    "frobenius_norm", "l1_norm", "linf_norm", "l0_count", "nuclear_norm",
+    "SkinnySvd", "SvdConvergenceError", "svd",
+    "frobenius_norm", "l1_norm", "linf_norm", "l0_count",
     "SynthSpec", "GroundTruth", "generate", "corrupt_impulsive", "checkerboard",
     "rel_err", "max_dif", "ave_dif",
 }
@@ -24,6 +24,7 @@ ROOT_API = {
 NOT_AT_ROOT = {
     "sample_submatrix", "recover_seed", "SeedRecovery", "filter_columns", "filter_rows", "nystrom_complete", "assemble",
     "solve_l1reg", "as_dense", "nystrom_complete_via_pinv", "pseudo_inverse_apply",
+    "svt", "soft_threshold", "nuclear_norm",
 }
 
 

@@ -25,6 +25,25 @@ def test_generate_is_bit_reproducible():
     np.testing.assert_array_equal(a.s0, b.s0)
 
 
+def test_moving_object_video():
+    gt = synth.moving_object()
+    assert gt.m_obs.shape == (2000, 400)
+    sig = np.linalg.svd(gt.l0, compute_uv=False)
+    assert (sig > 1e-10 * sig[0]).sum() == 2
+    # one 12x12 square per frame, covered by one value, L0 elsewhere
+    support = gt.s0 != 0
+    assert support.mean() == 0.072
+    np.testing.assert_array_equal(gt.m_obs[~support], gt.l0[~support])
+    np.testing.assert_array_equal(gt.s0, gt.m_obs - gt.l0)
+    video = gt.m_obs.reshape(40, 50, 400)
+    for t in (0, 1, 399):
+        rows, cols = np.nonzero(support.reshape(40, 50, 400)[:, :, t])
+        assert np.ptp(rows) == np.ptp(cols) == 11 and cols.min() == 2 * t % 38
+        assert np.unique(video[rows, cols, t]).size == 1
+    b = synth.moving_object()
+    np.testing.assert_array_equal(gt.m_obs, b.m_obs)
+
+
 def test_generate_zero_sparsity():
     gt = synth.generate(synth.SynthSpec(m=30, n=30, rho_r=0.1, rho_s=0.0))
     assert not gt.s0.any()
