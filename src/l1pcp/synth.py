@@ -75,30 +75,30 @@ def checkerboard(m, cell):
     return np.where(parity == 0, 0.2, 0.8)
 
 
-def moving_object(height=40, width=50, frames=400, size=12, rank=2, rng_seed=1):
+def moving_object():
     """A video of a moving square over a low-rank background, as (M, L0, S0):
-    one column of M per frame, one row per pixel of the height x width frame
-    in row-major order.
+    one column of M per frame, one row per pixel of a 40 x 50 frame in
+    row-major order, 400 frames.
 
-    L0 = bg light / 2, with bg uniform in [50, 200] (pixels x rank) and
-    light 1 + 0.1 N(0, 1) (rank x frames), whose first row is replaced by
-    the slow 1 + 0.2 sin(linspace(0, 6, frames)). A size x size square
-    starts at row y, drawn from [0, height - size), and column 0, with a
-    vertical step vy = +-1. In each frame in turn it covers its pixels with
-    one value uniform in [0, 255]; then y moves by vy, clipped to
-    [0, height - size], and x by 2, modulo width - size. S0 = M - L0 has a
-    density of size^2 / (height width), 7.2% by default."""
-    rng = np.random.default_rng(rng_seed)
-    bg = rng.uniform(50, 200, (height * width, rank))
-    light = 1 + 0.1 * rng.standard_normal((rank, frames))
-    light[0] = 1 + 0.2 * np.sin(np.linspace(0, 6, frames))
+    L0 = bg light / 2, with bg uniform in [50, 200] (2000 pixels x rank 2)
+    and light 1 + 0.1 N(0, 1) (2 x 400), whose first row is replaced by the
+    slow 1 + 0.2 sin(linspace(0, 6, 400)). A 12 x 12 square starts at row
+    y, drawn from [0, 28), and column 0, with a vertical step vy = +-1. In
+    each frame in turn it covers its pixels with one value uniform in
+    [0, 255]; then y moves by vy, clipped to [0, 28], and x by 2, modulo
+    38. S0 = M - L0 has a density of 144 / 2000 = 7.2%. The RNG is
+    default_rng(1)."""
+    rng = np.random.default_rng(1)
+    bg = rng.uniform(50, 200, (2000, 2))
+    light = 1 + 0.1 * rng.standard_normal((2, 400))
+    light[0] = 1 + 0.2 * np.sin(np.linspace(0, 6, 400))
     l0 = bg @ light / 2
-    y_max, x_max = height - size, width - size
+    y_max, x_max = 40 - 12, 50 - 12
     y, x, vy = rng.integers(0, y_max), 0, rng.choice([-1, 1])
     m = l0.copy()
-    video = m.reshape(height, width, frames)  # a view of M
-    for t in range(frames):
-        video[y:y + size, x:x + size, t] = rng.uniform(0, 255)
+    video = m.reshape(40, 50, 400)  # a view of M
+    for t in range(400):
+        video[y:y + 12, x:x + 12, t] = rng.uniform(0, 255)
         y, x = min(max(y + vy, 0), y_max), (x + 2) % x_max
     return GroundTruth(m_obs=m, l0=l0, s0=m - l0)
 

@@ -148,25 +148,16 @@ class _RowSliced:
 
 
 @pytest.mark.parametrize("name", ["m.dmat", "m.csv"])
-def test_write_factored_matrix(tmp_path, monkeypatch, name):
-    # LowRank and Remainder are written through their own row slices
-    monkeypatch.setattr(matio, "BLOCK_BYTES", 3 * 6 * 8)
+def test_write_row_sliceable_matrix(tmp_path, monkeypatch, sample, name):
+    # LowRank and Remainder are written through their own row slices too
+    monkeypatch.setattr(matio, "BLOCK_BYTES", 2 * 4 * 8)
     rng = np.random.default_rng(0)
-    l = LowRank(rng.standard_normal((7, 2)), rng.standard_normal((6, 2)))
-    m = rng.standard_normal((7, 6))
-    for mat in (l, Remainder(m, l)):
+    l = LowRank(rng.standard_normal((7, 2)), rng.standard_normal((4, 2)))
+    for mat in (_RowSliced(sample), l, Remainder(sample, l)):
         path = tmp_path / name
         matio.write_matrix(path, mat)
-        blocks = [mat[rows] for rows in matio.row_blocks((7, 6))]
+        blocks = [mat[rows] for rows in matio.row_blocks((7, 4))]
         np.testing.assert_array_equal(matio.read_matrix(path), np.concatenate(blocks))
-
-
-@pytest.mark.parametrize("name", ["m.dmat", "m.csv"])
-def test_write_row_sliceable_matrix(tmp_path, monkeypatch, sample, name):
-    monkeypatch.setattr(matio, "BLOCK_BYTES", 2 * 4 * 8)
-    path = tmp_path / name
-    matio.write_matrix(path, _RowSliced(sample))
-    np.testing.assert_array_equal(matio.read_matrix(path), sample)
 
 
 @pytest.mark.parametrize("name", ["m.dmat", "m.csv"])
