@@ -2,10 +2,10 @@
 
 Pipeline: sample a small seed submatrix, recover it exactly with the
 reference ADM solver, and express the aligned column and row blocks in the
-seed's column/row subspaces via l1 regression. The filters take those
-blocks one CHUNK_COLS-wide chunk at a time, gathered straight from M, so
-they hold O(s CHUNK_COLS) of block data for an s-row seed besides their
-r' x n coefficients, whatever the size of M. Each chunk is one
+seed's column/row subspaces via l1 regression: filter_columns writes each
+column beside the seed, on the seed rows, in span(U), and filter_rows each
+row beside the seed, on the seed columns, in span(V). Both are one chunk
+loop, _filter, in column form (the rows over M^T), and each chunk is one
 solve_l1reg_columnwise call: l1reg's certified exact-fit presolve solves a
 column by a least-squares fit on the rows off its detected support S when
 |S| <= r' with at least 2 r' rows left, the fit meets the ADM's stopping
@@ -50,10 +50,11 @@ block can take many times the steps of the accepted one.
 Input is checked at the public boundary: estimate_rank_and_factor (and
 through it estimate_rank_and_solve) rejects a matrix that is not 2-D, is
 empty or holds NaN or Inf, and solve_pcp and solve_l1reg_columnwise check
-what they are given. sample_submatrix, recover_seed, nystrom_complete and
-assemble take trusted float64 arrays cut from that checked matrix and check
-nothing again; filter_columns and filter_rows hand each chunk to
-solve_l1reg_columnwise, which checks it and its basis once more.
+what they are given. sample_submatrix, recover_seed, filter_columns,
+filter_rows, nystrom_complete and assemble take that checked matrix or
+trusted float64 arrays cut from it and check nothing again, except that
+each filter chunk goes through solve_l1reg_columnwise, which checks the
+chunk and its basis once more.
 """
 
 import math
@@ -149,7 +150,7 @@ def sample_submatrix(m, n_rows, n_cols, rng_seed):
         raise ValueError(
             f"requested {n_rows}x{n_cols} block from {m.shape[0]}x{m.shape[1]} matrix"
         )
-    rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(rng_seed)  # a Generator is used as given
     row_idx = np.sort(rng.choice(m.shape[0], size=n_rows, replace=False))
     col_idx = np.sort(rng.choice(m.shape[1], size=n_cols, replace=False))
     return row_idx, col_idx, m[np.ix_(row_idx, col_idx)]
@@ -214,27 +215,50 @@ def recover_seed(seed_block, adm=None, row_idx=None, col_idx=None, max_rank=0):
     )
 
 
-def filter_columns(m_c, u_s, cfg=None):
-    """Express the aligned column block as U^s Q + sparse residual.
+def _filter(mt, seed_rows, seed_cols, basis, adm):
+    """Express mt's columns beside the seed, restricted to the seed rows, in
+    span(basis) by l1 regression: (coef, iterations, failed, residual), with
+    coef the basis coefficients of the columns outside seed_cols in order,
+    iterations the slowest chunk's ADM steps, failed the number of columns
+    whose ADM stopped short of its tolerance, and residual the largest
+    ||X - basis coef - E||_inf over the largest ||X||_inf (0 for a zero or
+    empty block).
 
-    Returns (Q, residual, iterations, failed_columns, misfit) of
-    solve_l1reg_columnwise: iterations counts the ADM's steps on the columns
-    the certified presolve leaves (0 when it left none), failed_columns
-    lists the columns whose ADM stopped short of its tolerance, and misfit
-    is ||M_c - U^s Q - residual||_inf.
-    """
-    sol = solve_l1reg_columnwise(m_c, u_s, cfg)
-    return sol.z, sol.e, sol.iterations, sol.failed_columns, sol.misfit
+    The block runs through CHUNK_COLS-wide chunks gathered straight from
+    mt, one solve_l1reg_columnwise call each; a chunk and its sparse part E
+    are dropped unread before the next is gathered, so the filter holds
+    O(s CHUNK_COLS) of block data besides coef, whatever the size of M.
+    solve_l1reg_columnwise allocates E only once the chunk's presolve has
+    freed its arrays, so the filter peaks inside the presolve, holding the
+    chunk and at most two more arrays of its size. The chunks are
+    solve_l1reg_columnwise's own, so every column gets the same Z and E as
+    from the whole block."""
+    other = _complement(seed_cols, mt.shape[1])
+    coef = np.empty((basis.shape[1], other.size))
+    iterations, failed, misfit, scale = 0, 0, 0.0, 0.0
+    for lo in range(0, other.size, CHUNK_COLS):
+        cols = slice(lo, lo + CHUNK_COLS)
+        x = mt[np.ix_(seed_rows, other[cols])]
+        sol = solve_l1reg_columnwise(x, basis, adm)
+        coef[:, cols] = sol.z
+        iterations, failed = max(iterations, sol.iterations), failed + len(sol.failed_columns)
+        misfit, scale = max(misfit, sol.misfit), max(scale, linf_norm(x))
+        del x, sol
+    return coef, iterations, failed, misfit / scale if scale else 0.0
 
 
-def filter_rows(m_r, v_s, cfg=None):
-    """Express the aligned row block as P^T (V^s)^T + sparse residual.
+def filter_columns(m, seed, adm):
+    """The column coefficients Q (r' x n-s) of M's seed rows beside the seed
+    columns in span(U), with their iterations, failed count and residual
+    (see _filter)."""
+    return _filter(m, seed.row_idx, seed.col_idx, seed.seed_svd.u, adm)
 
-    Solved by transposing into column form over the same solver; returns
-    (P, residual, iterations, failed_rows, misfit) like filter_columns.
-    """
-    sol = solve_l1reg_columnwise(m_r.T, v_s, cfg)
-    return sol.z, sol.e.T, sol.iterations, sol.failed_columns, sol.misfit
+
+def filter_rows(m, seed, adm):
+    """The row coefficients P (r' x m-s) of M's seed columns beside the seed
+    rows in span(V), as filter_columns. Filtered in column form over M^T,
+    whose chunks are gathered contiguous."""
+    return _filter(m.T, seed.col_idx, seed.row_idx, seed.seed_svd.v, adm)
 
 
 def _stack(idx, on_seed, off_seed):
@@ -313,58 +337,6 @@ def assemble(m, a, b):
     return l, m - l
 
 
-def _chunks(size):
-    """CHUNK_COLS-wide slices of range(size), the last one ragged."""
-    return [slice(lo, min(lo + CHUNK_COLS, size)) for lo in range(0, size, CHUNK_COLS)]
-
-
-def _filter_stage(m, seed, adm):
-    """Filter M's column and row blocks beside the seed, one chunk at a time.
-    Returns (Q, P, iterations, failed, residual): the slowest chunk's
-    iterations, the number of columns and rows that stopped short, and the
-    larger relative constraint residual of the two filters.
-
-    Each filter runs over CHUNK_COLS-wide chunks of its block, gathered
-    straight from M; a chunk and its sparse part are dropped before the next
-    is gathered, so the stage holds O(s CHUNK_COLS) of block data besides Q
-    and P, whatever the size of M. The sparse part is dropped unread, and
-    solve_l1reg_columnwise allocates it only once the chunk's presolve has
-    freed its arrays, so the stage peaks inside the presolve, holding the
-    chunk and at most two more arrays of its size. The chunks are
-    solve_l1reg_columnwise's own, so every column gets the same Z and E as
-    from the whole block.
-    residual is each filter's largest ||X - basis coef - E||_inf over its
-    largest ||X||_inf (0 for a zero block), the larger of the two."""
-    f = seed.seed_svd
-    comp_c = _complement(seed.col_idx, m.shape[1])
-    comp_r = _complement(seed.row_idx, m.shape[0])
-    q = np.empty((seed.r_prime, comp_c.size))
-    p = np.empty((seed.r_prime, comp_r.size))
-    iterations, failed = 0, 0
-    misfit_c = scale_c = misfit_r = scale_r = 0.0
-    for cols in _chunks(comp_c.size):
-        x = m[np.ix_(seed.row_idx, comp_c[cols])]
-        z, e, it, bad, misfit = filter_columns(x, f.u, adm)
-        q[:, cols] = z
-        misfit_c = max(misfit_c, misfit)
-        scale_c = max(scale_c, linf_norm(x))
-        iterations, failed = max(iterations, it), failed + len(bad)
-        del x, z, e
-    for rows in _chunks(comp_r.size):
-        # gathered as its transpose, so that the column form filter_rows
-        # hands to solve_l1reg_columnwise is contiguous and not copied
-        x = m.T[np.ix_(seed.col_idx, comp_r[rows])].T
-        z, e, it, bad, misfit = filter_rows(x, f.v, adm)
-        p[:, rows] = z
-        misfit_r = max(misfit_r, misfit)
-        scale_r = max(scale_r, linf_norm(x))
-        iterations, failed = max(iterations, it), failed + len(bad)
-        del x, z, e
-    residual = max(misfit_c / scale_c if scale_c else 0.0,
-                   misfit_r / scale_r if scale_r else 0.0)
-    return q, p, iterations, failed, residual
-
-
 def estimate_rank_and_factor(m, cfg=None):
     """The l1-filtering solve with target-rank estimation, up to the factors
     of L: the seed-attempt loop of the module docstring. Seed and fallback
@@ -434,8 +406,10 @@ def estimate_rank_and_factor(m, cfg=None):
         )
     else:
         t0 = time.perf_counter()
-        q, p, filter_iterations, failed, filter_residual = _filter_stage(m, seed, cfg.adm)
+        q, it_c, failed_c, residual_c = filter_columns(m, seed, cfg.adm)
+        p, it_r, failed_r, residual_r = filter_rows(m, seed, cfg.adm)
         stats["t2"] = time.perf_counter() - t0
+        filter_iterations, failed = max(it_c, it_r), failed_c + failed_r
         t0 = time.perf_counter()
         l = LowRank(*nystrom_complete(seed, q, p))
         stats["t_assemble"] = time.perf_counter() - t0
@@ -448,7 +422,7 @@ def estimate_rank_and_factor(m, cfg=None):
         sol = PcpSolution(
             l=l, s=Remainder(m, l), iterations=seed.pcp_iterations + filter_iterations,
             # certificates: the seed PCP residual and each filter's constraint residual
-            final_residual=max(seed.pcp_residual, filter_residual),
+            final_residual=max(seed.pcp_residual, residual_c, residual_r),
             rank_of_l=seed.r_prime, elapsed=0.0,
             converged=seed.pcp_converged and failed == 0, method="l1-filter", stats=stats,
         )

@@ -250,8 +250,8 @@ def test_nystrom_dual_formulas():
         seed = SeedRecovery(row_idx=ri, col_idx=ci, seed_svd=f, r_prime=f.rank)
         comp_r = np.setdiff1d(np.arange(80), ri)
         comp_c = np.setdiff1d(np.arange(70), ci)
-        q = filter_columns(l0[np.ix_(ri, comp_c)], seed.seed_svd.u, AdmConfig(tol=1e-10))[0]
-        p = filter_rows(l0[np.ix_(comp_r, ci)], seed.seed_svd.v, AdmConfig(tol=1e-10))[0]
+        q = filter_columns(l0, seed, AdmConfig(tol=1e-10))[0]
+        p = filter_rows(l0, seed, AdmConfig(tol=1e-10))[0]
         a, b = nystrom_complete(seed, q, p)
         direct = a[comp_r] @ b[comp_c].T
         via_pinv = nystrom_complete_via_pinv(
