@@ -180,7 +180,9 @@ def recover_seed(seed_block, adm=None, row_idx=None, col_idx=None, max_rank=0):
     factor it. A block with no signal gives r' = 0 and an empty seed_svd.
 
     The PCP runs rank-adaptive (see solve_pcp): the seed's SVT rank is small
-    next to the block, so a certified partial SVD replaces most full SVDs.
+    next to the block, so a certified partial SVD, warm-started from the
+    previous SVT or started from the Gram matrix's eigenvectors, replaces
+    almost every full SVD.
     The seed's factors are those of the PCP's last SVT, whose product is the
     recovered L, less the singular values at or below SEED_RANK_TOL * sigma_1.
     adm.lam=None picks the seed block's own default_lambda.

@@ -1,7 +1,10 @@
 """Dense matrix primitives: norms, skinny SVD, and the two proximal operators
 used by every solver, in-place soft thresholding and singular value
-thresholding with its rank."""
+thresholding with its rank. The SVT takes a certified partial SVD, warm
+from the previous factors or started from the Gram matrix's eigenvectors,
+and LAPACK's full SVD only where no partial SVD can be trusted."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,8 +99,11 @@ def svd(m, rank_tol=1e-8, atol=0.0):
     LAPACK's U and V are copied, u and v C-contiguous.
     """
     m = np.asarray(m, dtype=np.float64)
-    if rank_tol < 0 or atol < 0:
+    if not (rank_tol >= 0 and atol >= 0):  # so that NaN fails
         raise ValueError("rank_tol and atol must be nonnegative")
+    # LAPACK fails on a NaN but returns NaN singular values for an infinity
+    if not np.isfinite(m).all():
+        raise SvdConvergenceError(f"SVD of a {m.shape} matrix with non-finite entries")
     try:
         u, s, vt = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:
@@ -118,25 +124,22 @@ PARTIAL_CERT_TOL = 1e-14
 PARTIAL_SKETCH_SEED = 0
 
 
-def _svt_partial_factors(w, eta, v_prev):
-    """Thresholded factors (U_k, Sigma_k - eta, V_k) from a warm-started
-    randomized range finder, or None when the sketch cannot be trusted and
-    the full SVD must decide.
+def _sketch_width(k):
+    """Columns sketched for k expected singular values above the threshold."""
+    return k + max(10, k // 2)
 
-    The sketch has p = k + max(10, k // 2) columns for the previous rank k;
-    its first k columns are the previous right singular vectors and the rest
-    come from a fixed-seed Gaussian draw. The Rayleigh-Ritz step B = Q^T W
-    makes W^T U_k = V_k Sigma_k hold exactly, so the triplets are accepted
-    once max|W V_k - U_k Sigma_k| <= PARTIAL_CERT_TOL * sigma_1, after up to
-    PARTIAL_MAX_POWER_STEPS power steps.
+
+def _rayleigh_ritz(w, eta, y):
+    """Thresholded factors (U_k, Sigma_k - eta, V_k) of *w* from the range
+    basis *y* (m×p), or None when they cannot be certified.
+
+    The Rayleigh-Ritz step B = Q^T W makes W^T U_k = V_k Sigma_k hold
+    exactly, so the triplets are accepted once max|W V_k - U_k Sigma_k| <=
+    PARTIAL_CERT_TOL * sigma_1, after up to PARTIAL_MAX_POWER_STEPS power
+    steps; None when every one of the p values survives the threshold, or
+    when the certificate is never met.
     """
-    k_prev = v_prev.shape[1]
-    p = k_prev + max(10, k_prev // 2)
-    if k_prev == 0 or p > PARTIAL_MAX_FRACTION * min(w.shape):
-        return None
-    omega = np.random.default_rng(PARTIAL_SKETCH_SEED).standard_normal((w.shape[1], p))
-    omega[:, :k_prev] = v_prev
-    y = w @ omega
+    p = y.shape[1]
     for _ in range(PARTIAL_MAX_POWER_STEPS + 1):
         q = np.linalg.qr(y)[0]
         f = svd(q.T @ w, rank_tol=0.0)
@@ -153,27 +156,103 @@ def _svt_partial_factors(w, eta, v_prev):
     return None
 
 
-def svt_with_rank(w, eta, v_prev=None):
+def _svt_partial_factors(w, eta, v_prev):
+    """The warm start: _rayleigh_ritz from a sketch of p =
+    _sketch_width(k) columns for the previous rank k, whose first k columns
+    are the previous right singular vectors and the rest a fixed-seed
+    Gaussian draw. None when there is no previous rank, the sketch is wider
+    than PARTIAL_MAX_FRACTION of min(m, n), or _rayleigh_ritz declines.
+    """
+    k_prev = v_prev.shape[1]
+    p = _sketch_width(k_prev)
+    if k_prev == 0 or p > PARTIAL_MAX_FRACTION * min(w.shape):
+        return None
+    omega = np.random.default_rng(PARTIAL_SKETCH_SEED).standard_normal((w.shape[1], p))
+    omega[:, :k_prev] = v_prev
+    return _rayleigh_ritz(w, eta, w @ omega)
+
+
+def _scaled_gram(w, e):
+    """The Gram matrix of 2^-e W over its shorter side, W^T W or W W^T; the
+    scaled copy is freed on return."""
+    w = np.ldexp(w, -e)
+    return w.T @ w if w.shape[0] >= w.shape[1] else w @ w.T
+
+
+def _svt_gram_factors(w, eta):
+    """The cold start, from the eigendecomposition of the Gram matrix G.
+
+    W is first scaled by the power of two 2^-e that brings max|W| into
+    [1, 2), as spectral_norm_estimate does, so G neither overflows nor
+    underflows. k counts every eigenvalue of G that could exceed
+    (2^-e eta)^2 given G's absolute error, about max(m, n) eps lambda_max:
+    at k = 0 no singular value exceeds eta and the SVT is 0. Otherwise the
+    top p = _sketch_width(k) eigenvectors, right singular vectors of a tall
+    W (the basis is then W times them) or left ones of a wide W, seed
+    _rayleigh_ritz on the unscaled W, and its certificate decides. None
+    when p is wider than PARTIAL_MAX_FRACTION of min(m, n), when eigh
+    fails or W is not finite, or when _rayleigh_ritz declines. G is freed
+    when eigh returns, and of its eigenvectors only the p kept are copied.
+    """
+    peak = max(w.max(), -w.min())  # max|W|, without a W-sized temporary
+    if not np.isfinite(peak):
+        return None
+    e = math.frexp(peak)[1] - 1
+    try:
+        lam, vecs = np.linalg.eigh(_scaled_gram(w, e))
+    except np.linalg.LinAlgError:
+        return None
+    if not np.isfinite(lam).all():
+        return None
+    with np.errstate(over="ignore"):  # a scaled eta whose square overflows keeps none
+        cut = np.ldexp(eta, -e) ** 2 - max(w.shape) * np.finfo(float).eps * abs(lam[-1])
+    k = int((lam > cut).sum())
+    if k == 0:
+        return SkinnySvd(np.zeros((w.shape[0], 0)), np.zeros(0), np.zeros((w.shape[1], 0)))
+    p = _sketch_width(k)
+    if p > PARTIAL_MAX_FRACTION * min(w.shape):
+        return None
+    basis = vecs[:, :-p - 1:-1].copy()  # the top p, largest first
+    del vecs
+    return _rayleigh_ritz(w, eta, w @ basis if w.shape[0] >= w.shape[1] else basis)
+
+
+def svt_with_rank(w, eta, v_prev=None, rank_prev=None, paths=None):
     """Singular value thresholding U_k (Sigma_k - eta) V_k^T of *w*, over the
     k singular values above eta. Returns (matrix, factors): factors is the
     SkinnySvd (U_k, Sigma_k - eta, V_k) whose reconstruction is the matrix.
 
-    With the previous iterate's right singular vectors *v_prev* the factors
-    come from the certified partial SVD (_svt_partial_factors). Without
-    them, or when that sketch cannot be trusted (too wide, every sketched
-    value survives the threshold, or no certificate), they come from the
-    full SVD, which keeps only the k values above eta, so LAPACK's full U
-    and V^T are released before the matrix is allocated. Both share the
-    layout of U_k and V_k, and it must hold: the last bits of the product
-    depend on how V_k^T is laid out.
+    The factors come from the first of three paths that succeeds:
+    - "warm": with the previous iterate's right singular vectors *v_prev*,
+      the certified partial SVD warm-started from them
+      (_svt_partial_factors);
+    - "gram": without a usable warm start (no v_prev, a previous rank of 0,
+      or a warm sketch that ended with every sketched value above eta or
+      without a certificate), the certified partial SVD started from the
+      eigenvectors of W's Gram matrix (_svt_gram_factors);
+    - "svd": LAPACK's full SVD, which keeps only the k values above eta, so
+      its full U and V^T are released before the matrix is allocated.
+    The previous rank, v_prev's width or else *rank_prev*, skips both
+    sketches when their width for it would pass PARTIAL_MAX_FRACTION of
+    min(m, n). All paths share the layout of U_k and V_k, and it must hold:
+    the last bits of the product depend on how V_k^T is laid out. *paths*,
+    a dict, counts the path taken under its name.
     """
-    if eta < 0:
+    if not eta >= 0:  # so that NaN fails
         raise ValueError("eta must be nonnegative")
     w = np.asarray(w, dtype=np.float64)
-    factors = None if v_prev is None else _svt_partial_factors(w, eta, v_prev)
+    k_prev = v_prev.shape[1] if v_prev is not None else rank_prev or 0
+    factors = None
+    if _sketch_width(k_prev) <= PARTIAL_MAX_FRACTION * min(w.shape):
+        if v_prev is not None:
+            factors, path = _svt_partial_factors(w, eta, v_prev), "warm"
+        if factors is None:
+            factors, path = _svt_gram_factors(w, eta), "gram"
     if factors is None:
         f = svd(w, rank_tol=0.0, atol=eta)
-        factors = SkinnySvd(f.u, f.sigma - eta, f.v)
+        factors, path = SkinnySvd(f.u, f.sigma - eta, f.v), "svd"
+    if paths is not None:
+        paths[path] = paths.get(path, 0) + 1
     if factors.rank == 0:
         return np.zeros_like(w), factors
     return factors.reconstruct(), factors

@@ -6,23 +6,30 @@ Alternates a soft-threshold update of S, a singular-value-threshold update
 of L, then the multiplier and penalty updates, until the relative Frobenius
 residual ||M - L - S||_F / ||M||_F drops below tol.
 
-Each iteration makes one matcore.svt_with_rank call. By default it takes a
-full SVD, as in the paper's reference solver. With rank_adaptive=True it is
-given the previous SVT's V_k and tries a certified partial SVD sized by the
-previous iterate's rank first (see solve_pcp).
+Each iteration makes one matcore.svt_with_rank call. By default it decides
+every rank from the whole spectrum, as in the paper's reference solver: the
+SVT is given only the previous iterate's rank, and takes a certified
+partial SVD started from the eigenvectors of W's Gram matrix, or LAPACK's
+full SVD when that sketch would be too wide or is not certified. With
+rank_adaptive=True it is also given the previous SVT's V_k and tries a
+certified partial SVD warm-started from it first (see solve_pcp).
 
 The working set is L, S and the multiplier Y, each the size of M. S and Y
 are updated in place; Y/beta and then W = M - S + Y/beta are formed in the
-old L's buffer, with a second Y/beta as a transient freed before the SVD,
+old L's buffer, with a second Y/beta as a transient freed before the SVT,
 and R = M - L - S and beta R in W's buffer once the SVT has run. So an
-SVT holds only W, S and Y besides its own arrays: LAPACK's U and V^T (2x M
-for a square M) while a full SVD runs, of which it copies only the
-retained columns, allocating the new L after they are freed. The full-SVD
-path drops the retained U_k and V_k once it has read the rank, so they are
-not held into the next SVD. numpy's allocations peak at about 5x M on top
-of M with a full SVD, and at about 4x M on a resumed solve whose steps all
-take the partial SVD; LAPACK's own copy of W and its workspace, which numpy
-does not allocate, come on top of that.
+SVT holds only W, S and Y besides its own arrays, and allocates the new L
+only after they are freed:
+- the Gram start holds W scaled by a power of two and the Gram matrix
+  while it forms it, and the Gram matrix and its eigenvectors while eigh
+  runs (2x M for a square M), then keeps p eigenvectors of them;
+- the full SVD holds LAPACK's U and V^T (2x M for a square M), of which it
+  copies only the retained columns;
+- the warm start holds only thin sketches.
+No SVT's factors are held into the next one on the default path. numpy's
+allocations peak at about 5x M on top of M, and at about 4x M on a resumed
+solve whose steps all take the warm start; LAPACK's own copies and
+workspace, which numpy does not allocate, come on top of that.
 
 A solve can be resumed: its solution carries the multiplier, the penalty and
 the last SVT's factors (AdmState), and solve_pcp(m, cfg, resume=sol) takes
@@ -93,7 +100,7 @@ class AdmState:
     y is the multiplier, beta the penalty of the last step, iterations the
     steps taken so far in all. svt holds the last SVT's factors
     (U, Sigma - eta, V) on the rank-adaptive path, so that U diag(Sigma - eta)
-    V^T is the returned L; the full-SVD path leaves it None.
+    V^T is the returned L; the default path leaves it None.
     """
 
     y: np.ndarray
@@ -196,23 +203,31 @@ def solve_pcp(m, cfg=None, rank_adaptive=False, resume=None):
     max_iter exhaustion with final_residual above tol.
 
     rank_adaptive=False (the default) is the paper's ADM: every iteration
-    thresholds a full SVD. It stays the default because it is the reference
-    the l1-filter pipeline is measured against.
+    thresholds at a rank decided from the whole spectrum. It stays the
+    default because it is the reference the l1-filter pipeline is measured
+    against. Each SVT is told only the previous iterate's rank. It
+    eigendecomposes the Gram matrix of W, counts the values that could
+    exceed the threshold, sketches with the top k + max(10, k // 2)
+    eigenvectors and accepts the Rayleigh-Ritz triplets only when
+    max|W V_k - U_k Sigma_k| <= 1e-14 sigma_1 holds, after up to eight
+    power steps; otherwise, or when that sketch, or the one for the
+    previous rank, would exceed a quarter of min(m, n), it takes LAPACK's
+    full SVD.
 
-    rank_adaptive=True passes each SVT the previous one's right singular
-    vectors, so that from the second iteration on svt_with_rank replaces
-    the full SVD by a randomized range finder sized by the previous
-    iterate's SVT rank k: a sketch of k + max(10, k // 2) columns whose
-    first k are the previous right singular vectors (a warm start) and the
-    rest a fixed-seed Gaussian draw, so solves stay deterministic. A
-    Rayleigh-Ritz step gives the singular triplets above the threshold,
-    which are accepted only when max|W V_k - U_k Sigma_k| <= 1e-14 sigma_1
-    holds, after up to eight power steps. The SVT falls back to the full
-    SVD when there is no rank guess (the first iteration, or rank 0), when
-    the sketch would exceed a quarter of min(m, n), when every sketched
-    value survives the threshold, or when the certificate is never met. The l1-filter pipeline solves its
-    seeds and its full-pcp-fallback this way, and its state then carries
-    the last SVT's factors.
+    rank_adaptive=True also passes each SVT the previous one's right
+    singular vectors, so that from the second iteration on svt_with_rank
+    first tries a randomized range finder sized by the previous iterate's
+    SVT rank k: a sketch of k + max(10, k // 2) columns whose first k are
+    the previous right singular vectors (a warm start) and the rest a
+    fixed-seed Gaussian draw, so solves stay deterministic, under the same
+    certificate. When every sketched value survives the threshold or the
+    certificate is never met, the SVT takes the Gram start, and then the
+    full SVD, as above. The l1-filter pipeline solves its seeds and its
+    full-pcp-fallback this way, and its state then carries the last SVT's
+    factors.
+
+    stats counts the SVTs by where their factors came from: svt_warm (the
+    warm start), svt_gram (the Gram start) and svt_svd (the full SVD).
 
     resume=sol continues an earlier solve of the same m from sol.state. It
     keeps that solve's lambda and penalty schedule, takes tol, rho and
@@ -267,6 +282,7 @@ def solve_pcp(m, cfg=None, rank_adaptive=False, resume=None):
     # solve at cfg.tol would have stopped there
     stop = done if resume is not None and residual <= cfg.tol else cfg.max_iter
     iters = done
+    paths = dict.fromkeys(("warm", "gram", "svd"), 0)
 
     for iters in range(done + 1, stop + 1):
         if iters > 1:
@@ -278,13 +294,14 @@ def solve_pcp(m, cfg=None, rank_adaptive=False, resume=None):
         np.add(s, l, out=s)
         _soft_threshold_into(s, lam / beta, l)
         # L = SVT(M - S + Y/beta, 1/beta), with W formed in l's buffer; this
-        # Y/beta is freed before the SVD starts
+        # Y/beta is freed before the SVT starts
         w = np.subtract(m, s, out=l)
         np.add(w, np.divide(y, beta), out=w)
-        l, factors = svt_with_rank(w, 1.0 / beta, None if factors is None else factors.v)
+        l, factors = svt_with_rank(w, 1.0 / beta, None if factors is None else factors.v,
+                                   rank_prev=rank_l, paths=paths)
         rank_l = factors.rank
         if not rank_adaptive:
-            factors = None  # not held into the next SVD, nor returned
+            factors = None  # not held into the next SVT, nor returned
         # R = M - L - S, then beta * R, in W's buffer, dead once the SVT ran
         np.subtract(m, l, out=w)
         np.subtract(w, s, out=w)
@@ -294,7 +311,7 @@ def solve_pcp(m, cfg=None, rank_adaptive=False, resume=None):
                 f"non-finite residual at iteration {iters} (beta={beta:.3g})"
             )
         y += np.multiply(beta, w, out=w)
-        del w  # not held into the next iteration's SVD
+        del w  # not held into the next iteration's SVT
         if residual <= cfg.tol:
             break
 
@@ -304,7 +321,9 @@ def solve_pcp(m, cfg=None, rank_adaptive=False, resume=None):
     return PcpSolution(
         l=l, s=s, iterations=iters - done, final_residual=residual,
         rank_of_l=rank_l, elapsed=time.perf_counter() - t0,
-        converged=converged, stats={"beta_final": beta, "lambda": lam},
+        converged=converged,
+        stats={"beta_final": beta, "lambda": lam,
+               **{f"svt_{path}": n for path, n in paths.items()}},
         state=AdmState(y=y, beta=beta, beta_max=beta_max, lam=lam,
                        iterations=iters, svt=factors),
     )

@@ -1,6 +1,7 @@
 """Unit tests for the dense matrix core: norms, shrinkage, SVD wrappers."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ import pytest
 from l1pcp import matcore, pcp_adm, synth
 from l1pcp.l1filter import PIPELINE_TOL, recover_seed, sample_submatrix
 from l1pcp.matcore import (
+    SkinnySvd,
+    SvdConvergenceError,
     as_dense,
     frobenius_norm,
     l0_count,
@@ -98,6 +101,19 @@ def test_svd_atol_is_an_absolute_cutoff():
     assert f.u.flags.c_contiguous and f.v.flags.c_contiguous
     with pytest.raises(ValueError):
         svd(m, atol=-1.0)
+
+
+@pytest.mark.parametrize("kwargs", [{"atol": np.nan}, {"rank_tol": np.nan}])
+def test_svd_rejects_a_nan_cutoff(kwargs):
+    # unchecked, atol=nan kept every value and rank_tol=nan none
+    with pytest.raises(ValueError, match="nonnegative"):
+        svd(np.diag([4.0, 2.0, 1.0]), **kwargs)
+
+
+def test_svt_rejects_a_nan_threshold():
+    # unchecked, it returned a full-rank, all-NaN matrix
+    with pytest.raises(ValueError, match="eta must be nonnegative"):
+        svt_with_rank(np.random.default_rng(0).standard_normal((60, 60)), np.nan)
 
 
 def test_svt_diagonal():
@@ -211,14 +227,29 @@ def _seed_solve_svt_calls(monkeypatch):
     _, _, block = sample_submatrix(gt.m_obs, 320, 320, 1)
     calls = []
 
-    def record(w, eta, v_prev=None):
+    def record(w, eta, v_prev=None, **kwargs):
         # a copy: solve_pcp reuses W's buffer for the residual after the SVT
         calls.append((w.copy(), eta, v_prev))
-        return svt_with_rank(w, eta, v_prev)
+        return svt_with_rank(w, eta, v_prev, **kwargs)
 
     monkeypatch.setattr(pcp_adm, "svt_with_rank", record)
     recover_seed(block, pcp_adm.AdmConfig(tol=PIPELINE_TOL))
     return calls
+
+
+def _full_svd_svt(w, eta):
+    """svt_with_rank's (matrix, factors) from LAPACK's full SVD alone."""
+    f = svd(w, rank_tol=0.0, atol=eta)
+    factors = SkinnySvd(f.u, f.sigma - eta, f.v)
+    return (factors.reconstruct() if factors.rank else np.zeros_like(w)), factors
+
+
+def _assert_matches_full_svt(factors, w, eta):
+    want, full = _full_svd_svt(w, eta)
+    got = factors.reconstruct() if factors.rank else np.zeros_like(w)
+    assert factors.rank == full.rank
+    sigma_1 = np.linalg.svd(w, compute_uv=False)[0]
+    assert np.abs(got - want).max() <= 1e-12 * sigma_1
 
 
 def test_partial_svt_matches_full_svt_on_seed_iterates(monkeypatch):
@@ -227,12 +258,94 @@ def test_partial_svt_matches_full_svt_on_seed_iterates(monkeypatch):
         if v_prev is None or matcore._svt_partial_factors(w, eta, v_prev) is None:
             continue
         partial += 1
-        got, f = svt_with_rank(w, eta, v_prev)
-        want, full = svt_with_rank(w, eta)
-        assert f.rank == full.rank
-        sigma_1 = np.linalg.svd(w, compute_uv=False)[0]
-        assert np.abs(got - want).max() <= 1e-12 * sigma_1
+        _assert_matches_full_svt(svt_with_rank(w, eta, v_prev)[1], w, eta)
     assert partial >= 15
+
+
+def _adm_300_svt_calls(monkeypatch):
+    """(W, eta) of every SVT of the default solve_pcp on a 300x300 rank-10
+    instance with 1% corruption, the size of the adm-300 benchmark."""
+    gt = synth.generate(synth.SynthSpec(m=300, n=300, rho_r=10 / 300, rho_s=0.01,
+                                        rng_seed=0))
+    calls = []
+
+    def record(w, eta, v_prev=None, **kwargs):
+        calls.append((w.copy(), eta))
+        return svt_with_rank(w, eta, v_prev, **kwargs)
+
+    monkeypatch.setattr(pcp_adm, "svt_with_rank", record)
+    assert pcp_adm.solve_pcp(gt.m_obs).converged
+    return calls
+
+
+def test_gram_start_matches_full_svt_on_adm_and_seed_iterates(monkeypatch):
+    calls = [(w, eta) for w, eta, _ in _seed_solve_svt_calls(monkeypatch)]
+    seed_calls = len(calls)
+    calls += _adm_300_svt_calls(monkeypatch)
+    started = [0, 0]
+    for i, (w, eta) in enumerate(calls):
+        factors = matcore._svt_gram_factors(w, eta)
+        if factors is not None:
+            started[i >= seed_calls] += 1
+            _assert_matches_full_svt(factors, w, eta)
+    # every adm-300 SVT, and most of the seed's, are certified from the Gram
+    assert started[1] == len(calls) - seed_calls
+    assert started[0] >= seed_calls // 2
+
+
+def _low_rank_plus_noise(shape, rank, seed):
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal((shape[0], rank)) @ rng.standard_normal((rank, shape[1]))
+    return w + 1e-3 * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("shape", [(200, 80), (80, 200)], ids=["tall", "wide"])
+@pytest.mark.parametrize("eta", [0.5, 1e3], ids=["rank 5", "rank 0"])
+def test_gram_start_matches_full_svt(shape, eta):
+    w = _low_rank_plus_noise(shape, 5, 11)
+    paths = {}
+    got, f = svt_with_rank(w, eta, paths=paths)
+    assert paths == {"gram": 1}
+    assert f.rank == (5 if eta < 1 else 0)
+    assert f.u.shape == (shape[0], f.rank) and f.v.shape == (shape[1], f.rank)
+    assert f.u.flags.c_contiguous and f.v.flags.c_contiguous
+    _assert_matches_full_svt(f, w, eta)
+    np.testing.assert_array_equal(got, f.reconstruct() if f.rank else np.zeros(shape))
+
+
+@pytest.mark.parametrize("eta", [1e300, np.inf])
+def test_gram_start_keeps_nothing_under_a_huge_threshold(eta):
+    # the scaled eta's square overflows: no value passes, and nothing warns
+    w = _low_rank_plus_noise((100, 100), 5, 11) * 1e-3
+    paths = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, f = svt_with_rank(w, eta, paths=paths)
+    assert paths == {"gram": 1} and f.rank == 0 and not got.any()
+
+
+# 2^-458 max|W| is about 1e-138, near the 6.7e-139 below which solve_pcp
+# rejects an M, and 2^448 max|W| about 2.6e135, near its 3.0e138 / sqrt(mn)
+@pytest.mark.parametrize("exponent", [-458, 448])
+@pytest.mark.parametrize("shape", [(200, 80), (80, 200)], ids=["tall", "wide"])
+def test_gram_start_at_the_ends_of_the_pcp_scale_range(shape, exponent):
+    w = _low_rank_plus_noise(shape, 5, 12)
+    paths = {}
+    got, f = svt_with_rank(np.ldexp(w, exponent), np.ldexp(0.5, exponent), paths=paths)
+    assert paths == {"gram": 1} and f.rank == 5
+    want, _ = svt_with_rank(w, 0.5)
+    np.testing.assert_array_equal(got, np.ldexp(want, exponent))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("shape", [(100, 100), (8, 8)], ids=["gram", "svd"])
+def test_svt_of_a_non_finite_matrix_raises(shape, bad):
+    w = _low_rank_plus_noise(shape, 2, 13)
+    w[3, 5] = bad
+    with pytest.raises(SvdConvergenceError):
+        svt_with_rank(w, 0.5)
+    with pytest.raises(SvdConvergenceError):
+        svd(w)
 
 
 def _with_spectrum(rng, sigma):
@@ -243,27 +356,40 @@ def _with_spectrum(rng, sigma):
 
 
 def _fallback_cases():
+    """(name, the path svt_with_rank takes, W, eta, V_prev) for a warm or
+    Gram start that the SVT cannot use."""
     rng = np.random.default_rng(9)
     w, _ = _with_spectrum(rng, np.linspace(10, 1, 40))
-    yield "no rank guess", w, 2.0, None
-    yield "previous rank 0", w, 2.0, np.zeros((40, 0))
+    # the Gram start counts 36 values above eta: its sketch would be too wide
+    yield "no rank guess", "svd", w, 2.0, None
+    yield "previous rank 0", "svd", w, 2.0, np.zeros((40, 0))
     # p = 5 + 10 = 15 columns exceed a quarter of 40
-    yield "too wide", w, 2.0, np.linalg.qr(rng.standard_normal((40, 5)))[0]
+    yield "too wide", "svd", w, 2.0, np.linalg.qr(rng.standard_normal((40, 5)))[0]
     # 50 values above eta fill the p = 11 columns sketched for rank 1
     w, v = _with_spectrum(rng, np.r_[np.linspace(10, 5, 50), np.zeros(50)])
-    yield "k == p", w, 1.0, v[:, :1]
+    yield "k == p", "svd", w, 1.0, v[:, :1]
     # about (9/10)^2 per power step cannot reach the certificate in 8 steps
+    # from the warm sketch; the Gram start's eigenvectors hold the top three
     w, _ = _with_spectrum(rng, np.r_[10.0, 10.0, 10.0, np.linspace(9, 8, 197)])
-    yield "no certificate", w, 9.5, np.linalg.qr(rng.standard_normal((200, 3)))[0]
+    yield "no certificate", "gram", w, 9.5, np.linalg.qr(rng.standard_normal((200, 3)))[0]
+    # the Gram matrix resolves the two values at 1.2e-6 sigma_1 only to an
+    # angle of about eps / (1.2e-6^2 - 0.9e-6^2) = 3.5e-4 from the rest
+    w, _ = _with_spectrum(rng, np.r_[1.0, 1.2e-6, 1.2e-6, np.linspace(0.9e-6, 0.8e-6, 197)])
+    yield "no certificate from the Gram start", "svd", w, 1e-6, None
 
 
 @pytest.mark.parametrize("case", list(_fallback_cases()), ids=lambda c: c[0])
 def test_partial_svt_fallbacks_return_full_svt(case):
-    _, w, eta, v_prev = case
+    _, path, w, eta, v_prev = case
     if v_prev is not None:
         assert matcore._svt_partial_factors(w, eta, v_prev) is None
-    got, f = svt_with_rank(w, eta, v_prev)
-    want, full = svt_with_rank(w, eta)
-    np.testing.assert_array_equal(got, want)
+    paths = {}
+    got, f = svt_with_rank(w, eta, v_prev, paths=paths)
+    assert paths == {path: 1}
+    want, full = _full_svd_svt(w, eta)
+    if path == "svd":
+        np.testing.assert_array_equal(got, want)
+    else:
+        _assert_matches_full_svt(f, w, eta)
     assert f.rank == full.rank == f.v.shape[1]
     np.testing.assert_array_equal(f.reconstruct(), got)

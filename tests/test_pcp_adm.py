@@ -157,25 +157,75 @@ def test_max_iter_exhaustion_is_flagged():
     assert sol.iterations == 3
 
 
-def test_default_solve_never_takes_partial_path(monkeypatch):
-    def forbidden(*args):
-        raise AssertionError("partial SVD on the default path")
+def _svt_v_prev_given(monkeypatch, m, rank_adaptive):
+    """For each SVT of solve_pcp(m), whether it was handed the previous
+    right singular vectors, and the solution."""
+    given = []
 
-    monkeypatch.setattr(matcore, "_svt_partial_factors", forbidden)
+    def record(w, eta, v_prev=None, **kwargs):
+        given.append(v_prev is not None)
+        return matcore.svt_with_rank(w, eta, v_prev, **kwargs)
+
+    monkeypatch.setattr(pcp_adm, "svt_with_rank", record)
+    return given, solve_pcp(m, rank_adaptive=rank_adaptive)
+
+
+def test_default_solve_never_takes_partial_path(monkeypatch):
+    # the default path decides every rank from the whole spectrum: it never
+    # passes the previous vectors, so no SVT is warm-started
     spec = synth.SynthSpec(m=300, n=300, rho_r=0.03, rho_s=0.01, rng_seed=0)
     gt = synth.generate(spec)
-    assert solve_pcp(gt.m_obs).converged
-    with pytest.raises(AssertionError):
-        solve_pcp(gt.m_obs, rank_adaptive=True)
+    given, sol = _svt_v_prev_given(monkeypatch, gt.m_obs, False)
+    assert sol.converged and len(given) == sol.iterations and not any(given)
+    given, sol = _svt_v_prev_given(monkeypatch, gt.m_obs, True)
+    assert sol.converged and any(given)
+
+
+def test_stats_count_the_svt_paths():
+    spec = synth.SynthSpec(m=300, n=300, rho_r=0.03, rho_s=0.01, rng_seed=0)
+    m = synth.generate(spec).m_obs
+    for rank_adaptive in (False, True):
+        sol = solve_pcp(m, rank_adaptive=rank_adaptive)
+        paths = [sol.stats[f"svt_{p}"] for p in ("warm", "gram", "svd")]
+        assert sum(paths) == sol.iterations
+        # the default path never warm-starts; here the Gram start serves
+        # every step, and the rank-adaptive path warm-starts most of them
+        assert paths[0] == 0 if not rank_adaptive else paths[0] >= sol.iterations // 2
+        assert paths[1] > 0
+    first = solve_pcp(m, AdmConfig(tol=1e-5), rank_adaptive=True)
+    resumed = solve_pcp(m, AdmConfig(tol=1e-9), rank_adaptive=True, resume=first)
+    # a resumed solve counts its own steps only
+    assert sum(resumed.stats[f"svt_{p}"] for p in ("warm", "gram", "svd")) == resumed.iterations
+
+
+@pytest.mark.parametrize("rank", [60, 90])
+def test_an_iterate_too_wide_for_a_sketch_goes_straight_to_the_full_svd(monkeypatch, rank):
+    # a Gram start whose sketch would be too wide costs an eigh for
+    # nothing; the previous rank skips it, so at most the step on which the
+    # rank first outgrows the sketch pays one (without the guard, every
+    # full-SVD step of these solves would pay one)
+    declined = []
+    real = matcore._svt_gram_factors
+
+    def count(w, eta):
+        factors = real(w, eta)
+        declined.append(factors is None)
+        return factors
+
+    monkeypatch.setattr(matcore, "_svt_gram_factors", count)
+    spec = synth.SynthSpec(m=300, n=300, rho_r=rank / 300, rho_s=0.01, rng_seed=0)
+    sol = solve_pcp(synth.generate(spec).m_obs)
+    assert sol.converged and sol.stats["svt_svd"] > sol.iterations // 2
+    assert sum(declined) <= 1
 
 
 @pytest.mark.parametrize("rank_adaptive", [False, True])
 def test_one_svt_call_per_iteration(monkeypatch, rank_adaptive):
     calls = []
 
-    def count(w, eta, v_prev=None):
+    def count(w, eta, v_prev=None, **kwargs):
         calls.append(v_prev is not None)
-        return matcore.svt_with_rank(w, eta, v_prev)
+        return matcore.svt_with_rank(w, eta, v_prev, **kwargs)
 
     monkeypatch.setattr(pcp_adm, "svt_with_rank", count)
     spec = synth.SynthSpec(m=100, n=100, rho_r=0.05, rho_s=0.05, rng_seed=0)
@@ -254,23 +304,35 @@ def test_resumed_seed_solve_equals_one_tighter_solve():
         np.testing.assert_array_equal(again.l, resumed.l)  # resuming leaves first intact
 
 
-def _reference_adm(m, tol):
-    """The paper's ADM with a full SVD per step, out of place, in
-    solve_pcp's order of operations and at its default parameters."""
+def _lapack_svt(w, eta, rank_prev):
+    """SVT from LAPACK's full SVD, L = U_k (Sigma_k - eta) V_k^T."""
+    u, sigma, vt = np.linalg.svd(w, full_matrices=False)
+    k = int((sigma - eta > 0).sum())
+    # V_k^T as the transpose of a C-contiguous V_k, as solve_pcp passes it:
+    # the product's last bits depend on the operands' layout
+    return (u[:, :k] * (sigma[:k] - eta)) @ vt[:k].T.copy().T, k
+
+
+def _matcore_svt(w, eta, rank_prev):
+    """svt_with_rank as the default solve_pcp calls it."""
+    l, factors = matcore.svt_with_rank(w, eta, rank_prev=rank_prev)
+    return l, factors.rank
+
+
+def _reference_adm(m, tol, svt):
+    """The paper's ADM, out of place, in solve_pcp's order of operations and
+    at its default parameters, with the SVT svt(W, eta, previous rank)."""
     lam = default_lambda(*m.shape)
     beta = 1.25 / spectral_norm_estimate(m)
     beta_max = 1e7 * beta
     l, s, y = np.zeros_like(m), np.zeros_like(m), np.zeros_like(m)
+    k = 0
     for iters in range(1, 1001):
         if iters > 1:
             beta = min(1.5 * beta, beta_max)
         x = m - l + y / beta
         s = np.sign(x) * np.maximum(np.abs(x) - lam / beta, 0.0)
-        u, sigma, vt = np.linalg.svd(m - s + y / beta, full_matrices=False)
-        k = int((sigma - 1 / beta > 0).sum())
-        # V_k^T as the transpose of a C-contiguous V_k, as solve_pcp passes
-        # it: the product's last bits depend on the operands' layout
-        l = (u[:, :k] * (sigma[:k] - 1 / beta)) @ vt[:k].T.copy().T
+        l, k = svt(m - s + y / beta, 1 / beta, k)
         r = m - l - s
         y += beta * r
         if np.linalg.norm(r) / np.linalg.norm(m) <= tol:
@@ -280,13 +342,23 @@ def _reference_adm(m, tol):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_solve_equals_out_of_place_reference_bit_for_bit(seed):
+    # the in-place solve equals the out-of-place ADM with the same SVT bit
+    # for bit, and the ADM with LAPACK's full SVD to rounding: L and S
+    # within 1e-12 relative, and Y as it enters W, Y/beta, within 1e-12
+    # ||M||. Y itself adds beta R at every step, so one ulp of a single
+    # LAPACK SVT moves it by 1.5e-11 relative on seed 2 (beta ends at 141)
     spec = synth.SynthSpec(m=60 + 20 * seed, n=50, rho_r=0.05, rho_s=0.05, rng_seed=seed)
     m = synth.generate(spec).m_obs
     sol = solve_pcp(m, AdmConfig(tol=1e-7))
-    l, s, y, iters = _reference_adm(m, 1e-7)
+    l, s, y, iters = _reference_adm(m, 1e-7, _matcore_svt)
     assert sol.iterations == iters
     assert np.array_equal(sol.l, l) and np.array_equal(sol.s, s)
     assert np.array_equal(sol.state.y, y)
+    ref_l, ref_s, ref_y, ref_iters = _reference_adm(m, 1e-7, _lapack_svt)
+    assert ref_iters == iters
+    assert frobenius_norm(l - ref_l) <= 1e-12 * frobenius_norm(ref_l)
+    assert frobenius_norm(s - ref_s) <= 1e-12 * frobenius_norm(ref_s)
+    assert frobenius_norm(y - ref_y) / sol.state.beta <= 1e-12 * frobenius_norm(m)
 
 
 def _traced_peak(solve):
