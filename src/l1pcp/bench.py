@@ -39,9 +39,8 @@ def environment_info():
     }
 
 
-# the methods that run solve_pcp on the whole matrix, "adm-partial" with
-# rank_adaptive=True
-FULL_ADM_METHODS = ("adm", "adm-partial")
+# "l1filter" runs estimate_rank_and_solve, "adm" solve_pcp on the whole matrix
+METHODS = ("l1filter", "adm")
 
 
 def run_instance(method, gt, r, rho_s, sigma_scale, seed, rank_hint=None):
@@ -58,8 +57,8 @@ def run_instance(method, gt, r, rho_s, sigma_scale, seed, rank_hint=None):
         "attempts": None,
     }
     try:
-        if method in FULL_ADM_METHODS:
-            sol = solve_pcp(gt.m_obs, AdmConfig(), rank_adaptive=method == "adm-partial")
+        if method == "adm":
+            sol = solve_pcp(gt.m_obs, AdmConfig())
         elif method == "l1filter":
             sol = estimate_rank_and_solve(gt.m_obs,
                                           FilterConfig(rank_hint=rank_hint, rng_seed=seed))
@@ -133,13 +132,13 @@ def fit_time_exponent(sizes, seconds):
     return float(np.polyfit(np.log(sizes), np.log(seconds), 1)[0])
 
 
-def suite_size_sweep(scale=1.0, seeds=(0,), methods=("l1filter",) + FULL_ADM_METHODS,
+def suite_size_sweep(scale=1.0, seeds=(0,), methods=METHODS,
                      r=10, rho_s=0.01, adm_max_size=2000):
     """Timing sweep over n in {1000, 2000, 4000} * scale at fixed rank.
 
-    The full-matrix ADM legs, "adm" and its partial-SVD form "adm-partial",
-    are capped at adm_max_size * scale (dense SVDs beyond that dominate the
-    suite budget); their exponents are fitted on the sizes they did run.
+    The full-matrix ADM leg, "adm", is capped at adm_max_size * scale (its
+    solves beyond that dominate the suite budget); its exponent is fitted on
+    the sizes it did run.
     """
     sizes = [int(round(base * scale)) for base in (1000, 2000, 4000)]
     adm_cap = int(round(adm_max_size * scale))
@@ -149,7 +148,7 @@ def suite_size_sweep(scale=1.0, seeds=(0,), methods=("l1filter",) + FULL_ADM_MET
         for seed in seeds:
             gt, _ = _synth_gt(m, r / m, rho_s, 1.0, seed)
             for method in methods:
-                if method in FULL_ADM_METHODS and m > adm_cap:
+                if method == "adm" and m > adm_cap:
                     continue
                 rec, _ = run_instance(method, gt, r, rho_s, 1.0, seed, rank_hint=r)
                 records.append(rec)
@@ -166,10 +165,11 @@ def suite_size_sweep(scale=1.0, seeds=(0,), methods=("l1filter",) + FULL_ADM_MET
 
 def suite_checkerboard(scale=1.0, seeds=(0,), methods=("l1filter",),
                        m=512, cell=64, fraction=0.1):
-    m = int(round(m * scale))
+    # whole cells of the scaled size, as many per side as at scale 1 (two at
+    # least, so that the image has rank 2)
+    cells = max(2, int(round(m / cell)))
     cell = max(1, int(round(cell * scale)))
-    if m % cell:
-        cell = m // (m // cell) if m // cell else m
+    m = cells * cell
     records = []
     img = synth.checkerboard(m, cell)
     for seed in seeds:
@@ -190,6 +190,9 @@ SUITES = {
 def run_suite(name, scale=None, seeds=(0,), methods=None, **kwargs):
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    for method in methods or ():
+        if method not in METHODS:
+            raise ValueError(f"unknown method {method!r}; choose from {list(METHODS)}")
     fn = SUITES[name]
     if scale is not None:
         kwargs["scale"] = scale

@@ -294,9 +294,9 @@ def build_parser():
     b.add_argument("--suite", choices=sorted(bench.SUITES), required=True)
     b.add_argument("--scale", type=float, default=None)
     b.add_argument("--seeds", type=int, default=1, help="number of RNG seeds per point")
-    b.add_argument("--methods", nargs="+", default=None)
+    b.add_argument("--methods", nargs="+", choices=bench.METHODS, default=None)
     b.add_argument("--adm-max-size", type=int, default=None,
-                   help="largest unscaled size the full-matrix ADM legs of size-sweep run at")
+                   help="largest unscaled size the full-matrix ADM leg of size-sweep runs at")
     b.add_argument("--out-csv")
     b.add_argument("--out-json")
     b.set_defaults(func=cmd_bench)

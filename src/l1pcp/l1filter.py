@@ -179,10 +179,10 @@ def recover_seed(seed_block, adm=None, row_idx=None, col_idx=None, max_rank=0):
     """Recover the low-rank part of a sampled block by small-scale PCP and
     factor it. A block with no signal gives r' = 0 and an empty seed_svd.
 
-    The PCP runs rank-adaptive (see solve_pcp): the seed's SVT rank is small
-    next to the block, so a certified partial SVD, warm-started from the
-    previous SVT or started from the Gram matrix's eigenvectors, replaces
-    almost every full SVD.
+    The seed's SVT rank is small next to the block, so in its PCP (see
+    solve_pcp) a certified partial SVD, warm-started from the previous SVT
+    or started from the Gram matrix's eigenvectors, replaces almost every
+    full SVD.
     The seed's factors are those of the PCP's last SVT, whose product is the
     recovered L, less the singular values at or below SEED_RANK_TOL * sigma_1.
     adm.lam=None picks the seed block's own default_lambda.
@@ -196,12 +196,11 @@ def recover_seed(seed_block, adm=None, row_idx=None, col_idx=None, max_rank=0):
     polish_iterations counts the resumed steps and pcp_iterations all steps.
     """
     adm = adm or AdmConfig()
-    sol = solve_pcp(seed_block, adm, rank_adaptive=True)
+    sol = solve_pcp(seed_block, adm)
     f = _seed_factors(sol)
     residual, polish = sol.final_residual, 0
     if sol.converged and 0 < f.rank <= max_rank:
-        polished = solve_pcp(seed_block, replace(adm, tol=adm.tol * SEED_TOL_RATIO),
-                             rank_adaptive=True, resume=sol)
+        polished = solve_pcp(seed_block, replace(adm, tol=adm.tol * SEED_TOL_RATIO), resume=sol)
         polish = polished.iterations
         if polished.final_residual <= adm.tol:
             f, residual = _seed_factors(polished), polished.final_residual
@@ -342,8 +341,8 @@ def assemble(m, a, b):
 def estimate_rank_and_factor(m, cfg=None):
     """The l1-filtering solve with target-rank estimation, up to the factors
     of L: the seed-attempt loop of the module docstring. Seed and fallback
-    PCPs run with rank_adaptive=True (see solve_pcp), and only the accepted
-    seed is polished (see recover_seed).
+    PCPs are solve_pcp's ADM, and only the accepted seed is polished (see
+    recover_seed).
 
     On the l1-filter path, converged is True only when the seed PCP
     converged and no filtered column or row stopped short of its tolerance.
@@ -392,7 +391,7 @@ def estimate_rank_and_factor(m, cfg=None):
         r = max(seed.r_prime, r + 1)
 
     if seed is None:
-        sol = solve_pcp(m, cfg.adm, rank_adaptive=True)
+        sol = solve_pcp(m, cfg.adm)
         sol.method = "full-pcp-fallback"
         sol.stats.update(stats, proposed_seed=(n_rows, n_cols))
     elif seed.r_prime == 0:

@@ -74,7 +74,7 @@ def l0_count(m, threshold=None):
     """
     if threshold is None:
         threshold = 1e-6 * linf_norm(m)
-    if threshold < 0:
+    if not threshold >= 0:  # so that NaN fails
         raise ValueError("threshold must be nonnegative")
     return int((np.abs(m) > threshold).sum())
 
@@ -217,7 +217,7 @@ def _svt_gram_factors(w, eta):
     return _rayleigh_ritz(w, eta, w @ basis if w.shape[0] >= w.shape[1] else basis)
 
 
-def svt_with_rank(w, eta, v_prev=None, rank_prev=None, paths=None):
+def svt_with_rank(w, eta, v_prev=None, paths=None):
     """Singular value thresholding U_k (Sigma_k - eta) V_k^T of *w*, over the
     k singular values above eta. Returns (matrix, factors): factors is the
     SkinnySvd (U_k, Sigma_k - eta, V_k) whose reconstruction is the matrix.
@@ -232,16 +232,17 @@ def svt_with_rank(w, eta, v_prev=None, rank_prev=None, paths=None):
       eigenvectors of W's Gram matrix (_svt_gram_factors);
     - "svd": LAPACK's full SVD, which keeps only the k values above eta, so
       its full U and V^T are released before the matrix is allocated.
-    The previous rank, v_prev's width or else *rank_prev*, skips both
-    sketches when their width for it would pass PARTIAL_MAX_FRACTION of
-    min(m, n). All paths share the layout of U_k and V_k, and it must hold:
-    the last bits of the product depend on how V_k^T is laid out. *paths*,
-    a dict, counts the path taken under its name.
+    The previous rank, v_prev's width, skips both sketches when their width
+    for it would pass PARTIAL_MAX_FRACTION of min(m, n), so an iterate too
+    wide for a sketch goes straight to the full SVD. All paths share the
+    layout of U_k and V_k, and it must hold: the last bits of the product
+    depend on how V_k^T is laid out. *paths*, a dict, counts the path taken
+    under its name.
     """
     if not eta >= 0:  # so that NaN fails
         raise ValueError("eta must be nonnegative")
     w = np.asarray(w, dtype=np.float64)
-    k_prev = v_prev.shape[1] if v_prev is not None else rank_prev or 0
+    k_prev = v_prev.shape[1] if v_prev is not None else 0
     factors = None
     if _sketch_width(k_prev) <= PARTIAL_MAX_FRACTION * min(w.shape):
         if v_prev is not None:

@@ -6,13 +6,11 @@ Alternates a soft-threshold update of S, a singular-value-threshold update
 of L, then the multiplier and penalty updates, until the relative Frobenius
 residual ||M - L - S||_F / ||M||_F drops below tol.
 
-Each iteration makes one matcore.svt_with_rank call. By default it decides
-every rank from the whole spectrum, as in the paper's reference solver: the
-SVT is given only the previous iterate's rank, and takes a certified
-partial SVD started from the eigenvectors of W's Gram matrix, or LAPACK's
-full SVD when that sketch would be too wide or is not certified. With
-rank_adaptive=True it is also given the previous SVT's V_k and tries a
-certified partial SVD warm-started from it first (see solve_pcp).
+Each iteration makes one matcore.svt_with_rank call, handed the previous
+SVT's factors: a certified partial SVD warm-started from them, in the style
+of IALM (Lin, Chen & Ma, arXiv:1009.5055), with the partial SVD started from
+the eigenvectors of W's Gram matrix as the cold start and LAPACK's full SVD
+as the one fallback (see solve_pcp).
 
 The working set is L, S and the multiplier Y, each the size of M. S and Y
 are updated in place; Y/beta and then W = M - S + Y/beta are formed in the
@@ -26,10 +24,11 @@ only after they are freed:
 - the full SVD holds LAPACK's U and V^T (2x M for a square M), of which it
   copies only the retained columns;
 - the warm start holds only thin sketches.
-No SVT's factors are held into the next one on the default path. numpy's
-allocations peak at about 5x M on top of M, and at about 4x M on a resumed
-solve whose steps all take the warm start; LAPACK's own copies and
-workspace, which numpy does not allocate, come on top of that.
+Only the last SVT's thin factors are held into the next one. numpy's
+allocations peak at about 5x M on top of M on a step that takes the Gram
+start or the full SVD, and at about 4x M on a resumed solve whose steps
+all take the warm start; LAPACK's own copies and workspace, which numpy
+does not allocate, come on top of that.
 
 A solve can be resumed: its solution carries the multiplier, the penalty and
 the last SVT's factors (AdmState), and solve_pcp(m, cfg, resume=sol) takes
@@ -99,8 +98,8 @@ class AdmState:
 
     y is the multiplier, beta the penalty of the last step, iterations the
     steps taken so far in all. svt holds the last SVT's factors
-    (U, Sigma - eta, V) on the rank-adaptive path, so that U diag(Sigma - eta)
-    V^T is the returned L; the default path leaves it None.
+    (U, Sigma - eta, V), so that U diag(Sigma - eta) V^T is the returned L;
+    it is None only when no step was taken.
     """
 
     y: np.ndarray
@@ -198,33 +197,18 @@ def _power_iteration(m, v):
     return float(sigma)
 
 
-def solve_pcp(m, cfg=None, rank_adaptive=False, resume=None):
+def solve_pcp(m, cfg=None, resume=None):
     """Solve PCP by ADM. Returns a PcpSolution; converged=False flags
     max_iter exhaustion with final_residual above tol.
 
-    rank_adaptive=False (the default) is the paper's ADM: every iteration
-    thresholds at a rank decided from the whole spectrum. It stays the
-    default because it is the reference the l1-filter pipeline is measured
-    against. Each SVT is told only the previous iterate's rank. It
-    eigendecomposes the Gram matrix of W, counts the values that could
-    exceed the threshold, sketches with the top k + max(10, k // 2)
-    eigenvectors and accepts the Rayleigh-Ritz triplets only when
-    max|W V_k - U_k Sigma_k| <= 1e-14 sigma_1 holds, after up to eight
-    power steps; otherwise, or when that sketch, or the one for the
-    previous rank, would exceed a quarter of min(m, n), it takes LAPACK's
-    full SVD.
-
-    rank_adaptive=True also passes each SVT the previous one's right
-    singular vectors, so that from the second iteration on svt_with_rank
-    first tries a randomized range finder sized by the previous iterate's
-    SVT rank k: a sketch of k + max(10, k // 2) columns whose first k are
-    the previous right singular vectors (a warm start) and the rest a
-    fixed-seed Gaussian draw, so solves stay deterministic, under the same
-    certificate. When every sketched value survives the threshold or the
-    certificate is never met, the SVT takes the Gram start, and then the
-    full SVD, as above. The l1-filter pipeline solves its seeds and its
-    full-pcp-fallback this way, and its state then carries the last SVT's
-    factors.
+    Each SVT is handed the previous one's factors (see svt_with_rank). From
+    the second step on it tries a partial SVD sketched from the previous
+    right singular vectors and a fixed-seed Gaussian draw, so solves stay
+    deterministic, and accepts it only under a residual certificate of
+    1e-14 sigma_1. The Gram start is the cold start, for the first step and
+    any warm sketch that is not certified, and LAPACK's full SVD the one
+    fallback, taken at once when the previous rank is too wide for a
+    sketch. The l1-filter pipeline's seed and fallback PCPs are this solve.
 
     stats counts the SVTs by where their factors came from: svt_warm (the
     warm start), svt_gram (the Gram start) and svt_svd (the full SVD).
@@ -277,7 +261,7 @@ def solve_pcp(m, cfg=None, rank_adaptive=False, resume=None):
         # the loop writes in place: copy, so that the earlier solution stays
         l, s, y = resume.l.copy(), resume.s.copy(), st.y.copy()
         rank_l, residual = resume.rank_of_l, resume.final_residual
-        factors = st.svt if rank_adaptive else None
+        factors = st.svt
     # a resumed iterate that already meets cfg.tol takes no step, as one
     # solve at cfg.tol would have stopped there
     stop = done if resume is not None and residual <= cfg.tol else cfg.max_iter
@@ -298,10 +282,8 @@ def solve_pcp(m, cfg=None, rank_adaptive=False, resume=None):
         w = np.subtract(m, s, out=l)
         np.add(w, np.divide(y, beta), out=w)
         l, factors = svt_with_rank(w, 1.0 / beta, None if factors is None else factors.v,
-                                   rank_prev=rank_l, paths=paths)
+                                   paths=paths)
         rank_l = factors.rank
-        if not rank_adaptive:
-            factors = None  # not held into the next SVT, nor returned
         # R = M - L - S, then beta * R, in W's buffer, dead once the SVT ran
         np.subtract(m, l, out=w)
         np.subtract(w, s, out=w)

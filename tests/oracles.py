@@ -6,13 +6,17 @@ oracles recompute the same blocks from an explicit pseudo-inverse of the
 seed matrix, so that the tests can hold the factored formulas against them.
 soft_threshold and svt are the whole-matrix forms of the solvers' in-place
 soft threshold and of svt_with_rank, and nuclear_norm the objective's
-nuclear norm, for the tests of the proximal operators.
+nuclear norm, for the tests of the proximal operators. reference_adm is
+solve_pcp's ADM written out of place, and with lapack_svt it takes LAPACK's
+full SVD at every step: the reference the warm-started solves are held
+against.
 """
 
 import numpy as np
 
 from l1pcp.l1filter import SEED_RANK_TOL
 from l1pcp.matcore import _soft_threshold_into, as_dense, svd, svt_with_rank
+from l1pcp.pcp_adm import default_lambda, spectral_norm_estimate
 
 
 def soft_threshold(m, eta):
@@ -51,3 +55,35 @@ def nystrom_complete_via_pinv(l_row, seed_l, l_col, rank_tol=SEED_RANK_TOL):
     from the seed matrix itself."""
     f = svd(as_dense(seed_l), rank_tol=rank_tol)
     return as_dense(l_row) @ pseudo_inverse_apply(f, as_dense(l_col))
+
+
+def lapack_svt(w, eta, v_prev):
+    """SVT from LAPACK's full SVD, L = U_k (Sigma_k - eta) V_k^T, and V_k."""
+    u, sigma, vt = np.linalg.svd(w, full_matrices=False)
+    k = int((sigma - eta > 0).sum())
+    # V_k^T as the transpose of a C-contiguous V_k, as solve_pcp passes it:
+    # the product's last bits depend on the operands' layout
+    v = vt[:k].T.copy()
+    return (u[:, :k] * (sigma[:k] - eta)) @ v.T, v
+
+
+def reference_adm(m, tol, svt):
+    """The paper's ADM, out of place, in solve_pcp's order of operations and
+    at its default parameters, with the SVT svt(W, eta, previous V_k).
+    Returns L, S, Y and the step count."""
+    lam = default_lambda(*m.shape)
+    beta = 1.25 / spectral_norm_estimate(m)
+    beta_max = 1e7 * beta
+    l, s, y = np.zeros_like(m), np.zeros_like(m), np.zeros_like(m)
+    v = None
+    for iters in range(1, 1001):
+        if iters > 1:
+            beta = min(1.5 * beta, beta_max)
+        x = m - l + y / beta
+        s = np.sign(x) * np.maximum(np.abs(x) - lam / beta, 0.0)
+        l, v = svt(m - s + y / beta, 1 / beta, v)
+        r = m - l - s
+        y += beta * r
+        if np.linalg.norm(r) / np.linalg.norm(m) <= tol:
+            return l, s, y, iters
+    raise AssertionError("reference ADM did not converge")

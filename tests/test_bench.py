@@ -69,25 +69,12 @@ def test_summary_counts_converged_wrong_solves(monkeypatch):
     assert bench.run_suite("fake")["summary"] == {"m": 10, "converged_wrong": 2}
 
 
-def test_adm_partial_runs_the_rank_adaptive_adm():
-    gt = synth.generate(synth.SynthSpec(m=60, n=60, rho_r=0.05, rho_s=0.02,
-                                        rng_seed=1))
-    rec, sol = bench.run_instance("adm-partial", gt, 3, 0.02, 1.0, 1)
-    assert rec["error"] == "" and rec["method"] == "adm-partial"
-    assert sol.converged and sol.state.svt is not None  # the rank-adaptive path
-    full, _ = bench.run_instance("adm", gt, 3, 0.02, 1.0, 1)
-    assert rec["rank_l"] == full["rank_l"]
-    assert rec["rel_err"] <= 1e-4
-    assert set(rec) == set(bench.CSV_HEADER)
-
-
-def test_size_sweep_caps_both_adm_methods():
+def test_size_sweep_caps_the_adm():
     records, summary = bench.suite_size_sweep(
-        scale=0.05, seeds=(0,), methods=("adm", "adm-partial"), r=2, adm_max_size=2000)
-    assert [(r["method"], r["m"]) for r in records] == [
-        (method, m) for m in (50, 100) for method in ("adm", "adm-partial")]
+        scale=0.05, seeds=(0,), methods=("adm",), r=2, adm_max_size=2000)
+    assert [(r["method"], r["m"]) for r in records] == [("adm", 50), ("adm", 100)]
     assert all(r["error"] == "" for r in records)
-    assert set(summary["exponents"]) == {"adm", "adm-partial"}
+    assert set(summary["exponents"]) == {"adm"}
 
 
 def test_run_suite_rejects_unknown_name():
@@ -156,3 +143,24 @@ def test_csv_report_roundtrip(tmp_path):
     row = dict(zip(bench.CSV_HEADER, lines[1].split(",")))
     assert int(row["m"]) == 40
     assert float(row["rel_err"]) == pytest.approx(rec["rel_err"])
+
+
+@pytest.mark.parametrize("method", ["bogus", "adm-partial"])
+def test_run_suite_rejects_an_unknown_method_before_solving(monkeypatch, method):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("run_suite solved before it checked the methods")
+
+    monkeypatch.setattr(bench, "run_instance", forbidden)
+    with pytest.raises(ValueError, match="unknown method"):
+        bench.run_suite("checkerboard", scale=0.125, methods=("l1filter", method))
+
+
+@pytest.mark.parametrize("scale, m, cell", [
+    (0.1, 48, 6), (0.125, 64, 8), (0.3, 152, 19), (0.7, 360, 45), (1.0, 512, 64)])
+def test_checkerboard_suite_keeps_whole_cells_at_every_scale(scale, m, cell):
+    # eight cells of the scaled size per side; rounding the cell to
+    # m // (m // cell) gave cell 6 for m = 51, which does not divide it
+    records, summary = bench.suite_checkerboard(scale=scale, methods=())
+    assert records == [] and (summary["m"], summary["cell"]) == (m, cell)
+    assert m % cell == 0
+    assert np.linalg.matrix_rank(synth.checkerboard(m, cell)) == 2

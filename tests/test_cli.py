@@ -312,6 +312,15 @@ def test_parser_rejects_unknown_suite():
         main(["bench", "--suite", "not-a-suite"])
 
 
+@pytest.mark.parametrize("method", ["bogus", "adm-partial"])
+def test_parser_rejects_an_unknown_bench_method(capsys, method):
+    # unchecked, each record carried "unknown method" and bench exited 0
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--suite", "checkerboard", "--scale", "0.125", "--methods", method])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
 @pytest.fixture(scope="module")
 def rank10_dmat(tmp_path_factory):
     """A 1000x1000 rank-10 instance with 1% corruption, as a DMAT file."""

@@ -29,7 +29,7 @@ from l1pcp.l1filter import (
 from l1pcp.l1reg import CHUNK_COLS, _exact_fit_presolve, solve_l1reg, solve_l1reg_columnwise
 from l1pcp.matcore import SkinnySvd, frobenius_norm, linf_norm, svd
 from l1pcp.pcp_adm import AdmConfig, solve_pcp
-from oracles import nystrom_complete_via_pinv
+from oracles import lapack_svt, nystrom_complete_via_pinv, reference_adm
 
 
 def _low_rank(rng, m, n, r):
@@ -88,7 +88,7 @@ def _seed_block():
 def test_seed_factors_come_from_the_last_svt(monkeypatch):
     block = _seed_block()
     cfg = AdmConfig(tol=PIPELINE_TOL)
-    sol = solve_pcp(block, cfg, rank_adaptive=True)
+    sol = solve_pcp(block, cfg)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("recover_seed took a fresh SVD")
@@ -104,7 +104,7 @@ def test_seed_factors_come_from_the_last_svt(monkeypatch):
 
 def test_polish_shares_the_iteration_budget():
     block = _seed_block()
-    base = solve_pcp(block, AdmConfig(tol=PIPELINE_TOL), rank_adaptive=True).iterations
+    base = solve_pcp(block, AdmConfig(tol=PIPELINE_TOL)).iterations
     seed = recover_seed(block, AdmConfig(tol=PIPELINE_TOL, max_iter=base + 2), max_rank=10)
     assert seed.polish_iterations == 2 and seed.pcp_iterations == base + 2
     assert seed.pcp_converged and seed.pcp_residual <= PIPELINE_TOL
@@ -492,8 +492,8 @@ def test_polished_seed_keeps_filters_short(seed):
 def test_only_the_accepted_seed_is_polished(monkeypatch):
     calls = []
 
-    def record(m, cfg=None, rank_adaptive=False, resume=None):
-        sol = solve_pcp(m, cfg, rank_adaptive, resume)
+    def record(m, cfg=None, resume=None):
+        sol = solve_pcp(m, cfg, resume)
         calls.append((m.shape, cfg.tol, resume is not None, sol.iterations))
         return sol
 
@@ -572,11 +572,12 @@ def test_fallback_to_full_pcp_for_high_rank():
 
 
 def test_fallback_matches_full_svd_adm(monkeypatch):
-    # the fallback solves rank-adaptively; the full-SVD ADM is its reference
+    # the fallback warm-starts its SVTs; the ADM with LAPACK's full SVD at
+    # every step is its reference
     spec = synth.SynthSpec(m=300, n=300, rho_r=0.1, rho_s=0.01, rng_seed=0)
     gt = synth.generate(spec)
     cfg = FilterConfig(rng_seed=0)
-    ref = solve_pcp(gt.m_obs, cfg.adm)
+    ref_l, _, _, ref_iterations = reference_adm(gt.m_obs, cfg.adm.tol, lapack_svt)
     partial = []
     real = matcore._svt_partial_factors
 
@@ -589,9 +590,9 @@ def test_fallback_matches_full_svd_adm(monkeypatch):
     monkeypatch.setattr(matcore, "_svt_partial_factors", count)
     sol = estimate_rank_and_solve(gt.m_obs, cfg)
     assert sol.method == "full-pcp-fallback"
-    assert sum(f is not None for f in partial) >= ref.iterations // 2
-    assert sol.converged and sol.iterations == ref.iterations
-    assert frobenius_norm(sol.l - ref.l) <= 1e-12 * frobenius_norm(ref.l)
+    assert sum(f is not None for f in partial) >= ref_iterations // 2
+    assert sol.converged and sol.iterations == ref_iterations
+    assert frobenius_norm(sol.l - ref_l) <= 1e-12 * frobenius_norm(ref_l)
 
 
 # the stats keys every exit of the seed-attempt loop reports
@@ -760,7 +761,7 @@ def test_low_rank_on_few_rows_is_exact_or_unconverged():
 def _moving_object_pcp_l():
     """solve_pcp's L on synth.moving_object(): rank 64 and RelErr 0.14
     against L0, so L0 alone is not the reference on this instance."""
-    return solve_pcp(synth.moving_object().m_obs, rank_adaptive=True).l
+    return solve_pcp(synth.moving_object().m_obs).l
 
 
 def _moving_object_exact_or_unconverged(rng_seed):

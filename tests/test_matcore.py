@@ -41,6 +41,13 @@ def test_l0_count_default_threshold_scales_with_matrix():
     assert l0_count(m) == 1
 
 
+@pytest.mark.parametrize("threshold", [-1.0, np.nan])
+def test_l0_count_rejects_a_negative_or_nan_threshold(threshold):
+    # unchecked, a NaN threshold counted no entry
+    with pytest.raises(ValueError, match="nonnegative"):
+        l0_count(np.ones((3, 3)), threshold)
+
+
 def test_soft_threshold_scalars():
     assert soft_threshold(np.array([[3.0]]), 1.0)[0, 0] == 2.0
     assert soft_threshold(np.array([[-0.5]]), 1.0)[0, 0] == 0.0
@@ -220,8 +227,7 @@ def test_svt_property_suite_many_instances():
 
 
 def _seed_solve_svt_calls(monkeypatch):
-    """(W, eta, V_prev) of every SVT in the rank-adaptive PCP of a 320x320
-    seed sampled from a 1000x1000 rank-20 instance with 1% corruption."""
+    """(W, eta, V_prev) of every SVT in the PCP of a 320x320 seed sampled from a 1000x1000 rank-20 instance with 1% corruption."""
     gt = synth.generate(synth.SynthSpec(m=1000, n=1000, rho_r=0.02, rho_s=0.01,
                                         rng_seed=1))
     _, _, block = sample_submatrix(gt.m_obs, 320, 320, 1)
@@ -263,8 +269,8 @@ def test_partial_svt_matches_full_svt_on_seed_iterates(monkeypatch):
 
 
 def _adm_300_svt_calls(monkeypatch):
-    """(W, eta) of every SVT of the default solve_pcp on a 300x300 rank-10
-    instance with 1% corruption, the size of the adm-300 benchmark."""
+    """(W, eta) of every SVT of solve_pcp on a 300x300 rank-10 instance with
+    1% corruption, the size of the adm-300 benchmark."""
     gt = synth.generate(synth.SynthSpec(m=300, n=300, rho_r=10 / 300, rho_s=0.01,
                                         rng_seed=0))
     calls = []

@@ -13,7 +13,7 @@ from l1pcp import matcore, pcp_adm, synth
 from l1pcp.l1filter import sample_submatrix
 from l1pcp.matcore import frobenius_norm, l1_norm
 from l1pcp.pcp_adm import AdmConfig, default_lambda, solve_pcp, spectral_norm_estimate
-from oracles import nuclear_norm
+from oracles import lapack_svt, nuclear_norm, reference_adm
 
 
 def test_default_lambda_values():
@@ -157,43 +157,17 @@ def test_max_iter_exhaustion_is_flagged():
     assert sol.iterations == 3
 
 
-def _svt_v_prev_given(monkeypatch, m, rank_adaptive):
-    """For each SVT of solve_pcp(m), whether it was handed the previous
-    right singular vectors, and the solution."""
-    given = []
-
-    def record(w, eta, v_prev=None, **kwargs):
-        given.append(v_prev is not None)
-        return matcore.svt_with_rank(w, eta, v_prev, **kwargs)
-
-    monkeypatch.setattr(pcp_adm, "svt_with_rank", record)
-    return given, solve_pcp(m, rank_adaptive=rank_adaptive)
-
-
-def test_default_solve_never_takes_partial_path(monkeypatch):
-    # the default path decides every rank from the whole spectrum: it never
-    # passes the previous vectors, so no SVT is warm-started
-    spec = synth.SynthSpec(m=300, n=300, rho_r=0.03, rho_s=0.01, rng_seed=0)
-    gt = synth.generate(spec)
-    given, sol = _svt_v_prev_given(monkeypatch, gt.m_obs, False)
-    assert sol.converged and len(given) == sol.iterations and not any(given)
-    given, sol = _svt_v_prev_given(monkeypatch, gt.m_obs, True)
-    assert sol.converged and any(given)
-
-
 def test_stats_count_the_svt_paths():
     spec = synth.SynthSpec(m=300, n=300, rho_r=0.03, rho_s=0.01, rng_seed=0)
     m = synth.generate(spec).m_obs
-    for rank_adaptive in (False, True):
-        sol = solve_pcp(m, rank_adaptive=rank_adaptive)
-        paths = [sol.stats[f"svt_{p}"] for p in ("warm", "gram", "svd")]
-        assert sum(paths) == sol.iterations
-        # the default path never warm-starts; here the Gram start serves
-        # every step, and the rank-adaptive path warm-starts most of them
-        assert paths[0] == 0 if not rank_adaptive else paths[0] >= sol.iterations // 2
-        assert paths[1] > 0
-    first = solve_pcp(m, AdmConfig(tol=1e-5), rank_adaptive=True)
-    resumed = solve_pcp(m, AdmConfig(tol=1e-9), rank_adaptive=True, resume=first)
+    sol = solve_pcp(m)
+    paths = [sol.stats[f"svt_{p}"] for p in ("warm", "gram", "svd")]
+    assert sum(paths) == sol.iterations
+    # the warm start serves most steps, and the Gram start the first
+    assert paths[0] >= sol.iterations // 2
+    assert paths[1] > 0
+    first = solve_pcp(m, AdmConfig(tol=1e-5))
+    resumed = solve_pcp(m, AdmConfig(tol=1e-9), resume=first)
     # a resumed solve counts its own steps only
     assert sum(resumed.stats[f"svt_{p}"] for p in ("warm", "gram", "svd")) == resumed.iterations
 
@@ -219,8 +193,7 @@ def test_an_iterate_too_wide_for_a_sketch_goes_straight_to_the_full_svd(monkeypa
     assert sum(declined) <= 1
 
 
-@pytest.mark.parametrize("rank_adaptive", [False, True])
-def test_one_svt_call_per_iteration(monkeypatch, rank_adaptive):
+def test_one_svt_call_per_iteration(monkeypatch):
     calls = []
 
     def count(w, eta, v_prev=None, **kwargs):
@@ -229,34 +202,20 @@ def test_one_svt_call_per_iteration(monkeypatch, rank_adaptive):
 
     monkeypatch.setattr(pcp_adm, "svt_with_rank", count)
     spec = synth.SynthSpec(m=100, n=100, rho_r=0.05, rho_s=0.05, rng_seed=0)
-    sol = solve_pcp(synth.generate(spec).m_obs, rank_adaptive=rank_adaptive)
+    sol = solve_pcp(synth.generate(spec).m_obs)
     assert sol.converged and len(calls) == sol.iterations
-    # only the rank-adaptive path hands each SVT the previous factors
-    assert any(calls) == rank_adaptive
+    # every SVT after the first is handed the previous factors
+    assert calls == [False] + [True] * (sol.iterations - 1)
 
 
-def test_rank_adaptive_matches_full_svd_solve():
-    spec = synth.SynthSpec(m=300, n=300, rho_r=0.03, rho_s=0.01, rng_seed=0)
-    gt = synth.generate(spec)
-    cfg = AdmConfig(tol=1e-9)
-    full = solve_pcp(gt.m_obs, cfg)
-    fast = solve_pcp(gt.m_obs, cfg, rank_adaptive=True)
-    assert fast.converged and fast.iterations == full.iterations
-    assert fast.rank_of_l == full.rank_of_l == spec.rank
-    assert frobenius_norm(fast.l - full.l) <= 1e-12 * frobenius_norm(full.l)
-    again = solve_pcp(gt.m_obs, cfg, rank_adaptive=True)
-    np.testing.assert_array_equal(again.l, fast.l)
-    np.testing.assert_array_equal(again.s, fast.s)
-
-
-def _resume_matches_tighter_solve(m, tol, max_iter, rank_adaptive):
+def _resume_matches_tighter_solve(m, tol, max_iter):
     """Solve at tol, resume at tol/100, and check that against one solve at
     tol/100: the iterates never read tol, only the stopping test does."""
     tight = AdmConfig(tol=tol * 1e-2, max_iter=max_iter)
-    first = solve_pcp(m, AdmConfig(tol=tol, max_iter=max_iter), rank_adaptive)
+    first = solve_pcp(m, AdmConfig(tol=tol, max_iter=max_iter))
     before = [a.copy() for a in (first.l, first.s, first.state.y)]
-    resumed = solve_pcp(m, tight, rank_adaptive, resume=first)
-    once = solve_pcp(m, tight, rank_adaptive)
+    resumed = solve_pcp(m, tight, resume=first)
+    once = solve_pcp(m, tight)
     # the resume works in copies: the earlier solution stays as it was
     for was, now in zip(before, (first.l, first.s, first.state.y)):
         np.testing.assert_array_equal(now, was)
@@ -273,88 +232,66 @@ def _resume_matches_tighter_solve(m, tol, max_iter, rank_adaptive):
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(rows=st.integers(2, 40), cols=st.integers(2, 40), rank=st.integers(1, 3),
        spikes=st.floats(0.0, 0.1), seed=st.integers(0, 2**32 - 1),
-       tol=st.sampled_from([1e-5, 1e-7, 1e-9]), max_iter=st.integers(1, 300),
-       rank_adaptive=st.booleans())
-def test_resumed_solve_equals_one_tighter_solve(rows, cols, rank, spikes, seed, tol,
-                                                max_iter, rank_adaptive):
+       tol=st.sampled_from([1e-5, 1e-7, 1e-9]), max_iter=st.integers(1, 300))
+def test_resumed_solve_equals_one_tighter_solve(rows, cols, rank, spikes, seed, tol, max_iter):
     rng = np.random.default_rng(seed)
     rank = min(rank, rows, cols)
     m = rng.standard_normal((rows, rank)) @ rng.standard_normal((cols, rank)).T
     hit = rng.random(m.shape) < spikes
     m[hit] += rng.uniform(-10, 10, hit.sum())
-    _resume_matches_tighter_solve(m, tol, max_iter, rank_adaptive)
+    _resume_matches_tighter_solve(m, tol, max_iter)
 
 
 def test_resumed_seed_solve_equals_one_tighter_solve():
-    # a 100x100 seed of a rank-10 matrix: on the rank-adaptive path the
-    # partial SVT warm-starts from the carried factors across the resume
+    # a 100x100 seed of a rank-10 matrix: the partial SVT warm-starts from
+    # the carried factors across the resume
     gt = synth.generate(synth.SynthSpec(m=1000, n=1000, rho_r=0.01, rho_s=0.01,
                                         rng_seed=0))
     _, _, block = sample_submatrix(gt.m_obs, 100, 100, 0)
-    for rank_adaptive in (False, True):
-        first, resumed = _resume_matches_tighter_solve(block, 1e-9, 1000, rank_adaptive)
-        assert first.converged and resumed.converged and resumed.iterations > 0
-        assert first.rank_of_l == 10
-        if rank_adaptive:
-            assert first.state.svt.rank == 10
-            np.testing.assert_array_equal(first.state.svt.reconstruct(), first.l)
-        else:
-            assert first.state.svt is None
-        again = solve_pcp(block, AdmConfig(tol=1e-11), rank_adaptive, resume=first)
-        np.testing.assert_array_equal(again.l, resumed.l)  # resuming leaves first intact
+    first, resumed = _resume_matches_tighter_solve(block, 1e-9, 1000)
+    assert first.converged and resumed.converged and resumed.iterations > 0
+    assert first.rank_of_l == first.state.svt.rank == 10
+    np.testing.assert_array_equal(first.state.svt.reconstruct(), first.l)
+    assert resumed.stats["svt_warm"] == resumed.iterations
+    again = solve_pcp(block, AdmConfig(tol=1e-11), resume=first)
+    np.testing.assert_array_equal(again.l, resumed.l)  # resuming leaves first intact
 
 
-def _lapack_svt(w, eta, rank_prev):
-    """SVT from LAPACK's full SVD, L = U_k (Sigma_k - eta) V_k^T."""
-    u, sigma, vt = np.linalg.svd(w, full_matrices=False)
-    k = int((sigma - eta > 0).sum())
-    # V_k^T as the transpose of a C-contiguous V_k, as solve_pcp passes it:
-    # the product's last bits depend on the operands' layout
-    return (u[:, :k] * (sigma[:k] - eta)) @ vt[:k].T.copy().T, k
+def _matcore_svt(w, eta, v_prev):
+    """svt_with_rank as solve_pcp calls it, and its V_k."""
+    l, factors = matcore.svt_with_rank(w, eta, v_prev)
+    return l, factors.v
 
 
-def _matcore_svt(w, eta, rank_prev):
-    """svt_with_rank as the default solve_pcp calls it."""
-    l, factors = matcore.svt_with_rank(w, eta, rank_prev=rank_prev)
-    return l, factors.rank
+# (m, n, rho_r, rho_s, rng_seed): three small instances, and a 300x300
+# rank-10 one on which the warm start serves most steps
+_CROSS_CHECK_SPECS = {
+    "0": (60, 50, 0.05, 0.05, 0),
+    "1": (80, 50, 0.05, 0.05, 1),
+    "2": (100, 50, 0.05, 0.05, 2),
+    "300x300 rank 10": (300, 300, 10 / 300, 0.01, 0),
+}
 
 
-def _reference_adm(m, tol, svt):
-    """The paper's ADM, out of place, in solve_pcp's order of operations and
-    at its default parameters, with the SVT svt(W, eta, previous rank)."""
-    lam = default_lambda(*m.shape)
-    beta = 1.25 / spectral_norm_estimate(m)
-    beta_max = 1e7 * beta
-    l, s, y = np.zeros_like(m), np.zeros_like(m), np.zeros_like(m)
-    k = 0
-    for iters in range(1, 1001):
-        if iters > 1:
-            beta = min(1.5 * beta, beta_max)
-        x = m - l + y / beta
-        s = np.sign(x) * np.maximum(np.abs(x) - lam / beta, 0.0)
-        l, k = svt(m - s + y / beta, 1 / beta, k)
-        r = m - l - s
-        y += beta * r
-        if np.linalg.norm(r) / np.linalg.norm(m) <= tol:
-            return l, s, y, iters
-    raise AssertionError("reference ADM did not converge")
-
-
-@pytest.mark.parametrize("seed", range(3))
-def test_solve_equals_out_of_place_reference_bit_for_bit(seed):
+@pytest.mark.parametrize("case", list(_CROSS_CHECK_SPECS))
+def test_solve_equals_out_of_place_reference_bit_for_bit(case):
     # the in-place solve equals the out-of-place ADM with the same SVT bit
     # for bit, and the ADM with LAPACK's full SVD to rounding: L and S
     # within 1e-12 relative, and Y as it enters W, Y/beta, within 1e-12
     # ||M||. Y itself adds beta R at every step, so one ulp of a single
-    # LAPACK SVT moves it by 1.5e-11 relative on seed 2 (beta ends at 141)
-    spec = synth.SynthSpec(m=60 + 20 * seed, n=50, rho_r=0.05, rho_s=0.05, rng_seed=seed)
+    # LAPACK SVT moves it by 1.5e-11 relative on case 2 (beta ends at 141)
+    rows, cols, rho_r, rho_s, seed = _CROSS_CHECK_SPECS[case]
+    spec = synth.SynthSpec(m=rows, n=cols, rho_r=rho_r, rho_s=rho_s, rng_seed=seed)
     m = synth.generate(spec).m_obs
     sol = solve_pcp(m, AdmConfig(tol=1e-7))
-    l, s, y, iters = _reference_adm(m, 1e-7, _matcore_svt)
+    assert sol.converged and sol.rank_of_l == spec.rank
+    if rows == 300:
+        assert sol.stats["svt_warm"] >= sol.iterations // 2
+    l, s, y, iters = reference_adm(m, 1e-7, _matcore_svt)
     assert sol.iterations == iters
     assert np.array_equal(sol.l, l) and np.array_equal(sol.s, s)
     assert np.array_equal(sol.state.y, y)
-    ref_l, ref_s, ref_y, ref_iters = _reference_adm(m, 1e-7, _lapack_svt)
+    ref_l, ref_s, ref_y, ref_iters = reference_adm(m, 1e-7, lapack_svt)
     assert ref_iters == iters
     assert frobenius_norm(l - ref_l) <= 1e-12 * frobenius_norm(ref_l)
     assert frobenius_norm(s - ref_s) <= 1e-12 * frobenius_norm(ref_s)
@@ -377,24 +314,23 @@ def _peak_memory_instance():
     return synth.generate(spec).m_obs
 
 
-@pytest.mark.parametrize("rank_adaptive", [False, True])
-def test_solve_peak_memory_is_three_buffers_and_one_svd(rank_adaptive):
+def test_solve_peak_memory_is_three_buffers_and_one_svd():
     # W (in the buffer of the L it replaces), S and Y, plus LAPACK's U and
-    # V^T during each full SVD: about 5x M.nbytes on top of the input
+    # V^T during a full SVD, or the Gram matrix and its eigenvectors during
+    # a Gram start: about 5x M.nbytes on top of the input
     m = _peak_memory_instance()
-    sol, peak = _traced_peak(lambda: solve_pcp(m, rank_adaptive=rank_adaptive))
+    sol, peak = _traced_peak(lambda: solve_pcp(m))
     assert sol.converged
     assert peak <= 5.5 * m.nbytes, f"peak {peak / m.nbytes:.2f}x M.nbytes"
 
 
 def test_resumed_partial_svd_solve_peaks_at_four_buffers():
-    # resumed from a rank-adaptive iterate, every step takes the partial
+    # resumed with the last SVT's factors, every step takes the partial
     # SVD: the copied L, S and Y, and W or the new L beside them, about 4x
     # M.nbytes; a held work buffer would make it 5x
     m = _peak_memory_instance()
-    first = solve_pcp(m, rank_adaptive=True)
-    sol, peak = _traced_peak(
-        lambda: solve_pcp(m, AdmConfig(tol=1e-9), rank_adaptive=True, resume=first))
+    first = solve_pcp(m)
+    sol, peak = _traced_peak(lambda: solve_pcp(m, AdmConfig(tol=1e-9), resume=first))
     assert first.converged and sol.converged and sol.iterations > 0
     assert peak <= 4.5 * m.nbytes, f"peak {peak / m.nbytes:.2f}x M.nbytes"
 
@@ -412,12 +348,11 @@ def test_scale_the_stopping_test_cannot_resolve_is_rejected(scale):
         solve_pcp(scale * _rank_one_20())
 
 
-@pytest.mark.parametrize("rank_adaptive", [False, True])
 @pytest.mark.parametrize("exponent", [-440, 440])
-def test_power_of_two_scale_in_range_scales_the_solution_exactly(exponent, rank_adaptive):
+def test_power_of_two_scale_in_range_scales_the_solution_exactly(exponent):
     m = _rank_one_20()
-    ref = solve_pcp(m, rank_adaptive=rank_adaptive)
-    sol = solve_pcp(2.0**exponent * m, rank_adaptive=rank_adaptive)
+    ref = solve_pcp(m)
+    sol = solve_pcp(2.0**exponent * m)
     assert sol.converged and sol.iterations == ref.iterations
     assert sol.final_residual == ref.final_residual
     np.testing.assert_array_equal(sol.l, 2.0**exponent * ref.l)
