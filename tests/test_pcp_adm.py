@@ -193,7 +193,16 @@ def test_an_iterate_too_wide_for_a_sketch_goes_straight_to_the_full_svd(monkeypa
     assert sum(declined) <= 1
 
 
-def test_one_svt_call_per_iteration(monkeypatch):
+def _tall_or_wide(m, wide):
+    """The tall matrix m, or its transpose when wide: the Gram start forms
+    W^T W on a tall iterate and W W^T on a wide one. The transpose is
+    copied to C order, as solve_pcp would otherwise copy it."""
+    assert m.shape[0] > m.shape[1]
+    return np.ascontiguousarray(m.T) if wide else m
+
+
+@pytest.mark.parametrize("wide", [False, True])
+def test_one_svt_call_per_iteration(monkeypatch, wide):
     calls = []
 
     def count(w, eta, v_prev=None, **kwargs):
@@ -201,8 +210,8 @@ def test_one_svt_call_per_iteration(monkeypatch):
         return matcore.svt_with_rank(w, eta, v_prev, **kwargs)
 
     monkeypatch.setattr(pcp_adm, "svt_with_rank", count)
-    spec = synth.SynthSpec(m=100, n=100, rho_r=0.05, rho_s=0.05, rng_seed=0)
-    sol = solve_pcp(synth.generate(spec).m_obs)
+    spec = synth.SynthSpec(m=100, n=80, rho_r=0.05, rho_s=0.05, rng_seed=0)
+    sol = solve_pcp(_tall_or_wide(synth.generate(spec).m_obs, wide))
     assert sol.converged and len(calls) == sol.iterations
     # every SVT after the first is handed the previous factors
     assert calls == [False] + [True] * (sol.iterations - 1)
@@ -309,16 +318,17 @@ def _traced_peak(solve):
     return sol, peak
 
 
-def _peak_memory_instance():
-    spec = synth.SynthSpec(m=200, n=200, rho_r=0.025, rho_s=0.05, rng_seed=0)
+def _peak_memory_instance(n=200):
+    spec = synth.SynthSpec(m=200, n=n, rho_r=0.025, rho_s=0.05, rng_seed=0)
     return synth.generate(spec).m_obs
 
 
-def test_solve_peak_memory_is_three_buffers_and_one_svd():
+@pytest.mark.parametrize("wide", [False, True])
+def test_solve_peak_memory_is_three_buffers_and_one_svd(wide):
     # W (in the buffer of the L it replaces), S and Y, plus LAPACK's U and
     # V^T during a full SVD, or the Gram matrix and its eigenvectors during
     # a Gram start: about 5x M.nbytes on top of the input
-    m = _peak_memory_instance()
+    m = _tall_or_wide(_peak_memory_instance(n=150), wide)
     sol, peak = _traced_peak(lambda: solve_pcp(m))
     assert sol.converged
     assert peak <= 5.5 * m.nbytes, f"peak {peak / m.nbytes:.2f}x M.nbytes"
@@ -348,9 +358,10 @@ def test_scale_the_stopping_test_cannot_resolve_is_rejected(scale):
         solve_pcp(scale * _rank_one_20())
 
 
+@pytest.mark.parametrize("wide", [False, True])
 @pytest.mark.parametrize("exponent", [-440, 440])
-def test_power_of_two_scale_in_range_scales_the_solution_exactly(exponent):
-    m = _rank_one_20()
+def test_power_of_two_scale_in_range_scales_the_solution_exactly(exponent, wide):
+    m = _tall_or_wide(_rank_one_20()[:, :12], wide)
     ref = solve_pcp(m)
     sol = solve_pcp(2.0**exponent * m)
     assert sol.converged and sol.iterations == ref.iterations
