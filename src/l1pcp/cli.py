@@ -157,6 +157,8 @@ def cmd_decompose(args):
                     "filter_failed_columns": sol.stats.get("filter_failed_columns"),
                     "seed_polish_iterations": sol.stats.get("seed_polish_iterations"),
                     "seed_residual": sol.stats.get("seed_residual"),
+                    # solve_pcp's SVT path counts, on the adm and fallback paths
+                    **{k: v for k, v in sol.stats.items() if k.startswith("svt_")},
                     **errors,
                 }
                 if stats_file:

@@ -2,7 +2,10 @@
 used by every solver, in-place soft thresholding and singular value
 thresholding with its rank. The SVT takes a certified partial SVD, warm
 from the previous factors or started from the Gram matrix's eigenvectors,
-and LAPACK's full SVD only where no partial SVD can be trusted."""
+and LAPACK's full SVD only where no partial SVD can be trusted. A Cholesky
+factorization certifies an SVT of rank 0 without an eigendecomposition,
+and the partial SVD takes the SVD of its sketch only on the power steps
+that test its certificate."""
 
 import math
 from dataclasses import dataclass
@@ -81,13 +84,13 @@ def l0_count(m, threshold=None):
 
 def _soft_threshold_into(x, eta, work):
     """Soft-threshold the float64 array *x* in place; *work*, shaped like x,
-    is overwritten as scratch. Returns x."""
-    # the sign goes to work: numpy's sign is several times slower in place
-    np.sign(x, out=work)
-    np.abs(x, out=x)
-    np.subtract(x, eta, out=x)
-    np.maximum(x, 0.0, out=x)
-    return np.multiply(work, x, out=x)
+    is overwritten as scratch. Returns x.
+
+    x - clip(x, -eta, eta) is x - eta above eta, x + eta below -eta and
+    +0.0 in between, so every nonzero result is rounded as sgn(x) (|x| -
+    eta) would be."""
+    np.clip(x, -eta, eta, out=work)
+    return np.subtract(x, work, out=x)
 
 
 def svd(m, rank_tol=1e-8, atol=0.0):
@@ -129,19 +132,39 @@ def _sketch_width(k):
     return k + max(10, k // 2)
 
 
+def _power_steps_left(miss, goal, sigma_k, sigma_p):
+    """Power steps predicted to bring a certificate that missed by *miss*
+    down to *goal*: each step multiplies it by about (sigma_p /
+    sigma_k)^2, the ratio of the smallest sketched Ritz value to the k-th."""
+    rate = (sigma_p / sigma_k) ** 2
+    if rate == 0.0:
+        return 1
+    if rate >= 1.0:
+        return PARTIAL_MAX_POWER_STEPS
+    return math.ceil(math.log(miss / goal) / -math.log(rate))
+
+
 def _rayleigh_ritz(w, eta, y):
     """Thresholded factors (U_k, Sigma_k - eta, V_k) of *w* from the range
     basis *y* (m×p), or None when they cannot be certified.
 
     The Rayleigh-Ritz step B = Q^T W makes W^T U_k = V_k Sigma_k hold
     exactly, so the triplets are accepted once max|W V_k - U_k Sigma_k| <=
-    PARTIAL_CERT_TOL * sigma_1, after up to PARTIAL_MAX_POWER_STEPS power
-    steps; None when every one of the p values survives the threshold, or
-    when the certificate is never met.
+    PARTIAL_CERT_TOL * sigma_1, within PARTIAL_MAX_POWER_STEPS power steps
+    of the first; None when every one of the p values survives the
+    threshold, or when the certificate is never met. Only a Rayleigh-Ritz
+    step needs the SVD of B: after one that misses the certificate, all but
+    the last of the steps _power_steps_left predicts are plain power steps
+    W W^T Q, which span what the Rayleigh-Ritz steps would have.
     """
     p = y.shape[1]
-    for _ in range(PARTIAL_MAX_POWER_STEPS + 1):
+    plain = 0  # plain power steps due before the next Rayleigh-Ritz step
+    for step in range(PARTIAL_MAX_POWER_STEPS + 1):
         q = np.linalg.qr(y)[0]
+        if plain:
+            plain -= 1
+            y = w @ (w.T @ q)
+            continue
         f = svd(q.T @ w, rank_tol=0.0)
         k = int((f.sigma > eta).sum())
         if k == p or f.rank == 0:
@@ -151,8 +174,15 @@ def _rayleigh_ritz(w, eta, y):
         y = w @ f.v
         if k:
             u = q @ f.u[:, :k]
-            if np.abs(y[:, :k] - u * f.sigma[:k]).max() <= PARTIAL_CERT_TOL * f.sigma[0]:
+            miss = np.abs(y[:, :k] - u * f.sigma[:k]).max()
+            goal = PARTIAL_CERT_TOL * f.sigma[0]
+            if miss <= goal:
                 return SkinnySvd(u, f.sigma[:k] - eta, f.v[:, :k].copy())
+            # sigma_p is 0 when B has fewer than p nonzero values
+            sigma_p = f.sigma[-1] if f.rank == p else 0.0
+            steps = _power_steps_left(miss, goal, f.sigma[k - 1], sigma_p)
+            # the budget's last step is always a Rayleigh-Ritz step
+            plain = max(0, min(steps, PARTIAL_MAX_POWER_STEPS - step) - 1)
     return None
 
 
@@ -179,36 +209,69 @@ def _scaled_gram(w, e):
     return w.T @ w if w.shape[0] >= w.shape[1] else w @ w.T
 
 
+def _dominates(g, c):
+    """Whether c I - G is positive definite, by its Cholesky factorization,
+    formed in G's buffer. G is left overwritten when it is and restored bit
+    for bit when it is not: negation is exact, and its diagonal is put back
+    from a copy."""
+    diag = g.diagonal().copy()
+    np.negative(g, out=g)
+    np.fill_diagonal(g, c - diag)
+    try:
+        np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        np.negative(g, out=g)
+        np.fill_diagonal(g, diag)
+        return False
+    return True
+
+
 def _svt_gram_factors(w, eta):
-    """The cold start, from the eigendecomposition of the Gram matrix G.
+    """The cold start, from the Gram matrix G.
 
     W is first scaled by the power of two 2^-e that brings max|W| into
     [1, 2), as spectral_norm_estimate does, so G neither overflows nor
-    underflows. k counts every eigenvalue of G that could exceed
-    (2^-e eta)^2 given G's absolute error, about max(m, n) eps lambda_max:
-    at k = 0 no singular value exceeds eta and the SVT is 0. Otherwise the
-    top p = _sketch_width(k) eigenvectors, right singular vectors of a tall
-    W (the basis is then W times them) or left ones of a wide W, seed
-    _rayleigh_ritz on the unscaled W, and its certificate decides. None
-    when p is wider than PARTIAL_MAX_FRACTION of min(m, n), when eigh
-    fails or W is not finite, or when _rayleigh_ritz declines. G is freed
-    when eigh returns, and of its eigenvectors only the p kept are copied.
+    underflows. The SVT is 0 when no singular value exceeds eta, that is
+    when (2^-e eta)^2 I - G is positive definite; a Cholesky factorization
+    of c I - G, with c that square less a margin of 8 max(m, n) eps for
+    the rounding of G and of the factorization, certifies it without an
+    eigendecomposition, and so does a c that overflows. Otherwise G's
+    eigendecomposition counts k, every eigenvalue that could exceed
+    (2^-e eta)^2 given G's absolute error, about max(m, n) eps lambda_max;
+    at k = 0 the SVT is 0 again. Otherwise the top p = _sketch_width(k)
+    eigenvectors, right singular vectors of a tall W (the basis is then W
+    times them) or left ones of a wide W, seed _rayleigh_ritz on the
+    unscaled W, and its certificate decides. None when p is wider than
+    PARTIAL_MAX_FRACTION of min(m, n), when eigh fails or W is not finite,
+    or when _rayleigh_ritz declines. The Cholesky factor and then the
+    eigenvectors are the only arrays of G's size held beside G, which is
+    freed when eigh returns, and of the eigenvectors only the p kept are
+    copied.
     """
+    zero = SkinnySvd(np.zeros((w.shape[0], 0)), np.zeros(0), np.zeros((w.shape[1], 0)))
     peak = max(w.max(), -w.min())  # max|W|, without a W-sized temporary
     if not np.isfinite(peak):
         return None
     e = math.frexp(peak)[1] - 1
+    eps = np.finfo(float).eps
+    with np.errstate(over="ignore"):  # a scaled eta whose square overflows keeps none
+        bound = np.ldexp(eta, -e) ** 2
+    c = bound * (1 - 8 * max(w.shape) * eps)
+    if not np.isfinite(c):
+        return zero
+    g = _scaled_gram(w, e)
+    if _dominates(g, c):
+        return zero
     try:
-        lam, vecs = np.linalg.eigh(_scaled_gram(w, e))
+        lam, vecs = np.linalg.eigh(g)
     except np.linalg.LinAlgError:
         return None
+    del g
     if not np.isfinite(lam).all():
         return None
-    with np.errstate(over="ignore"):  # a scaled eta whose square overflows keeps none
-        cut = np.ldexp(eta, -e) ** 2 - max(w.shape) * np.finfo(float).eps * abs(lam[-1])
-    k = int((lam > cut).sum())
+    k = int((lam > bound - max(w.shape) * eps * abs(lam[-1])).sum())
     if k == 0:
-        return SkinnySvd(np.zeros((w.shape[0], 0)), np.zeros(0), np.zeros((w.shape[1], 0)))
+        return zero
     p = _sketch_width(k)
     if p > PARTIAL_MAX_FRACTION * min(w.shape):
         return None
@@ -229,7 +292,9 @@ def svt_with_rank(w, eta, v_prev=None, paths=None):
     - "gram": without a usable warm start (no v_prev, a previous rank of 0,
       or a warm sketch that ended with every sketched value above eta or
       without a certificate), the certified partial SVD started from the
-      eigenvectors of W's Gram matrix (_svt_gram_factors);
+      eigenvectors of W's Gram matrix (_svt_gram_factors); counted as
+      "zero" instead when it certifies that no singular value exceeds eta,
+      most often by a Cholesky factorization and no eigendecomposition;
     - "svd": LAPACK's full SVD, which keeps only the k values above eta, so
       its full U and V^T are released before the matrix is allocated.
     The previous rank, v_prev's width, skips both sketches when their width
@@ -248,7 +313,8 @@ def svt_with_rank(w, eta, v_prev=None, paths=None):
         if v_prev is not None:
             factors, path = _svt_partial_factors(w, eta, v_prev), "warm"
         if factors is None:
-            factors, path = _svt_gram_factors(w, eta), "gram"
+            factors = _svt_gram_factors(w, eta)
+            path = "zero" if factors is not None and factors.rank == 0 else "gram"
     if factors is None:
         f = svd(w, rank_tol=0.0, atol=eta)
         factors, path = SkinnySvd(f.u, f.sigma - eta, f.v), "svd"

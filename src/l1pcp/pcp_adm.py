@@ -10,7 +10,9 @@ Each iteration makes one matcore.svt_with_rank call, handed the previous
 SVT's factors: a certified partial SVD warm-started from them, in the style
 of IALM (Lin, Chen & Ma, arXiv:1009.5055), with the partial SVD started from
 the eigenvectors of W's Gram matrix as the cold start and LAPACK's full SVD
-as the one fallback (see solve_pcp).
+as the one fallback (see solve_pcp). The first steps' SVTs, whose
+threshold exceeds every singular value, are certified 0 by a Cholesky
+factorization of the Gram matrix's shift.
 
 The working set is L, S and the multiplier Y, each the size of M. S and Y
 are updated in place; Y/beta and then W = M - S + Y/beta are formed in the
@@ -19,8 +21,10 @@ and R = M - L - S and beta R in W's buffer once the SVT has run. So an
 SVT holds only W, S and Y besides its own arrays, and allocates the new L
 only after they are freed:
 - the Gram start holds W scaled by a power of two and the Gram matrix
-  while it forms it, and the Gram matrix and its eigenvectors while eigh
-  runs (2x M for a square M), then keeps p eigenvectors of them;
+  while it forms it, then the Gram matrix and its Cholesky factor while it
+  tests for rank 0, and, when that test is declined, the Gram matrix and
+  its eigenvectors while eigh runs (2x M for a square M each time), then
+  keeps p eigenvectors of them;
 - the full SVD holds LAPACK's U and V^T (2x M for a square M), of which it
   copies only the retained columns;
 - the warm start holds only thin sketches.
@@ -211,7 +215,9 @@ def solve_pcp(m, cfg=None, resume=None):
     sketch. The l1-filter pipeline's seed and fallback PCPs are this solve.
 
     stats counts the SVTs by where their factors came from: svt_warm (the
-    warm start), svt_gram (the Gram start) and svt_svd (the full SVD).
+    warm start), svt_zero (a Gram start that certified no singular value
+    above the threshold, as the first steps' SVTs do), svt_gram (the other
+    Gram starts) and svt_svd (the full SVD).
 
     resume=sol continues an earlier solve of the same m from sol.state. It
     keeps that solve's lambda and penalty schedule, takes tol, rho and
@@ -266,7 +272,7 @@ def solve_pcp(m, cfg=None, resume=None):
     # solve at cfg.tol would have stopped there
     stop = done if resume is not None and residual <= cfg.tol else cfg.max_iter
     iters = done
-    paths = dict.fromkeys(("warm", "gram", "svd"), 0)
+    paths = dict.fromkeys(("warm", "zero", "gram", "svd"), 0)
 
     for iters in range(done + 1, stop + 1):
         if iters > 1:

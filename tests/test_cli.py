@@ -60,9 +60,15 @@ def test_decompose_methods_agree(tmp_path, capsys):
     l_adm = tmp_path / "la.dmat"
     assert main(["decompose", str(m_path), "--method", "l1filter",
                  "--rank-hint", "2", "--out-l", str(l_filter)]) == 0
+    filter_stats = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert main(["decompose", str(m_path), "--method", "adm",
                  "--out-l", str(l_adm)]) == 0
-    capsys.readouterr()
+    adm_stats = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    # the ADM's stats count its SVTs by path; the l1 filter's have none
+    svt_paths = {k: v for k, v in adm_stats.items() if k.startswith("svt_")}
+    assert set(svt_paths) == {"svt_warm", "svt_zero", "svt_gram", "svt_svd"}
+    assert sum(svt_paths.values()) == adm_stats["iterations"]
+    assert not any(k.startswith("svt_") for k in filter_stats)
     a = matio.read_matrix(l_filter)
     b = matio.read_matrix(l_adm)
     assert frobenius_norm(a - b) / frobenius_norm(b) <= 1e-4

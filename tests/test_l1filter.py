@@ -607,7 +607,8 @@ _LOOP_STATS = {"t1", "attempts", "filter_failed_columns", "seed_polish_iteration
       "filter_iterations"}),
     # rank 40 at m=100: the seed grows twice, then would pass MAX_SEED_FRACTION
     ("full-pcp-fallback", synth.SynthSpec(m=100, n=100, rho_r=0.4, rho_s=0.01, rng_seed=0), 3,
-     {"beta_final", "lambda", "svt_warm", "svt_gram", "svt_svd", "proposed_seed"}),
+     {"beta_final", "lambda", "svt_warm", "svt_zero", "svt_gram", "svt_svd",
+      "proposed_seed"}),
     ("degenerate-zero-seed", None, 1, set()),
 ], ids=["l1-filter", "full-pcp-fallback", "degenerate-zero-seed"])
 def test_each_loop_exit_reports_its_method_and_stats(method, spec, attempts, keys):

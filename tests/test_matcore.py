@@ -1,5 +1,6 @@
 """Unit tests for the dense matrix core: norms, shrinkage, SVD wrappers."""
 
+import math
 import tracemalloc
 import warnings
 
@@ -67,6 +68,19 @@ def test_soft_threshold_is_contraction():
         eta = rng.uniform(0, 2)
         lhs = frobenius_norm(soft_threshold(x, eta) - soft_threshold(y, eta))
         assert lhs <= frobenius_norm(x - y) + 1e-12
+
+
+def test_soft_threshold_rounds_as_sign_times_shrunk_magnitude():
+    # bit for bit sgn(x) max(|x| - eta, 0) where that is nonzero; every
+    # zeroed entry is +0.0
+    rng = np.random.default_rng(15)
+    x = rng.standard_normal((50, 40)) * 10.0 ** rng.integers(-5, 5, (50, 40))
+    x[0, :3] = [0.0, -0.0, 0.3]
+    for eta in [0.0, 0.3, 1.7]:
+        got = soft_threshold(x, eta)
+        want = np.sign(x) * np.maximum(np.abs(x) - eta, 0.0)
+        np.testing.assert_array_equal(got, want)
+        assert not np.signbit(got[got == 0]).any()
 
 
 def test_svd_diagonal():
@@ -268,15 +282,20 @@ def test_partial_svt_matches_full_svt_on_seed_iterates(monkeypatch):
     assert partial >= 15
 
 
+def _adm_300():
+    """A 300x300 rank-10 instance with 1% corruption, the size of the
+    adm-300 benchmark."""
+    return synth.generate(synth.SynthSpec(m=300, n=300, rho_r=10 / 300, rho_s=0.01,
+                                          rng_seed=0))
+
+
 def _adm_300_svt_calls(monkeypatch):
-    """(W, eta) of every SVT of solve_pcp on a 300x300 rank-10 instance with
-    1% corruption, the size of the adm-300 benchmark."""
-    gt = synth.generate(synth.SynthSpec(m=300, n=300, rho_r=10 / 300, rho_s=0.01,
-                                        rng_seed=0))
+    """(W, eta, V_prev) of every SVT of solve_pcp on _adm_300()."""
+    gt = _adm_300()
     calls = []
 
     def record(w, eta, v_prev=None, **kwargs):
-        calls.append((w.copy(), eta))
+        calls.append((w.copy(), eta, v_prev))
         return svt_with_rank(w, eta, v_prev, **kwargs)
 
     monkeypatch.setattr(pcp_adm, "svt_with_rank", record)
@@ -287,7 +306,7 @@ def _adm_300_svt_calls(monkeypatch):
 def test_gram_start_matches_full_svt_on_adm_and_seed_iterates(monkeypatch):
     calls = [(w, eta) for w, eta, _ in _seed_solve_svt_calls(monkeypatch)]
     seed_calls = len(calls)
-    calls += _adm_300_svt_calls(monkeypatch)
+    calls += [(w, eta) for w, eta, _ in _adm_300_svt_calls(monkeypatch)]
     started = [0, 0]
     for i, (w, eta) in enumerate(calls):
         factors = matcore._svt_gram_factors(w, eta)
@@ -311,7 +330,7 @@ def test_gram_start_matches_full_svt(shape, eta):
     w = _low_rank_plus_noise(shape, 5, 11)
     paths = {}
     got, f = svt_with_rank(w, eta, paths=paths)
-    assert paths == {"gram": 1}
+    assert paths == {"gram" if eta < 1 else "zero": 1}
     assert f.rank == (5 if eta < 1 else 0)
     assert f.u.shape == (shape[0], f.rank) and f.v.shape == (shape[1], f.rank)
     assert f.u.flags.c_contiguous and f.v.flags.c_contiguous
@@ -327,7 +346,7 @@ def test_gram_start_keeps_nothing_under_a_huge_threshold(eta):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got, f = svt_with_rank(w, eta, paths=paths)
-    assert paths == {"gram": 1} and f.rank == 0 and not got.any()
+    assert paths == {"zero": 1} and f.rank == 0 and not got.any()
 
 
 # 2^-458 max|W| is about 1e-138, near the 6.7e-139 below which solve_pcp
@@ -341,6 +360,121 @@ def test_gram_start_at_the_ends_of_the_pcp_scale_range(shape, exponent):
     assert paths == {"gram": 1} and f.rank == 5
     want, _ = svt_with_rank(w, 0.5)
     np.testing.assert_array_equal(got, np.ldexp(want, exponent))
+
+
+def _eigh_count(w, eta):
+    """The rank the Gram start's eigendecomposition counts, written out: the
+    eigenvalues of the Gram matrix of 2^-e W above (2^-e eta)^2 less
+    max(m, n) eps lambda_max."""
+    e = math.frexp(np.abs(w).max())[1] - 1
+    ws = np.ldexp(w, -e)
+    lam = np.linalg.eigh(ws.T @ ws if w.shape[0] >= w.shape[1] else ws @ ws.T)[0]
+    cut = np.ldexp(eta, -e) ** 2 - max(w.shape) * np.finfo(float).eps * abs(lam[-1])
+    return int((lam > cut).sum())
+
+
+# sigma_1^2 / eta^2 of W; "margin" multiplies 8 max(m, n) eps, the margin of
+# the rank-0 certificate below eta^2
+_TOP_VALUES = {"-1e-3": (1 - 1e-3) ** 2, "-1e-12": (1 - 1e-12) ** 2,
+               "+1e-12": (1 + 1e-12) ** 2, "+1e-3": (1 + 1e-3) ** 2,
+               "margin 1.5": 1.5, "margin 1": 1.0, "margin 0.5": 0.5}
+
+
+@pytest.mark.parametrize("top", list(_TOP_VALUES), ids=list(_TOP_VALUES))
+@pytest.mark.parametrize("shape", [(120, 60), (60, 120)], ids=["tall", "wide"])
+def test_rank_0_certificate_agrees_with_the_eigh_count(monkeypatch, shape, top):
+    eta = 0.75
+    ratio = _TOP_VALUES[top]
+    if top.startswith("margin"):
+        ratio = 1 - ratio * 8 * max(shape) * np.finfo(float).eps
+    sigma = np.r_[eta * np.sqrt(ratio), np.linspace(0.5, 0.1, min(shape) - 1) * eta]
+    rng = np.random.default_rng(14)
+    u = np.linalg.qr(rng.standard_normal((shape[0], sigma.size)))[0]
+    v = np.linalg.qr(rng.standard_normal((shape[1], sigma.size)))[0]
+    w = (u * sigma) @ v.T
+    want = _eigh_count(w, eta)
+    eighs = []
+    real_eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda g: eighs.append(1) or real_eigh(g))
+    f = matcore._svt_gram_factors(w, eta)
+    assert f is not None and f.rank == want == (1 if top.startswith("+") else 0)
+    if top.startswith("-"):
+        assert not eighs  # certified by the Cholesky factor alone
+    if f.rank:
+        _assert_matches_full_svt(f, w, eta)
+
+
+@pytest.mark.parametrize("shape", [(200, 80), (80, 200)], ids=["tall", "wide"])
+def test_a_declined_rank_0_certificate_restores_the_gram_matrix(monkeypatch, shape):
+    # G, with a -0.0 and a +0.0 off its diagonal: c I - G is not positive
+    # definite, and G comes back bit for bit
+    g = np.array([[2.0, -0.0, 1.0], [-0.0, 3.0, 0.0], [1.0, 0.0, 1e-300]])
+    before = g.copy()
+    assert not matcore._dominates(g, 2.5)
+    np.testing.assert_array_equal(g.view(np.int64), before.view(np.int64))
+    # so a Gram start whose certificate is declined is the eigh path alone
+    w = _low_rank_plus_noise(shape, 5, 11)
+    got = matcore._svt_gram_factors(w, 0.5)
+    monkeypatch.setattr(matcore, "_dominates", lambda g, c: False)
+    want = matcore._svt_gram_factors(w, 0.5)
+    assert got.rank == want.rank == 5
+    for a, b in [(got.u, want.u), (got.sigma, want.sigma), (got.v, want.v)]:
+        np.testing.assert_array_equal(a, b)
+
+
+def _rayleigh_ritz_work(monkeypatch):
+    """A list that gets, for each _rayleigh_ritz call, its [QRs, SVDs]."""
+    calls = []
+    real_rr, real_qr, real_svd = matcore._rayleigh_ritz, np.linalg.qr, matcore.svd
+
+    def rayleigh_ritz(*args):
+        calls.append([0, 0])
+        return real_rr(*args)
+
+    def qr(a):
+        calls[-1][0] += 1
+        return real_qr(a)
+
+    def svd(*args, **kwargs):
+        calls[-1][1] += 1
+        return real_svd(*args, **kwargs)
+
+    monkeypatch.setattr(matcore, "_rayleigh_ritz", rayleigh_ritz)
+    monkeypatch.setattr(np.linalg, "qr", qr)
+    monkeypatch.setattr(matcore, "svd", svd)
+    return calls
+
+
+def test_power_steps_take_no_svd_of_the_sketch(monkeypatch):
+    calls = _rayleigh_ritz_work(monkeypatch)
+    assert pcp_adm.solve_pcp(_adm_300().m_obs).converged
+    qrs, svds = np.sum(calls, axis=0)
+    # each step takes a QR, but only the Rayleigh-Ritz steps an SVD
+    assert svds < qrs
+    assert max(c[0] for c in calls) <= matcore.PARTIAL_MAX_POWER_STEPS + 1
+
+
+@pytest.mark.parametrize("steps", [1, 2, 100], ids=["short", "one plain step", "past the budget"])
+def test_any_power_step_prediction_ends_certified_or_declined(monkeypatch, steps):
+    calls = _adm_300_svt_calls(monkeypatch)
+    monkeypatch.setattr(matcore, "_power_steps_left", lambda *args: steps)
+    work = _rayleigh_ritz_work(monkeypatch)
+    accepted = 0
+    for w, eta, v_prev in calls:
+        starts = [matcore._svt_gram_factors(w, eta)]
+        if v_prev is not None:
+            starts.append(matcore._svt_partial_factors(w, eta, v_prev))
+        for f in starts:
+            if f is None or not f.rank:
+                continue
+            accepted += 1
+            # the certificate, recomputed from the thin factors (within the
+            # rounding of W V_k)
+            sigma = f.sigma + eta
+            assert np.abs(w @ f.v - f.u * sigma).max() <= 2 * matcore.PARTIAL_CERT_TOL * sigma[0]
+            _assert_matches_full_svt(f, w, eta)
+    assert accepted >= len(calls)
+    assert max(c[0] for c in work) <= matcore.PARTIAL_MAX_POWER_STEPS + 1
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

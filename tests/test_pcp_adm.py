@@ -157,19 +157,23 @@ def test_max_iter_exhaustion_is_flagged():
     assert sol.iterations == 3
 
 
+_SVT_PATHS = ("warm", "zero", "gram", "svd")
+
+
 def test_stats_count_the_svt_paths():
     spec = synth.SynthSpec(m=300, n=300, rho_r=0.03, rho_s=0.01, rng_seed=0)
     m = synth.generate(spec).m_obs
     sol = solve_pcp(m)
-    paths = [sol.stats[f"svt_{p}"] for p in ("warm", "gram", "svd")]
-    assert sum(paths) == sol.iterations
-    # the warm start serves most steps, and the Gram start the first
-    assert paths[0] >= sol.iterations // 2
-    assert paths[1] > 0
+    paths = {p: sol.stats[f"svt_{p}"] for p in _SVT_PATHS}
+    assert sum(paths.values()) == sol.iterations
+    # the warm start serves most steps; the first steps find no value
+    # above the threshold, and the Gram start seeds the first of rank > 0
+    assert paths["warm"] >= sol.iterations // 2
+    assert paths["zero"] > 0 and paths["gram"] > 0
     first = solve_pcp(m, AdmConfig(tol=1e-5))
     resumed = solve_pcp(m, AdmConfig(tol=1e-9), resume=first)
     # a resumed solve counts its own steps only
-    assert sum(resumed.stats[f"svt_{p}"] for p in ("warm", "gram", "svd")) == resumed.iterations
+    assert sum(resumed.stats[f"svt_{p}"] for p in _SVT_PATHS) == resumed.iterations
 
 
 @pytest.mark.parametrize("rank", [60, 90])
