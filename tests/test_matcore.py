@@ -445,7 +445,7 @@ def _rayleigh_ritz_work(monkeypatch):
     return calls
 
 
-def test_power_steps_take_no_svd_of_the_sketch(monkeypatch):
+def test_plain_power_steps_take_no_svd(monkeypatch):
     calls = _rayleigh_ritz_work(monkeypatch)
     assert pcp_adm.solve_pcp(_adm_300().m_obs).converged
     qrs, svds = np.sum(calls, axis=0)
