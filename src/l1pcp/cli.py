@@ -179,8 +179,8 @@ def _solve(m, args):
     exit 3."""
     try:
         if args.method == "adm":
-            tol = 1e-7 if args.tol is None else args.tol
-            return solve_pcp(m, AdmConfig(lam=args.lam, tol=tol))
+            tol = {} if args.tol is None else {"tol": args.tol}  # no --tol: AdmConfig's default
+            return solve_pcp(m, AdmConfig(lam=args.lam, **tol))
         # FilterConfig rejects --lambda: the seed PCP uses its own lambda
         cfg = FilterConfig(
             s_r=args.oversample_rows, s_c=args.oversample_cols,

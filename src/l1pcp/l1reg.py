@@ -14,10 +14,12 @@ multiplier as U = Y / beta, so one step reads
     R = X - A Z - E
     U = (U + R) * beta / beta'          beta' = min(rho * beta, beta_max)
 
-Each block owns four work arrays of its own shape, T = A Z, W, E and R,
-plus U, and every step updates them in place; T from the residual is the
-A Z of the next step, so one step costs two small matrix products. Columns
-leave the block as they finish, and the arrays shrink with them.
+Each block holds its live columns of X, U, T = A Z, E and R, plus Z, and
+every step updates them in place: W is formed in R's buffer, which it
+precedes, and T from the residual is the A Z of the next step, so one step
+costs two small matrix products. A column leaves by one exit once it
+converges, stalls or reaches max_iter; then X, U and T are gathered one at
+a time, and Z, E and R, written before they are read, allocated afresh.
 
 The problem separates across columns of X, and the solver treats it that
 way: every column carries its own penalty schedule and its own stopping
@@ -61,9 +63,9 @@ feasible non-optimal point once the penalty saturates. rho close to 1
 resolution.
 
 solve_l1reg_columnwise is the one l1 solve, the one the l1 filters call.
-It checks X once (2-D, finite, as many rows as A) and A once (orthonormal
-columns), then takes X one CHUNK_COLS-wide chunk after another: the
-certified exact-fit presolve, _exact_fit_presolve, solves the chunk's
+It checks X once (2-D, finite, as many rows as A, at least one) and A once
+(orthonormal columns), then takes X one CHUNK_COLS-wide chunk after another:
+the certified exact-fit presolve, _exact_fit_presolve, solves the chunk's
 columns it can, and solve_l1reg runs the ADM above on the rest, possibly
 none, so it is called once per chunk. Both take the trusted arrays and
 check nothing again. The solution's iterations and failed_columns are the
@@ -77,7 +79,8 @@ then formed in one chunk-sized buffer from those values and the ADM's E,
 and only after that is the dense E allocated, so no chunk-sized array of
 the presolve, the ADM or the misfit is alive beside it. On a 100 x 512
 filter chunk at 1% corruption a whole call peaks at about 2.1 times the
-chunk's bytes, E and Z included.
+chunk's bytes, E and Z included; at 10%, where the ADM takes about half of
+the chunk's columns, at 4.0-4.2 times.
 
 With an exact subspace and sparse corruption, each column's problem has a
 unique sparse solution (Candes & Tao, "Decoding by linear programming",
@@ -174,111 +177,101 @@ def _check_dictionary(a):
 def _solve_block(x, a, cfg):
     """Scaled-multiplier ADM over a block of columns. Column j stops once
     its residual drops to cfg.tol times its own linf norm, or fails once it
-    stalls at its penalty cap; its penalty starts at 1 / ||x_j||_inf and is
-    capped at that start over cfg.tol."""
+    stalls at its penalty cap or has taken cfg.max_iter steps; its penalty
+    starts at 1 / ||x_j||_inf and is capped at that start over cfg.tol.
+    Returns Z, E, each column's steps, the misfit ||X - A Z - E||_inf and
+    the sorted failed columns."""
     n_rows, n_cols = x.shape
     k = a.shape[1]
-    col_scale = np.abs(x).max(axis=0)
-    thresh = cfg.tol * col_scale
-
+    # max |x_j|, without an |X| temporary
+    col_scale = np.maximum(x.max(axis=0, initial=0.0), -x.min(axis=0, initial=0.0))
     z_out = np.zeros((k, n_cols))
     e_out = np.zeros((n_rows, n_cols))
     iters_out = np.zeros(n_cols, dtype=int)
-    res_out = np.zeros(n_cols)
-    failed = []
+    failed, misfit = [], 0.0
 
-    live = col_scale > 0.0  # zero columns are solved by Z = E = 0
-    active = np.flatnonzero(live)
+    # the live columns and their state; zero columns are solved by Z = E = 0
+    active = np.flatnonzero(col_scale > 0.0)
+    thresh = cfg.tol * col_scale[active]
     beta = 1.0 / col_scale[active]
     beta_max = np.maximum(beta * (1.0 / cfg.tol), beta)
-
-    xa = x[:, active].copy()
+    res = np.full(active.size, np.inf)  # the last step's residuals
+    stalled = np.zeros(active.size, dtype=int)
+    # the work arrays are row-major, as np.take gathers, until a compaction's
+    # column gathers make them column-major: BLAS rounds A^T W and A Z by
+    # their operands' memory order, and elementwise steps run fastest in one
+    xa = x.take(active, axis=1)
     z = np.zeros((k, active.size))
-    u = np.zeros_like(xa)   # scaled multiplier Y / beta
-    t = np.zeros_like(xa)   # A Z, carried from one residual to the next W
-    e = np.zeros_like(xa)
-    w = np.empty_like(xa)
-    r = np.empty_like(xa)
-    prev_res = np.full(n_cols, np.inf)
-    stalled = np.zeros(n_cols, dtype=int)
+    u = np.zeros(xa.shape)  # scaled multiplier Y / beta
+    t = np.zeros(xa.shape)  # A Z, carried from one residual to the next W
+    e = np.zeros(xa.shape)
+    r = np.empty(xa.shape)  # W, then R
 
-    for it in range(1, cfg.max_iter + 1):
-        if active.size == 0:
-            break
-        # E = soft(W, 1/beta) as W - clip(W, -1/beta, 1/beta), W = X - A Z + U;
-        # maximum then minimum, as np.clip costs about three times as much
-        shrink = 1.0 / beta
-        np.subtract(xa, t, out=w)
-        w += u
-        np.maximum(w, -shrink, out=e)
-        np.minimum(e, shrink, out=e)
-        np.subtract(w, e, out=e)
-        # Z = A^T (X - E + U)
-        np.subtract(xa, e, out=w)
-        w += u
-        np.matmul(a.T, w, out=z)
-        np.matmul(a, z, out=t)
-        np.subtract(xa, t, out=r)
-        r -= e
-        res = np.maximum(r.max(axis=0), -r.min(axis=0))
-
-        # stagnation: the residual stops moving, with the penalty at its cap,
-        # but never reaches the threshold (see the module docstring)
-        rel_change = np.abs(res - prev_res[active]) / np.maximum(res, np.finfo(float).tiny)
-        stuck = (rel_change < STAGNATION_EPS) & (beta >= beta_max)
-        stalled[active] = np.where(stuck, stalled[active] + 1, 0)
-        prev_res[active] = res
-
-        ok = res <= thresh[active]
-        finished = ok | (stalled[active] >= STAGNATION_ITERS)
+    it = 0
+    while active.size:  # each column leaves by the finished block
+        ok = res <= thresh
+        finished = ok | (stalled >= STAGNATION_ITERS) | (it >= cfg.max_iter)
         if finished.any():
             cols = active[finished]
             z_out[:, cols] = z[:, finished]
             e_out[:, cols] = e[:, finished]
             iters_out[cols] = it
-            res_out[cols] = res[finished]
-            failed.extend(int(c) for c, good in zip(cols, ok[finished]) if not good)
+            misfit = max(misfit, float(res[finished].max()))
+            failed.extend(cols[~ok[finished]].tolist())
+            # one array at a time, each freed as it is replaced; Z, E and R
+            # are written before they are read, so they are not gathered
             keep = ~finished
-            active = active[keep]
-            if active.size == 0:
-                break
-            xa, z, u, t, e, r = (b[:, keep] for b in (xa, z, u, t, e, r))
-            w = np.empty_like(xa)
-            beta = beta[keep]
-            beta_max = beta_max[keep]
+            active, thresh, res, stalled, beta, beta_max = (
+                v[keep] for v in (active, thresh, res, stalled, beta, beta_max))
+            xa = xa[:, keep]
+            u = u[:, keep]
+            t = t[:, keep]
+            z = np.empty((k, active.size), order="F")
+            e = np.empty_like(xa)
+            r = np.empty_like(xa)
+            continue
+        it += 1
+        # E = soft(W, 1/beta) as W - clip(W, -1/beta, 1/beta), W = X - A Z + U in
+        # R's buffer; maximum then minimum, as clip with per-column bounds takes
+        # 1.3-1.6x as long (with one scalar bound it is faster: _soft_threshold_into)
+        shrink = 1.0 / beta
+        np.subtract(xa, t, out=r)
+        r += u
+        np.maximum(r, -shrink, out=e)
+        np.minimum(e, shrink, out=e)
+        np.subtract(r, e, out=e)
+        # Z = A^T (X - E + U)
+        np.subtract(xa, e, out=r)
+        r += u
+        np.matmul(a.T, r, out=z)
+        np.matmul(a, z, out=t)
+        np.subtract(xa, t, out=r)
+        r -= e
+        res_prev, res = res, np.maximum(r.max(axis=0), -r.min(axis=0))
+
+        # stagnation: the residual stops moving, with the penalty at its cap,
+        # but never reaches the threshold (see the module docstring)
+        rel_change = np.abs(res - res_prev) / np.maximum(res, np.finfo(float).tiny)
+        stuck = (rel_change < STAGNATION_EPS) & (beta >= beta_max)
+        stalled = np.where(stuck, stalled + 1, 0)
         # Y += beta R, then U = Y / beta' for the grown penalty beta'
         beta_next = np.minimum(cfg.rho * beta, beta_max)
         u += r
         u *= beta / beta_next
         beta = beta_next
 
-    if active.size:  # max_iter exhausted
-        z_out[:, active] = z
-        e_out[:, active] = e
-        iters_out[active] = cfg.max_iter
-        res_out[active] = prev_res[active]
-        failed.extend(int(c) for c in active)
-
-    return z_out, e_out, iters_out, res_out, sorted(failed)
+    return z_out, e_out, iters_out, misfit, sorted(failed)
 
 
 def solve_l1reg(x, a, cfg=None):
     """Solve min ||E||_l1 s.t. X = A Z + E by the ADM alone over one chunk
     of columns, for the trusted X and orthonormal-column A of
     solve_l1reg_columnwise."""
-    cfg = cfg or AdmConfig()
-
+    z, e, iters, misfit, failed = _solve_block(x, a, cfg or AdmConfig())
     scale = linf_norm(x)
-    if x.shape[1] == 0 or scale == 0.0:
-        return L1RegSolution(
-            z=np.zeros((a.shape[1], x.shape[1])), e=np.zeros_like(x),
-            iterations=0, final_residual=0.0, converged=True,
-        )
-
-    z, e, iters, res, failed = _solve_block(x, a, cfg)
-    misfit = float(res.max(initial=0.0))
     return L1RegSolution(
-        z=z, e=e, iterations=int(iters.max(initial=0)), final_residual=misfit / scale,
+        z=z, e=e, iterations=int(iters.max(initial=0)),
+        final_residual=misfit / scale if scale else 0.0,
         converged=not failed, failed_columns=failed, misfit=misfit,
     )
 
@@ -296,6 +289,8 @@ def solve_l1reg_columnwise(x, a, cfg=None):
     freed their arrays, and each chunk's E is scattered into it from the
     presolve's support values and the ADM's E (see the module docstring)."""
     x = as_dense(x)
+    if x.shape[0] == 0:
+        raise ValueError("X has no rows")
     a = _check_dictionary(a)
     if x.shape[0] != a.shape[0]:
         raise ValueError(f"row mismatch: X has {x.shape[0]}, A has {a.shape[0]}")

@@ -66,7 +66,9 @@ def l1_norm(m):
 
 
 def linf_norm(m):
-    return float(np.abs(m).max()) if np.asarray(m).size else 0.0
+    # max |m| without an |m| temporary; + 0.0 makes an all-zero m's -0.0 0.0
+    m = np.asarray(m, dtype=np.float64)  # bool cannot be negated
+    return float(max(m.max(), -m.min())) + 0.0 if m.size else 0.0
 
 
 def l0_count(m, threshold=None):
@@ -249,7 +251,7 @@ def _svt_gram_factors(w, eta):
     copied.
     """
     zero = SkinnySvd(np.zeros((w.shape[0], 0)), np.zeros(0), np.zeros((w.shape[1], 0)))
-    peak = max(w.max(), -w.min())  # max|W|, without a W-sized temporary
+    peak = linf_norm(w)
     if not np.isfinite(peak):
         return None
     e = math.frexp(peak)[1] - 1

@@ -52,6 +52,7 @@ from .matcore import (
     _soft_threshold_into,
     as_dense,
     frobenius_norm,
+    linf_norm,
     svt_with_rank,
 )
 
@@ -170,8 +171,7 @@ def spectral_norm_estimate(m):
     in [1, 2) already, such as a sign matrix, is not copied.
     """
     m = np.asarray(m, dtype=np.float64)
-    # max|M| without an M-sized temporary; 0 for an empty M
-    peak = max(m.max(), -m.min()) if m.size else 0.0
+    peak = linf_norm(m)
     if peak == 0.0:
         return 0.0
     e = math.frexp(peak)[1] - 1
@@ -238,7 +238,7 @@ def solve_pcp(m, cfg=None, resume=None):
     if resume is not None and resume.state is None:
         raise ValueError("resume needs a solution that carries its ADM state")
 
-    peak = max(m.max(), -m.min())  # max|M|, without an M-sized temporary
+    peak = linf_norm(m)
     if peak == 0.0:
         return PcpSolution(
             l=np.zeros_like(m), s=np.zeros_like(m), iterations=1,

@@ -74,6 +74,22 @@ def test_decompose_methods_agree(tmp_path, capsys):
     assert frobenius_norm(a - b) / frobenius_norm(b) <= 1e-4
 
 
+def test_decompose_adm_tol_defaults_to_adm_config(tmp_path, capsys, monkeypatch):
+    # without --tol, --method adm takes AdmConfig's own default, moved here
+    m_path, _ = _synth_files(tmp_path, m=40)
+    monkeypatch.setattr(cli, "AdmConfig", functools.partial(AdmConfig, tol=3e-6))
+    cfgs = []
+
+    def recorded(m, cfg):
+        cfgs.append(cfg)
+        return solve_pcp(m, cfg)
+
+    monkeypatch.setattr(cli, "solve_pcp", recorded)
+    for argv in ([], ["--tol", "1e-5"]):
+        assert main(["decompose", str(m_path), "--method", "adm", *argv]) == 0
+    assert [c.tol for c in cfgs] == [3e-6, 1e-5]
+
+
 def test_decompose_unconverged_l1filter_exits_2(tmp_path, capsys, monkeypatch):
     # the CLI has no iteration cap; starve every PCP and l1 regression at 8
     m_path, _ = _synth_files(tmp_path, m=300)

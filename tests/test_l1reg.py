@@ -128,6 +128,27 @@ def test_kernel_matches_unscaled_reference(instance, cfg):
     assert sol.iterations == iters_ref.max()
 
 
+def test_columns_that_converge_on_the_last_step_are_not_failed():
+    # max_iter is the first step on which any column meets its threshold:
+    # those columns converge on the last allowed step and the rest run out
+    # of steps, and all leave the kernel by the same exit
+    x, a = _spiked_instance()[:2]
+    iters_full = _reference_solve_block(x, a, AdmConfig())[2]
+    last = int(iters_full.min())
+    cfg = AdmConfig(max_iter=last)
+    z_ref, e_ref, iters_ref, failed_ref = _reference_solve_block(x, a, cfg)
+    z, e, iters, misfit, failed = _solve_block(x, a, cfg)
+    assert (iters == last).all()
+    np.testing.assert_array_equal(iters, iters_ref)
+    assert failed == failed_ref
+    assert failed == np.flatnonzero(iters_full > last).tolist()
+    assert 0 < len(failed) < x.shape[1]
+    bound = 1e-12 * np.abs(x).max()
+    assert np.abs(z - z_ref).max() <= bound
+    assert np.abs(e - e_ref).max() <= bound
+    assert abs(misfit - np.abs(x - a @ z - e).max()) <= bound
+
+
 def test_flat_residual_below_penalty_cap_is_not_a_stall():
     # With slow penalty growth one column's residual sits still for 20
     # iterations long before the penalty reaches its cap; the shrink
@@ -356,6 +377,24 @@ def test_presolve_allocates_a_few_chunks(density):
         tracemalloc.stop()
     assert rest.size < CHUNK_COLS
     assert peak <= bound * x.nbytes, f"peak {peak / x.nbytes:.2f}x the chunk"
+
+
+@pytest.mark.parametrize("data_seed", [0, 1, 2])
+def test_columnwise_allocates_a_few_chunks_at_high_corruption(data_seed):
+    # one filter chunk at 10% corruption, E and Z included: the presolve
+    # declines about half the columns and the ADM takes them. Gathering its
+    # work arrays one at a time as columns finish, and forming W in R's
+    # buffer, the call peaks at 4.0-4.2x the chunk's bytes, against 6.2-6.6x
+    # with every array gathered at once and a separate W
+    x, a = _spiked_block(np.random.default_rng(data_seed), 100, 10, CHUNK_COLS, 0.1)
+    tracemalloc.start()
+    try:
+        sol = solve_l1reg_columnwise(x, a, AdmConfig(tol=1e-9))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.converged
+    assert peak <= 4.5 * x.nbytes, f"peak {peak / x.nbytes:.2f}x the chunk"
 
 
 def test_columnwise_allocates_e_after_the_presolve():

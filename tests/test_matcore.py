@@ -36,6 +36,31 @@ def test_entrywise_norms():
     assert linf_norm(m) == 3.0
 
 
+@pytest.mark.parametrize("m, expected", [
+    ([], 0.0), (np.zeros((0, 3)), 0.0), ([[True, False]], 1.0), ([[-0.0], [-0.0]], 0.0),
+    (np.float32([1.5, -2.5]), 2.5), ([[1, -3]], 3.0), ([1.0, np.nan, -2.0], np.nan),
+], ids=["empty", "no-rows", "bool", "negative-zero", "float32", "int", "nan"])
+def test_linf_norm_of_any_array_like(m, expected):
+    value = linf_norm(m)
+    assert type(value) is float
+    if math.isnan(expected):
+        assert math.isnan(value)
+    else:
+        assert value == expected and math.copysign(1.0, value) == 1.0
+
+
+def test_linf_norm_forms_no_absolute_copy():
+    m = np.random.default_rng(0).standard_normal((400, 300))
+    tracemalloc.start()
+    try:
+        value = linf_norm(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == np.abs(m).max()
+    assert peak <= 0.01 * m.nbytes
+
+
 def test_l0_count_default_threshold_scales_with_matrix():
     m = np.array([[100.0, 1e-5], [0.0, 0.0]])
     # default threshold is 1e-6 * linf = 1e-4, so the 1e-5 entry is noise

@@ -60,6 +60,13 @@ def test_non_finite_entry_rejected(entry, value):
         ENTRY_POINTS[entry](m)
 
 
+def test_l1reg_rejects_x_without_rows():
+    # an X with rows but no columns is solved (test_l1reg's
+    # test_zero_and_empty_inputs); one with no rows is not
+    with pytest.raises(ValueError, match="X has no rows"):
+        solve_l1reg_columnwise(np.zeros((0, 5)), np.zeros((0, 0)))
+
+
 @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
 @pytest.mark.parametrize("entry", ["estimate_rank_and_factor", "estimate_rank_and_solve",
                                    "solve_pcp"])
