@@ -47,15 +47,10 @@ def run_instance(method, gt, r, rho_s, sigma_scale, seed, rank_hint=None):
     """Solve one instance and return a report record. Failures are caught
     and recorded so a sweep can continue."""
     m_rows, n_cols = gt.m_obs.shape
-    record = {
-        "method": method, "m": m_rows, "n": n_cols, "r": r,
-        "rho_s": rho_s, "sigma_scale": sigma_scale,
-        "rel_err": None, "max_dif": None, "ave_dif": None,
-        "rank_l": None, "l0_s": None, "l1_s": None,
-        "iters": None, "seconds": None, "seed": seed, "error": "",
-        "solution_method": None, "converged": None, "final_residual": None,
-        "attempts": None,
-    }
+    # CSV_HEADER's fields in its order; a failed solve leaves the results None
+    record = dict.fromkeys(CSV_HEADER)
+    record.update(method=method, m=m_rows, n=n_cols, r=r, rho_s=rho_s,
+                  sigma_scale=sigma_scale, seed=seed, error="")
     try:
         if method == "adm":
             sol = solve_pcp(gt.m_obs, AdmConfig())

@@ -1,19 +1,20 @@
 """Command-line surface: decompose matrices from files, generate synthetic
 data, and run the benchmark suites.
 
-Exit codes for decompose: 0 success; 1 a file that cannot be read or
-written: an input that does not parse or holds NaN or Inf, an output
-(--out-l, --out-s, --stats-json) that cannot be opened, which is found
-before the solve starts, or a write that fails, a non-finite block
-included; 2 non-convergence; 3 dimension errors and invalid options
-(--lambda is accepted only with --method adm). Every output is opened
-before the solve and removed again unless decompose gets as far as exit 0
-or 2, so a failed run leaves no partial file.
+main turns a failure of any subcommand into one "error: ..." line and an
+exit code: an _Exit's own, 3 for a ValueError, 1 for an OSError. So 0 is
+success; 1 a file that cannot be read or written (for decompose, an input
+that does not parse or holds NaN or Inf, an output that cannot be opened,
+or a failed write); 2 decompose's non-convergence; 3 invalid options and
+dimensions, two decompose outputs in one regular file included. decompose
+opens every output before the solve and removes it unless it gets as far
+as exit 0 or 2, so a failed run leaves no partial file.
 """
 
 import argparse
 import contextlib
 import json
+import os
 import sys
 import time
 
@@ -28,14 +29,10 @@ from .matcore import l0_count, l1_norm  # noqa: F401
 from .pcp_adm import AdmConfig, solve_pcp
 
 
-def _fail(code, message):
-    print(f"error: {message}", file=sys.stderr)
-    return code
-
-
 class _Exit(Exception):
-    """Ends decompose with an error line and an exit code; raised inside the
-    with-block that holds the outputs, so they are removed on the way out."""
+    """Ends a subcommand with an error line and this exit code; decompose
+    raises it inside the with-block that holds its outputs, so they are
+    removed on the way out."""
 
     def __init__(self, code, message):
         super().__init__(message)
@@ -51,6 +48,14 @@ def _open_output(outputs, path, opener):
         return outputs.enter_context(opener(path))
     except OSError as exc:
         raise _Exit(1, f"cannot write {path}: {exc}") from None
+
+
+def _read(path):
+    """The matrix in path; one that cannot be read ends decompose with exit 1."""
+    try:
+        return matio.read_matrix(path)
+    except (OSError, ValueError) as exc:
+        raise _Exit(1, f"cannot read {path}: {exc}") from None
 
 
 def _rows_into(m, rows, out):
@@ -116,81 +121,71 @@ def _output_pass(sol, truth, write_l, write_s):
 
 
 def cmd_decompose(args):
-    try:
-        m = matio.read_matrix(args.input)
-    except (OSError, ValueError) as exc:
-        return _fail(1, f"cannot read {args.input}: {exc}")
+    # two outputs in one regular file would keep only the last one written
+    files = [os.path.realpath(path) for path in (args.out_l, args.out_s, args.stats_json)
+             if path and (os.path.isfile(path) or not os.path.exists(path))]
+    if len(set(files)) < len(files):
+        raise ValueError("--out-l, --out-s and --stats-json must name different files")
+    m = _read(args.input)
+    truth = _read(args.truth) if args.truth else None
+    if truth is not None and truth.shape != m.shape:
+        raise ValueError(f"truth shape {truth.shape} != input shape {m.shape}")
 
-    truth = None
-    if args.truth:
+    with contextlib.ExitStack() as outputs:
+        write_l = _open_output(outputs, args.out_l,
+                               lambda path: matio.matrix_writer(path, m.shape))
+        write_s = _open_output(outputs, args.out_s,
+                               lambda path: matio.matrix_writer(path, m.shape))
+        stats_file = _open_output(outputs, args.stats_json, matio.output_file)
+        sol = _solve(m, args)
         try:
-            truth = matio.read_matrix(args.truth)
+            l1_s, l0_s, errors = _output_pass(sol, truth, write_l, write_s)
+            stats = {
+                "method": sol.method,
+                "rows": m.shape[0], "cols": m.shape[1],
+                "residual": sol.final_residual,
+                "rank": sol.rank_of_l,
+                "iterations": sol.iterations,
+                "converged": sol.converged,
+                "seed": args.seed,
+                "l1_s": l1_s,
+                "l0_s": l0_s,
+                "t": sol.elapsed,
+                "t1": sol.stats.get("t1"),
+                "t2": sol.stats.get("t2"),
+                "t_assemble": sol.stats.get("t_assemble"),
+                "filter_failed_columns": sol.stats.get("filter_failed_columns"),
+                "seed_polish_iterations": sol.stats.get("seed_polish_iterations"),
+                "seed_residual": sol.stats.get("seed_residual"),
+                # solve_pcp's SVT path counts, on the adm and fallback paths
+                **{k: v for k, v in sol.stats.items() if k.startswith("svt_")},
+                **errors,
+            }
+            if stats_file:
+                stats_file.write(json.dumps(stats, indent=2).encode() + b"\n")
         except (OSError, ValueError) as exc:
-            return _fail(1, f"cannot read {args.truth}: {exc}")
-        if truth.shape != m.shape:
-            return _fail(3, f"truth shape {truth.shape} != input shape {m.shape}")
-
-    try:
-        with contextlib.ExitStack() as outputs:
-            write_l = _open_output(outputs, args.out_l,
-                                   lambda path: matio.matrix_writer(path, m.shape))
-            write_s = _open_output(outputs, args.out_s,
-                                   lambda path: matio.matrix_writer(path, m.shape))
-            stats_file = _open_output(outputs, args.stats_json, matio.output_file)
-            sol = _solve(m, args)
-            try:
-                l1_s, l0_s, errors = _output_pass(sol, truth, write_l, write_s)
-                stats = {
-                    "method": sol.method,
-                    "rows": m.shape[0], "cols": m.shape[1],
-                    "residual": sol.final_residual,
-                    "rank": sol.rank_of_l,
-                    "iterations": sol.iterations,
-                    "converged": sol.converged,
-                    "seed": args.seed,
-                    "l1_s": l1_s,
-                    "l0_s": l0_s,
-                    "t": sol.elapsed,
-                    "t1": sol.stats.get("t1"),
-                    "t2": sol.stats.get("t2"),
-                    "t_assemble": sol.stats.get("t_assemble"),
-                    "filter_failed_columns": sol.stats.get("filter_failed_columns"),
-                    "seed_polish_iterations": sol.stats.get("seed_polish_iterations"),
-                    "seed_residual": sol.stats.get("seed_residual"),
-                    # solve_pcp's SVT path counts, on the adm and fallback paths
-                    **{k: v for k, v in sol.stats.items() if k.startswith("svt_")},
-                    **errors,
-                }
-                if stats_file:
-                    stats_file.write(json.dumps(stats, indent=2).encode() + b"\n")
-            except (OSError, ValueError) as exc:
-                raise _Exit(1, f"cannot write the decomposition: {exc}") from None
-    except _Exit as exc:
-        return _fail(exc.code, str(exc))
+            raise _Exit(1, f"cannot write the decomposition: {exc}") from None
     print(json.dumps(stats))
 
     if not sol.converged:
-        return _fail(2, f"did not converge: residual {sol.final_residual:.3g}")
+        raise _Exit(2, f"did not converge: residual {sol.final_residual:.3g}")
     return 0
 
 
 def _solve(m, args):
-    """The decompose solve the options ask for; invalid options end it with
-    exit 3."""
-    try:
-        if args.method == "adm":
-            tol = {} if args.tol is None else {"tol": args.tol}  # no --tol: AdmConfig's default
-            return solve_pcp(m, AdmConfig(lam=args.lam, **tol))
-        # FilterConfig rejects --lambda: the seed PCP uses its own lambda
-        cfg = FilterConfig(
-            s_r=args.oversample_rows, s_c=args.oversample_cols,
-            rank_hint=args.rank_hint, rng_seed=args.seed,
-            adm=AdmConfig(lam=args.lam, tol=PIPELINE_TOL if args.tol is None else args.tol),
-        )
-        # L and S stay factored; the output pass forms them in row blocks
-        return estimate_rank_and_factor(m, cfg)
-    except ValueError as exc:
-        raise _Exit(3, str(exc)) from None
+    """The decompose solve the options ask for; the ValueError of an invalid
+    option ends it with exit 3 in main."""
+    if args.method == "adm":
+        tol = {} if args.tol is None else {"tol": args.tol}  # no --tol: AdmConfig's default
+        return solve_pcp(m, AdmConfig(lam=args.lam, **tol))
+    # FilterConfig rejects --lambda: the seed PCP uses its own lambda
+    cfg = FilterConfig(
+        s_r=args.oversample_rows, s_c=args.oversample_cols,
+        rank_hint=args.rank_hint, rng_seed=args.seed,
+        adm=AdmConfig(lam=args.lam, tol=PIPELINE_TOL if args.tol is None else args.tol),
+    )
+    # L and S stay factored; the output pass forms them in row blocks
+    return estimate_rank_and_factor(m, cfg)
 
 
 def cmd_synth(args):
@@ -307,7 +302,11 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (_Exit, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.code if isinstance(exc, _Exit) else 3 if isinstance(exc, ValueError) else 1
 
 
 if __name__ == "__main__":

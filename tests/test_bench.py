@@ -21,6 +21,8 @@ def test_run_instance_records_errors():
     assert "no-such-method" in rec["error"]
     assert rec["rel_err"] is None
     assert rec["solution_method"] is rec["converged"] is rec["attempts"] is None
+    # the JSON report keeps the CSV's column order
+    assert list(rec) == bench.CSV_HEADER
 
 
 def test_run_instance_success_record():

@@ -343,6 +343,50 @@ def test_parser_rejects_an_unknown_bench_method(capsys, method):
     assert "invalid choice" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["synth", "--m", "10", "--rho-r", "0.1", "--rho-s", "2"], 3),
+    (["synth", "--m", "10", "--rho-r", "-1", "--rho-s", "0.1"], 3),
+    (["checkerboard", "--m", "10", "--cell", "3", "--out", "{tmp}/cb"], 3),
+    (["bench", "--suite", "size-sweep", "--scale", "-1"], 3),
+    (["synth", "--m", "10", "--rho-r", "0.1", "--rho-s", "0.1",
+      "--out-m", "{tmp}/missing/m.dmat"], 1),
+], ids=["synth-rho-s", "synth-rho-r", "checkerboard-cell", "bench-scale", "synth-missing-dir"])
+def test_every_subcommand_fails_with_one_error_line(tmp_path, capsys, argv, code):
+    assert main([a.format(tmp=tmp_path) for a in argv]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("first, second", [("--out-l", "--out-s"), ("--out-s", "--stats-json"),
+                                           ("--out-l", "--stats-json")])
+def test_decompose_outputs_in_one_file_exit_3(tmp_path, capsys, monkeypatch, first, second):
+    # the second output would overwrite the first
+    m_path, _ = _synth_files(tmp_path, m=100)
+
+    def no_solve(m, cfg):
+        raise AssertionError("the solve started")
+
+    monkeypatch.setattr(cli, "estimate_rank_and_factor", no_solve)
+    new, old, link = tmp_path / "new.dmat", tmp_path / "old.dmat", tmp_path / "link.dmat"
+    old.write_bytes(b"kept")
+    link.symlink_to(old)
+    capsys.readouterr()
+    for a, b in ((new, new), (old, old), (old, link)):
+        assert main(["decompose", str(m_path), first, str(a), second, str(b)]) == 3
+        assert capsys.readouterr().err == (
+            "error: --out-l, --out-s and --stats-json must name different files\n")
+    assert not new.exists()
+    assert old.read_bytes() == b"kept"
+
+
+def test_decompose_outputs_may_share_a_device(tmp_path, capsys):
+    m_path, _ = _synth_files(tmp_path, m=100)
+    assert main(["decompose", str(m_path), "--out-l", os.devnull, "--out-s", os.devnull,
+                 "--stats-json", os.devnull]) == 0
+    assert main(["decompose", str(m_path), "--out-l", os.devnull, "--out-s", os.devnull]) == 0
+
+
 @pytest.fixture(scope="module")
 def rank10_dmat(tmp_path_factory):
     """A 1000x1000 rank-10 instance with 1% corruption, as a DMAT file."""
