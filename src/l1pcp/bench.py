@@ -6,7 +6,9 @@ Record schema (CSV_HEADER) is frozen; bump CSV_SCHEMA_VERSION on change.
 
 import csv
 import functools
+import io
 import json
+import math
 import platform
 import time
 
@@ -63,10 +65,8 @@ def run_instance(method, gt, r, rho_s, sigma_scale, seed, rank_hint=None):
         record["error"] = f"{type(exc).__name__}: {exc}"
         return record, None
 
+    record.update(synth.recovery_errors(sol.l, gt.l0))
     record.update({
-        "rel_err": synth.rel_err(sol.l, gt.l0),
-        "max_dif": synth.max_dif(sol.l, gt.l0),
-        "ave_dif": synth.ave_dif(sol.l, gt.l0),
         "rank_l": sol.rank_of_l,
         "l0_s": l0_count(sol.s),
         "l1_s": l1_norm(sol.s),
@@ -190,6 +190,8 @@ def run_suite(name, scale=None, seeds=(0,), methods=None, **kwargs):
             raise ValueError(f"unknown method {method!r}; choose from {list(METHODS)}")
     fn = SUITES[name]
     if scale is not None:
+        if not 0 < scale < math.inf:
+            raise ValueError(f"scale must be finite and > 0, got {scale}")
         kwargs["scale"] = scale
     if methods is not None:
         kwargs["methods"] = tuple(methods)
@@ -200,15 +202,15 @@ def run_suite(name, scale=None, seeds=(0,), methods=None, **kwargs):
             "records": records, "summary": summary}
 
 
-def write_csv_report(path, report):
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_HEADER)
-        writer.writeheader()
-        for rec in report["records"]:
-            writer.writerow({k: rec.get(k, "") for k in CSV_HEADER})
+def write_csv_report(fh, report):
+    """Write the report's records, one CSV_HEADER row each, to the binary file fh."""
+    text = io.StringIO()
+    writer = csv.DictWriter(text, fieldnames=CSV_HEADER)
+    writer.writeheader()
+    writer.writerows(report["records"])
+    fh.write(text.getvalue().encode())
 
 
-def write_json_report(path, report):
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+def write_json_report(fh, report):
+    """Write the report as indented JSON to the binary file fh."""
+    fh.write(json.dumps(report, indent=2).encode() + b"\n")

@@ -7,8 +7,9 @@ success; 1 a file that cannot be read or written (for decompose, an input
 that does not parse or holds NaN or Inf, an output that cannot be opened,
 or a failed write); 2 decompose's non-convergence; 3 invalid options and
 dimensions, two decompose outputs in one regular file included. decompose
-opens every output before the solve and removes it unless it gets as far
-as exit 0 or 2, so a failed run leaves no partial file.
+opens every output before the solve, and bench its reports before the
+suite, and each removes them again when it exits 1 or 3, so a failed run
+leaves no partial file.
 """
 
 import argparse
@@ -21,7 +22,7 @@ import time
 import numpy as np
 
 from . import bench, matio, synth
-from .l1filter import PIPELINE_TOL, FilterConfig, Remainder, estimate_rank_and_factor
+from .l1filter import PIPELINE_TOL, FilterConfig, estimate_rank_and_factor
 # decompose calls neither, since the output pass sums and counts |S| in
 # place; l0_count serves checkerboard, and perfbench's self-test reads the
 # l1_norm binding that its cli.stats span wraps
@@ -41,7 +42,7 @@ class _Exit(Exception):
 
 def _open_output(outputs, path, opener):
     """opener(path) entered on the ExitStack outputs, or None without a
-    path; a path that cannot be opened ends decompose with exit 1."""
+    path; a path that cannot be opened ends the subcommand with exit 1."""
     if not path:
         return None
     try:
@@ -58,50 +59,22 @@ def _read(path):
         raise _Exit(1, f"cannot read {path}: {exc}") from None
 
 
-def _rows_into(m, rows, out):
-    """m[rows] formed into out, a float64 array of its shape: by
-    m.rows_into for a matrix that forms its rows on demand, such as the
-    l1filter's LowRank and Remainder, else copied; returns out."""
-    if hasattr(m, "rows_into"):
-        return m.rows_into(rows, out)
-    np.copyto(out, m[rows])
-    return out
+def _output_pass(sol, write_l, write_s):
+    """Write L and S, each by write_l and write_s unless None, and sum |S|
+    in one pass over matio.row_blocks; returns (l1_s, l0_s).
 
-
-def _output_pass(sol, truth, write_l, write_s):
-    """Write L and S and gather their stats in one pass over the row blocks
-    of matio.row_blocks. Returns (l1_s, l0_s, errors): errors holds
-    rel_err, max_dif and ave_dif against the true L0 (None without one).
-    write_l and write_s write a block, or are None. truth, the CLI's own
-    array, is overwritten: each of its row blocks by |L - L0|.
-
-    It holds one row block: each L block is formed into one buffer and
-    written, the truth sums are taken, with |L - L0| formed in truth's
-    rows, and then S = M - L is formed in the same buffer from the L block
-    (copied from a dense S), written, and |S| summed in place. A factored L
-    or S is never formed whole. l0_s counts |S| above 1e-6 ||S||_inf, taken
-    over all of S, so a second pass forms each S block into the buffer once
-    more and counts it in place."""
-    factored = isinstance(sol.s, Remainder)
+    matio.rows_into forms each L block, if written, and then the S block
+    in one buffer, where |S| is summed in place, so a factored L or S is
+    never formed whole. l0_s counts |S| above 1e-6 ||S||_inf, taken over
+    all of S, so a second pass forms each S block there once more."""
     blocks = matio.row_blocks(sol.l.shape)
     buf = np.empty((blocks[0].stop, sol.l.shape[1]))  # the first block is the largest
     l1_s = s_inf = 0.0
-    sq_dif = sq_l0 = sq_l = sum_dif = max_dif = 0.0
     for rows in blocks:
-        l = _rows_into(sol.l, rows, buf[:rows.stop - rows.start])
+        block = buf[:rows.stop - rows.start]
         if write_l:
-            write_l(l)
-        if truth is not None:
-            l0 = truth[rows]
-            sq_l0 += float(np.vdot(l0, l0))
-            sq_l += float(np.vdot(l, l))
-            dif = np.subtract(l, l0, out=l0)
-            np.abs(dif, out=dif)
-            sq_dif += float(np.vdot(dif, dif))
-            sum_dif += float(dif.sum())
-            max_dif = max(max_dif, float(dif.max(initial=0.0)))
-        # S = M - L, formed in L's buffer
-        s = sol.s.rows_into(rows, l, l_rows=l) if factored else _rows_into(sol.s, rows, l)
+            write_l(matio.rows_into(sol.l, rows, block))
+        s = matio.rows_into(sol.s, rows, block)
         if write_s:
             write_s(s)
         np.abs(s, out=s)
@@ -109,15 +82,9 @@ def _output_pass(sol, truth, write_l, write_s):
         s_inf = max(s_inf, float(s.max()))
     l0_s = 0
     for rows in blocks:
-        s = _rows_into(sol.s, rows, buf[:rows.stop - rows.start])
+        s = matio.rows_into(sol.s, rows, buf[:rows.stop - rows.start])
         l0_s += int(np.count_nonzero(np.abs(s, out=s) > 1e-6 * s_inf))
-    if truth is None:
-        return l1_s, l0_s, {"rel_err": None, "max_dif": None, "ave_dif": None}
-    return l1_s, l0_s, {
-        # as synth.rel_err: relative to ||L0||_F, or ||L||_F itself when L0 = 0
-        "rel_err": (sq_dif / sq_l0) ** 0.5 if sq_l0 else sq_l ** 0.5,
-        "max_dif": max_dif, "ave_dif": sum_dif / truth.size,
-    }
+    return l1_s, l0_s
 
 
 def cmd_decompose(args):
@@ -139,7 +106,9 @@ def cmd_decompose(args):
         stats_file = _open_output(outputs, args.stats_json, matio.output_file)
         sol = _solve(m, args)
         try:
-            l1_s, l0_s, errors = _output_pass(sol, truth, write_l, write_s)
+            l1_s, l0_s = _output_pass(sol, write_l, write_s)
+            errors = (dict.fromkeys(("rel_err", "max_dif", "ave_dif")) if truth is None
+                      else synth.recovery_errors(sol.l, truth))
             stats = {
                 "method": sol.method,
                 "rows": m.shape[0], "cols": m.shape[1],
@@ -189,8 +158,8 @@ def _solve(m, args):
 
 
 def cmd_synth(args):
-    spec = synth.SynthSpec(m=args.m, n=args.n or args.m, rho_r=args.rho_r,
-                           rho_s=args.rho_s, magnitude=args.magnitude,
+    spec = synth.SynthSpec(m=args.m, n=args.m if args.n is None else args.n,
+                           rho_r=args.rho_r, rho_s=args.rho_s, magnitude=args.magnitude,
                            sigma_scale=args.sigma_scale, rng_seed=args.seed)
     gt = synth.generate(spec)
     if args.out_m:
@@ -223,24 +192,24 @@ def cmd_bench(args):
     kwargs = {}
     if args.suite == "size-sweep" and args.adm_max_size is not None:
         kwargs["adm_max_size"] = args.adm_max_size
-    report = bench.run_suite(
-        args.suite, scale=args.scale, seeds=range(args.seeds),
-        methods=args.methods, **kwargs,
-    )
-    report["environment"]["suite_seconds"] = time.perf_counter() - t0
-    if args.out_csv:
-        bench.write_csv_report(args.out_csv, report)
-    if args.out_json:
-        bench.write_json_report(args.out_json, report)
-    if not args.out_csv and not args.out_json:
+    with contextlib.ExitStack() as outputs:
+        csv_file = _open_output(outputs, args.out_csv, matio.output_file)
+        json_file = _open_output(outputs, args.out_json, matio.output_file)
+        report = bench.run_suite(args.suite, scale=args.scale, seeds=range(args.seeds),
+                                 methods=args.methods, **kwargs)
+        report["environment"]["suite_seconds"] = time.perf_counter() - t0
+        if csv_file:
+            bench.write_csv_report(csv_file, report)
+        if json_file:
+            bench.write_json_report(json_file, report)
+    if not csv_file and not json_file:
         print(json.dumps(report, indent=2))
     else:
         print(json.dumps({"suite": args.suite,
                           "records": len(report["records"]),
                           "summary": report["summary"]}))
-    failures = [r for r in report["records"] if r["error"]]
-    if failures:
-        for r in failures:
+    for r in report["records"]:
+        if r["error"]:
             print(f"warning: {r['method']} m={r['m']} seed={r['seed']}: {r['error']}",
                   file=sys.stderr)
     return 0

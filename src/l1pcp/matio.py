@@ -13,12 +13,12 @@ holds no mask of the whole block. write_matrix writes a whole matrix
 through it, one row_blocks slice m[rows] at a time; besides ndarrays it
 takes any row-sliceable matrix with a shape, such as the l1filter's LowRank
 L and Remainder S, so writing them holds one formed block, not a dense copy
-of the whole matrix. A caller that forms its blocks itself, such as the
-decompose CLI, which writes L and S in one pass, uses matrix_writer
-directly. A write that fails part way, on a non-finite block say, removes
-the partial file. read_dmat reads the values into one preallocated array,
-and the readers validate what they read with as_dense, so a read holds the
-matrix and one small mask.
+of the whole matrix. The decompose CLI, which writes L and S in one pass,
+forms each block itself with rows_into, in one buffer reused for every
+block, and writes it through matrix_writer. A write that fails part way,
+on a non-finite block say, removes the partial file. read_dmat reads the
+values into one preallocated array, and the readers validate what they
+read with as_dense, so a read holds the matrix and one small mask.
 """
 
 import contextlib
@@ -47,6 +47,16 @@ def row_blocks(shape):
     rows, cols = shape
     step = max(1, BLOCK_BYTES // (8 * max(1, cols)))
     return [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
+
+
+def rows_into(m, rows, out):
+    """m[rows] formed into out, a float64 array of its shape: by
+    m.rows_into for a matrix that forms its rows on demand, such as the
+    l1filter's LowRank and Remainder, else copied; returns out."""
+    if hasattr(m, "rows_into"):
+        return m.rows_into(rows, out)
+    np.copyto(out, m[rows])
+    return out
 
 
 @contextlib.contextmanager

@@ -9,10 +9,12 @@ checkerboard and moving_object give structured instances instead: an image,
 and a video whose corruption is one moving square.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import matio
 from .matcore import as_dense
 
 
@@ -25,6 +27,20 @@ class SynthSpec:
     magnitude: float = 500.0
     sigma_scale: float = 1.0
     rng_seed: int = 0
+
+    def __post_init__(self):
+        # each test is written so that NaN fails it
+        if not (self.m >= 1 and self.n >= 1):
+            raise ValueError(f"m and n must be >= 1, got m={self.m}, n={self.n}")
+        if not (0 <= self.rho_r <= 1 and self.rank <= self.n):
+            raise ValueError(f"rho_r must be in [0, 1] with round(rho_r * m) <= n, "
+                             f"got {self.rho_r}")
+        if not 0 <= self.rho_s <= 1:
+            raise ValueError(f"rho_s must be in [0, 1], got {self.rho_s}")
+        if not 0 <= self.magnitude < math.inf:
+            raise ValueError(f"magnitude must be finite and >= 0, got {self.magnitude}")
+        if not -math.inf < self.sigma_scale < math.inf:
+            raise ValueError(f"sigma_scale must be finite, got {self.sigma_scale}")
 
     @property
     def rank(self):
@@ -46,8 +62,6 @@ def generate(spec):
     """Generate (M, L0, S0) with M = L0 + sigma_scale * S0, deterministic
     for a fixed rng_seed."""
     m, n, r, p = spec.m, spec.n, spec.rank, spec.n_sparse
-    if p > m * n:
-        raise ValueError(f"requested {p} sparse entries in a {m}x{n} matrix")
     ss_l, ss_s = np.random.SeedSequence(spec.rng_seed).spawn(2)
 
     rng_l = np.random.default_rng(ss_l)
@@ -119,20 +133,39 @@ def corrupt_impulsive(img, fraction, rng_seed):
     return GroundTruth(m_obs=corrupted, l0=img, s0=corrupted - img)
 
 
+def recovery_errors(l_star, l0):
+    """The dict of rel_err ||L - L0||_F / ||L0||_F (||L||_F when L0 = 0),
+    max_dif max |L - L0| and ave_dif mean |L - L0|. matio.rows_into forms
+    L, dense or a LowRank, and then |L - L0| in one row block's buffer."""
+    if l_star.shape != l0.shape or not l0.size:
+        raise ValueError(f"L {l_star.shape} and L0 {l0.shape} must have one nonempty shape")
+    blocks = matio.row_blocks(l0.shape)
+    buf = np.empty((blocks[0].stop, l0.shape[1]))  # the first block is the largest
+    sq_dif = sq_l0 = sq_l = sum_dif = max_dif = 0.0
+    for rows in blocks:
+        l = matio.rows_into(l_star, rows, buf[:rows.stop - rows.start])
+        l0_rows = l0[rows]
+        sq_l0 += float(np.vdot(l0_rows, l0_rows))
+        sq_l += float(np.vdot(l, l))
+        dif = np.abs(np.subtract(l, l0_rows, out=l), out=l)
+        sq_dif += float(np.vdot(dif, dif))
+        sum_dif += float(dif.sum())
+        max_dif = max(max_dif, float(dif.max()))
+    return {"rel_err": (sq_dif / sq_l0) ** 0.5 if sq_l0 else sq_l ** 0.5,
+            "max_dif": max_dif, "ave_dif": sum_dif / l0.size}
+
+
 def rel_err(l_star, l0):
     """Relative Frobenius error against the true low-rank matrix."""
-    denom = np.linalg.norm(l0, "fro")
-    return float(np.linalg.norm(l_star - l0, "fro") / denom) if denom else float(
-        np.linalg.norm(l_star, "fro")
-    )
+    return recovery_errors(l_star, l0)["rel_err"]
 
 
 def max_dif(l_star, l0):
-    return float(np.abs(l_star - l0).max())
+    return recovery_errors(l_star, l0)["max_dif"]
 
 
 def ave_dif(l_star, l0):
-    return float(np.abs(l_star - l0).sum() / np.asarray(l0).size)
+    return recovery_errors(l_star, l0)["ave_dif"]
 
 
 def write_pgm(path, img):

@@ -9,7 +9,8 @@ soft threshold and of svt_with_rank, and nuclear_norm the objective's
 nuclear norm, for the tests of the proximal operators. reference_adm is
 solve_pcp's ADM written out of place, and with lapack_svt it takes LAPACK's
 full SVD at every step: the reference the warm-started solves are held
-against.
+against. recovery_errors takes RelErr, MaxDif and AveDif by whole-matrix
+numpy formulas, against synth's and decompose's row-blocked sums.
 """
 
 import numpy as np
@@ -87,3 +88,12 @@ def reference_adm(m, tol, svt):
         if np.linalg.norm(r) / np.linalg.norm(m) <= tol:
             return l, s, y, iters
     raise AssertionError("reference ADM did not converge")
+
+
+def recovery_errors(l, l0):
+    """rel_err, max_dif and ave_dif of a dense L against L0, as the dict of
+    synth.recovery_errors."""
+    dif = np.abs(l - l0)
+    denom = np.linalg.norm(l0)
+    return {"rel_err": np.linalg.norm(l - l0) / denom if denom else np.linalg.norm(l),
+            "max_dif": dif.max(), "ave_dif": dif.mean()}

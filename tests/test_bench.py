@@ -138,7 +138,8 @@ def test_csv_report_roundtrip(tmp_path):
     report = {"environment": bench.environment_info(), "suite": "x",
               "records": [rec], "summary": {}}
     path = tmp_path / "r.csv"
-    bench.write_csv_report(path, report)
+    with open(path, "wb") as fh:
+        bench.write_csv_report(fh, report)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == ",".join(bench.CSV_HEADER)
     assert lines[1].split(",")[0] == "adm"
@@ -155,6 +156,17 @@ def test_run_suite_rejects_an_unknown_method_before_solving(monkeypatch, method)
     monkeypatch.setattr(bench, "run_instance", forbidden)
     with pytest.raises(ValueError, match="unknown method"):
         bench.run_suite("checkerboard", scale=0.125, methods=("l1filter", method))
+
+
+@pytest.mark.parametrize("scale", [0.0, -1.0, float("nan"), float("inf")])
+def test_run_suite_rejects_a_bad_scale_before_solving(monkeypatch, scale):
+    # --scale 0 used to solve an 8x8 checkerboard of 1-pixel cells
+    def forbidden(*args, **kwargs):
+        raise AssertionError("run_suite solved before it checked the scale")
+
+    monkeypatch.setattr(bench, "run_instance", forbidden)
+    with pytest.raises(ValueError, match="scale must be finite and > 0"):
+        bench.run_suite("checkerboard", scale=scale)
 
 
 @pytest.mark.parametrize("scale, m, cell", [

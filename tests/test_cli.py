@@ -11,11 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from l1pcp import cli, matio, synth
+from l1pcp import bench, cli, matio, synth
 from l1pcp.cli import main
 from l1pcp.l1filter import FilterConfig, estimate_rank_and_factor, estimate_rank_and_solve
 from l1pcp.matcore import frobenius_norm, l0_count, l1_norm, linf_norm
 from l1pcp.pcp_adm import AdmConfig, solve_pcp
+from oracles import recovery_errors
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -343,19 +344,76 @@ def test_parser_rejects_an_unknown_bench_method(capsys, method):
     assert "invalid choice" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv, code", [
-    (["synth", "--m", "10", "--rho-r", "0.1", "--rho-s", "2"], 3),
-    (["synth", "--m", "10", "--rho-r", "-1", "--rho-s", "0.1"], 3),
-    (["checkerboard", "--m", "10", "--cell", "3", "--out", "{tmp}/cb"], 3),
-    (["bench", "--suite", "size-sweep", "--scale", "-1"], 3),
+@pytest.mark.parametrize("argv, code, named", [
+    (["synth", "--m", "10", "--rho-r", "0.1", "--rho-s", "2"], 3, "rho_s"),
+    (["synth", "--m", "10", "--rho-r", "-1", "--rho-s", "0.1"], 3, "rho_r"),
+    (["checkerboard", "--m", "10", "--cell", "3", "--out", "{tmp}/cb"], 3, "cell"),
+    (["bench", "--suite", "size-sweep", "--scale", "-1"], 3, "scale"),
     (["synth", "--m", "10", "--rho-r", "0.1", "--rho-s", "0.1",
-      "--out-m", "{tmp}/missing/m.dmat"], 1),
-], ids=["synth-rho-s", "synth-rho-r", "checkerboard-cell", "bench-scale", "synth-missing-dir"])
-def test_every_subcommand_fails_with_one_error_line(tmp_path, capsys, argv, code):
+      "--out-m", "{tmp}/missing/m.dmat"], 1, "missing/m.dmat"),
+    # these printed numpy's "negative dimensions are not allowed", a
+    # traceback, or nothing at all (n_sparse -50, or an 8x8 checkerboard)
+    (["synth", "--m", "-5", "--rho-r", "0.1", "--rho-s", "0.1"], 3, "m and n"),
+    (["synth", "--m", "10", "--n", "0", "--rho-r", "0.1", "--rho-s", "0.1"], 3, "m and n"),
+    (["synth", "--m", "10", "--rho-r", "0.1", "--rho-s", "-0.5"], 3, "rho_s"),
+    (["synth", "--m", "10", "--rho-r", "0.1", "--rho-s", "0.1", "--magnitude", "nan",
+      "--out-m", "{tmp}/m.dmat"], 3, "magnitude"),
+    # the reports, opened before the suite, are removed again
+    (["bench", "--suite", "checkerboard", "--scale", "0", "--out-json", "{tmp}/r.json",
+      "--out-csv", "{tmp}/r.csv"], 3, "scale"),
+], ids=["synth-rho-s", "synth-rho-r", "checkerboard-cell", "bench-scale", "synth-missing-dir",
+        "synth-m", "synth-n-0", "synth-rho-s-negative", "synth-magnitude", "bench-scale-0"])
+def test_every_subcommand_fails_with_one_error_line(tmp_path, capsys, argv, code, named):
     assert main([a.format(tmp=tmp_path) for a in argv]) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert named in err
     assert not any(tmp_path.iterdir())
+
+
+def _fake_run_instance(calls, error=""):
+    """A bench.run_instance that solves nothing: it notes (method, m) in
+    calls and returns a record that failed with error, if any."""
+    def run(method, gt, r, rho_s, sigma_scale, seed, rank_hint=None):
+        calls.append((method, gt.m_obs.shape[0]))
+        record = dict.fromkeys(bench.CSV_HEADER)
+        record.update(method=method, m=gt.m_obs.shape[0], seed=seed, seconds=1.0, error=error)
+        return record, None
+    return run
+
+
+def test_bench_opens_its_reports_before_the_suite(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(bench, "run_instance", _fake_run_instance(calls))
+    csv_path = tmp_path / "r.csv"
+    assert main(["bench", "--suite", "checkerboard", "--out-csv", str(csv_path),
+                 "--out-json", str(tmp_path / "missing" / "r.json")]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot write ")
+    assert calls == [] and not csv_path.exists()
+
+
+def test_bench_forwards_adm_max_size(tmp_path, capsys, monkeypatch):
+    # sizes 10, 20 and 40; the ADM leg stops at 0.01 * --adm-max-size
+    for argv, adm_sizes in (([], [10, 20]), (["--adm-max-size", "1000"], [10])):
+        calls = []
+        monkeypatch.setattr(bench, "run_instance", _fake_run_instance(calls))
+        assert main(["bench", "--suite", "size-sweep", "--scale", "0.01",
+                     "--out-json", str(tmp_path / "r.json")] + argv) == 0
+        assert [m for method, m in calls if method == "adm"] == adm_sizes
+        assert [m for method, m in calls if method == "l1filter"] == [10, 20, 40]
+    capsys.readouterr()
+
+
+def test_bench_prints_the_report_and_a_warning_per_failed_record(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(bench, "run_instance", _fake_run_instance(calls, "RuntimeError: boom"))
+    assert main(["bench", "--suite", "checkerboard", "--scale", "0.125", "--seeds", "2"]) == 0
+    out, err = capsys.readouterr()
+    report = json.loads(out)  # no --out-*: the whole report on stdout
+    assert report["suite"] == "checkerboard" and len(report["records"]) == len(calls) == 2
+    assert "suite_seconds" in report["environment"]
+    assert err.splitlines() == [f"warning: l1filter m=64 seed={seed}: RuntimeError: boom"
+                                for seed in (0, 1)]
 
 
 @pytest.mark.parametrize("first, second", [("--out-l", "--out-s"), ("--out-s", "--stats-json"),
@@ -420,7 +478,8 @@ def test_decompose_streams_l_and_s(rank10_dmat, tmp_path, capsys):
 @pytest.mark.parametrize("truth", [False, True], ids=["plain", "truth"])
 def test_output_pass_holds_one_row_block(rank10_dmat, tmp_path, truth):
     # the factored solution and the truth exist before the pass; it forms L,
-    # then S, in one row block, |L - L0| in the truth's rows and |S| in place
+    # then S, in one row block and |S| in place, and recovery_errors then
+    # forms L and |L - L0| in one row block of its own
     m = matio.read_matrix(rank10_dmat)
     sol = estimate_rank_and_factor(m, FilterConfig(rank_hint=10))
     l0 = sol.l[:] if truth else None  # any dense truth
@@ -430,7 +489,9 @@ def test_output_pass_holds_one_row_block(rank10_dmat, tmp_path, truth):
             matio.matrix_writer(tmp_path / "s.dmat", m.shape) as write_s:
         tracemalloc.start()
         try:
-            cli._output_pass(sol, l0, write_l, write_s)
+            cli._output_pass(sol, write_l, write_s)
+            if truth:
+                synth.recovery_errors(sol.l, l0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -467,16 +528,16 @@ def test_decompose_truth_stats_match_dense_formulas(tmp_path, capsys, monkeypatc
     stats = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     l = matio.read_matrix(tmp_path / "l.dmat")
     l0 = matio.read_matrix(l0_path)
-    assert stats["rel_err"] == pytest.approx(synth.rel_err(l, l0), rel=1e-12)
-    assert stats["max_dif"] == synth.max_dif(l, l0)
-    assert stats["ave_dif"] == pytest.approx(synth.ave_dif(l, l0), rel=1e-12)
+    dense = recovery_errors(l, l0)
+    assert stats["rel_err"] == pytest.approx(dense["rel_err"], rel=1e-12)
+    assert stats["max_dif"] == dense["max_dif"]
+    assert stats["ave_dif"] == pytest.approx(dense["ave_dif"], rel=1e-12)
 
 
 def _dense_stats(l, s, l0):
-    """decompose's S and truth stats by the dense formulas."""
+    """decompose's S and truth stats by whole-matrix formulas."""
     errors = ({"rel_err": None, "max_dif": None, "ave_dif": None} if l0 is None else
-              {"rel_err": synth.rel_err(l, l0), "max_dif": synth.max_dif(l, l0),
-               "ave_dif": synth.ave_dif(l, l0)})
+              recovery_errors(l, l0))
     return {"l1_s": l1_norm(s), "l0_s": l0_count(s), **errors}
 
 

@@ -264,6 +264,19 @@ def test_zero_and_empty_inputs():
     assert empty.z.shape == (2, 0)
 
 
+def test_columnwise_below_2k_rows_is_the_adm_alone():
+    # with fewer than 2k rows no support leaves the presolve enough clean
+    # rows, so it hands every column to the ADM, whose Z and E are returned
+    rng = np.random.default_rng(8)
+    a = _orthonormal(rng, 7, 4)
+    x = a @ rng.standard_normal((4, 9))
+    x[2, 3] += 5.0
+    assert _presolve(x, a, AdmConfig().tol)[2].size == x.shape[1]
+    colwise, adm = solve_l1reg_columnwise(x, a), solve_l1reg(x, a)
+    np.testing.assert_array_equal(colwise.z, adm.z)
+    np.testing.assert_array_equal(colwise.e, adm.e)
+
+
 def test_feasibility_guard_at_exit():
     rng = np.random.default_rng(7)
     a = _orthonormal(rng, 80, 4)

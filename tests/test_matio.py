@@ -79,6 +79,23 @@ def test_dispatch_by_extension_and_magic(tmp_path, sample):
     np.testing.assert_array_equal(matio.read_matrix(bin_path), sample)
 
 
+def test_read_matrix_falls_back_to_csv(tmp_path):
+    # neither a .csv extension nor the DMAT magic
+    path = tmp_path / "m.txt"
+    path.write_text("1,2\n3,4.5\n")
+    np.testing.assert_array_equal(matio.read_matrix(path), [[1.0, 2.0], [3.0, 4.5]])
+
+
+def test_write_matrix_takes_a_nested_list_and_rejects_3d(tmp_path):
+    path = tmp_path / "m.dmat"
+    matio.write_matrix(path, [[1, 2], [3, 4]])
+    np.testing.assert_array_equal(matio.read_matrix(path), [[1.0, 2.0], [3.0, 4.0]])
+    path.unlink()
+    with pytest.raises(ValueError, match="expected a 2-D matrix, got ndim=3"):
+        matio.write_matrix(path, np.zeros((2, 2, 2)))
+    assert not path.exists()
+
+
 def test_csv_single_row_keeps_two_dims(tmp_path):
     path = tmp_path / "row.csv"
     matio.write_matrix(path, np.array([[1.0, 2.0, 3.0]]))
@@ -158,6 +175,18 @@ def test_write_row_sliceable_matrix(tmp_path, monkeypatch, sample, name):
         matio.write_matrix(path, mat)
         blocks = [mat[rows] for rows in matio.row_blocks((7, 4))]
         np.testing.assert_array_equal(matio.read_matrix(path), np.concatenate(blocks))
+
+
+def test_rows_into_forms_each_block_into_the_buffer(monkeypatch, sample):
+    monkeypatch.setattr(matio, "BLOCK_BYTES", 3 * 4 * 8)
+    rng = np.random.default_rng(0)
+    l = LowRank(rng.standard_normal((7, 2)), rng.standard_normal((4, 2)))
+    buf = np.empty((3, 4))
+    for mat in (sample, l, Remainder(sample, l)):
+        for rows in matio.row_blocks((7, 4)):
+            out = buf[:rows.stop - rows.start]
+            assert matio.rows_into(mat, rows, out) is out
+            np.testing.assert_array_equal(out, mat[rows])
 
 
 @pytest.mark.parametrize("name", ["m.dmat", "m.csv"])

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from l1pcp import synth
+from l1pcp import matio, synth
+from l1pcp.l1filter import LowRank
+import oracles
 
 
 def test_generate_rank_and_support_counts():
@@ -61,6 +63,20 @@ def test_generate_rejects_oversubscribed_support():
         synth.generate(synth.SynthSpec(m=4, n=4, rho_r=0.25, rho_s=2.0))
 
 
+@pytest.mark.parametrize("field, value, name", [
+    ("m", -5, "m and n"), ("m", 0, "m and n"), ("n", -1, "m and n"),
+    ("rho_r", -1.0, "rho_r"), ("rho_r", float("nan"), "rho_r"), ("rho_r", 0.5, "rho_r"),
+    ("rho_s", -0.5, "rho_s"), ("rho_s", float("nan"), "rho_s"),
+    ("magnitude", float("nan"), "magnitude"), ("magnitude", -1.0, "magnitude"),
+    ("magnitude", float("inf"), "magnitude"), ("sigma_scale", float("inf"), "sigma_scale"),
+])
+def test_spec_rejects_bad_sizes_by_name(field, value, name):
+    # rho_r = 0.5 asks for rank 5 of a 10x4 matrix
+    spec = {"m": 10, "n": 4, "rho_r": 0.1, "rho_s": 0.1, field: value}
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        synth.SynthSpec(**spec)
+
+
 def test_sparse_magnitude_statistics():
     # |U[-500, 500]| has mean 250; check within 5% on a large support
     spec = synth.SynthSpec(m=400, n=400, rho_r=0.01, rho_s=0.1, rng_seed=0)
@@ -90,6 +106,12 @@ def test_corrupt_impulsive_counts():
     assert set(np.unique(bad_values)) <= {0.0, 1.0}
 
 
+@pytest.mark.parametrize("fraction", [-0.1, 1.5, float("nan")])
+def test_corrupt_impulsive_rejects_a_fraction_outside_0_1(fraction):
+    with pytest.raises(ValueError, match="fraction must be in"):
+        synth.corrupt_impulsive(synth.checkerboard(8, 4), fraction, 0)
+
+
 def test_corrupt_impulsive_zero_fraction():
     img = synth.checkerboard(16, 4)
     gt = synth.corrupt_impulsive(img, 0.0, 0)
@@ -106,6 +128,32 @@ def test_metrics_trivial_cases():
     assert synth.max_dif(shifted, l0) == 1.0
     assert synth.ave_dif(shifted, l0) == 1.0
     assert synth.rel_err(shifted, l0) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("case", ["dense", "low-rank", "zero-l0"])
+def test_recovery_errors_match_dense_formulas(monkeypatch, case):
+    # several row blocks, the last one short
+    monkeypatch.setattr(matio, "BLOCK_BYTES", 7 * 30 * 8)
+    rng = np.random.default_rng(0)
+    a, b = rng.standard_normal((50, 3)), rng.standard_normal((30, 3))
+    l0 = np.zeros((50, 30)) if case == "zero-l0" else a @ b.T
+    l_star = LowRank(a + 1e-3 * rng.standard_normal(a.shape), b)
+    dense = l_star[:]
+    l_in = dense if case == "dense" else l_star
+    errors = synth.recovery_errors(l_in, l0)
+    for name, value in errors.items():
+        assert getattr(synth, name)(l_in, l0) == value
+    expected = oracles.recovery_errors(dense, l0)
+    assert errors == pytest.approx(expected, rel=1e-12)
+    if case == "dense":  # |L - L0| of the same values, in any order
+        assert errors["max_dif"] == expected["max_dif"]
+
+
+def test_recovery_errors_reject_mismatched_or_empty_shapes():
+    with pytest.raises(ValueError, match="one nonempty shape"):
+        synth.recovery_errors(np.ones((3, 2)), np.ones((2, 3)))
+    with pytest.raises(ValueError, match="one nonempty shape"):
+        synth.recovery_errors(np.ones((0, 3)), np.ones((0, 3)))
 
 
 def test_write_pgm_bytes(tmp_path):
