@@ -6,10 +6,10 @@ exit code: an _Exit's own, 3 for a ValueError, 1 for an OSError. So 0 is
 success; 1 a file that cannot be read or written (for decompose, an input
 that does not parse or holds NaN or Inf, an output that cannot be opened,
 or a failed write); 2 decompose's non-convergence; 3 invalid options and
-dimensions, two decompose outputs in one regular file included. decompose
-opens every output before the solve, and bench its reports before the
-suite, and each removes them again when it exits 1 or 3, so a failed run
-leaves no partial file.
+dimensions, two outputs of decompose or of bench in one regular file
+included. decompose opens every output before the solve, and bench its
+reports before the suite, and each removes them again when it exits 1 or
+3, so a failed run leaves no partial file.
 """
 
 import argparse
@@ -51,6 +51,15 @@ def _open_output(outputs, path, opener):
         raise _Exit(1, f"cannot write {path}: {exc}") from None
 
 
+def _distinct_outputs(paths, flags):
+    """Reject two of *paths* that name one regular file, which would keep
+    only the last output written; a device such as /dev/null may repeat."""
+    files = [os.path.realpath(path) for path in paths
+             if path and (os.path.isfile(path) or not os.path.exists(path))]
+    if len(set(files)) < len(files):
+        raise ValueError(f"{flags} must name different files")
+
+
 def _read(path):
     """The matrix in path; one that cannot be read ends decompose with exit 1."""
     try:
@@ -88,11 +97,8 @@ def _output_pass(sol, write_l, write_s):
 
 
 def cmd_decompose(args):
-    # two outputs in one regular file would keep only the last one written
-    files = [os.path.realpath(path) for path in (args.out_l, args.out_s, args.stats_json)
-             if path and (os.path.isfile(path) or not os.path.exists(path))]
-    if len(set(files)) < len(files):
-        raise ValueError("--out-l, --out-s and --stats-json must name different files")
+    _distinct_outputs((args.out_l, args.out_s, args.stats_json),
+                      "--out-l, --out-s and --stats-json")
     m = _read(args.input)
     truth = _read(args.truth) if args.truth else None
     if truth is not None and truth.shape != m.shape:
@@ -189,6 +195,7 @@ def cmd_checkerboard(args):
 
 def cmd_bench(args):
     t0 = time.perf_counter()
+    _distinct_outputs((args.out_csv, args.out_json), "--out-csv and --out-json")
     kwargs = {}
     if args.suite == "size-sweep" and args.adm_max_size is not None:
         kwargs["adm_max_size"] = args.adm_max_size

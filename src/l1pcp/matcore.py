@@ -5,7 +5,8 @@ from the previous factors or started from the Gram matrix's eigenvectors,
 and LAPACK's full SVD only where no partial SVD can be trusted. A Cholesky
 factorization certifies an SVT of rank 0 without an eigendecomposition,
 and the partial SVD takes the SVD of its sketch only on the power steps
-that test its certificate."""
+that test its certificate: those orthonormalise their basis by Householder
+QR, and the plain power steps between them by Cholesky-QR."""
 
 import math
 from dataclasses import dataclass
@@ -146,7 +147,21 @@ def _power_steps_left(miss, goal, sigma_k, sigma_p):
     return math.ceil(math.log(miss / goal) / -math.log(rate))
 
 
-def _rayleigh_ritz(w, eta, y):
+def _cholesky_qr(y):
+    """An orthonormal basis Q = Y R^-1 of the range of *y* by Cholesky-QR,
+    from Y^T Y = R^T R, or None when the factor fails or is not finite, as
+    it may when Y^T Y is singular. Q is orthonormal only to about
+    cond(Y)^2 eps, enough for a plain power step, which needs only a
+    well-conditioned basis of the same range."""
+    try:
+        r_t = np.linalg.cholesky(y.T @ y)
+    except np.linalg.LinAlgError:
+        return None
+    q = y @ np.linalg.inv(r_t).T
+    return q if np.isfinite(q).all() else None
+
+
+def _rayleigh_ritz(w, eta, y, plain=0):
     """Thresholded factors (U_k, Sigma_k - eta, V_k) of *w* from the range
     basis *y* (m×p), or None when they cannot be certified.
 
@@ -154,32 +169,39 @@ def _rayleigh_ritz(w, eta, y):
     exactly, so the triplets are accepted once max|W V_k - U_k Sigma_k| <=
     PARTIAL_CERT_TOL * sigma_1, within PARTIAL_MAX_POWER_STEPS power steps
     of the first; None when every one of the p values survives the
-    threshold, or when the certificate is never met. Only a Rayleigh-Ritz
-    step needs the SVD of B: after one that misses the certificate, all but
-    the last of the steps _power_steps_left predicts are plain power steps
-    W W^T Q, which span what the Rayleigh-Ritz steps would have.
+    threshold, or when the certificate is never met. B's SVD is taken from
+    the tall W^T Q = B^T, whose factors are B's swapped.
+
+    Only a Rayleigh-Ritz step needs that SVD. The first *plain* steps, and
+    after a Rayleigh-Ritz step that misses the certificate all but the last
+    of the steps _power_steps_left predicts, are plain power steps W W^T Q,
+    which span what the Rayleigh-Ritz steps would have. A Rayleigh-Ritz
+    step orthonormalises its basis by Householder QR, a plain step by
+    Cholesky-QR, or by Householder QR when the Cholesky factor fails.
     """
     p = y.shape[1]
-    plain = 0  # plain power steps due before the next Rayleigh-Ritz step
     for step in range(PARTIAL_MAX_POWER_STEPS + 1):
-        q = np.linalg.qr(y)[0]
+        q = _cholesky_qr(y) if plain else None
+        if q is None:
+            q = np.linalg.qr(y)[0]
         if plain:
             plain -= 1
             y = w @ (w.T @ q)
             continue
-        f = svd(q.T @ w, rank_tol=0.0)
+        # the SVD of B^T = W^T Q: f.u is B's V_B and f.v its U_B
+        f = svd(w.T @ q, rank_tol=0.0)
         k = int((f.sigma > eta).sum())
         if k == p or f.rank == 0:
             return None
         # W^T Q = B^T has range span(V_B), so W V_B spans the next power
         # step W orth(W^T Q); its first k columns are the certificate's W V_k
-        y = w @ f.v
+        y = w @ f.u
         if k:
-            u = q @ f.u[:, :k]
+            u = q @ f.v[:, :k]
             miss = np.abs(y[:, :k] - u * f.sigma[:k]).max()
             goal = PARTIAL_CERT_TOL * f.sigma[0]
             if miss <= goal:
-                return SkinnySvd(u, f.sigma[:k] - eta, f.v[:, :k].copy())
+                return SkinnySvd(u, f.sigma[:k] - eta, f.u[:, :k].copy())
             # sigma_p is 0 when B has fewer than p nonzero values
             sigma_p = f.sigma[-1] if f.rank == p else 0.0
             steps = _power_steps_left(miss, goal, f.sigma[k - 1], sigma_p)
@@ -188,20 +210,33 @@ def _rayleigh_ritz(w, eta, y):
     return None
 
 
-def _svt_partial_factors(w, eta, v_prev):
+def _svt_partial_factors(w, eta, v_prev, draws=None):
     """The warm start: _rayleigh_ritz from a sketch of p =
     _sketch_width(k) columns for the previous rank k, whose first k columns
     are the previous right singular vectors and the rest a fixed-seed
-    Gaussian draw. None when there is no previous rank, the sketch is wider
-    than PARTIAL_MAX_FRACTION of min(m, n), or _rayleigh_ritz declines.
+    Gaussian draw, taking one plain power step before its first
+    Rayleigh-Ritz step. None when there is no previous rank, the sketch is
+    wider than PARTIAL_MAX_FRACTION of min(m, n), or _rayleigh_ritz
+    declines.
+
+    *draws*, a dict, keeps the last draw under its shape (n, p) for the
+    next call of that shape, which overwrites only its first k columns: p
+    determines k, so the rest stay the draw's. Without it every call draws
+    anew.
     """
     k_prev = v_prev.shape[1]
     p = _sketch_width(k_prev)
     if k_prev == 0 or p > PARTIAL_MAX_FRACTION * min(w.shape):
         return None
-    omega = np.random.default_rng(PARTIAL_SKETCH_SEED).standard_normal((w.shape[1], p))
+    shape = (w.shape[1], p)
+    omega = None if draws is None else draws.get(shape)
+    if omega is None:
+        omega = np.random.default_rng(PARTIAL_SKETCH_SEED).standard_normal(shape)
+        if draws is not None:  # the draw for the last width only, so it stays thin
+            draws.clear()
+            draws[shape] = omega
     omega[:, :k_prev] = v_prev
-    return _rayleigh_ritz(w, eta, w @ omega)
+    return _rayleigh_ritz(w, eta, w @ omega, plain=1)
 
 
 def _scaled_gram(w, e):
@@ -282,7 +317,7 @@ def _svt_gram_factors(w, eta):
     return _rayleigh_ritz(w, eta, w @ basis if w.shape[0] >= w.shape[1] else basis)
 
 
-def svt_with_rank(w, eta, v_prev=None, paths=None):
+def svt_with_rank(w, eta, v_prev=None, paths=None, draws=None):
     """Singular value thresholding U_k (Sigma_k - eta) V_k^T of *w*, over the
     k singular values above eta. Returns (matrix, factors): factors is the
     SkinnySvd (U_k, Sigma_k - eta, V_k) whose reconstruction is the matrix.
@@ -304,19 +339,23 @@ def svt_with_rank(w, eta, v_prev=None, paths=None):
     wide for a sketch goes straight to the full SVD. All paths share the
     layout of U_k and V_k, and it must hold: the last bits of the product
     depend on how V_k^T is laid out. *paths*, a dict, counts the path taken
-    under its name.
+    under its name. *draws*, a dict, keeps the warm start's Gaussian draw
+    from one call to the next (see _svt_partial_factors); it is dropped
+    before a Gram start or full SVD, so it never adds to their peak.
     """
     if not eta >= 0:  # so that NaN fails
         raise ValueError("eta must be nonnegative")
     w = np.asarray(w, dtype=np.float64)
     k_prev = v_prev.shape[1] if v_prev is not None else 0
     factors = None
-    if _sketch_width(k_prev) <= PARTIAL_MAX_FRACTION * min(w.shape):
-        if v_prev is not None:
-            factors, path = _svt_partial_factors(w, eta, v_prev), "warm"
-        if factors is None:
-            factors = _svt_gram_factors(w, eta)
-            path = "zero" if factors is not None and factors.rank == 0 else "gram"
+    sketched = _sketch_width(k_prev) <= PARTIAL_MAX_FRACTION * min(w.shape)
+    if sketched and v_prev is not None:
+        factors, path = _svt_partial_factors(w, eta, v_prev, draws), "warm"
+    if factors is None and draws:
+        draws.clear()
+    if factors is None and sketched:
+        factors = _svt_gram_factors(w, eta)
+        path = "zero" if factors is not None and factors.rank == 0 else "gram"
     if factors is None:
         f = svd(w, rank_tol=0.0, atol=eta)
         factors, path = SkinnySvd(f.u, f.sigma - eta, f.v), "svd"

@@ -208,11 +208,13 @@ def solve_pcp(m, cfg=None, resume=None):
     Each SVT is handed the previous one's factors (see svt_with_rank). From
     the second step on it tries a partial SVD sketched from the previous
     right singular vectors and a fixed-seed Gaussian draw, so solves stay
-    deterministic, and accepts it only under a residual certificate of
-    1e-14 sigma_1. The Gram start is the cold start, for the first step and
-    any warm sketch that is not certified, and LAPACK's full SVD the one
-    fallback, taken at once when the previous rank is too wide for a
-    sketch. The l1-filter pipeline's seed and fallback PCPs are this solve.
+    deterministic; the draw is kept from one warm start to the next of the
+    same width, and only within this call. The partial SVD is accepted only
+    under a residual certificate of 1e-14 sigma_1. The Gram start is the
+    cold start, for the first step and any warm sketch that is not
+    certified, and LAPACK's full SVD the one fallback, taken at once when
+    the previous rank is too wide for a sketch. The l1-filter pipeline's
+    seed and fallback PCPs are this solve.
 
     stats counts the SVTs by where their factors came from: svt_warm (the
     warm start), svt_zero (a Gram start that certified no singular value
@@ -273,6 +275,7 @@ def solve_pcp(m, cfg=None, resume=None):
     stop = done if resume is not None and residual <= cfg.tol else cfg.max_iter
     iters = done
     paths = dict.fromkeys(("warm", "zero", "gram", "svd"), 0)
+    draws = {}  # the warm starts' Gaussian draw, for this solve only
 
     for iters in range(done + 1, stop + 1):
         if iters > 1:
@@ -288,7 +291,7 @@ def solve_pcp(m, cfg=None, resume=None):
         w = np.subtract(m, s, out=l)
         np.add(w, np.divide(y, beta), out=w)
         l, factors = svt_with_rank(w, 1.0 / beta, None if factors is None else factors.v,
-                                   paths=paths)
+                                   paths=paths, draws=draws)
         rank_l = factors.rank
         # R = M - L - S, then beta * R, in W's buffer, dead once the SVT ran
         np.subtract(m, l, out=w)

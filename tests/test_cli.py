@@ -392,6 +392,22 @@ def test_bench_opens_its_reports_before_the_suite(tmp_path, capsys, monkeypatch)
     assert calls == [] and not csv_path.exists()
 
 
+def test_bench_reports_in_one_file_exit_3(tmp_path, capsys, monkeypatch):
+    # the JSON report would overwrite the CSV one
+    calls = []
+    monkeypatch.setattr(bench, "run_instance", _fake_run_instance(calls))
+    new, old, link = tmp_path / "r.out", tmp_path / "old.out", tmp_path / "link.out"
+    old.write_bytes(b"kept")
+    link.symlink_to(old)
+    for a, b in ((new, new), (old, old), (old, link)):
+        assert main(["bench", "--suite", "checkerboard", "--scale", "0.1",
+                     "--out-csv", str(a), "--out-json", str(b)]) == 3
+        assert capsys.readouterr().err == (
+            "error: --out-csv and --out-json must name different files\n")
+    assert calls == [] and not new.exists()
+    assert old.read_bytes() == b"kept"
+
+
 def test_bench_forwards_adm_max_size(tmp_path, capsys, monkeypatch):
     # sizes 10, 20 and 40; the ADM leg stops at 0.01 * --adm-max-size
     for argv, adm_sizes in (([], [10, 20]), (["--adm-max-size", "1000"], [10])):

@@ -581,8 +581,8 @@ def test_fallback_matches_full_svd_adm(monkeypatch):
     partial = []
     real = matcore._svt_partial_factors
 
-    def count(w, eta, v_prev):
-        factors = real(w, eta, v_prev)
+    def count(w, eta, v_prev, draws=None):
+        factors = real(w, eta, v_prev, draws)
         if w.shape == gt.m_obs.shape:
             partial.append(factors)
         return factors

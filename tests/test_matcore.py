@@ -448,35 +448,108 @@ def test_a_declined_rank_0_certificate_restores_the_gram_matrix(monkeypatch, sha
 
 
 def _rayleigh_ritz_work(monkeypatch):
-    """A list that gets, for each _rayleigh_ritz call, its [QRs, SVDs]."""
+    """A list that gets, for each _rayleigh_ritz call, its events in order:
+    "cholesky-qr" for a plain step's Cholesky-QR, "cholesky failed" when
+    its factor failed, "householder" for a Householder QR and "svd" for a
+    Rayleigh-Ritz step's SVD."""
     calls = []
-    real_rr, real_qr, real_svd = matcore._rayleigh_ritz, np.linalg.qr, matcore.svd
+    real_rr, real_cholesky_qr = matcore._rayleigh_ritz, matcore._cholesky_qr
+    real_qr, real_svd = np.linalg.qr, matcore.svd
 
-    def rayleigh_ritz(*args):
-        calls.append([0, 0])
-        return real_rr(*args)
+    def rayleigh_ritz(*args, **kwargs):
+        calls.append([])
+        return real_rr(*args, **kwargs)
+
+    def cholesky_qr(y):
+        q = real_cholesky_qr(y)
+        calls[-1].append("cholesky failed" if q is None else "cholesky-qr")
+        return q
 
     def qr(a):
-        calls[-1][0] += 1
+        calls[-1].append("householder")
         return real_qr(a)
 
     def svd(*args, **kwargs):
-        calls[-1][1] += 1
+        calls[-1].append("svd")
         return real_svd(*args, **kwargs)
 
     monkeypatch.setattr(matcore, "_rayleigh_ritz", rayleigh_ritz)
+    monkeypatch.setattr(matcore, "_cholesky_qr", cholesky_qr)
     monkeypatch.setattr(np.linalg, "qr", qr)
     monkeypatch.setattr(matcore, "svd", svd)
     return calls
 
 
+def _steps(events):
+    """Power steps among a _rayleigh_ritz call's events: each orthonormalises
+    its basis once, by Cholesky-QR or by Householder QR (after a failed
+    Cholesky factor, too)."""
+    return events.count("cholesky-qr") + events.count("householder")
+
+
 def test_plain_power_steps_take_no_svd(monkeypatch):
     calls = _rayleigh_ritz_work(monkeypatch)
     assert pcp_adm.solve_pcp(_adm_300().m_obs).converged
-    qrs, svds = np.sum(calls, axis=0)
-    # each step takes a QR, but only the Rayleigh-Ritz steps an SVD
-    assert svds < qrs
-    assert max(c[0] for c in calls) <= matcore.PARTIAL_MAX_POWER_STEPS + 1
+    steps = sum(_steps(c) for c in calls)
+    svds = sum(c.count("svd") for c in calls)
+    # each step orthonormalises its basis, but only the Rayleigh-Ritz steps
+    # take an SVD
+    assert svds < steps
+    assert max(_steps(c) for c in calls) <= matcore.PARTIAL_MAX_POWER_STEPS + 1
+
+
+def test_a_warm_start_takes_a_plain_step_before_its_first_svd(monkeypatch):
+    calls = _adm_300_svt_calls(monkeypatch)
+    work = _rayleigh_ritz_work(monkeypatch)
+    starts = {"warm": 0, "gram": 0}
+    for w, eta, v_prev in calls:
+        if v_prev is not None and v_prev.shape[1]:
+            matcore._svt_partial_factors(w, eta, v_prev)
+            assert work[-1][:3] == ["cholesky-qr", "householder", "svd"]
+            starts["warm"] += 1
+        before = len(work)
+        matcore._svt_gram_factors(w, eta)
+        if len(work) > before:  # not certified 0 before any power step
+            # the eigenvectors already approximate the singular vectors:
+            # the Rayleigh-Ritz step comes first
+            assert work[-1][:2] == ["householder", "svd"]
+            starts["gram"] += 1
+    assert starts["warm"] >= len(calls) // 2 and starts["gram"] >= 1
+
+
+def _rank_3_warm_start(rng):
+    """(W, eta, V_prev): a 120x100 W of rank 3 below the 13 sketched
+    columns, with V_prev its right singular vectors and eta below them."""
+    w = rng.standard_normal((120, 3)) @ rng.standard_normal((3, 100))
+    _, sigma, vt = np.linalg.svd(w)
+    return w, 0.5 * sigma[2], vt[:3].T.copy()
+
+
+def _zero_column_warm_start(rng):
+    """(W, eta, V_prev): V_prev's last column is 0, and so is that sketch
+    column W V_prev."""
+    w, v = _with_spectrum(rng, np.r_[10.0, 8.0, 6.0, np.linspace(1, 0.1, 97)])
+    v_prev = v[:, :3].copy()
+    v_prev[:, 2] = 0.0
+    return w, 3.0, v_prev
+
+
+@pytest.mark.parametrize("start", [_rank_3_warm_start, _zero_column_warm_start],
+                         ids=["W of rank 3", "zero sketch column"])
+def test_a_singular_plain_step_falls_back_to_householder(monkeypatch, start):
+    # Y^T Y is singular, and the Cholesky factor of these two fails on the
+    # plain step: a rank-3 Y's rounding leaves negative pivots, a zero
+    # column's pivot is exactly 0
+    w, eta, v_prev = start(np.random.default_rng(15))
+    work = _rayleigh_ritz_work(monkeypatch)
+    f = matcore._svt_partial_factors(w, eta, v_prev)
+    assert work[0][:2] == ["cholesky failed", "householder"]
+    assert _steps(work[0]) <= matcore.PARTIAL_MAX_POWER_STEPS + 1
+    # and the Householder basis still reaches the certificate
+    assert f is not None and f.rank == 3
+    sigma = f.sigma + eta
+    assert np.abs(w @ f.v - f.u * sigma).max() <= 2 * matcore.PARTIAL_CERT_TOL * sigma[0]
+    _assert_matches_full_svt(f, w, eta)
 
 
 @pytest.mark.parametrize("steps", [1, 2, 100], ids=["short", "one plain step", "past the budget"])
@@ -499,7 +572,7 @@ def test_any_power_step_prediction_ends_certified_or_declined(monkeypatch, steps
             assert np.abs(w @ f.v - f.u * sigma).max() <= 2 * matcore.PARTIAL_CERT_TOL * sigma[0]
             _assert_matches_full_svt(f, w, eta)
     assert accepted >= len(calls)
-    assert max(c[0] for c in work) <= matcore.PARTIAL_MAX_POWER_STEPS + 1
+    assert max(_steps(c) for c in work) <= matcore.PARTIAL_MAX_POWER_STEPS + 1
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -1,5 +1,6 @@
 """Tests for the reference ADM principal component pursuit solver."""
 
+import inspect
 import math
 import tracemalloc
 import warnings
@@ -336,6 +337,50 @@ def test_solve_peak_memory_is_three_buffers_and_one_svd(wide):
     sol, peak = _traced_peak(lambda: solve_pcp(m))
     assert sol.converged
     assert peak <= 5.5 * m.nbytes, f"peak {peak / m.nbytes:.2f}x M.nbytes"
+
+
+def _draw_traces(snapshot):
+    """The traces in snapshot allocated by the warm start's Gaussian draw."""
+    lines, first = inspect.getsourcelines(matcore._svt_partial_factors)
+    lineno = first + next(i for i, line in enumerate(lines) if "standard_normal" in line)
+    return snapshot.filter_traces([tracemalloc.Filter(True, matcore.__file__, lineno)]).traces
+
+
+def test_the_sketch_draw_lives_only_within_one_solve(monkeypatch):
+    m = _peak_memory_instance()
+    first = solve_pcp(m)
+    assert first.stats["svt_warm"] > 0
+    # a solve of another shape between two of m draws its own sketches
+    solve_pcp(_peak_memory_instance(n=150))
+    # draws held when each Gram start begins: none, so they never add to
+    # its peak
+    held = []
+    real_gram = matcore._svt_gram_factors
+
+    def gram(w, eta):
+        held.append(len(_draw_traces(tracemalloc.take_snapshot())))
+        return real_gram(w, eta)
+
+    monkeypatch.setattr(matcore, "_svt_gram_factors", gram)
+    tracemalloc.start()
+    try:
+        again = solve_pcp(m)
+        assert not _draw_traces(tracemalloc.take_snapshot())
+        # the filter finds a draw that is still held, and a sketch of
+        # another width replaces it
+        draws = {}
+        v_prev, eta = again.state.svt.v, 1 / again.stats["beta_final"]
+        matcore._svt_partial_factors(m, eta, v_prev, draws)
+        assert draws and _draw_traces(tracemalloc.take_snapshot())
+        matcore._svt_partial_factors(m, eta, v_prev[:, :1], draws)
+        assert list(draws) == [(m.shape[1], matcore._sketch_width(1))]
+    finally:
+        tracemalloc.stop()
+    assert again.iterations == first.iterations
+    assert len(held) == sum(again.stats[f"svt_{path}"] for path in ("zero", "gram"))
+    assert not any(held)
+    for a, b in [(again.l, first.l), (again.s, first.s), (again.state.y, first.state.y)]:
+        np.testing.assert_array_equal(a, b)
 
 
 def test_resumed_partial_svd_solve_peaks_at_four_buffers():
