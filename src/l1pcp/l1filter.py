@@ -51,10 +51,11 @@ Input is checked at the public boundary: estimate_rank_and_factor (and
 through it estimate_rank_and_solve) rejects a matrix that is not 2-D, is
 empty or holds NaN or Inf, and solve_pcp and solve_l1reg_columnwise check
 what they are given. sample_submatrix, recover_seed, filter_columns,
-filter_rows, nystrom_complete and assemble take that checked matrix or
-trusted float64 arrays cut from it and check nothing again, except that
-each filter chunk goes through solve_l1reg_columnwise, which checks the
-chunk and its basis once more.
+filter_rows and nystrom_complete take that checked matrix or trusted
+float64 arrays cut from it and check nothing again (the seed loop sizes
+every seed within M); each filter chunk's solve_l1reg_columnwise checks
+the chunk and its basis once more, and assemble checks its factors'
+shape against M, which a one-row A would otherwise broadcast against.
 """
 
 import math
@@ -144,12 +145,9 @@ def sample_submatrix(m, n_rows, n_cols, rng_seed):
     """Sample row/column index sets uniformly without replacement.
 
     rng_seed may be an integer, a SeedSequence, or a Generator. Index sets
-    are returned sorted; the block is M restricted to them.
+    are returned sorted; the block is M restricted to them. A request
+    larger than M fails in numpy's choice with a ValueError.
     """
-    if n_rows > m.shape[0] or n_cols > m.shape[1]:
-        raise ValueError(
-            f"requested {n_rows}x{n_cols} block from {m.shape[0]}x{m.shape[1]} matrix"
-        )
     rng = np.random.default_rng(rng_seed)  # a Generator is used as given
     row_idx = np.sort(rng.choice(m.shape[0], size=n_rows, replace=False))
     col_idx = np.sort(rng.choice(m.shape[1], size=n_cols, replace=False))
@@ -276,9 +274,8 @@ def nystrom_complete(seed, q, p):
     (r' x m-s). A holds U Sigma on the seed rows and P^T on the others; B
     holds V on the seed columns and (Sigma^{-1} Q)^T on the others. The
     product's blocks are the generalized Nystrom ones: U Sigma V^T on the
-    seed, U Q and P^T V^T beside it, and P^T Sigma^{-1} Q elsewhere."""
-    if seed.r_prime < 1:
-        raise ValueError("seed rank must be >= 1")
+    seed, U Q and P^T V^T beside it, and P^T Sigma^{-1} Q elsewhere; a
+    seed of rank r' = 0 gives factors with no columns, whose product is 0."""
     f = seed.seed_svd
     return (_stack(seed.row_idx, f.u * f.sigma, p.T),
             _stack(seed.col_idx, f.v, (q / f.sigma[:, None]).T))
@@ -326,7 +323,8 @@ class Remainder:
 
 
 def assemble(m, a, b):
-    """L = A B^T and S = M - L from the stacked factors of nystrom_complete."""
+    """L = A B^T and S = M - L from the stacked factors of nystrom_complete,
+    whose row counts must match M: a one-row A would broadcast silently."""
     if (a.shape[0], b.shape[0]) != m.shape:
         raise ValueError(f"factors of {a.shape[0]} and {b.shape[0]} rows do not "
                          f"match a {m.shape[0]}x{m.shape[1]} matrix")

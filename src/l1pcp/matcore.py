@@ -128,6 +128,10 @@ PARTIAL_MAX_POWER_STEPS = 8
 # full SVD's (1e-13 let single SVTs drift by 4e-14 sigma_1)
 PARTIAL_CERT_TOL = 1e-14
 PARTIAL_SKETCH_SEED = 0
+# smallest pivot of a plain step's Cholesky factor accepted, over its largest:
+# a singular Y^T Y that rounding kept positive definite left 8e-9 to 2e-8,
+# the plain steps of the benchmark's instances at least 2.29e-6
+CHOLESKY_QR_MIN_PIVOT = 1e-7
 
 
 def _sketch_width(k):
@@ -149,13 +153,17 @@ def _power_steps_left(miss, goal, sigma_k, sigma_p):
 
 def _cholesky_qr(y):
     """An orthonormal basis Q = Y R^-1 of the range of *y* by Cholesky-QR,
-    from Y^T Y = R^T R, or None when the factor fails or is not finite, as
-    it may when Y^T Y is singular. Q is orthonormal only to about
-    cond(Y)^2 eps, enough for a plain power step, which needs only a
-    well-conditioned basis of the same range."""
+    from Y^T Y = R^T R, or None when the factor fails, is not finite, or has
+    a pivot below CHOLESKY_QR_MIN_PIVOT of its largest: a singular Y^T Y may
+    fail, or keep a rounding-level pivot and miss a direction. Q is
+    orthonormal only to about cond(Y)^2 eps, enough for a plain power step,
+    which needs only a well-conditioned basis of the same range."""
     try:
         r_t = np.linalg.cholesky(y.T @ y)
     except np.linalg.LinAlgError:
+        return None
+    pivots = np.diagonal(r_t)
+    if not pivots.min() >= CHOLESKY_QR_MIN_PIVOT * pivots.max():  # so that NaN fails
         return None
     q = y @ np.linalg.inv(r_t).T
     return q if np.isfinite(q).all() else None
@@ -210,32 +218,13 @@ def _rayleigh_ritz(w, eta, y, plain=0):
     return None
 
 
-def _svt_partial_factors(w, eta, v_prev, draws=None):
-    """The warm start: _rayleigh_ritz from a sketch of p =
-    _sketch_width(k) columns for the previous rank k, whose first k columns
-    are the previous right singular vectors and the rest a fixed-seed
-    Gaussian draw, taking one plain power step before its first
-    Rayleigh-Ritz step. None when there is no previous rank, the sketch is
-    wider than PARTIAL_MAX_FRACTION of min(m, n), or _rayleigh_ritz
-    declines.
-
-    *draws*, a dict, keeps the last draw under its shape (n, p) for the
-    next call of that shape, which overwrites only its first k columns: p
-    determines k, so the rest stay the draw's. Without it every call draws
-    anew.
-    """
-    k_prev = v_prev.shape[1]
-    p = _sketch_width(k_prev)
-    if k_prev == 0 or p > PARTIAL_MAX_FRACTION * min(w.shape):
-        return None
-    shape = (w.shape[1], p)
-    omega = None if draws is None else draws.get(shape)
-    if omega is None:
-        omega = np.random.default_rng(PARTIAL_SKETCH_SEED).standard_normal(shape)
-        if draws is not None:  # the draw for the last width only, so it stays thin
-            draws.clear()
-            draws[shape] = omega
-    omega[:, :k_prev] = v_prev
+def _svt_partial_factors(w, eta, v_prev, omega):
+    """The warm start: _rayleigh_ritz from the sketch W Omega, one plain
+    power step before its first Rayleigh-Ritz step, where svt_with_rank's
+    Gaussian draw *omega* (n x _sketch_width(k)) gets the previous rank-k
+    right singular vectors *v_prev* as its first k columns. None when
+    _rayleigh_ritz declines."""
+    omega[:, :v_prev.shape[1]] = v_prev
     return _rayleigh_ritz(w, eta, w @ omega, plain=1)
 
 
@@ -339,19 +328,26 @@ def svt_with_rank(w, eta, v_prev=None, paths=None, draws=None):
     wide for a sketch goes straight to the full SVD. All paths share the
     layout of U_k and V_k, and it must hold: the last bits of the product
     depend on how V_k^T is laid out. *paths*, a dict, counts the path taken
-    under its name. *draws*, a dict, keeps the warm start's Gaussian draw
-    from one call to the next (see _svt_partial_factors); it is dropped
-    before a Gram start or full SVD, so it never adds to their peak.
+    under its name. Only this function draws the warm start's Gaussian
+    sketch, and *draws*, a dict, keeps the last width's draw for the next
+    call of that width (a warm start overwrites its first k columns, and the
+    width sets k); it is dropped before a Gram start or full SVD, so it
+    never adds to their peak. Without *draws* every call draws anew.
     """
     if not eta >= 0:  # so that NaN fails
         raise ValueError("eta must be nonnegative")
     w = np.asarray(w, dtype=np.float64)
+    draws = {} if draws is None else draws
     k_prev = v_prev.shape[1] if v_prev is not None else 0
+    shape = (w.shape[1], _sketch_width(k_prev))
     factors = None
-    sketched = _sketch_width(k_prev) <= PARTIAL_MAX_FRACTION * min(w.shape)
-    if sketched and v_prev is not None:
-        factors, path = _svt_partial_factors(w, eta, v_prev, draws), "warm"
-    if factors is None and draws:
+    sketched = shape[1] <= PARTIAL_MAX_FRACTION * min(w.shape)
+    if sketched and k_prev:
+        if shape not in draws:  # the draw for the last width only, so it stays thin
+            draws.clear()
+            draws[shape] = np.random.default_rng(PARTIAL_SKETCH_SEED).standard_normal(shape)
+        factors, path = _svt_partial_factors(w, eta, v_prev, draws[shape]), "warm"
+    if factors is None:
         draws.clear()
     if factors is None and sketched:
         factors = _svt_gram_factors(w, eta)

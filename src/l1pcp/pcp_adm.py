@@ -65,6 +65,7 @@ from .matcore import (
 _EPS = np.finfo(float).eps
 _SQRT_TINY = math.sqrt(np.finfo(float).tiny)     # about 1.5e-154
 _MAX_NORM = math.sqrt(np.finfo(float).max) * _EPS  # about 3.0e138
+_SVT_PATHS = ("warm", "zero", "gram", "svd")  # svt_with_rank's, as solve_pcp counts them
 
 
 class PcpDivergenceError(RuntimeError):
@@ -219,7 +220,8 @@ def solve_pcp(m, cfg=None, resume=None):
     stats counts the SVTs by where their factors came from: svt_warm (the
     warm start), svt_zero (a Gram start that certified no singular value
     above the threshold, as the first steps' SVTs do), svt_gram (the other
-    Gram starts) and svt_svd (the full SVD).
+    Gram starts) and svt_svd (the full SVD); a zero M takes no SVT, and
+    every count is 0.
 
     resume=sol continues an earlier solve of the same m from sol.state. It
     keeps that solve's lambda and penalty schedule, takes tol, rho and
@@ -246,6 +248,7 @@ def solve_pcp(m, cfg=None, resume=None):
             l=np.zeros_like(m), s=np.zeros_like(m), iterations=1,
             final_residual=0.0, rank_of_l=0,
             elapsed=time.perf_counter() - t0, converged=True,
+            stats={f"svt_{path}": 0 for path in _SVT_PATHS},
         )
     if not (peak * min(cfg.tol, _EPS) >= _SQRT_TINY
             and peak * math.sqrt(m.size) <= _MAX_NORM):
@@ -274,7 +277,7 @@ def solve_pcp(m, cfg=None, resume=None):
     # solve at cfg.tol would have stopped there
     stop = done if resume is not None and residual <= cfg.tol else cfg.max_iter
     iters = done
-    paths = dict.fromkeys(("warm", "zero", "gram", "svd"), 0)
+    paths = dict.fromkeys(_SVT_PATHS, 0)
     draws = {}  # the warm starts' Gaussian draw, for this solve only
 
     for iters in range(done + 1, stop + 1):

@@ -158,6 +158,19 @@ def test_run_suite_rejects_an_unknown_method_before_solving(monkeypatch, method)
         bench.run_suite("checkerboard", scale=0.125, methods=("l1filter", method))
 
 
+def test_run_suite_forwards_its_methods(monkeypatch):
+    solved = []
+
+    def record(method, *args, **kwargs):
+        solved.append(method)
+        return {"method": method, "converged": True, "rel_err": 0.0}, None
+
+    monkeypatch.setattr(bench, "run_instance", record)
+    report = bench.run_suite("checkerboard", scale=0.1, seeds=(0, 1), methods=["adm"])
+    assert solved == ["adm", "adm"]
+    assert [r["method"] for r in report["records"]] == solved
+
+
 @pytest.mark.parametrize("scale", [0.0, -1.0, float("nan"), float("inf")])
 def test_run_suite_rejects_a_bad_scale_before_solving(monkeypatch, scale):
     # --scale 0 used to solve an 8x8 checkerboard of 1-pixel cells

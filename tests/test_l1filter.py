@@ -58,8 +58,11 @@ def test_sample_submatrix_full_size_is_whole_matrix():
 
 
 def test_sample_submatrix_oversized_request_rejected():
+    # by numpy's choice without replacement, on either side
     with pytest.raises(ValueError):
         sample_submatrix(np.zeros((5, 5)), 6, 3, 0)
+    with pytest.raises(ValueError):
+        sample_submatrix(np.zeros((5, 5)), 3, 6, 0)
 
 
 def test_recover_seed_uncorrupted_rank_two():
@@ -286,6 +289,20 @@ def test_nystrom_dual_formulas_agree():
         via_pinv = nystrom_complete_via_pinv(l_row, seed.seed_svd.reconstruct(), l_col)
         err = frobenius_norm(direct - via_pinv) / frobenius_norm(direct)
         assert err <= 1e-8
+
+
+def test_nystrom_of_a_zero_seed_is_zero():
+    # a seed of rank 0 gives factors with no columns, and L = 0, S = M
+    rng = np.random.default_rng(9)
+    ri, ci, block = sample_submatrix(np.zeros((30, 25)), 10, 8, rng)
+    seed = recover_seed(block, AdmConfig(tol=1e-10), ri, ci)
+    assert seed.r_prime == 0
+    a, b = nystrom_complete(seed, np.zeros((0, 25 - 8)), np.zeros((0, 30 - 10)))
+    assert a.shape == (30, 0) and b.shape == (25, 0)
+    m = rng.standard_normal((30, 25))
+    l_hat, s_hat = assemble(m, a, b)
+    assert not l_hat.any()
+    np.testing.assert_array_equal(s_hat, m)
 
 
 def test_nystrom_rank_one_completion_is_outer_product():
@@ -581,8 +598,8 @@ def test_fallback_matches_full_svd_adm(monkeypatch):
     partial = []
     real = matcore._svt_partial_factors
 
-    def count(w, eta, v_prev, draws=None):
-        factors = real(w, eta, v_prev, draws)
+    def count(w, eta, v_prev, omega):
+        factors = real(w, eta, v_prev, omega)
         if w.shape == gt.m_obs.shape:
             partial.append(factors)
         return factors

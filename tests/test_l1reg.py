@@ -485,6 +485,25 @@ def test_presolve_stops_a_slice_at_a_fit_that_certifies_nothing(monkeypatch):
     assert 0 < len(fits) <= -(-x_rot.shape[1] // CHUNK_COLS)
 
 
+def test_presolve_leaves_the_chunk_to_the_adm_at_a_singular_support_system(monkeypatch):
+    # no real chunk was found to reach a singular I - A_S A_S^T, so the
+    # solve fails as numpy's would
+    def singular(a_pad, system, g):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    x, a = _spiked_block(np.random.default_rng(10), 100, 5, 300, 0.01)
+    tol = 1e-9
+    certified = _presolve(x, a, tol)[2]
+    monkeypatch.setattr(l1reg, "_clean_rows_apply", singular)
+    _, e, rest = _presolve(x, a, tol)
+    # only the columns the projection solves stay solved
+    projected = np.abs(x - a @ (a.T @ x)).max(axis=0) <= tol * np.abs(x).max(axis=0)
+    np.testing.assert_array_equal(rest, np.flatnonzero(~projected))
+    assert certified.size < rest.size and not e.any()
+    sol = solve_l1reg_columnwise(x, a, AdmConfig(tol=tol))
+    assert sol.converged and sol.misfit == linf_norm(x - a @ sol.z - sol.e)
+
+
 def test_columnwise_calls_the_adm_once_per_chunk(monkeypatch):
     # perfbench counts l1reg.chunks as solve_l1reg calls: one per chunk,
     # made even when the presolve leaves the ADM no column

@@ -156,6 +156,16 @@ def test_svd_rejects_a_nan_cutoff(kwargs):
         svd(np.diag([4.0, 2.0, 1.0]), **kwargs)
 
 
+def test_svd_wraps_a_lapack_failure(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    with pytest.raises(SvdConvergenceError, match="SVD failed on") as info:
+        svd(np.diag([4.0, 2.0, 1.0]))
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+
 def test_svt_rejects_a_nan_threshold():
     # unchecked, it returned a full-rank, all-NaN matrix
     with pytest.raises(ValueError, match="eta must be nonnegative"):
@@ -297,10 +307,18 @@ def _assert_matches_full_svt(factors, w, eta):
     assert np.abs(got - want).max() <= 1e-12 * sigma_1
 
 
+def _warm_start(w, eta, v_prev):
+    """_svt_partial_factors handed the Gaussian draw that svt_with_rank
+    makes for v_prev's rank, which must be at least 1."""
+    shape = (w.shape[1], matcore._sketch_width(v_prev.shape[1]))
+    omega = np.random.default_rng(matcore.PARTIAL_SKETCH_SEED).standard_normal(shape)
+    return matcore._svt_partial_factors(w, eta, v_prev, omega)
+
+
 def test_partial_svt_matches_full_svt_on_seed_iterates(monkeypatch):
     partial = 0
     for w, eta, v_prev in _seed_solve_svt_calls(monkeypatch):
-        if v_prev is None or matcore._svt_partial_factors(w, eta, v_prev) is None:
+        if v_prev is None or not v_prev.shape[1] or _warm_start(w, eta, v_prev) is None:
             continue
         partial += 1
         _assert_matches_full_svt(svt_with_rank(w, eta, v_prev)[1], w, eta)
@@ -385,6 +403,29 @@ def test_gram_start_at_the_ends_of_the_pcp_scale_range(shape, exponent):
     assert paths == {"gram": 1} and f.rank == 5
     want, _ = svt_with_rank(w, 0.5)
     np.testing.assert_array_equal(got, np.ldexp(want, exponent))
+
+
+def _eigh_fails(g):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def _eigh_nan(g):
+    lam, vecs = np.linalg.eigvalsh(g), np.eye(g.shape[0])
+    lam[0] = np.nan
+    return lam, vecs
+
+
+@pytest.mark.parametrize("eigh", [_eigh_fails, _eigh_nan], ids=["raises", "NaN eigenvalue"])
+def test_a_failed_gram_eigh_takes_the_full_svd(monkeypatch, eigh):
+    w = _low_rank_plus_noise((200, 80), 5, 11)
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    assert matcore._svt_gram_factors(w, 0.5) is None
+    paths = {}
+    got, f = svt_with_rank(w, 0.5, paths=paths)
+    assert paths == {"svd": 1}
+    want, full = _full_svd_svt(w, 0.5)
+    assert f.rank == full.rank == 5
+    np.testing.assert_array_equal(got, want)
 
 
 def _eigh_count(w, eta):
@@ -504,7 +545,7 @@ def test_a_warm_start_takes_a_plain_step_before_its_first_svd(monkeypatch):
     starts = {"warm": 0, "gram": 0}
     for w, eta, v_prev in calls:
         if v_prev is not None and v_prev.shape[1]:
-            matcore._svt_partial_factors(w, eta, v_prev)
+            _warm_start(w, eta, v_prev)
             assert work[-1][:3] == ["cholesky-qr", "householder", "svd"]
             starts["warm"] += 1
         before = len(work)
@@ -515,6 +556,39 @@ def test_a_warm_start_takes_a_plain_step_before_its_first_svd(monkeypatch):
             assert work[-1][:2] == ["householder", "svd"]
             starts["gram"] += 1
     assert starts["warm"] >= len(calls) // 2 and starts["gram"] >= 1
+
+
+def test_power_steps_left_at_the_ends_of_its_rate():
+    # sigma_p = 0: the next step leaves nothing to shrink, so one is enough
+    assert matcore._power_steps_left(1e-10, 1e-14, 2.0, 0.0) == 1
+    # sigma_p = sigma_k: no step shrinks the miss, so the whole budget
+    assert matcore._power_steps_left(1e-10, 1e-14, 2.0, 2.0) == matcore.PARTIAL_MAX_POWER_STEPS
+    # (1/2)^2 a step: 1e-10 down to 1e-14 takes ceil(log_4 1e4) = 7
+    assert matcore._power_steps_left(1e-10, 1e-14, 2.0, 1.0) == 7
+
+
+def _repeated_column_sketch(seed):
+    """A 13-column Gaussian sketch Y = W Omega of a 120x100 Gaussian W whose
+    column 1 repeats column 0: Y^T Y is singular."""
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal((120, 100))
+    omega = rng.standard_normal((100, 13))
+    omega[:, 1] = omega[:, 0]
+    return w @ omega
+
+
+def test_cholesky_qr_declines_a_singular_sketch():
+    # rounding leaves every pivot of the singular Y^T Y positive in 73 of
+    # these 200 sketches, and the smallest one 8e-9 to 2e-8 of the largest;
+    # unchecked, those returned a Q with max|Q^T Q - I| up to 1.0
+    for seed in range(200):
+        q = matcore._cholesky_qr(_repeated_column_sketch(seed))
+        assert q is None or np.abs(q.T @ q - np.eye(13)).max() <= 1e-6, seed
+    # without the repeat the sketch is well conditioned and Q orthonormal
+    rng = np.random.default_rng(0)
+    y = rng.standard_normal((120, 100)) @ rng.standard_normal((100, 13))
+    q = matcore._cholesky_qr(y)
+    assert q is not None and np.abs(q.T @ q - np.eye(13)).max() <= 1e-12
 
 
 def _rank_3_warm_start(rng):
@@ -542,7 +616,7 @@ def test_a_singular_plain_step_falls_back_to_householder(monkeypatch, start):
     # column's pivot is exactly 0
     w, eta, v_prev = start(np.random.default_rng(15))
     work = _rayleigh_ritz_work(monkeypatch)
-    f = matcore._svt_partial_factors(w, eta, v_prev)
+    f = _warm_start(w, eta, v_prev)
     assert work[0][:2] == ["cholesky failed", "householder"]
     assert _steps(work[0]) <= matcore.PARTIAL_MAX_POWER_STEPS + 1
     # and the Householder basis still reaches the certificate
@@ -560,8 +634,8 @@ def test_any_power_step_prediction_ends_certified_or_declined(monkeypatch, steps
     accepted = 0
     for w, eta, v_prev in calls:
         starts = [matcore._svt_gram_factors(w, eta)]
-        if v_prev is not None:
-            starts.append(matcore._svt_partial_factors(w, eta, v_prev))
+        if v_prev is not None and v_prev.shape[1]:
+            starts.append(_warm_start(w, eta, v_prev))
         for f in starts:
             if f is None or not f.rank:
                 continue
@@ -595,7 +669,8 @@ def _with_spectrum(rng, sigma):
 
 def _fallback_cases():
     """(name, the path svt_with_rank takes, W, eta, V_prev) for a warm or
-    Gram start that the SVT cannot use."""
+    Gram start that the SVT cannot use. svt_with_rank takes no warm start
+    without a previous rank, or at one whose sketch is too wide."""
     rng = np.random.default_rng(9)
     w, _ = _with_spectrum(rng, np.linspace(10, 1, 40))
     # the Gram start counts 36 values above eta: its sketch would be too wide
@@ -618,9 +693,9 @@ def _fallback_cases():
 
 @pytest.mark.parametrize("case", list(_fallback_cases()), ids=lambda c: c[0])
 def test_partial_svt_fallbacks_return_full_svt(case):
-    _, path, w, eta, v_prev = case
-    if v_prev is not None:
-        assert matcore._svt_partial_factors(w, eta, v_prev) is None
+    name, path, w, eta, v_prev = case
+    if name in ("k == p", "no certificate"):
+        assert _warm_start(w, eta, v_prev) is None
     paths = {}
     got, f = svt_with_rank(w, eta, v_prev, paths=paths)
     assert paths == {path: 1}

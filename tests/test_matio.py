@@ -68,6 +68,23 @@ def test_dmat_truncated(tmp_path):
         matio.read_dmat(path2)
 
 
+def test_dmat_that_shrinks_while_read_is_rejected(tmp_path, monkeypatch):
+    # the size is checked before the read; a file cut short in between
+    # reads fewer bytes than its header promised
+    path = tmp_path / "m.dmat"
+    matio.write_matrix(path, np.ones((2, 2)))
+    real_fstat = matio.os.fstat
+    path.write_bytes(path.read_bytes()[:-16])
+
+    class Stat:
+        def __init__(self, fd):
+            self.st_size = real_fstat(fd).st_size + 16
+
+    monkeypatch.setattr(matio.os, "fstat", Stat)
+    with pytest.raises(ValueError, match="file changed while read"):
+        matio.read_dmat(path)
+
+
 def test_dispatch_by_extension_and_magic(tmp_path, sample):
     csv_path = tmp_path / "a.csv"
     bin_path = tmp_path / "a.bin"

@@ -92,6 +92,21 @@ def test_zero_matrix_one_iteration():
     assert sol.iterations == 1
     assert not sol.l.any() and not sol.s.any()
     assert sol.rank_of_l == 0
+    # it takes no SVT, and says so in the counts every solve reports
+    assert sol.stats == {f"svt_{path}": 0 for path in _SVT_PATHS}
+
+
+def test_a_non_finite_residual_raises(monkeypatch):
+    # the scale check keeps real inputs finite, so the SVT is made to overflow
+    real = pcp_adm.svt_with_rank
+
+    def overflow(w, eta, v_prev=None, **kwargs):
+        l, factors = real(w, eta, v_prev, **kwargs)
+        return np.full_like(l, np.inf), factors
+
+    monkeypatch.setattr(pcp_adm, "svt_with_rank", overflow)
+    with pytest.raises(pcp_adm.PcpDivergenceError, match="non-finite residual at iteration 1"):
+        solve_pcp(np.diag([3.0, 2.0, 1.0]))
 
 
 def test_uncorrupted_rank_one_gives_zero_sparse():
@@ -341,7 +356,7 @@ def test_solve_peak_memory_is_three_buffers_and_one_svd(wide):
 
 def _draw_traces(snapshot):
     """The traces in snapshot allocated by the warm start's Gaussian draw."""
-    lines, first = inspect.getsourcelines(matcore._svt_partial_factors)
+    lines, first = inspect.getsourcelines(matcore.svt_with_rank)
     lineno = first + next(i for i, line in enumerate(lines) if "standard_normal" in line)
     return snapshot.filter_traces([tracemalloc.Filter(True, matcore.__file__, lineno)]).traces
 
@@ -367,13 +382,14 @@ def test_the_sketch_draw_lives_only_within_one_solve(monkeypatch):
         again = solve_pcp(m)
         assert not _draw_traces(tracemalloc.take_snapshot())
         # the filter finds a draw that is still held, and a sketch of
-        # another width replaces it
-        draws = {}
-        v_prev, eta = again.state.svt.v, 1 / again.stats["beta_final"]
-        matcore._svt_partial_factors(m, eta, v_prev, draws)
+        # another width replaces it, both warm starts on M - S + Y/beta
+        beta, draws, paths = again.stats["beta_final"], {}, {}
+        w, v_prev = m - again.s + again.state.y / beta, again.state.svt.v
+        matcore.svt_with_rank(w, 1 / beta, v_prev, paths=paths, draws=draws)
         assert draws and _draw_traces(tracemalloc.take_snapshot())
-        matcore._svt_partial_factors(m, eta, v_prev[:, :1], draws)
+        matcore.svt_with_rank(w, 1 / beta, v_prev[:, :1], paths=paths, draws=draws)
         assert list(draws) == [(m.shape[1], matcore._sketch_width(1))]
+        assert paths == {"warm": 2}
     finally:
         tracemalloc.stop()
     assert again.iterations == first.iterations
