@@ -188,6 +188,9 @@ def run_suite(name, scale=None, seeds=(0,), methods=None, **kwargs):
     for method in methods or ():
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}; choose from {list(METHODS)}")
+    seeds = tuple(seeds)
+    if not seeds:  # a report with no records
+        raise ValueError("seeds must hold at least one seed")
     fn = SUITES[name]
     if scale is not None:
         if not 0 < scale < math.inf:
@@ -195,7 +198,7 @@ def run_suite(name, scale=None, seeds=(0,), methods=None, **kwargs):
         kwargs["scale"] = scale
     if methods is not None:
         kwargs["methods"] = tuple(methods)
-    records, summary = fn(seeds=tuple(seeds), **kwargs)
+    records, summary = fn(seeds=seeds, **kwargs)
     summary["converged_wrong"] = sum(
         bool(r["converged"]) and r["rel_err"] > CONVERGED_WRONG_REL_ERR for r in records)
     return {"environment": environment_info(), "suite": name,

@@ -53,9 +53,11 @@ def _open_output(outputs, path, opener):
 
 def _distinct_outputs(paths, flags):
     """Reject two of *paths* that name one regular file, which would keep
-    only the last output written; a device such as /dev/null may repeat."""
-    files = [os.path.realpath(path) for path in paths
-             if path and (os.path.isfile(path) or not os.path.exists(path))]
+    only the last output written. A file that exists is known by its inode
+    and device, os.stat(path)[1:3], so that hard links match, and a path not
+    made yet by its real path; a device such as /dev/null may repeat."""
+    files = [os.stat(path)[1:3] if os.path.isfile(path) else os.path.realpath(path)
+             for path in paths if path and (os.path.isfile(path) or not os.path.exists(path))]
     if len(set(files)) < len(files):
         raise ValueError(f"{flags} must name different files")
 
@@ -69,30 +71,25 @@ def _read(path):
 
 
 def _output_pass(sol, write_l, write_s):
-    """Write L and S, each by write_l and write_s unless None, and sum |S|
-    in one pass over matio.row_blocks; returns (l1_s, l0_s).
-
-    matio.rows_into forms each L block, if written, and then the S block
-    in one buffer, where |S| is summed in place, so a factored L or S is
-    never formed whole. l0_s counts |S| above 1e-6 ||S||_inf, taken over
-    all of S, so a second pass forms each S block there once more."""
-    blocks = matio.row_blocks(sol.l.shape)
-    buf = np.empty((blocks[0].stop, sol.l.shape[1]))  # the first block is the largest
+    """Write L and S, each by write_l and write_s unless None; returns
+    (l1_s, l0_s). matio.blocks walks L once, if written, and S once to write
+    it and sum |S| in the walk's buffer, so a factored L or S is never formed
+    whole. l0_s counts |S| above 1e-6 ||S||_inf, taken over all of S, so a
+    third walk forms S once more."""
+    if write_l:
+        for _, l in matio.blocks(sol.l):
+            write_l(l)
+        del l  # frees L's buffer before the S walk allocates its own
     l1_s = s_inf = 0.0
-    for rows in blocks:
-        block = buf[:rows.stop - rows.start]
-        if write_l:
-            write_l(matio.rows_into(sol.l, rows, block))
-        s = matio.rows_into(sol.s, rows, block)
+    for _, s in matio.blocks(sol.s):
         if write_s:
             write_s(s)
         np.abs(s, out=s)
         l1_s += float(s.sum())
         s_inf = max(s_inf, float(s.max()))
-    l0_s = 0
-    for rows in blocks:
-        s = matio.rows_into(sol.s, rows, buf[:rows.stop - rows.start])
-        l0_s += int(np.count_nonzero(np.abs(s, out=s) > 1e-6 * s_inf))
+    del s
+    l0_s = sum(int(np.count_nonzero(np.abs(s, out=s) > 1e-6 * s_inf))
+               for _, s in matio.blocks(sol.s))
     return l1_s, l0_s
 
 

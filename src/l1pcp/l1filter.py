@@ -22,15 +22,13 @@ L = A B^T and S = M - L are the only O(mn) steps after filtering.
 
 The solve comes in two steps. estimate_rank_and_factor stops at the factors:
 on the l1-filter path it returns L as LowRank(A, B) and S as Remainder(M, L),
-row-sliceable stand-ins whose L[rows] is A[rows] B^T and S[rows] is
-M[rows] - L[rows], so a caller that streams L and S in row blocks (the
-decompose CLI) never holds a dense m x n L or S; rows_into forms a block
-into the caller's buffer, so one buffer serves every block.
+whose rows_into forms only the rows asked for, A[rows] B^T or M[rows] minus
+that, so a caller that walks L and S in row blocks by matio.blocks (the
+decompose CLI) never holds a dense m x n L or S.
 The degenerate-zero-seed path returns L = 0 the same way, as factors with
 no columns, and S = M as Remainder(M, L). estimate_rank_and_solve follows
 it with assemble, one A B^T and one subtraction, and returns dense L and S.
-Only the full-pcp-fallback path returns dense arrays from either function;
-ndarrays slice into rows the same way.
+Only the full-pcp-fallback path returns dense arrays from either function.
 
 estimate_rank_and_factor is one seed-attempt loop. From r = rank_hint or
 1, each pass proposes an s_r r x s_c r seed, leaves with none once that
@@ -65,7 +63,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 # svd is unused here, but perfbench's self-test reads the l1filter.svd binding
-from .matcore import SkinnySvd, as_dense, linf_norm, svd  # noqa: F401
+from .matcore import SkinnySvd, as_dense, check_seed, linf_norm, svd  # noqa: F401
 from .l1reg import CHUNK_COLS, solve_l1reg_columnwise
 from .pcp_adm import (
     AdmConfig,
@@ -139,6 +137,7 @@ class FilterConfig:
             raise ValueError("parallelism must be 1: the filters run sequentially")
         if not (1 < self.s_r < math.inf and 1 < self.s_c < math.inf):
             raise ValueError("oversampling rates must be finite and > 1")
+        check_seed(self.rng_seed)
 
 
 def sample_submatrix(m, n_rows, n_cols, rng_seed):
@@ -283,8 +282,8 @@ def nystrom_complete(seed, q, p):
 
 @dataclass(frozen=True)
 class LowRank:
-    """L = A B^T held as its stacked factors A (m x r') and B (n x r').
-    L[rows] forms only those rows, A[rows] B^T."""
+    """L = A B^T held as its stacked factors A (m x r') and B (n x r'),
+    walked in row blocks by matio.blocks through rows_into."""
 
     a: np.ndarray
     b: np.ndarray
@@ -293,18 +292,14 @@ class LowRank:
     def shape(self):
         return self.a.shape[0], self.b.shape[0]
 
-    def __getitem__(self, rows):
-        return self.a[rows] @ self.b.T
-
     def rows_into(self, rows, out):
-        """L[rows] formed into out, a float64 array of its shape; returns out."""
+        """A[rows] B^T, formed into out, a float64 array of its shape; returns out."""
         return np.matmul(self.a[rows], self.b.T, out=out)
 
 
 @dataclass(frozen=True)
 class Remainder:
-    """S = M - L for a dense M and a LowRank L. S[rows] forms only those
-    rows, M[rows] - L[rows]."""
+    """S = M - L for a dense M and a LowRank L, walked as L is."""
 
     m: np.ndarray
     l: LowRank
@@ -313,12 +308,8 @@ class Remainder:
     def shape(self):
         return self.m.shape
 
-    def __getitem__(self, rows):
-        s = self.l[rows]
-        return np.subtract(self.m[rows], s, out=s)
-
     def rows_into(self, rows, out):
-        """S[rows] formed into out, a float64 array of its shape; returns out."""
+        """M[rows] - A[rows] B^T, formed into out as LowRank.rows_into; returns out."""
         return np.subtract(self.m[rows], self.l.rows_into(rows, out), out=out)
 
 

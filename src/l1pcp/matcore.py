@@ -40,6 +40,12 @@ def as_dense(a):
     return arr
 
 
+def check_seed(seed):
+    """Reject a negative integer RNG seed by name; numpy checks the rest."""
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise ValueError(f"rng_seed must be >= 0, got {seed}")
+
+
 @dataclass(frozen=True)
 class SkinnySvd:
     """Skinny SVD: u (m×k) and v (n×k) with orthonormal columns, sigma

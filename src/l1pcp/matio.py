@@ -6,19 +6,13 @@ Two formats:
     little-endian, 4 bytes padding) followed by rows*cols little-endian
     float64 values in row-major order.
 
-matrix_writer opens a matrix file, picking the format by its extension,
-and takes the matrix one row block at a time, validating every block with
-as_dense, which checks finiteness over smaller row blocks still and so
-holds no mask of the whole block. write_matrix writes a whole matrix
-through it, one row_blocks slice m[rows] at a time; besides ndarrays it
-takes any row-sliceable matrix with a shape, such as the l1filter's LowRank
-L and Remainder S, so writing them holds one formed block, not a dense copy
-of the whole matrix. The decompose CLI, which writes L and S in one pass,
-forms each block itself with rows_into, in one buffer reused for every
-block, and writes it through matrix_writer. A write that fails part way,
-on a non-finite block say, removes the partial file. read_dmat reads the
-values into one preallocated array, and the readers validate what they
-read with as_dense, so a read holds the matrix and one small mask.
+blocks is the one row-block walk, which write_matrix, the decompose CLI's
+output pass and synth.recovery_errors take: it forms a matrix one row block
+at a time in one buffer, so the l1filter's factored L and S are never
+formed whole. matrix_writer writes a matrix file block by block, checks
+each block's finiteness with as_dense and removes the partial file when a
+write fails. read_dmat reads into one preallocated array, and the readers
+check what they read with as_dense.
 """
 
 import contextlib
@@ -49,14 +43,20 @@ def row_blocks(shape):
     return [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
 
 
-def rows_into(m, rows, out):
-    """m[rows] formed into out, a float64 array of its shape: by
-    m.rows_into for a matrix that forms its rows on demand, such as the
-    l1filter's LowRank and Remainder, else copied; returns out."""
-    if hasattr(m, "rows_into"):
-        return m.rows_into(rows, out)
-    np.copyto(out, m[rows])
-    return out
+def blocks(m):
+    """(rows, block) for each row_blocks slice of m: block holds m[rows] in
+    one float64 buffer that the walk owns and the next block overwrites, so
+    the caller may write into it. m.rows_into(rows, block) forms it, for
+    the l1filter's LowRank and Remainder; any other matrix is copied."""
+    slices = row_blocks(m.shape)
+    buf = np.empty((slices[0].stop if slices else 0, m.shape[1]))  # the first is the largest
+    for rows in slices:
+        block = buf[:rows.stop - rows.start]
+        if hasattr(m, "rows_into"):
+            m.rows_into(rows, block)
+        else:
+            block[...] = m[rows]
+        yield rows, block
 
 
 @contextlib.contextmanager
@@ -140,13 +140,14 @@ def read_matrix(path):
 
 
 def write_matrix(path, m):
-    """Write a matrix one row block m[rows] at a time; .csv extension
-    selects CSV, anything else DMAT. m is an ndarray, any row-sliceable
-    matrix with a shape, or else anything np.asarray takes."""
+    """Write a matrix one row block at a time, walked by blocks; .csv
+    extension selects CSV, anything else DMAT. m is an ndarray, a LowRank or
+    Remainder, any row-sliceable matrix with a shape, or else anything
+    np.asarray takes."""
     if not hasattr(m, "shape"):
         m = np.asarray(m, dtype=np.float64)
     if len(m.shape) != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={len(m.shape)}")
     with matrix_writer(path, m.shape) as write:
-        for rows in row_blocks(m.shape):
-            write(m[rows])
+        for _, block in blocks(m):
+            write(block)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matio
-from .matcore import as_dense
+from .matcore import as_dense, check_seed
 
 
 @dataclass(frozen=True)
@@ -41,6 +41,7 @@ class SynthSpec:
             raise ValueError(f"magnitude must be finite and >= 0, got {self.magnitude}")
         if not -math.inf < self.sigma_scale < math.inf:
             raise ValueError(f"sigma_scale must be finite, got {self.sigma_scale}")
+        check_seed(self.rng_seed)
 
     @property
     def rank(self):
@@ -82,6 +83,8 @@ def generate(spec):
 
 def checkerboard(m, cell):
     """m x m checkerboard with levels 0.2/0.8; rank is exactly 2."""
+    if not (m >= 1 and cell >= 1):
+        raise ValueError(f"m and cell must be >= 1, got m={m}, cell={cell}")
     if m % cell != 0:
         raise ValueError(f"cell={cell} does not divide m={m}")
     idx = np.arange(m) // cell
@@ -123,6 +126,7 @@ def corrupt_impulsive(img, fraction, rng_seed):
     img = as_dense(img)
     if not 0 <= fraction <= 1:
         raise ValueError("fraction must be in [0, 1]")
+    check_seed(rng_seed)
     n_bad = int(round(fraction * img.size))
     rng = np.random.default_rng(rng_seed)
     corrupted = img.copy().ravel()
@@ -135,15 +139,12 @@ def corrupt_impulsive(img, fraction, rng_seed):
 
 def recovery_errors(l_star, l0):
     """The dict of rel_err ||L - L0||_F / ||L0||_F (||L||_F when L0 = 0),
-    max_dif max |L - L0| and ave_dif mean |L - L0|. matio.rows_into forms
-    L, dense or a LowRank, and then |L - L0| in one row block's buffer."""
+    max_dif max |L - L0| and ave_dif mean |L - L0|. matio.blocks walks L,
+    dense or a LowRank, and |L - L0| is formed in each block's buffer."""
     if l_star.shape != l0.shape or not l0.size:
         raise ValueError(f"L {l_star.shape} and L0 {l0.shape} must have one nonempty shape")
-    blocks = matio.row_blocks(l0.shape)
-    buf = np.empty((blocks[0].stop, l0.shape[1]))  # the first block is the largest
     sq_dif = sq_l0 = sq_l = sum_dif = max_dif = 0.0
-    for rows in blocks:
-        l = matio.rows_into(l_star, rows, buf[:rows.stop - rows.start])
+    for rows, l in matio.blocks(l_star):
         l0_rows = l0[rows]
         sq_l0 += float(np.vdot(l0_rows, l0_rows))
         sq_l += float(np.vdot(l, l))

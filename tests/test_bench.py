@@ -182,6 +182,17 @@ def test_run_suite_rejects_a_bad_scale_before_solving(monkeypatch, scale):
         bench.run_suite("checkerboard", scale=scale)
 
 
+@pytest.mark.parametrize("seeds", [(), range(0), range(-2)])
+def test_run_suite_rejects_no_seeds_before_solving(monkeypatch, seeds):
+    # --seeds 0 wrote a report with no records and exited 0
+    def forbidden(*args, **kwargs):
+        raise AssertionError("run_suite solved before it checked the seeds")
+
+    monkeypatch.setattr(bench, "run_instance", forbidden)
+    with pytest.raises(ValueError, match="seeds must hold at least one seed"):
+        bench.run_suite("checkerboard", scale=0.1, seeds=seeds)
+
+
 @pytest.mark.parametrize("scale, m, cell", [
     (0.1, 48, 6), (0.125, 64, 8), (0.3, 152, 19), (0.7, 360, 45), (1.0, 512, 64)])
 def test_checkerboard_suite_keeps_whole_cells_at_every_scale(scale, m, cell):

@@ -176,6 +176,16 @@ def test_decompose_rows_that_sum_to_zero_exit_2(tmp_path, capsys):
     assert stats["residual"] == pytest.approx(30 ** 0.5, rel=1e-12)
 
 
+def test_decompose_negative_seed_exits_3(tmp_path, capsys):
+    # numpy's "expected non-negative integer" named no option
+    m_path, _ = _synth_files(tmp_path, m=100)
+    out_l = tmp_path / "l.dmat"
+    capsys.readouterr()
+    assert main(["decompose", str(m_path), "--seed", "-1", "--out-l", str(out_l)]) == 3
+    assert capsys.readouterr().err == "error: rng_seed must be >= 0, got -1\n"
+    assert not out_l.exists()
+
+
 def test_decompose_lambda_only_with_adm(tmp_path, capsys):
     m_path, _ = _synth_files(tmp_path, m=100)
     assert main(["decompose", str(m_path), "--method", "l1filter",
@@ -361,8 +371,25 @@ def test_parser_rejects_an_unknown_bench_method(capsys, method):
     # the reports, opened before the suite, are removed again
     (["bench", "--suite", "checkerboard", "--scale", "0", "--out-json", "{tmp}/r.json",
       "--out-csv", "{tmp}/r.csv"], 3, "scale"),
+    # a ZeroDivisionError traceback, or five degenerate files and exit 0
+    (["checkerboard", "--m", "10", "--cell", "0", "--out", "{tmp}/cb"], 3, "cell=0"),
+    (["checkerboard", "--m", "10", "--cell", "-5", "--out", "{tmp}/cb"], 3, "cell=-5"),
+    (["checkerboard", "--m", "0", "--out", "{tmp}/cb"], 3, "m=0"),
+    (["checkerboard", "--m", "-4", "--cell", "2", "--out", "{tmp}/cb"], 3, "m=-4"),
+    # a report with no records and exit 0
+    (["bench", "--suite", "checkerboard", "--scale", "0.1", "--seeds", "0",
+      "--out-json", "{tmp}/r.json"], 3, "seeds"),
+    (["bench", "--suite", "checkerboard", "--scale", "0.1", "--seeds", "-2"], 3, "seeds"),
+    # numpy's "expected non-negative integer", which names no option
+    (["synth", "--m", "10", "--rho-r", "0.1", "--rho-s", "0.1", "--seed", "-1",
+      "--out-m", "{tmp}/m.dmat"], 3, "rng_seed"),
+    (["checkerboard", "--m", "8", "--cell", "4", "--seed", "-1", "--out", "{tmp}/cb"], 3,
+     "rng_seed"),
 ], ids=["synth-rho-s", "synth-rho-r", "checkerboard-cell", "bench-scale", "synth-missing-dir",
-        "synth-m", "synth-n-0", "synth-rho-s-negative", "synth-magnitude", "bench-scale-0"])
+        "synth-m", "synth-n-0", "synth-rho-s-negative", "synth-magnitude", "bench-scale-0",
+        "checkerboard-cell-0", "checkerboard-cell-negative", "checkerboard-m-0",
+        "checkerboard-m-negative", "bench-seeds-0", "bench-seeds-negative", "synth-seed-negative",
+        "checkerboard-seed-negative"])
 def test_every_subcommand_fails_with_one_error_line(tmp_path, capsys, argv, code, named):
     assert main([a.format(tmp=tmp_path) for a in argv]) == code
     err = capsys.readouterr().err
@@ -399,7 +426,9 @@ def test_bench_reports_in_one_file_exit_3(tmp_path, capsys, monkeypatch):
     new, old, link = tmp_path / "r.out", tmp_path / "old.out", tmp_path / "link.out"
     old.write_bytes(b"kept")
     link.symlink_to(old)
-    for a, b in ((new, new), (old, old), (old, link)):
+    hard = tmp_path / "hard.out"
+    os.link(old, hard)
+    for a, b in ((new, new), (old, old), (old, link), (old, hard)):
         assert main(["bench", "--suite", "checkerboard", "--scale", "0.1",
                      "--out-csv", str(a), "--out-json", str(b)]) == 3
         assert capsys.readouterr().err == (
@@ -445,13 +474,15 @@ def test_decompose_outputs_in_one_file_exit_3(tmp_path, capsys, monkeypatch, fir
     new, old, link = tmp_path / "new.dmat", tmp_path / "old.dmat", tmp_path / "link.dmat"
     old.write_bytes(b"kept")
     link.symlink_to(old)
+    hard = tmp_path / "hard.dmat"  # a hard link has its own real path
+    os.link(old, hard)
     capsys.readouterr()
-    for a, b in ((new, new), (old, old), (old, link)):
+    for a, b in ((new, new), (old, old), (old, link), (old, hard)):
         assert main(["decompose", str(m_path), first, str(a), second, str(b)]) == 3
         assert capsys.readouterr().err == (
             "error: --out-l, --out-s and --stats-json must name different files\n")
     assert not new.exists()
-    assert old.read_bytes() == b"kept"
+    assert old.read_bytes() == b"kept" and hard.samefile(old)
 
 
 def test_decompose_outputs_may_share_a_device(tmp_path, capsys):
@@ -498,7 +529,7 @@ def test_output_pass_holds_one_row_block(rank10_dmat, tmp_path, truth):
     # forms L and |L - L0| in one row block of its own
     m = matio.read_matrix(rank10_dmat)
     sol = estimate_rank_and_factor(m, FilterConfig(rank_hint=10))
-    l0 = sol.l[:] if truth else None  # any dense truth
+    l0 = sol.l.a @ sol.l.b.T if truth else None  # any dense truth
     block = matio.row_blocks(m.shape)[0]
     block_bytes = (block.stop - block.start) * m.shape[1] * 8
     with matio.matrix_writer(tmp_path / "l.dmat", m.shape) as write_l, \
@@ -603,6 +634,22 @@ def test_decompose_output_pass_matches_dense_solve(tmp_path, capsys, monkeypatch
     if truth:
         assert stats["max_dif"] == dense.pop("max_dif")
     assert {k: stats[k] for k in dense} == pytest.approx(dense, rel=1e-12)
+
+
+@pytest.mark.parametrize("ext", ["dmat", "csv"])
+def test_decompose_files_are_write_matrix_of_the_factors(tmp_path, capsys, monkeypatch, ext):
+    # decompose's output pass and write_matrix walk L and S the same way
+    monkeypatch.setattr(matio, "BLOCK_BYTES", 7 * 200 * 8)  # the last block short
+    m_path, _ = _synth_files(tmp_path)
+    out_l, out_s = tmp_path / f"l.{ext}", tmp_path / f"s.{ext}"
+    assert main(["decompose", str(m_path), "--rank-hint", "2",
+                 "--out-l", str(out_l), "--out-s", str(out_s)]) == 0
+    sol = estimate_rank_and_factor(matio.read_matrix(m_path), FilterConfig(rank_hint=2))
+    assert sol.method == "l1-filter"
+    for path, mat in ((out_l, sol.l), (out_s, sol.s)):
+        ref = tmp_path / f"ref.{ext}"
+        matio.write_matrix(ref, mat)
+        assert path.read_bytes() == ref.read_bytes()
 
 
 def _poisoned_solve(monkeypatch):

@@ -360,6 +360,9 @@ def test_config_validation():
         with pytest.raises(ValueError, match="rank_hint must be >= 1"):
             FilterConfig(rank_hint=rank_hint)
     assert FilterConfig(rank_hint=1).rank_hint == 1
+    for seed in (-1, np.int64(-2)):
+        with pytest.raises(ValueError, match="rng_seed must be >= 0"):
+            FilterConfig(rng_seed=seed)
 
 
 def test_lambda_is_rejected():

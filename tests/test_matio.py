@@ -181,29 +181,52 @@ class _RowSliced:
         return self.m[rows].copy()
 
 
-@pytest.mark.parametrize("name", ["m.dmat", "m.csv"])
-def test_write_row_sliceable_matrix(tmp_path, monkeypatch, sample, name):
-    # LowRank and Remainder are written through their own row slices too
-    monkeypatch.setattr(matio, "BLOCK_BYTES", 2 * 4 * 8)
+def _factored(sample):
+    """A LowRank L and the Remainder S of sample, each with its dense rows
+    rows(slice), A[rows] B^T and sample[rows] minus that, formed from
+    copies of A, B and sample that nothing else writes to."""
     rng = np.random.default_rng(0)
     l = LowRank(rng.standard_normal((7, 2)), rng.standard_normal((4, 2)))
-    for mat in (_RowSliced(sample), l, Remainder(sample, l)):
+    a, b, m = l.a.copy(), l.b.copy(), sample.copy()
+    return ((l, lambda rows: a[rows] @ b.T),
+            (Remainder(sample, l), lambda rows: m[rows] - a[rows] @ b.T))
+
+
+@pytest.mark.parametrize("name", ["m.dmat", "m.csv"])
+def test_write_row_sliceable_matrix(tmp_path, monkeypatch, sample, name):
+    # LowRank and Remainder are written through their own rows_into too
+    monkeypatch.setattr(matio, "BLOCK_BYTES", 2 * 4 * 8)
+    for mat, dense_rows in ((_RowSliced(sample), sample.__getitem__), *_factored(sample)):
         path = tmp_path / name
         matio.write_matrix(path, mat)
-        blocks = [mat[rows] for rows in matio.row_blocks((7, 4))]
+        blocks = [dense_rows(rows) for rows in matio.row_blocks((7, 4))]
         np.testing.assert_array_equal(matio.read_matrix(path), np.concatenate(blocks))
 
 
 def test_rows_into_forms_each_block_into_the_buffer(monkeypatch, sample):
     monkeypatch.setattr(matio, "BLOCK_BYTES", 3 * 4 * 8)
-    rng = np.random.default_rng(0)
-    l = LowRank(rng.standard_normal((7, 2)), rng.standard_normal((4, 2)))
     buf = np.empty((3, 4))
-    for mat in (sample, l, Remainder(sample, l)):
+    for mat, dense_rows in _factored(sample):
         for rows in matio.row_blocks((7, 4)):
             out = buf[:rows.stop - rows.start]
-            assert matio.rows_into(mat, rows, out) is out
-            np.testing.assert_array_equal(out, mat[rows])
+            assert mat.rows_into(rows, out) is out
+            np.testing.assert_array_equal(out, dense_rows(rows))
+
+
+def test_blocks_walk_every_row_block_in_one_buffer(monkeypatch, sample):
+    monkeypatch.setattr(matio, "BLOCK_BYTES", 3 * 4 * 8)  # blocks of 3, 3 and 1 rows
+    kept = sample.copy()
+    for mat, dense_rows in ((sample, kept.__getitem__), (_RowSliced(sample), kept.__getitem__),
+                            *_factored(sample)):
+        for _ in range(2):  # the second walk sees the matrix the first left
+            walked, first = [], None
+            for rows, block in matio.blocks(mat):
+                first = block if first is None else first
+                assert block.dtype == np.float64 and np.shares_memory(block, first)
+                np.testing.assert_array_equal(block, dense_rows(rows))
+                block[...] = np.nan  # the caller may write into a block
+                walked.append(rows)
+            assert walked == matio.row_blocks((7, 4)) and walked[-1] == slice(6, 7)
 
 
 @pytest.mark.parametrize("name", ["m.dmat", "m.csv"])

@@ -69,6 +69,7 @@ def test_generate_rejects_oversubscribed_support():
     ("rho_s", -0.5, "rho_s"), ("rho_s", float("nan"), "rho_s"),
     ("magnitude", float("nan"), "magnitude"), ("magnitude", -1.0, "magnitude"),
     ("magnitude", float("inf"), "magnitude"), ("sigma_scale", float("inf"), "sigma_scale"),
+    ("rng_seed", -1, "rng_seed"), ("rng_seed", np.int64(-3), "rng_seed"),
 ])
 def test_spec_rejects_bad_sizes_by_name(field, value, name):
     # rho_r = 0.5 asks for rank 5 of a 10x4 matrix
@@ -96,6 +97,14 @@ def test_checkerboard_rank_two():
         synth.checkerboard(10, 3)
 
 
+@pytest.mark.parametrize("m, cell, named", [(10, 0, "cell=0"), (10, -5, "cell=-5"),
+                                             (0, 64, "m=0"), (-4, 2, "m=-4")])
+def test_checkerboard_rejects_sizes_below_one_by_name(m, cell, named):
+    # cell 0 divided by zero; the others made degenerate images
+    with pytest.raises(ValueError, match=f"^m and cell must be >= 1, got .*{named}"):
+        synth.checkerboard(m, cell)
+
+
 def test_corrupt_impulsive_counts():
     img = synth.checkerboard(512, 64)
     gt = synth.corrupt_impulsive(img, 0.1, 0)
@@ -110,6 +119,15 @@ def test_corrupt_impulsive_counts():
 def test_corrupt_impulsive_rejects_a_fraction_outside_0_1(fraction):
     with pytest.raises(ValueError, match="fraction must be in"):
         synth.corrupt_impulsive(synth.checkerboard(8, 4), fraction, 0)
+
+
+def test_corrupt_impulsive_rejects_a_negative_seed_by_name():
+    img = synth.checkerboard(8, 4)
+    with pytest.raises(ValueError, match="^rng_seed must be >= 0, got -1"):
+        synth.corrupt_impulsive(img, 0.1, -1)
+    # a Generator or SeedSequence is numpy's to take
+    seeded = synth.corrupt_impulsive(img, 0.1, np.random.SeedSequence(2)).m_obs
+    np.testing.assert_array_equal(seeded, synth.corrupt_impulsive(img, 0.1, 2).m_obs)
 
 
 def test_corrupt_impulsive_zero_fraction():
@@ -138,7 +156,7 @@ def test_recovery_errors_match_dense_formulas(monkeypatch, case):
     a, b = rng.standard_normal((50, 3)), rng.standard_normal((30, 3))
     l0 = np.zeros((50, 30)) if case == "zero-l0" else a @ b.T
     l_star = LowRank(a + 1e-3 * rng.standard_normal(a.shape), b)
-    dense = l_star[:]
+    dense = l_star.a @ l_star.b.T
     l_in = dense if case == "dense" else l_star
     errors = synth.recovery_errors(l_in, l0)
     for name, value in errors.items():
