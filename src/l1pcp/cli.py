@@ -7,9 +7,12 @@ success; 1 a file that cannot be read or written (for decompose, an input
 that does not parse or holds NaN or Inf, an output that cannot be opened,
 or a failed write); 2 decompose's non-convergence; 3 invalid options and
 dimensions, two outputs of decompose or of bench in one regular file
-included. decompose opens every output before the solve, and bench its
-reports before the suite, and each removes them again when it exits 1 or
-3, so a failed run leaves no partial file.
+included, and an output of decompose in its input or --truth file: a DMAT
+input is mapped read-only (matio.read_dmat), and an output opened over it
+would truncate the map, which kills the process with SIGBUS. decompose
+opens every output before the solve, and bench its reports before the
+suite, and each removes them again when it exits 1 or 3, so a failed run
+leaves no partial file.
 """
 
 import argparse
@@ -51,15 +54,26 @@ def _open_output(outputs, path, opener):
         raise _Exit(1, f"cannot write {path}: {exc}") from None
 
 
-def _distinct_outputs(paths, flags):
+def _file_key(path):
+    """path's regular file by its inode and device, os.stat(path)[1:3], so
+    that hard links match, or a path not made yet by its real path; None
+    for anything else, such as a device like /dev/null."""
+    if os.path.isfile(path):
+        return os.stat(path)[1:3]
+    return None if os.path.exists(path) else os.path.realpath(path)
+
+
+def _distinct_outputs(paths, flags, inputs=()):
     """Reject two of *paths* that name one regular file, which would keep
-    only the last output written. A file that exists is known by its inode
-    and device, os.stat(path)[1:3], so that hard links match, and a path not
-    made yet by its real path; a device such as /dev/null may repeat."""
-    files = [os.stat(path)[1:3] if os.path.isfile(path) else os.path.realpath(path)
-             for path in paths if path and (os.path.isfile(path) or not os.path.exists(path))]
+    only the last output written, and a path that names one of the regular
+    files *inputs*, which it would overwrite; files are matched by
+    _file_key, and a device may repeat."""
+    files = [key for key in map(_file_key, filter(None, paths)) if key is not None]
     if len(set(files)) < len(files):
         raise ValueError(f"{flags} must name different files")
+    read = {_file_key(path) for path in inputs if path and os.path.isfile(path)}
+    if read.intersection(files):
+        raise ValueError(f"{flags} must not name the input or --truth file")
 
 
 def _read(path):
@@ -95,7 +109,7 @@ def _output_pass(sol, write_l, write_s):
 
 def cmd_decompose(args):
     _distinct_outputs((args.out_l, args.out_s, args.stats_json),
-                      "--out-l, --out-s and --stats-json")
+                      "--out-l, --out-s and --stats-json", (args.input, args.truth))
     m = _read(args.input)
     truth = _read(args.truth) if args.truth else None
     if truth is not None and truth.shape != m.shape:

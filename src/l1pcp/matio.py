@@ -11,8 +11,11 @@ output pass and synth.recovery_errors take: it forms a matrix one row block
 at a time in one buffer, so the l1filter's factored L and S are never
 formed whole. matrix_writer writes a matrix file block by block, checks
 each block's finiteness with as_dense and removes the partial file when a
-write fails. read_dmat reads into one preallocated array, and the readers
-check what they read with as_dense.
+write fails. read_dmat maps a DMAT file read-only, so its values stay in
+the page cache and off the heap, while read_csv reads CSV into core; both
+check what they read with as_dense. A mapped file must not be changed or
+truncated while its matrix is in use: a truncated map kills the process
+with SIGBUS on its next read.
 """
 
 import contextlib
@@ -107,6 +110,11 @@ def read_csv(path):
 
 
 def read_dmat(path):
+    """The matrix in a DMAT file as a read-only np.memmap of its values,
+    after the header, magic and size checks and as_dense's finiteness
+    check, which reads the map in place; an empty matrix is an in-core
+    array. A file cut short between the size check and the map raises
+    ValueError."""
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) < _HEADER.size:
@@ -114,17 +122,23 @@ def read_dmat(path):
         magic, rows, cols = _HEADER.unpack(header)
         if magic != MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}")
-        # checked before allocating, so a corrupt header cannot ask for more
-        # memory than the file holds
+        # checked before mapping, so a corrupt header cannot map past the
+        # values the file holds
         size = os.fstat(fh.fileno()).st_size - _HEADER.size
         if size != rows * cols * 8:
             raise ValueError(f"{path}: expected {rows * cols} values "
                              f"({rows * cols * 8} bytes), got {size} bytes")
-        data = np.empty((rows, cols), dtype="<f8")
-        # an empty matrix has no values to read, and memoryview cannot cast it
-        if size and fh.readinto(memoryview(data).cast("B")) != size:
-            raise ValueError(f"{path}: expected {rows * cols} values, file changed while read")
-    return as_dense(data)
+        # an empty matrix has no values to map
+        if not size:
+            return np.empty((rows, cols))
+        try:
+            data = np.memmap(fh, dtype="<f8", mode="r", offset=_HEADER.size,
+                             shape=(rows, cols))
+        except ValueError:  # mmap: the map is longer than the file
+            raise ValueError(f"{path}: expected {rows * cols} values, "
+                             "file changed while read") from None
+    as_dense(data)  # checks the map in place; its view of the map is not needed
+    return data
 
 
 def read_matrix(path):

@@ -142,8 +142,8 @@ def _sparse_only(size):
 
 
 def test_decompose_zero_seed_streams_l_and_s(tmp_path, capsys):
-    # L = 0 and S = M stay factored: besides M the process holds sign(M)
-    # for the certificate, then one output row block
+    # M is mapped, L = 0 and S = M stay factored, and the certificate forms
+    # sign(M) one row block at a time: the process holds row blocks only
     path = tmp_path / "m.dmat"
     matio.write_matrix(path, _sparse_only(1000))
     capsys.readouterr()
@@ -158,8 +158,9 @@ def test_decompose_zero_seed_streams_l_and_s(tmp_path, capsys):
         tracemalloc.stop()
     assert rc == 0
     assert json.loads((tmp_path / "stats.json").read_text())["method"] == "degenerate-zero-seed"
-    # M and sign(M) (2.03x M in all), against 3.18x with a dense L = 0 and a copy of M
-    assert peak <= 2.25 * nbytes, f"peak {peak / nbytes:.2f}x M.nbytes"
+    # 0.16x M, against 2.01x with M read into core and sign(M) formed whole
+    # for the certificate, and 3.18x with a dense L = 0 and a copy of M
+    assert peak <= 0.3 * nbytes, f"peak {peak / nbytes:.2f}x M.nbytes"
 
 
 def test_decompose_rows_that_sum_to_zero_exit_2(tmp_path, capsys):
@@ -485,6 +486,29 @@ def test_decompose_outputs_in_one_file_exit_3(tmp_path, capsys, monkeypatch, fir
     assert old.read_bytes() == b"kept" and hard.samefile(old)
 
 
+@pytest.mark.parametrize("argv", [
+    ["m.dmat", "--out-s", "m.dmat"],
+    ["m.dmat", "--out-l", "hard.dmat"],
+    ["m.dmat", "--truth", "l0.dmat", "--stats-json", "l0.dmat"],
+], ids=["input", "hard-link-to-input", "truth"])
+def test_decompose_output_over_an_input_exit_3(tmp_path, capsys, monkeypatch, argv):
+    # a DMAT input is mapped: an output opened over it would truncate the
+    # map under the solve, which dies of SIGBUS on its next read
+    m_path, l0_path = _synth_files(tmp_path, m=100)
+    os.link(m_path, tmp_path / "hard.dmat")
+    kept = {path: path.read_bytes() for path in (m_path, l0_path)}
+    opened = []
+    monkeypatch.setattr(matio, "output_file", opened.append)
+    monkeypatch.setattr(matio, "matrix_writer", lambda path, shape: opened.append(path))
+    capsys.readouterr()
+    assert main(["decompose", *(str(tmp_path / a) if a.endswith(".dmat") else a
+                                for a in argv)]) == 3
+    assert capsys.readouterr().err == ("error: --out-l, --out-s and --stats-json must not "
+                                       "name the input or --truth file\n")
+    assert opened == []
+    assert all(path.read_bytes() == data for path, data in kept.items())
+
+
 def test_decompose_outputs_may_share_a_device(tmp_path, capsys):
     m_path, _ = _synth_files(tmp_path, m=100)
     assert main(["decompose", str(m_path), "--out-l", os.devnull, "--out-s", os.devnull,
@@ -502,8 +526,9 @@ def rank10_dmat(tmp_path_factory):
 
 
 def test_decompose_streams_l_and_s(rank10_dmat, tmp_path, capsys):
-    # L and S are written from the factors in row blocks: besides M the
-    # process holds a few blocks, not the dense L, S and |S| temporaries
+    # M is mapped and L and S are written from the factors in row blocks:
+    # the process holds a few blocks, not M or the dense L, S and |S|
+    # temporaries
     capsys.readouterr()
     nbytes = 1000 * 1000 * 8
     tracemalloc.start()
@@ -515,11 +540,12 @@ def test_decompose_streams_l_and_s(rank10_dmat, tmp_path, capsys):
         tracemalloc.stop()
     assert rc == 0
     capsys.readouterr()
-    # M itself, then 0.20x M: one filter chunk with its presolve, or the
-    # output pass's one row block (1.33x with a dense E beside the presolve
-    # and the output pass's second row block, 1.51x while the finiteness
-    # check held an m x n mask and the presolve its own chunk-sized copies)
-    assert peak <= 1.25 * nbytes, f"peak {peak / nbytes:.2f}x M.nbytes"
+    # 0.19x M: one filter chunk with its presolve, or the output pass's one
+    # row block (1.19x with M read into core, 1.33x besides with a dense E
+    # beside the presolve and the output pass's second row block, 1.51x
+    # while the finiteness check held an m x n mask and the presolve its own
+    # chunk-sized copies)
+    assert peak <= 0.3 * nbytes, f"peak {peak / nbytes:.2f}x M.nbytes"
 
 
 @pytest.mark.parametrize("truth", [False, True], ids=["plain", "truth"])

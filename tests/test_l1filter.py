@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from l1pcp import bench, l1filter, matcore, synth
+from l1pcp import bench, l1filter, matcore, matio, synth
 from l1pcp.l1filter import (
     PIPELINE_TOL,
     SEED_RANK_TOL,
@@ -25,10 +25,11 @@ from l1pcp.l1filter import (
     nystrom_complete,
     recover_seed,
     sample_submatrix,
+    sign_norm_estimate,
 )
 from l1pcp.l1reg import CHUNK_COLS, _exact_fit_presolve, solve_l1reg, solve_l1reg_columnwise
 from l1pcp.matcore import SkinnySvd, frobenius_norm, linf_norm, svd
-from l1pcp.pcp_adm import AdmConfig, solve_pcp
+from l1pcp.pcp_adm import AdmConfig, solve_pcp, spectral_norm_estimate
 from oracles import lapack_svt, nystrom_complete_via_pinv, reference_adm
 
 
@@ -639,6 +640,52 @@ def test_each_loop_exit_reports_its_method_and_stats(method, spec, attempts, key
     assert sol.stats["attempts"] == attempts and sol.stats["t1"] > 0
 
 
+def _dense(x):
+    """x itself if an array, else its row blocks (a LowRank or Remainder) stacked."""
+    if isinstance(x, np.ndarray):
+        return x
+    return np.concatenate([block.copy() for _, block in matio.blocks(x)])
+
+
+@pytest.mark.parametrize("solve, method, spec", [
+    (estimate_rank_and_factor, "l1-filter",
+     synth.SynthSpec(m=300, n=300, rho_r=0.01, rho_s=0.01, rng_seed=0)),
+    (estimate_rank_and_factor, "degenerate-zero-seed", None),
+    (estimate_rank_and_factor, "full-pcp-fallback",
+     synth.SynthSpec(m=100, n=100, rho_r=0.4, rho_s=0.01, rng_seed=0)),
+    (solve_pcp, None, synth.SynthSpec(m=100, n=100, rho_r=0.05, rho_s=0.01, rng_seed=0)),
+], ids=["l1-filter", "degenerate-zero-seed", "full-pcp-fallback", "adm"])
+def test_no_path_writes_into_m(tmp_path, solve, method, spec):
+    # decompose solves read_dmat's read-only map of its input; a solve on a
+    # writable copy gives the same solution bit for bit
+    m = _sparse_only(300) if spec is None else synth.generate(spec).m_obs
+    path = tmp_path / "m.dmat"
+    matio.write_matrix(path, m)
+    mapped = matio.read_dmat(path)
+    assert not mapped.flags.writeable
+    a, b = solve(mapped), solve(np.array(mapped))
+    assert a.method == b.method and (method is None or a.method == method)
+    for x, y in ((a.l, b.l), (a.s, b.s)):
+        np.testing.assert_array_equal(_dense(x), _dense(y))
+    assert a.iterations == b.iterations and a.converged == b.converged
+    assert a.final_residual == pytest.approx(b.final_residual, rel=1e-15)
+    np.testing.assert_array_equal(mapped, m)
+
+
+@pytest.mark.parametrize("case", ["sparse", "rows-sum-to-zero", "zero", "one-row"])
+def test_sign_norm_estimate_matches_the_dense_estimate(monkeypatch, case):
+    # blocks of 7 rows, the last one short: the block sums differ from the
+    # dense products in their last bits only; the rows that sum to zero
+    # take the Gaussian restart
+    monkeypatch.setattr(matio, "BLOCK_BYTES", 7 * 60 * 8)
+    m = {"sparse": _sparse_only(60)[:45],
+         "rows-sum-to-zero": np.outer(np.linspace(1.0, 2.0, 45), np.resize([1.0, -1.0], 60)),
+         "zero": np.zeros((45, 60)),
+         "one-row": np.arange(-30.0, 30.0)[None, :]}[case]
+    want = spectral_norm_estimate(np.sign(m))
+    assert sign_norm_estimate(m) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
 def test_rank_growing_solve_is_deterministic():
     spec = synth.SynthSpec(m=500, n=500, rho_r=0.02, rho_s=0.01, rng_seed=4)
     gt = synth.generate(spec)
@@ -686,6 +733,15 @@ def test_power_of_two_scale_in_range_scales_the_pipeline_exactly(exponent):
     np.testing.assert_array_equal(sol.s, 2.0**exponent * ref.s)
 
 
+def _sparse_only(size):
+    """A size x size M of 1% uniform spikes in [-500, 500] and nothing else."""
+    rng = np.random.default_rng(5)
+    m = np.zeros((size, size))
+    idx = rng.choice(m.size, m.size // 100, replace=False)
+    m.flat[idx] = rng.uniform(-500, 500, idx.size)
+    return m
+
+
 def _zero_seed_solve(m):
     sol = estimate_rank_and_solve(m, FilterConfig(rng_seed=0))
     assert sol.method == "degenerate-zero-seed"
@@ -709,11 +765,7 @@ def test_zero_seed_missing_low_rank_part_is_rejected(rows):
 
 
 def test_zero_seed_certifies_sparse_only_matrix():
-    rng = np.random.default_rng(5)
-    m = np.zeros((300, 300))
-    idx = rng.choice(m.size, m.size // 100, replace=False)
-    m.flat[idx] = rng.uniform(-500, 500, idx.size)
-    sol = _zero_seed_solve(m)
+    sol = _zero_seed_solve(_sparse_only(300))
     assert sol.final_residual <= 0.9
     assert sol.converged
 
