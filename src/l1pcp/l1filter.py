@@ -27,10 +27,12 @@ that, so a caller that walks L and S in row blocks by matio.blocks (the
 decompose CLI) never holds a dense m x n L or S.
 The degenerate-zero-seed path returns L = 0 the same way, as factors with
 no columns, and S = M as Remainder(M, L); its certificate lam ||sign(M)||_2
-takes each power step as one walk over M's row blocks, so sign(M) is never
-formed whole either. No path writes into M, which may be a read-only map
-of a file (matio.read_dmat). estimate_rank_and_solve follows it with
-assemble, one A B^T and one subtraction, and returns dense L and S.
+is pcp_adm.spectral_norm_estimate with sign=True, the power iteration that
+also gives solve_pcp its starting penalty, and takes each power step as one
+walk over M's matcore.row_blocks, so sign(M) is never formed whole either.
+No path writes into M, which may be a read-only map of a file
+(matio.read_dmat). estimate_rank_and_solve follows it with assemble, one
+A B^T and one subtraction, and returns dense L and S.
 Only the full-pcp-fallback path returns dense arrays from either function.
 
 estimate_rank_and_factor is one seed-attempt loop. From r = rank_hint or
@@ -66,10 +68,15 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 # svd is unused here, but perfbench's self-test reads the l1filter.svd binding
-from . import matio
 from .matcore import SkinnySvd, as_dense, check_seed, linf_norm, svd  # noqa: F401
 from .l1reg import CHUNK_COLS, solve_l1reg_columnwise
-from .pcp_adm import AdmConfig, PcpSolution, default_lambda, solve_pcp
+from .pcp_adm import (
+    AdmConfig,
+    PcpSolution,
+    default_lambda,
+    solve_pcp,
+    spectral_norm_estimate,
+)
 
 SEED_RANK_TOL = 1e-6
 
@@ -321,48 +328,6 @@ def assemble(m, a, b):
     return l, m - l
 
 
-def sign_norm_estimate(m):
-    """pcp_adm.spectral_norm_estimate(np.sign(m)) without sign(M) formed
-    whole: the same 25 power steps from the all-ones start, and the same
-    fixed-seed Gaussian restart when that start vanishes (rows of M that
-    sum to zero), each step one walk over M's matio.row_blocks. A sign
-    matrix needs no rescaling. The sums run block by block, so the
-    estimate differs from the dense one in its last bits only."""
-    n = m.shape[1]
-    sigma = _sign_power_iteration(m, np.ones(n) / math.sqrt(n))
-    if sigma == 0.0:
-        v = np.random.default_rng(0).standard_normal(n)
-        sigma = _sign_power_iteration(m, v / np.linalg.norm(v))
-    return sigma
-
-
-def _sign_power_iteration(m, v):
-    """||sign(M)^T w||_2 for the unit w of 25 power steps from the unit
-    vector v, or 0 once an iterate vanishes. A step forms sign(M_b) of each
-    row block into one buffer, t = sign(M_b) v, and sums sign(M_b)^T t and
-    ||t||^2, so sign(M)^T w is that sum over ||sign(M) v||_2. The sign is
-    taken from M into the buffer: in place, after matio.blocks' copy, the
-    25 steps at 2000x2000 took 0.31 s against 0.16 s (2-core box)."""
-    slices = matio.row_blocks(m.shape)
-    buf = np.empty((slices[0].stop, m.shape[1]))  # the first is the largest
-    sigma = 0.0
-    for _ in range(25):
-        u, nw2 = np.zeros(m.shape[1]), 0.0
-        for rows in slices:
-            block = np.sign(m[rows], out=buf[:rows.stop - rows.start])
-            t = block @ v
-            u += block.T @ t
-            nw2 += float(t @ t)
-        if nw2 == 0.0:
-            return 0.0
-        v = u / math.sqrt(nw2)
-        sigma = float(np.linalg.norm(v))
-        if sigma == 0.0:
-            return 0.0
-        v /= sigma
-    return sigma
-
-
 def estimate_rank_and_factor(m, cfg=None):
     """The l1-filtering solve with target-rank estimation, up to the factors
     of L: the seed-attempt loop of the module docstring. Seed and fallback
@@ -372,8 +337,8 @@ def estimate_rank_and_factor(m, cfg=None):
     On the l1-filter path, converged is True only when the seed PCP
     converged and no filtered column or row stopped short of its tolerance.
     The degenerate-zero-seed path reports final_residual lam * ||sign(M)||_2
-    (sign_norm_estimate), converged only when that is at most
-    ZERO_SEED_CERT_MAX.
+    (spectral_norm_estimate with sign=True), converged only when that is at
+    most ZERO_SEED_CERT_MAX.
 
     On every path stats["t1"] times the seed attempts and stats["attempts"]
     counts them, the fallback's oversized proposal included.
@@ -424,7 +389,7 @@ def estimate_rank_and_factor(m, cfg=None):
         # (0, M) solves PCP when Y = lam * sign(M) has ||Y||_2 <= 1 (the
         # KKT conditions of Candes, Li, Ma & Wright); above 1, L = 0 is wrong.
         # sign(M) is formed one row block at a time, never whole
-        certificate = default_lambda(m_rows, m_cols) * sign_norm_estimate(m)
+        certificate = default_lambda(m_rows, m_cols) * spectral_norm_estimate(m, sign=True)
         l = LowRank(np.zeros((m_rows, 0)), np.zeros((m_cols, 0)))
         sol = PcpSolution(
             l=l, s=Remainder(m, l), iterations=stats["attempts"],

@@ -1,12 +1,18 @@
-"""Dense matrix primitives: norms, skinny SVD, and the two proximal operators
-used by every solver, in-place soft thresholding and singular value
-thresholding with its rank. The SVT takes a certified partial SVD, warm
-from the previous factors or started from the Gram matrix's eigenvectors,
-and LAPACK's full SVD only where no partial SVD can be trusted. A Cholesky
-factorization certifies an SVT of rank 0 without an eigendecomposition,
-and the partial SVD takes the SVD of its sketch only on the power steps
-that test its certificate: those orthonormalise their basis by Householder
-QR, and the plain power steps between them by Cholesky-QR."""
+"""Dense matrix primitives: the row-block policy, norms, skinny SVD, and the
+two proximal operators used by every solver, in-place soft thresholding
+and singular value thresholding with its rank. The SVT takes a certified
+partial SVD, warm from the previous factors or started from the Gram
+matrix's eigenvectors, and LAPACK's full SVD only where no partial SVD can
+be trusted. A Cholesky factorization certifies an SVT of rank 0 without an
+eigendecomposition, and the partial SVD takes the SVD of its sketch only
+on the power steps that test its certificate: those orthonormalise their
+basis by Householder QR, and the plain power steps between them by
+Cholesky-QR.
+
+row_blocks is the one row-block policy, which every walk over a matrix
+takes: as_dense's finiteness check, matio.blocks and the power steps of
+pcp_adm.spectral_norm_estimate each hold one block of about BLOCK_BYTES at
+a time, so none holds an array that grows with the matrix."""
 
 import math
 from dataclasses import dataclass
@@ -18,24 +24,36 @@ class SvdConvergenceError(RuntimeError):
     """The underlying SVD factorization failed to converge."""
 
 
-# as_dense checks finiteness over row blocks of about this many values (at
-# least one row each), so its boolean mask stays at 64 KiB, below glibc's
-# default mmap threshold, whatever the size of the matrix
-FINITE_CHECK_VALUES = 1 << 16
+# Bytes of float64 values per row block (at least one row per block), the
+# one block size of every walk over a matrix. A walk holds one block's
+# buffer, which the next block reuses, and small blocks let malloc reuse
+# that memory: on a 2000x2000 decompose (glibc, 2-core box) the row-block
+# stats pass took about 190 ms with 4 MB blocks, which fault in fresh pages
+# for every block, and 35-75 ms with 1 MB blocks.
+BLOCK_BYTES = 1 << 20
+
+
+def row_blocks(shape):
+    """Row slices that cover a matrix of the given shape, each of at most
+    BLOCK_BYTES of float64 values but never less than one row."""
+    rows, cols = shape
+    step = max(1, BLOCK_BYTES // (8 * max(1, cols)))
+    return [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
 
 
 def as_dense(a):
     """Coerce *a* to a C-contiguous 2-D float64 array, rejecting NaN/Inf
-    entries. Finiteness is checked one row block of about
-    FINITE_CHECK_VALUES values at a time, so besides a copy made to
-    convert *a* the check holds only one block's boolean mask."""
+    entries. Finiteness is checked over row_blocks, each block's mask
+    written into one boolean buffer, so besides a copy made to convert *a*
+    the check holds only one block's mask."""
     arr = np.asarray(a, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={arr.ndim}")
     arr = np.ascontiguousarray(arr)
-    step = max(1, FINITE_CHECK_VALUES // max(1, arr.shape[1]))
-    for lo in range(0, arr.shape[0], step):
-        if not np.isfinite(arr[lo:lo + step]).all():
+    slices = row_blocks(arr.shape)
+    mask = np.empty((slices[0].stop if slices else 0, arr.shape[1]), dtype=bool)
+    for rows in slices:
+        if not np.isfinite(arr[rows], out=mask[:rows.stop - rows.start]).all():
             raise ValueError("matrix contains non-finite entries")
     return arr
 

@@ -6,14 +6,14 @@ Two formats:
     little-endian, 4 bytes padding) followed by rows*cols little-endian
     float64 values in row-major order.
 
-blocks is the one row-block walk, which write_matrix, the decompose CLI's
-output pass and synth.recovery_errors take: it forms a matrix one row block
-at a time in one buffer, so the l1filter's factored L and S are never
-formed whole. matrix_writer writes a matrix file block by block, checks
-each block's finiteness with as_dense and removes the partial file when a
-write fails. read_dmat maps a DMAT file read-only, so its values stay in
-the page cache and off the heap, while read_csv reads CSV into core; both
-check what they read with as_dense. A mapped file must not be changed or
+blocks is the row-block walk that write_matrix, the decompose CLI's output
+pass and synth.recovery_errors take: it forms a matrix one block of
+matcore.row_blocks at a time in one buffer, so the l1filter's factored L
+and S are never formed whole. matrix_writer writes a matrix file block by
+block, checks each block's finiteness with as_dense and removes the
+partial file when a write fails. read_dmat maps a DMAT file read-only, so
+its values stay in the page cache and off the heap, while read_csv reads
+CSV into core; both check what they read with as_dense. A mapped file must not be changed or
 truncated while its matrix is in use: a truncated map kills the process
 with SIGBUS on its next read.
 """
@@ -25,25 +25,10 @@ import warnings
 
 import numpy as np
 
-from .matcore import as_dense
+from .matcore import as_dense, row_blocks
 
 MAGIC = b"DMAT"
 _HEADER = struct.Struct("<4sII4x")
-
-# Bytes of float64 values per row block (at least one row per block). A
-# block's temporaries are freed before the next block, and small blocks let
-# malloc reuse that memory: on a 2000x2000 decompose (glibc, 2-core box) the
-# row-block stats pass took about 190 ms with 4 MB blocks, which fault in
-# fresh pages for every block, and 35-75 ms with 1 MB blocks.
-BLOCK_BYTES = 1 << 20
-
-
-def row_blocks(shape):
-    """Row slices that cover a matrix of the given shape, each of at most
-    BLOCK_BYTES of float64 values but never less than one row."""
-    rows, cols = shape
-    step = max(1, BLOCK_BYTES // (8 * max(1, cols)))
-    return [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
 
 
 def blocks(m):

@@ -14,6 +14,11 @@ as the one fallback (see solve_pcp). The first steps' SVTs, whose
 threshold exceeds every singular value, are certified 0 by a Cholesky
 factorization of the Gram matrix's shift.
 
+The penalty starts at beta0 = 1.25 / ||M||_2, estimated by
+spectral_norm_estimate, whose power steps walk M in matcore.row_blocks and
+hold one block rather than a scaled copy of M; the zero-seed certificate of
+the l1-filter pipeline takes the same walk over sign(M).
+
 The working set is L, S and the multiplier Y, each the size of M. S and Y
 are updated in place; Y/beta and then W = M - S + Y/beta are formed in the
 old L's buffer, with a second Y/beta as a transient freed before the SVT,
@@ -53,6 +58,7 @@ from .matcore import (
     as_dense,
     frobenius_norm,
     linf_norm,
+    row_blocks,
     svt_with_rank,
 )
 
@@ -157,49 +163,62 @@ def default_lambda(m_rows, m_cols):
     return 1.0 / math.sqrt(max(m_rows, m_cols))
 
 
-def spectral_norm_estimate(m):
-    """Power-iteration estimate of the largest singular value, from 25 steps.
+def spectral_norm_estimate(m, sign=False):
+    """Power-iteration estimate of the largest singular value of M, or of
+    sign(M) with sign=True, from 25 steps.
 
-    Deterministic: starts from the all-ones vector. On a nonzero M whose
-    rows sum to zero that start vanishes, M 1 = 0, and the iteration starts
-    over from a fixed-seed Gaussian vector, so that the estimate is 0 only
-    for a zero M; every other M keeps the all-ones iterates.
+    Deterministic: starts from the all-ones vector. On a matrix whose rows
+    sum to zero that start vanishes, M 1 = 0, and the iteration starts over
+    from a fixed-seed Gaussian vector, so that the estimate is 0 only for a
+    zero M; every other M keeps the all-ones iterates.
 
-    M is first scaled by the power of two 2^-e that brings max|M| into
-    [1, 2), and the estimate scaled back by 2^e. A power of two scales
-    exactly, so the estimate of 2^k M is 2^k times that of M, and it holds
-    at scales whose squares would overflow or underflow; an M with max|M|
-    in [1, 2) already, such as a sign matrix, is not copied.
+    Each step is one walk over M's matcore.row_blocks: it forms each block
+    B in one buffer, as 2^-e M_b or as sign(M_b), and sums B^T t and
+    ||t||^2 for t = B v, which are M^T M v and ||M v||^2 over the blocks;
+    the estimate is ||M^T M v|| / ||M v|| for the last unit iterate v. With
+    a single block the buffer is formed once for all 25 steps. So neither
+    2^-e M nor sign(M) is held whole.
+
+    2^-e is the power of two that brings max|M| into [1, 2), and the
+    estimate is scaled back by 2^e. A power of two scales exactly, so the
+    estimate of 2^k M is 2^k times that of M, and it holds at scales whose
+    squares would overflow or underflow. A sign matrix is not scaled.
     """
     m = np.asarray(m, dtype=np.float64)
     peak = linf_norm(m)
     if peak == 0.0:
         return 0.0
-    e = math.frexp(peak)[1] - 1
-    if e:
-        m = np.ldexp(m, -e)
-    sigma = _power_iteration(m, np.ones(m.shape[1]) / math.sqrt(m.shape[1]))
-    if sigma == 0.0:
-        v = np.random.default_rng(0).standard_normal(m.shape[1])
-        sigma = _power_iteration(m, v / np.linalg.norm(v))
-    return float(np.ldexp(sigma, e))
+    e = 0 if sign else math.frexp(peak)[1] - 1
+    n = m.shape[1]
+    slices = row_blocks(m.shape)
+    buf = np.empty((slices[0].stop, n))  # the first is the largest
 
+    def block(rows):
+        out = buf[:rows.stop - rows.start]
+        return np.sign(m[rows], out=out) if sign else np.ldexp(m[rows], -e, out=out)
 
-def _power_iteration(m, v):
-    """||M^T w||_2 for the unit w of 25 power steps from the unit vector v,
-    or 0 once an iterate vanishes."""
-    sigma = 0.0
-    for _ in range(25):
-        w = m @ v
-        nw = np.linalg.norm(w)
-        if nw == 0:
-            return 0.0
-        v = m.T @ (w / nw)
-        sigma = np.linalg.norm(v)
-        if sigma == 0:
-            return 0.0
-        v /= sigma
-    return float(sigma)
+    kept = block(slices[0]) if len(slices) == 1 else None
+    # the all-ones start, then the Gaussian one if an iterate vanished
+    for restart in (False, True):
+        v = np.random.default_rng(0).standard_normal(n) if restart else np.ones(n)
+        v /= np.linalg.norm(v)
+        for _ in range(25):
+            u, t2 = np.zeros(n), 0.0
+            for rows in slices:
+                b = block(rows) if kept is None else kept
+                t = b @ v
+                u += b.T @ t
+                t2 += float(t @ t)
+            if t2 == 0.0:
+                break
+            v = u / math.sqrt(t2)
+            sigma = float(np.linalg.norm(v))
+            if sigma == 0.0:
+                break
+            v /= sigma
+        else:
+            return float(np.ldexp(sigma, e))
+    return 0.0
 
 
 def solve_pcp(m, cfg=None, resume=None):

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from l1pcp import bench, cli, matio, synth
+from l1pcp import bench, cli, matcore, matio, synth
 from l1pcp.cli import main
 from l1pcp.l1filter import FilterConfig, estimate_rank_and_factor, estimate_rank_and_solve
 from l1pcp.matcore import frobenius_norm, l0_count, l1_norm, linf_norm
@@ -556,7 +556,7 @@ def test_output_pass_holds_one_row_block(rank10_dmat, tmp_path, truth):
     m = matio.read_matrix(rank10_dmat)
     sol = estimate_rank_and_factor(m, FilterConfig(rank_hint=10))
     l0 = sol.l.a @ sol.l.b.T if truth else None  # any dense truth
-    block = matio.row_blocks(m.shape)[0]
+    block = matcore.row_blocks(m.shape)[0]
     block_bytes = (block.stop - block.start) * m.shape[1] * 8
     with matio.matrix_writer(tmp_path / "l.dmat", m.shape) as write_l, \
             matio.matrix_writer(tmp_path / "s.dmat", m.shape) as write_s:
@@ -594,7 +594,7 @@ def test_decompose_files_match_dense_solve(rank10_dmat, tmp_path, capsys):
 
 def test_decompose_truth_stats_match_dense_formulas(tmp_path, capsys, monkeypatch):
     # several row blocks, the last one short
-    monkeypatch.setattr(matio, "BLOCK_BYTES", 7 * 200 * 8)
+    monkeypatch.setattr(matcore, "BLOCK_BYTES", 7 * 200 * 8)
     m_path, l0_path = _synth_files(tmp_path)
     assert main(["decompose", str(m_path), "--rank-hint", "2",
                  "--truth", str(l0_path), "--out-l", str(tmp_path / "l.dmat")]) == 0
@@ -641,7 +641,7 @@ def test_decompose_output_pass_matches_dense_solve(tmp_path, capsys, monkeypatch
     out_l, out_s = tmp_path / "l.dmat", tmp_path / "s.dmat"
     m = matio.read_matrix(m_path)
     # several row blocks, the last one short
-    monkeypatch.setattr(matio, "BLOCK_BYTES", 7 * m.shape[1] * 8)
+    monkeypatch.setattr(matcore, "BLOCK_BYTES", 7 * m.shape[1] * 8)
     capsys.readouterr()
     assert main(["decompose", str(m_path), "--out-l", str(out_l), "--out-s", str(out_s)]
                 + argv) == 0
@@ -665,7 +665,7 @@ def test_decompose_output_pass_matches_dense_solve(tmp_path, capsys, monkeypatch
 @pytest.mark.parametrize("ext", ["dmat", "csv"])
 def test_decompose_files_are_write_matrix_of_the_factors(tmp_path, capsys, monkeypatch, ext):
     # decompose's output pass and write_matrix walk L and S the same way
-    monkeypatch.setattr(matio, "BLOCK_BYTES", 7 * 200 * 8)  # the last block short
+    monkeypatch.setattr(matcore, "BLOCK_BYTES", 7 * 200 * 8)  # the last block short
     m_path, _ = _synth_files(tmp_path)
     out_l, out_s = tmp_path / f"l.{ext}", tmp_path / f"s.{ext}"
     assert main(["decompose", str(m_path), "--rank-hint", "2",
@@ -719,7 +719,7 @@ def test_decompose_unwritable_output_exits_1_before_the_solve(tmp_path, capsys, 
 def test_decompose_failed_write_removes_every_output(tmp_path, capsys, monkeypatch):
     # the first row blocks of L and S are written before the last L block fails
     m_path, _ = _synth_files(tmp_path)
-    monkeypatch.setattr(matio, "BLOCK_BYTES", 7 * 200 * 8)
+    monkeypatch.setattr(matcore, "BLOCK_BYTES", 7 * 200 * 8)
     _poisoned_solve(monkeypatch)
     argv, paths = _output_argv(tmp_path)
     capsys.readouterr()

@@ -25,7 +25,6 @@ from l1pcp.l1filter import (
     nystrom_complete,
     recover_seed,
     sample_submatrix,
-    sign_norm_estimate,
 )
 from l1pcp.l1reg import CHUNK_COLS, _exact_fit_presolve, solve_l1reg, solve_l1reg_columnwise
 from l1pcp.matcore import SkinnySvd, frobenius_norm, linf_norm, svd
@@ -674,16 +673,16 @@ def test_no_path_writes_into_m(tmp_path, solve, method, spec):
 
 @pytest.mark.parametrize("case", ["sparse", "rows-sum-to-zero", "zero", "one-row"])
 def test_sign_norm_estimate_matches_the_dense_estimate(monkeypatch, case):
-    # blocks of 7 rows, the last one short: the block sums differ from the
-    # dense products in their last bits only; the rows that sum to zero
-    # take the Gaussian restart
-    monkeypatch.setattr(matio, "BLOCK_BYTES", 7 * 60 * 8)
+    # sign(M) taken in blocks of 7 rows, the last one short, against the
+    # formed sign(M) in one block: the block sums differ in their last bits
+    # only; the rows that sum to zero take the Gaussian restart
     m = {"sparse": _sparse_only(60)[:45],
          "rows-sum-to-zero": np.outer(np.linspace(1.0, 2.0, 45), np.resize([1.0, -1.0], 60)),
          "zero": np.zeros((45, 60)),
          "one-row": np.arange(-30.0, 30.0)[None, :]}[case]
     want = spectral_norm_estimate(np.sign(m))
-    assert sign_norm_estimate(m) == pytest.approx(want, rel=1e-14, abs=0.0)
+    monkeypatch.setattr(matcore, "BLOCK_BYTES", 7 * 60 * 8)
+    assert spectral_norm_estimate(m, sign=True) == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def test_rank_growing_solve_is_deterministic():

@@ -240,7 +240,7 @@ def test_as_dense_holds_one_row_block_mask():
     finally:
         tracemalloc.stop()
     assert out is m
-    assert peak <= 2 * matcore.FINITE_CHECK_VALUES
+    assert peak <= 2 * matcore.BLOCK_BYTES // 8  # a bool per float64
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -251,7 +251,7 @@ def test_as_dense_holds_one_row_block_mask():
     ((1, 25), (0, 24)),  # one row wider than a block
 ], ids=["first", "middle", "last", "wide"])
 def test_as_dense_rejects_non_finite_in_any_row_block(monkeypatch, bad, shape, where):
-    monkeypatch.setattr(matcore, "FINITE_CHECK_VALUES", 10)
+    monkeypatch.setattr(matcore, "BLOCK_BYTES", 10 * 8)
     m = np.ones(shape)
     assert as_dense(m) is m
     m[where] = bad

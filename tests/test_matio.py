@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from l1pcp import matio
+from l1pcp import matcore, matio
 from l1pcp.l1filter import LowRank, Remainder
 
 
@@ -153,12 +153,12 @@ def test_read_dmat_allocates_one_matrix(tmp_path):
 
 def test_read_dmat_maps_the_file(tmp_path):
     # 2.4 MB of values, read through a read-only map: the heap holds only
-    # as_dense's finiteness mask (78 KB traced, against 2.4 MB when the
+    # as_dense's finiteness mask (143 KB traced, against 2.4 MB when the
     # values were read into an array)
     m = np.random.default_rng(2).standard_normal((1000, 300))
     path = tmp_path / "m.dmat"
     matio.write_matrix(path, m)
-    block = matio.row_blocks(m.shape)[0]
+    block = matcore.row_blocks(m.shape)[0]
     tracemalloc.start()
     try:
         out = matio.read_dmat(path)
@@ -176,7 +176,7 @@ def test_read_dmat_maps_the_file(tmp_path):
 @pytest.mark.parametrize("name", ["m.dmat", "m.csv"])
 def test_row_block_roundtrip(tmp_path, monkeypatch, rows, name):
     # three 5-column rows per block: 7 and 1 rows end in a short block
-    monkeypatch.setattr(matio, "BLOCK_BYTES", 3 * 5 * 8)
+    monkeypatch.setattr(matcore, "BLOCK_BYTES", 3 * 5 * 8)
     m = np.random.default_rng(rows).standard_normal((rows, 5)) * 1e3
     path = tmp_path / name
     matio.write_matrix(path, m)
@@ -184,12 +184,12 @@ def test_row_block_roundtrip(tmp_path, monkeypatch, rows, name):
 
 
 def test_row_blocks_cover_every_row(monkeypatch):
-    monkeypatch.setattr(matio, "BLOCK_BYTES", 3 * 5 * 8)
-    assert matio.row_blocks((7, 5)) == [slice(0, 3), slice(3, 6), slice(6, 7)]
-    assert matio.row_blocks((1, 5)) == [slice(0, 1)]
-    assert matio.row_blocks((0, 5)) == []
+    monkeypatch.setattr(matcore, "BLOCK_BYTES", 3 * 5 * 8)
+    assert matcore.row_blocks((7, 5)) == [slice(0, 3), slice(3, 6), slice(6, 7)]
+    assert matcore.row_blocks((1, 5)) == [slice(0, 1)]
+    assert matcore.row_blocks((0, 5)) == []
     # a row wider than a block still makes a block of one row
-    assert matio.row_blocks((2, 100)) == [slice(0, 1), slice(1, 2)]
+    assert matcore.row_blocks((2, 100)) == [slice(0, 1), slice(1, 2)]
 
 
 class _RowSliced:
@@ -216,26 +216,26 @@ def _factored(sample):
 @pytest.mark.parametrize("name", ["m.dmat", "m.csv"])
 def test_write_row_sliceable_matrix(tmp_path, monkeypatch, sample, name):
     # LowRank and Remainder are written through their own rows_into too
-    monkeypatch.setattr(matio, "BLOCK_BYTES", 2 * 4 * 8)
+    monkeypatch.setattr(matcore, "BLOCK_BYTES", 2 * 4 * 8)
     for mat, dense_rows in ((_RowSliced(sample), sample.__getitem__), *_factored(sample)):
         path = tmp_path / name
         matio.write_matrix(path, mat)
-        blocks = [dense_rows(rows) for rows in matio.row_blocks((7, 4))]
+        blocks = [dense_rows(rows) for rows in matcore.row_blocks((7, 4))]
         np.testing.assert_array_equal(matio.read_matrix(path), np.concatenate(blocks))
 
 
 def test_rows_into_forms_each_block_into_the_buffer(monkeypatch, sample):
-    monkeypatch.setattr(matio, "BLOCK_BYTES", 3 * 4 * 8)
+    monkeypatch.setattr(matcore, "BLOCK_BYTES", 3 * 4 * 8)
     buf = np.empty((3, 4))
     for mat, dense_rows in _factored(sample):
-        for rows in matio.row_blocks((7, 4)):
+        for rows in matcore.row_blocks((7, 4)):
             out = buf[:rows.stop - rows.start]
             assert mat.rows_into(rows, out) is out
             np.testing.assert_array_equal(out, dense_rows(rows))
 
 
 def test_blocks_walk_every_row_block_in_one_buffer(monkeypatch, sample):
-    monkeypatch.setattr(matio, "BLOCK_BYTES", 3 * 4 * 8)  # blocks of 3, 3 and 1 rows
+    monkeypatch.setattr(matcore, "BLOCK_BYTES", 3 * 4 * 8)  # blocks of 3, 3 and 1 rows
     kept = sample.copy()
     for mat, dense_rows in ((sample, kept.__getitem__), (_RowSliced(sample), kept.__getitem__),
                             *_factored(sample)):
@@ -247,12 +247,12 @@ def test_blocks_walk_every_row_block_in_one_buffer(monkeypatch, sample):
                 np.testing.assert_array_equal(block, dense_rows(rows))
                 block[...] = np.nan  # the caller may write into a block
                 walked.append(rows)
-            assert walked == matio.row_blocks((7, 4)) and walked[-1] == slice(6, 7)
+            assert walked == matcore.row_blocks((7, 4)) and walked[-1] == slice(6, 7)
 
 
 @pytest.mark.parametrize("name", ["m.dmat", "m.csv"])
 def test_non_finite_block_leaves_no_file(tmp_path, monkeypatch, sample, name):
-    monkeypatch.setattr(matio, "BLOCK_BYTES", 2 * 4 * 8)
+    monkeypatch.setattr(matcore, "BLOCK_BYTES", 2 * 4 * 8)
     bad = sample.copy()
     bad[-1, 0] = np.nan  # in the last block, after the others are written
     path = tmp_path / name

@@ -60,9 +60,10 @@ def test_spectral_norm_estimate_restarts_when_the_ones_start_vanishes():
 @given(rows=st.integers(1, 6), cols=st.integers(1, 6),
        zero_sums=st.sampled_from(["rows", "cols", "neither"]),
        entries=st.lists(st.integers(-4, 4), min_size=36, max_size=36),
-       scale=st.floats(1e-3, 1e3))
+       scale=st.floats(1e-3, 1e3), sign=st.booleans(), block_rows=st.integers(2, 3))
 def test_spectral_norm_estimate_is_positive_and_below_the_norm(rows, cols, zero_sums,
-                                                               entries, scale):
+                                                               entries, scale, sign,
+                                                               block_rows):
     m = scale * np.array(entries[:rows * cols], dtype=float).reshape(rows, cols)
     # +-pairs of columns (rows): M 1 = 0 (1^T M = 0) exactly, and the rest 0
     if zero_sums == "rows":
@@ -72,7 +73,30 @@ def test_spectral_norm_estimate_is_positive_and_below_the_norm(rows, cols, zero_
         m[rows // 2:rows // 2 * 2] = -m[:rows // 2]
         m[rows // 2 * 2:] = 0.0
     assume(m.any())
-    assert 0.0 < spectral_norm_estimate(m) <= (1 + 1e-12) * np.linalg.norm(m, 2)
+    norm = np.linalg.norm(np.sign(m) if sign else m, 2)
+    whole = spectral_norm_estimate(m, sign=sign)  # in one row block
+    # row blocks of block_rows rows, the last one short when they do not
+    # divide: only the sums over the blocks round differently
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matcore, "BLOCK_BYTES", block_rows * cols * 8)
+        blocked = spectral_norm_estimate(m, sign=sign)
+    assert 0.0 < whole <= (1 + 1e-12) * norm
+    assert blocked == pytest.approx(whole, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("sign", [False, True], ids=["dense", "sign"])
+def test_spectral_norm_estimate_holds_one_row_block(sign):
+    # 8 row blocks of a 1000x1000 M: the walk holds one block's buffer, not
+    # the 8 MB scaled copy (or sign) of M
+    m = np.random.default_rng(0).standard_normal((1000, 1000))
+    assert len(matcore.row_blocks(m.shape)) == 8
+    tracemalloc.start()
+    try:
+        spectral_norm_estimate(m, sign=sign)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * matcore.BLOCK_BYTES
 
 
 def test_rows_that_sum_to_zero_are_solved_without_a_warning():

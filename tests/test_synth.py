@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from l1pcp import matio, synth
+from l1pcp import matcore, synth
 from l1pcp.l1filter import LowRank
 import oracles
 
@@ -151,7 +151,7 @@ def test_metrics_trivial_cases():
 @pytest.mark.parametrize("case", ["dense", "low-rank", "zero-l0"])
 def test_recovery_errors_match_dense_formulas(monkeypatch, case):
     # several row blocks, the last one short
-    monkeypatch.setattr(matio, "BLOCK_BYTES", 7 * 30 * 8)
+    monkeypatch.setattr(matcore, "BLOCK_BYTES", 7 * 30 * 8)
     rng = np.random.default_rng(0)
     a, b = rng.standard_normal((50, 3)), rng.standard_normal((30, 3))
     l0 = np.zeros((50, 30)) if case == "zero-l0" else a @ b.T
