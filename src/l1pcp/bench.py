@@ -199,8 +199,9 @@ def run_suite(name, scale=None, seeds=(0,), methods=None, **kwargs):
     if methods is not None:
         kwargs["methods"] = tuple(methods)
     records, summary = fn(seeds=seeds, **kwargs)
+    # a NaN rel_err fails the test too
     summary["converged_wrong"] = sum(
-        bool(r["converged"]) and r["rel_err"] > CONVERGED_WRONG_REL_ERR for r in records)
+        bool(r["converged"]) and not r["rel_err"] <= CONVERGED_WRONG_REL_ERR for r in records)
     return {"environment": environment_info(), "suite": name,
             "records": records, "summary": summary}
 

@@ -100,7 +100,7 @@ def _output_pass(sol, write_l, write_s):
             write_s(s)
         np.abs(s, out=s)
         l1_s += float(s.sum())
-        s_inf = max(s_inf, float(s.max()))
+        s_inf = float(np.maximum(s_inf, s.max()))  # keeps a NaN, as max() does not
     del s
     l0_s = sum(int(np.count_nonzero(np.abs(s, out=s) > 1e-6 * s_inf))
                for _, s in matio.blocks(sol.s))

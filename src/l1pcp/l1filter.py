@@ -68,7 +68,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 # svd is unused here, but perfbench's self-test reads the l1filter.svd binding
-from .matcore import SkinnySvd, as_dense, check_seed, linf_norm, svd  # noqa: F401
+from .matcore import SkinnySvd, as_dense, check_seed, frobenius_norm, linf_norm, svd  # noqa: F401
 from .l1reg import CHUNK_COLS, solve_l1reg_columnwise
 from .pcp_adm import (
     AdmConfig,
@@ -165,15 +165,15 @@ def _complement(idx, size):
     return np.flatnonzero(keep)
 
 
-def _seed_factors(sol):
+def _seed_factors(sol, floor):
     """The seed PCP's last SVT factors without the singular values at or
-    below SEED_RANK_TOL * sigma_1; rank 0 when none is left or the block was
-    zero, which takes no SVT."""
+    below SEED_RANK_TOL * sigma_1 or at or below floor; rank 0 when none is
+    left or the block was zero, which takes no SVT."""
     f = sol.state.svt if sol.state is not None else None
     if f is None:
         f = SkinnySvd(u=np.zeros((sol.l.shape[0], 0)), sigma=np.zeros(0),
                       v=np.zeros((sol.l.shape[1], 0)))
-    k = int((f.sigma > SEED_RANK_TOL * f.sigma.max(initial=0.0)).sum())
+    k = int((f.sigma > max(SEED_RANK_TOL * f.sigma.max(initial=0.0), floor)).sum())
     return SkinnySvd(u=f.u[:, :k].copy(), sigma=f.sigma[:k].copy(), v=f.v[:, :k].copy())
 
 
@@ -186,7 +186,9 @@ def recover_seed(seed_block, adm=None, row_idx=None, col_idx=None, max_rank=0):
     or started from the Gram matrix's eigenvectors, replaces almost every
     full SVD.
     The seed's factors are those of the PCP's last SVT, whose product is the
-    recovered L, less the singular values at or below SEED_RANK_TOL * sigma_1.
+    recovered L, less the singular values at or below SEED_RANK_TOL * sigma_1
+    or at or below adm.tol * ||seed_block||_F, which the PCP's stopping test
+    cannot resolve: an L of rounding noise, as one row of signs gives, is r' = 0.
     adm.lam=None picks the seed block's own default_lambda.
 
     A converged PCP whose rank r' is at least 1 and at most max_rank (the
@@ -199,13 +201,14 @@ def recover_seed(seed_block, adm=None, row_idx=None, col_idx=None, max_rank=0):
     """
     adm = adm or AdmConfig()
     sol = solve_pcp(seed_block, adm)
-    f = _seed_factors(sol)
+    floor = adm.tol * frobenius_norm(seed_block)
+    f = _seed_factors(sol, floor)
     residual, polish = sol.final_residual, 0
     if sol.converged and 0 < f.rank <= max_rank:
         polished = solve_pcp(seed_block, replace(adm, tol=adm.tol * SEED_TOL_RATIO), resume=sol)
         polish = polished.iterations
         if polished.final_residual <= adm.tol:
-            f, residual = _seed_factors(polished), polished.final_residual
+            f, residual = _seed_factors(polished, floor), polished.final_residual
     if row_idx is None:
         row_idx = np.arange(seed_block.shape[0])
     if col_idx is None:

@@ -233,7 +233,7 @@ def _solve_block(x, a, cfg):
         it += 1
         # E = soft(W, 1/beta) as W - clip(W, -1/beta, 1/beta), W = X - A Z + U in
         # R's buffer; maximum then minimum, as clip with per-column bounds takes
-        # 1.3-1.6x as long (with one scalar bound it is faster: _soft_threshold_into)
+        # 1.3-1.6x as long (with one scalar bound, as in solve_pcp, clip is faster)
         shrink = 1.0 / beta
         np.subtract(xa, t, out=r)
         r += u

@@ -1,9 +1,9 @@
-"""Dense matrix primitives: the row-block policy, norms, skinny SVD, and the
-two proximal operators used by every solver, in-place soft thresholding
-and singular value thresholding with its rank. The SVT takes a certified
-partial SVD, warm from the previous factors or started from the Gram
-matrix's eigenvectors, and LAPACK's full SVD only where no partial SVD can
-be trusted. A Cholesky factorization certifies an SVT of rank 0 without an
+"""Dense matrix primitives: the row-block policy, norms, skinny SVD, and
+singular value thresholding with its rank (each solver writes its soft
+threshold out in its own buffers). The SVT takes a certified partial SVD,
+warm from the previous factors or started from the Gram matrix's
+eigenvectors, and LAPACK's full SVD only where no partial SVD can be
+trusted. A Cholesky factorization certifies an SVT of rank 0 without an
 eigendecomposition, and the partial SVD takes the SVD of its sketch only
 on the power steps that test its certificate: those orthonormalise their
 basis by Householder QR, and the plain power steps between them by
@@ -11,8 +11,8 @@ Cholesky-QR.
 
 row_blocks is the one row-block policy, which every walk over a matrix
 takes: as_dense's finiteness check, matio.blocks and the power steps of
-pcp_adm.spectral_norm_estimate each hold one block of about BLOCK_BYTES at
-a time, so none holds an array that grows with the matrix."""
+pcp_adm.spectral_norm_estimate each hold at most one block of about
+BLOCK_BYTES at a time, so none holds an array that grows with the matrix."""
 
 import math
 from dataclasses import dataclass
@@ -107,17 +107,6 @@ def l0_count(m, threshold=None):
     if not threshold >= 0:  # so that NaN fails
         raise ValueError("threshold must be nonnegative")
     return int((np.abs(m) > threshold).sum())
-
-
-def _soft_threshold_into(x, eta, work):
-    """Soft-threshold the float64 array *x* in place; *work*, shaped like x,
-    is overwritten as scratch. Returns x.
-
-    x - clip(x, -eta, eta) is x - eta above eta, x + eta below -eta and
-    +0.0 in between, so every nonzero result is rounded as sgn(x) (|x| -
-    eta) would be."""
-    np.clip(x, -eta, eta, out=work)
-    return np.subtract(x, work, out=x)
 
 
 def svd(m, rank_tol=1e-8, atol=0.0):

@@ -15,16 +15,17 @@ threshold exceeds every singular value, are certified 0 by a Cholesky
 factorization of the Gram matrix's shift.
 
 The penalty starts at beta0 = 1.25 / ||M||_2, estimated by
-spectral_norm_estimate, whose power steps walk M in matcore.row_blocks and
-hold one block rather than a scaled copy of M; the zero-seed certificate of
-the l1-filter pipeline takes the same walk over sign(M).
+spectral_norm_estimate, whose power steps read M's matcore.row_blocks in
+place; the zero-seed certificate of the l1-filter pipeline takes the same
+walk over sign(M), formed one block at a time.
 
 The working set is L, S and the multiplier Y, each the size of M. S and Y
-are updated in place; Y/beta and then W = M - S + Y/beta are formed in the
-old L's buffer, with a second Y/beta as a transient freed before the SVT,
-and R = M - L - S and beta R in W's buffer once the SVT has run. So an
-SVT holds only W, S and Y besides its own arrays, and allocates the new L
-only after they are freed:
+are updated in place. A step takes Y/beta once into a transient C, forms
+T = M - L + C in S's buffer and clip(T, -lam/beta, lam/beta) in C, then
+S = T - C and, in the old L's buffer, W = M - S + Y/beta = L + C; C is
+freed before the SVT, and R = M - L - S and beta R fill W's buffer after
+it. So an SVT holds only W, S and Y besides its own arrays, and allocates
+the new L only after they are freed:
 - the Gram start holds W scaled by a power of two and the Gram matrix
   while it forms it, then the Gram matrix and its Cholesky factor while it
   tests for rank 0, and, when that test is declined, the Gram matrix and
@@ -54,7 +55,6 @@ import numpy as np
 
 from .matcore import (
     SkinnySvd,
-    _soft_threshold_into,
     as_dense,
     frobenius_norm,
     linf_norm,
@@ -172,11 +172,13 @@ def spectral_norm_estimate(m, sign=False):
     from a fixed-seed Gaussian vector, so that the estimate is 0 only for a
     zero M; every other M keeps the all-ones iterates.
 
-    Each step is one walk over M's matcore.row_blocks: it forms each block
-    B in one buffer, as 2^-e M_b or as sign(M_b), and sums B^T t and
-    ||t||^2 for t = B v, which are M^T M v and ||M v||^2 over the blocks;
-    the estimate is ||M^T M v|| / ||M v|| for the last unit iterate v. With
-    a single block the buffer is formed once for all 25 steps. So neither
+    Each step is one walk over M's matcore.row_blocks that sums B^T t and
+    ||t||^2 for t = B v over the blocks B of 2^-e M, or of sign(M), which
+    are M^T M v and ||M v||^2; the estimate is ||M^T M v|| / ||M v|| for
+    the last unit iterate v. The dense walk reads M_b in place and scales
+    the vectors, t = M_b (2^-e v) and B^T t = M_b^T (2^-e t), bit for bit
+    the same while no scaled entry underflows; the sign walk forms sign(M_b)
+    in one buffer, once for all 25 steps when one block covers M. So neither
     2^-e M nor sign(M) is held whole.
 
     2^-e is the power of two that brings max|M| into [1, 2), and the
@@ -191,23 +193,22 @@ def spectral_norm_estimate(m, sign=False):
     e = 0 if sign else math.frexp(peak)[1] - 1
     n = m.shape[1]
     slices = row_blocks(m.shape)
-    buf = np.empty((slices[0].stop, n))  # the first is the largest
+    buf = np.empty((slices[0].stop, n)) if sign else None  # the first is the largest
 
     def block(rows):
-        out = buf[:rows.stop - rows.start]
-        return np.sign(m[rows], out=out) if sign else np.ldexp(m[rows], -e, out=out)
+        return np.sign(m[rows], out=buf[:rows.stop - rows.start]) if sign else m[rows]
 
-    kept = block(slices[0]) if len(slices) == 1 else None
+    kept = block(slices[0]) if sign and len(slices) == 1 else None
     # the all-ones start, then the Gaussian one if an iterate vanished
     for restart in (False, True):
         v = np.random.default_rng(0).standard_normal(n) if restart else np.ones(n)
         v /= np.linalg.norm(v)
         for _ in range(25):
-            u, t2 = np.zeros(n), 0.0
+            u, t2, v_e = np.zeros(n), 0.0, np.ldexp(v, -e)
             for rows in slices:
                 b = block(rows) if kept is None else kept
-                t = b @ v
-                u += b.T @ t
+                t = b @ v_e
+                u += b.T @ np.ldexp(t, -e)
                 t2 += float(t @ t)
             if t2 == 0.0:
                 break
@@ -302,16 +303,16 @@ def solve_pcp(m, cfg=None, resume=None):
     for iters in range(done + 1, stop + 1):
         if iters > 1:
             beta = min(cfg.rho * beta, beta_max)
-        # S = shrink(M - L + Y/beta, lam/beta) in s; the old L is not read
-        # again, so l holds Y/beta and then the shrink's scratch
+        # T = M - L + Y/beta in s, c = clip(T), S = T - c, which is rounded as
+        # sgn(T) (|T| - lam/beta) where nonzero and is +0.0 elsewhere, and
+        # W = M - S + Y/beta = L + c in the old L's buffer
+        c = np.divide(y, beta)
         np.subtract(m, l, out=s)
-        np.divide(y, beta, out=l)
-        np.add(s, l, out=s)
-        _soft_threshold_into(s, lam / beta, l)
-        # L = SVT(M - S + Y/beta, 1/beta), with W formed in l's buffer; this
-        # Y/beta is freed before the SVT starts
-        w = np.subtract(m, s, out=l)
-        np.add(w, np.divide(y, beta), out=w)
+        np.add(s, c, out=s)
+        np.clip(s, -lam / beta, lam / beta, out=c)
+        np.subtract(s, c, out=s)
+        w = np.add(l, c, out=l)
+        del c  # not held into the SVT
         l, factors = svt_with_rank(w, 1.0 / beta, None if factors is None else factors.v,
                                    paths=paths, draws=draws)
         rank_l = factors.rank

@@ -151,7 +151,7 @@ def recovery_errors(l_star, l0):
         dif = np.abs(np.subtract(l, l0_rows, out=l), out=l)
         sq_dif += float(np.vdot(dif, dif))
         sum_dif += float(dif.sum())
-        max_dif = max(max_dif, float(dif.max()))
+        max_dif = float(np.maximum(max_dif, dif.max()))  # keeps a NaN, as max() does not
     return {"rel_err": (sq_dif / sq_l0) ** 0.5 if sq_l0 else sq_l ** 0.5,
             "max_dif": max_dif, "ave_dif": sum_dif / l0.size}
 

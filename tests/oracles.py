@@ -4,8 +4,8 @@ not use.
 The l1filter pipeline completes L from the seed's SVD factors; these
 oracles recompute the same blocks from an explicit pseudo-inverse of the
 seed matrix, so that the tests can hold the factored formulas against them.
-soft_threshold and svt are the whole-matrix forms of the solvers' in-place
-soft threshold and of svt_with_rank, and nuclear_norm the objective's
+soft_threshold and svt are the whole-matrix forms of solve_pcp's
+shrink and of svt_with_rank, and nuclear_norm the objective's
 nuclear norm, for the tests of the proximal operators. reference_adm is
 solve_pcp's ADM written out of place, and with lapack_svt it takes LAPACK's
 full SVD at every step: the reference the warm-started solves are held
@@ -16,16 +16,17 @@ numpy formulas, against synth's and decompose's row-blocked sums.
 import numpy as np
 
 from l1pcp.l1filter import SEED_RANK_TOL
-from l1pcp.matcore import _soft_threshold_into, as_dense, svd, svt_with_rank
+from l1pcp.matcore import as_dense, svd, svt_with_rank
 from l1pcp.pcp_adm import default_lambda, spectral_norm_estimate
 
 
 def soft_threshold(m, eta):
-    """Elementwise soft shrinkage sgn(x) * max(|x| - eta, 0)."""
+    """Elementwise soft shrinkage sgn(x) * max(|x| - eta, 0), written out
+    as solve_pcp's shrink writes it, x - clip(x, -eta, eta)."""
     if eta < 0:
         raise ValueError("eta must be nonnegative")
     x = np.array(m, dtype=np.float64)
-    return _soft_threshold_into(x, eta, np.empty_like(x))
+    return x - np.clip(x, -eta, eta)
 
 
 def svt(w, eta):
@@ -82,7 +83,8 @@ def reference_adm(m, tol, svt):
             beta = min(1.5 * beta, beta_max)
         x = m - l + y / beta
         s = np.sign(x) * np.maximum(np.abs(x) - lam / beta, 0.0)
-        l, v = svt(m - s + y / beta, 1 / beta, v)
+        # W = M - S + Y/beta, formed as L + clip(X, -lam/beta, lam/beta)
+        l, v = svt(l + np.clip(x, -lam / beta, lam / beta), 1 / beta, v)
         r = m - l - s
         y += beta * r
         if np.linalg.norm(r) / np.linalg.norm(m) <= tol:

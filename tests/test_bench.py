@@ -65,10 +65,10 @@ def test_summary_counts_converged_wrong_solves(monkeypatch):
 
     def fake_suite(seeds):
         return [records(0.03, True), records(1e-9, True), records(0.4, False),
-                records(None, None), records(2e-5, True)], {"m": 10}
+                records(None, None), records(2e-5, True), records(np.nan, True)], {"m": 10}
 
     monkeypatch.setitem(bench.SUITES, "fake", fake_suite)
-    assert bench.run_suite("fake")["summary"] == {"m": 10, "converged_wrong": 2}
+    assert bench.run_suite("fake")["summary"] == {"m": 10, "converged_wrong": 3}
 
 
 def test_size_sweep_caps_the_adm():

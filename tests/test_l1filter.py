@@ -27,8 +27,8 @@ from l1pcp.l1filter import (
     sample_submatrix,
 )
 from l1pcp.l1reg import CHUNK_COLS, _exact_fit_presolve, solve_l1reg, solve_l1reg_columnwise
-from l1pcp.matcore import SkinnySvd, frobenius_norm, linf_norm, svd
-from l1pcp.pcp_adm import AdmConfig, solve_pcp, spectral_norm_estimate
+from l1pcp.matcore import SkinnySvd, frobenius_norm, l1_norm, linf_norm, svd
+from l1pcp.pcp_adm import AdmConfig, default_lambda, solve_pcp, spectral_norm_estimate
 from oracles import lapack_svt, nystrom_complete_via_pinv, reference_adm
 
 
@@ -79,6 +79,41 @@ def test_recover_seed_zero_block_is_rank_zero():
     assert seed.r_prime == seed.seed_svd.rank == 0
     assert seed.seed_svd.u.shape == (20, 0) and seed.seed_svd.v.shape == (15, 0)
     assert seed.polish_iterations == 0  # a zero seed is never polished
+
+
+@pytest.mark.parametrize("rows, data_seed", [(1, 0), (10, 3)])
+def test_recover_seed_of_one_signed_row_is_rank_zero(rows, data_seed):
+    # one +-u row, alone or among zero rows: PCP puts it all in S, and the
+    # last SVT's sigma, 4.4e-16 and 2.2e-16, is rounding noise that the
+    # stopping test cannot resolve; kept, it made r' = 1
+    rng = np.random.default_rng(data_seed)
+    block = np.zeros((rows, 10))
+    block[0] = rng.uniform(1, 2) * np.sign(rng.standard_normal(10))
+    seed = recover_seed(block, AdmConfig(tol=PIPELINE_TOL))
+    assert seed.pcp_converged
+    assert seed.r_prime == seed.seed_svd.rank == 0
+
+
+def _row_sparse(rng):
+    """A zero 400x400 M with 3-29 rows of u_i times random signs, u_i in [1, 2]."""
+    m = np.zeros((400, 400))
+    rows = rng.choice(400, int(rng.integers(3, 30)), replace=False)
+    m[rows] = rng.uniform(1, 2, (rows.size, 1)) * np.sign(rng.standard_normal((rows.size, 400)))
+    return m
+
+
+@pytest.mark.parametrize("rng_seed", [1, 8])
+def test_seed_of_rounding_noise_is_a_zero_seed(rng_seed):
+    # 25 of 400 rows: at these draws the 10x10 seed holds one of them, and
+    # its rounding-noise L was a rank-1 seed whose completion divided by
+    # sigma = 4.4e-16, returned as a converged L with ||L||_F = 1.3e18
+    m = _row_sparse(np.random.default_rng(0))
+    sol = estimate_rank_and_factor(m, FilterConfig(rng_seed=rng_seed))
+    l_norm = frobenius_norm(sol.l.a @ sol.l.b.T)
+    # any PCP optimum has ||L||_F <= ||L||_* <= lam ||M||_1 = 780, as (0, M)
+    # is feasible
+    assert not (sol.converged and l_norm > default_lambda(*m.shape) * l1_norm(m))
+    assert sol.method == "degenerate-zero-seed" and not sol.converged
 
 
 def _seed_block():

@@ -86,8 +86,10 @@ def test_spectral_norm_estimate_is_positive_and_below_the_norm(rows, cols, zero_
 
 @pytest.mark.parametrize("sign", [False, True], ids=["dense", "sign"])
 def test_spectral_norm_estimate_holds_one_row_block(sign):
-    # 8 row blocks of a 1000x1000 M: the walk holds one block's buffer, not
-    # the 8 MB scaled copy (or sign) of M
+    # 8 row blocks of a 1000x1000 M: the sign walk holds one block's buffer,
+    # not the 8 MB sign(M), and the dense walk reads every block of M in
+    # place and holds only vectors (about 5.4 n-vectors), not a 1 MB block
+    # of 2^-e M
     m = np.random.default_rng(0).standard_normal((1000, 1000))
     assert len(matcore.row_blocks(m.shape)) == 8
     tracemalloc.start()
@@ -96,7 +98,15 @@ def test_spectral_norm_estimate_holds_one_row_block(sign):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * matcore.BLOCK_BYTES
+    assert peak < (2 * matcore.BLOCK_BYTES if sign else 8 * m[0].nbytes)
+
+
+def test_spectral_norm_estimate_of_a_gaussian_2000_is_the_recorded_value():
+    # 31 row blocks: taking 2^-e into the vectors, not into each block of M,
+    # keeps the estimate bit for bit (the value the block-scaling walk gave)
+    m = np.random.default_rng(0).standard_normal((2000, 2000))
+    assert len(matcore.row_blocks(m.shape)) == 31
+    assert spectral_norm_estimate(m) == 88.08592028671575
 
 
 def test_rows_that_sum_to_zero_are_solved_without_a_warning():

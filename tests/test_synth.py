@@ -167,6 +167,18 @@ def test_recovery_errors_match_dense_formulas(monkeypatch, case):
         assert errors["max_dif"] == expected["max_dif"]
 
 
+def test_recovery_errors_keep_a_nan_in_a_later_row_block():
+    # max(x, nan) is x: a NaN in the last of three row blocks read max_dif
+    # 0.0 beside a NaN rel_err
+    l0 = np.ones((3000, 100))
+    l_star = l0.copy()
+    l_star[-1, -1] = np.nan
+    assert len(matcore.row_blocks(l0.shape)) == 3
+    errors = synth.recovery_errors(l_star, l0)
+    assert np.isnan(errors["max_dif"])
+    np.testing.assert_equal(errors, oracles.recovery_errors(l_star, l0))
+
+
 def test_recovery_errors_reject_mismatched_or_empty_shapes():
     with pytest.raises(ValueError, match="one nonempty shape"):
         synth.recovery_errors(np.ones((3, 2)), np.ones((2, 3)))
