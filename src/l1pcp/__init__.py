@@ -3,6 +3,7 @@ the linear-time l1-filtering pipeline, with synthetic data generators and a
 benchmark harness."""
 
 from .matcore import (
+    InputError,
     SkinnySvd,
     SvdConvergenceError,
     frobenius_norm,

@@ -2,10 +2,11 @@
 data, and run the benchmark suites.
 
 main turns a failure of any subcommand into one "error: ..." line and an
-exit code: an _Exit's own, 3 for a ValueError, 1 for an OSError. So 0 is
-success; 1 a file that cannot be read or written (for decompose, an input
-that does not parse or holds NaN or Inf, an output that cannot be opened,
-or a failed write); 2 decompose's non-convergence; 3 invalid options and
+exit code that follows the exception's type: an _Exit's own, 1 for an
+OSError or an InputError, 3 for any other ValueError. So 0 is success; 1
+a file that cannot be read or written (for decompose, an input that does
+not parse or holds NaN or Inf, an output that cannot be opened, or a
+failed write); 2 decompose's non-convergence; 3 invalid options and
 dimensions, two outputs of decompose or of bench in one regular file
 included, and an output of decompose in its input or --truth file: a DMAT
 input is mapped read-only (matio.read_dmat), and an output opened over it
@@ -26,10 +27,9 @@ import numpy as np
 
 from . import bench, matio, synth
 from .l1filter import PIPELINE_TOL, FilterConfig, estimate_rank_and_factor
-# decompose calls neither, since the output pass sums and counts |S| in
-# place; l0_count serves checkerboard, and perfbench's self-test reads the
-# l1_norm binding that its cli.stats span wraps
-from .matcore import l0_count, l1_norm  # noqa: F401
+# l0_count serves checkerboard; decompose counts |S| in place, and l1_norm
+# stays bound for perfbench's self-test, whose cli.stats span wraps it
+from .matcore import InputError, as_dense, l0_count, l1_norm  # noqa: F401
 from .pcp_adm import AdmConfig, solve_pcp
 
 
@@ -76,14 +76,6 @@ def _distinct_outputs(paths, flags, inputs=()):
         raise ValueError(f"{flags} must not name the input or --truth file")
 
 
-def _read(path):
-    """The matrix in path; one that cannot be read ends decompose with exit 1."""
-    try:
-        return matio.read_matrix(path)
-    except (OSError, ValueError) as exc:
-        raise _Exit(1, f"cannot read {path}: {exc}") from None
-
-
 def _output_pass(sol, write_l, write_s):
     """Write L and S, each by write_l and write_s unless None; returns
     (l1_s, l0_s). matio.blocks walks L once, if written, and S once to write
@@ -110,8 +102,9 @@ def _output_pass(sol, write_l, write_s):
 def cmd_decompose(args):
     _distinct_outputs((args.out_l, args.out_s, args.stats_json),
                       "--out-l, --out-s and --stats-json", (args.input, args.truth))
-    m = _read(args.input)
-    truth = _read(args.truth) if args.truth else None
+    m = matio.read_matrix(args.input)
+    # the solver checks M's values; no solver reads --truth, so check it here
+    truth = as_dense(matio.read_matrix(args.truth)) if args.truth else None
     if truth is not None and truth.shape != m.shape:
         raise ValueError(f"truth shape {truth.shape} != input shape {m.shape}")
 
@@ -159,8 +152,7 @@ def cmd_decompose(args):
 
 
 def _solve(m, args):
-    """The decompose solve the options ask for; the ValueError of an invalid
-    option ends it with exit 3 in main."""
+    """The decompose solve the options ask for, which checks m's values."""
     if args.method == "adm":
         tol = {} if args.tol is None else {"tol": args.tol}  # no --tol: AdmConfig's default
         return solve_pcp(m, AdmConfig(lam=args.lam, **tol))
@@ -293,7 +285,9 @@ def main(argv=None):
         return args.func(args)
     except (_Exit, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code if isinstance(exc, _Exit) else 3 if isinstance(exc, ValueError) else 1
+        if isinstance(exc, _Exit):
+            return exc.code
+        return 1 if isinstance(exc, (OSError, InputError)) else 3
 
 
 if __name__ == "__main__":

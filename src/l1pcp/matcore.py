@@ -24,6 +24,10 @@ class SvdConvergenceError(RuntimeError):
     """The underlying SVD factorization failed to converge."""
 
 
+class InputError(ValueError):
+    """A matrix file that does not parse, or a matrix holding NaN or Inf."""
+
+
 # Bytes of float64 values per row block (at least one row per block), the
 # one block size of every walk over a matrix. A walk holds one block's
 # buffer, which the next block reuses, and small blocks let malloc reuse
@@ -42,10 +46,10 @@ def row_blocks(shape):
 
 
 def as_dense(a):
-    """Coerce *a* to a C-contiguous 2-D float64 array, rejecting NaN/Inf
-    entries. Finiteness is checked over row_blocks, each block's mask
-    written into one boolean buffer, so besides a copy made to convert *a*
-    the check holds only one block's mask."""
+    """Coerce *a* to a C-contiguous 2-D float64 array, raising InputError
+    for NaN/Inf entries. Finiteness is checked over row_blocks, each block's
+    mask written into one boolean buffer, so besides a copy made to convert
+    *a* the check holds only one block's mask."""
     arr = np.asarray(a, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={arr.ndim}")
@@ -54,7 +58,7 @@ def as_dense(a):
     mask = np.empty((slices[0].stop if slices else 0, arr.shape[1]), dtype=bool)
     for rows in slices:
         if not np.isfinite(arr[rows], out=mask[:rows.stop - rows.start]).all():
-            raise ValueError("matrix contains non-finite entries")
+            raise InputError("matrix contains non-finite entries")
     return arr
 
 

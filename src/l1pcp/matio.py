@@ -13,9 +13,10 @@ and S are never formed whole. matrix_writer writes a matrix file block by
 block, checks each block's finiteness with as_dense and removes the
 partial file when a write fails. read_dmat maps a DMAT file read-only, so
 its values stay in the page cache and off the heap, while read_csv reads
-CSV into core; both check what they read with as_dense. A mapped file must not be changed or
-truncated while its matrix is in use: a truncated map kills the process
-with SIGBUS on its next read.
+CSV into core. The readers check the format, raising InputError, and the
+solvers check the values. A mapped file must not be changed or truncated
+while its matrix is in use: a truncated map kills the process with SIGBUS
+on its next read.
 """
 
 import contextlib
@@ -25,7 +26,7 @@ import warnings
 
 import numpy as np
 
-from .matcore import as_dense, row_blocks
+from .matcore import InputError, as_dense, row_blocks
 
 MAGIC = b"DMAT"
 _HEADER = struct.Struct("<4sII4x")
@@ -86,44 +87,43 @@ def matrix_writer(path, shape):
 
 
 def read_csv(path):
+    """The matrix in a CSV file; one that does not parse raises InputError."""
     with warnings.catch_warnings():
         # an empty file reads as an empty matrix, which the solvers reject;
         # numpy would also print a warning about it
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        m = np.loadtxt(path, delimiter=",", ndmin=2)
-    return as_dense(m)
+        try:
+            return np.loadtxt(path, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise InputError(f"{path}: {exc}") from None
 
 
 def read_dmat(path):
-    """The matrix in a DMAT file as a read-only np.memmap of its values,
-    after the header, magic and size checks and as_dense's finiteness
-    check, which reads the map in place; an empty matrix is an in-core
-    array. A file cut short between the size check and the map raises
-    ValueError."""
+    """The matrix in a DMAT file as a read-only np.memmap of its values (an
+    empty matrix in core), after the header, magic and size checks; each
+    raises InputError, as does a file cut short before the map."""
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) < _HEADER.size:
-            raise ValueError(f"{path}: truncated header")
+            raise InputError(f"{path}: truncated header")
         magic, rows, cols = _HEADER.unpack(header)
         if magic != MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}")
+            raise InputError(f"{path}: bad magic {magic!r}")
         # checked before mapping, so a corrupt header cannot map past the
         # values the file holds
         size = os.fstat(fh.fileno()).st_size - _HEADER.size
         if size != rows * cols * 8:
-            raise ValueError(f"{path}: expected {rows * cols} values "
+            raise InputError(f"{path}: expected {rows * cols} values "
                              f"({rows * cols * 8} bytes), got {size} bytes")
         # an empty matrix has no values to map
         if not size:
             return np.empty((rows, cols))
         try:
-            data = np.memmap(fh, dtype="<f8", mode="r", offset=_HEADER.size,
+            return np.memmap(fh, dtype="<f8", mode="r", offset=_HEADER.size,
                              shape=(rows, cols))
         except ValueError:  # mmap: the map is longer than the file
-            raise ValueError(f"{path}: expected {rows * cols} values, "
+            raise InputError(f"{path}: expected {rows * cols} values, "
                              "file changed while read") from None
-    as_dense(data)  # checks the map in place; its view of the map is not needed
-    return data
 
 
 def read_matrix(path):

@@ -738,6 +738,75 @@ def test_decompose_invalid_option_leaves_no_output(tmp_path, capsys):
     assert not any(path.exists() for path in paths.values())
 
 
+def _write_raw(path, m):
+    """m written as a CSV or DMAT file without write_matrix's finiteness check."""
+    if str(path).endswith(".csv"):
+        np.savetxt(path, m, delimiter=",")
+    else:
+        path.write_bytes(matio._HEADER.pack(matio.MAGIC, *m.shape) + m.astype("<f8").tobytes())
+
+
+@pytest.mark.parametrize("method", ["l1filter", "adm"])
+@pytest.mark.parametrize("name", ["nan_last.dmat", "nan_last.csv"])
+def test_decompose_non_finite_input_exits_1_and_leaves_no_output(tmp_path, capsys, monkeypatch,
+                                                                 method, name):
+    # the reader checks only the format; the solve's own check finds the NaN
+    # in the last row block after the outputs are opened, which removes them
+    monkeypatch.setattr(matcore, "BLOCK_BYTES", 7 * 40 * 8)
+    m = np.ones((40, 40))
+    m[-1, -1] = np.nan
+    path = tmp_path / name
+    _write_raw(path, m)
+    argv, paths = _output_argv(tmp_path)
+    for out in paths.values():
+        out.write_bytes(b"kept")
+    capsys.readouterr()
+    assert main(["decompose", str(path), "--method", method] + argv) == 1
+    assert capsys.readouterr().err == "error: matrix contains non-finite entries\n"
+    assert not any(out.exists() for out in paths.values())
+
+
+def test_decompose_non_finite_truth_exits_1_before_the_outputs_open(tmp_path, capsys,
+                                                                    monkeypatch):
+    m_path, _ = _synth_files(tmp_path, m=100)
+    truth = tmp_path / "truth.dmat"
+    _write_raw(truth, np.full((100, 100), np.nan))
+
+    def no_solve(m, cfg):
+        raise AssertionError("the solve started")
+
+    monkeypatch.setattr(cli, "estimate_rank_and_factor", no_solve)
+    argv, paths = _output_argv(tmp_path)
+    for out in paths.values():
+        out.write_bytes(b"kept")
+    capsys.readouterr()
+    assert main(["decompose", str(m_path), "--truth", str(truth)] + argv) == 1
+    assert capsys.readouterr().err == "error: matrix contains non-finite entries\n"
+    assert all(out.read_bytes() == b"kept" for out in paths.values())
+
+
+@pytest.mark.parametrize("method", ["l1filter", "adm"])
+def test_decompose_checks_m_once_and_each_output_once(tmp_path, capsys, monkeypatch, method):
+    # M's values are checked by the solve alone, and L's and S's by their
+    # writers: 3x M's cells, where the reader's own pass made it 4x. The
+    # l1-filter's seed and chunk checks, narrower than M, are its own.
+    m_path, _ = _synth_files(tmp_path)
+    monkeypatch.setattr(matcore, "BLOCK_BYTES", 7 * 200 * 8)
+    shapes, as_dense = [], matcore.as_dense
+
+    def counted(a):
+        shapes.append(np.shape(a))
+        return as_dense(a)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("l1pcp") and getattr(module, "as_dense", None) is as_dense:
+            monkeypatch.setattr(module, "as_dense", counted)
+    argv, _ = _output_argv(tmp_path)
+    assert main(["decompose", str(m_path), "--method", method] + argv) == 0
+    assert sum(rows * cols for rows, cols in shapes if cols == 200) == 3 * 200 * 200
+    assert sum(rows * cols for rows, cols in shapes) < 4 * 200 * 200
+
+
 def test_decompose_imports_no_masked_arrays(tmp_path):
     # np.setdiff1d imports numpy.ma on first use, a cost every process paid
     m_path, _ = _synth_files(tmp_path, m=100)

@@ -864,6 +864,45 @@ def test_low_rank_on_few_rows_is_exact_or_unconverged():
     assert synth.rel_err(sol.l, m) <= bench.CONVERGED_WRONG_REL_ERR or not sol.converged
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 6: the other 10%-corruption cases return r' = 10 "
+                   "with RelErr 2.2e-3, 8.2e-5, 1.1e-4 and 2.8e-4 and converged=True")
+@pytest.mark.parametrize(("synth_seed", "rng_seed"), [(2, 102), (1, 2), (3, 102), (4, 0)])
+def test_high_corruption_2000_is_exact_or_unconverged(synth_seed, rng_seed):
+    gt = synth.generate(synth.SynthSpec(m=2000, n=2000, rho_r=0.005, rho_s=0.1,
+                                        rng_seed=synth_seed))
+    sol = estimate_rank_and_solve(gt.m_obs, FilterConfig(rank_hint=10, rng_seed=rng_seed))
+    assert synth.rel_err(sol.l, gt.l0) <= bench.CONVERGED_WRONG_REL_ERR or not sol.converged
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 6: at 15% corruption both seeds return r' = 11 "
+                   "with RelErr 1.08 and 1.17 and converged=True")
+@pytest.mark.parametrize("seed", [0, 1])
+def test_15_percent_corruption_is_exact_or_unconverged(seed):
+    gt = synth.generate(synth.SynthSpec(m=1000, n=1000, rho_r=0.01, rho_s=0.15, rng_seed=seed))
+    sol = estimate_rank_and_solve(gt.m_obs, FilterConfig(rank_hint=10, rng_seed=seed))
+    assert synth.rel_err(sol.l, gt.l0) <= bench.CONVERGED_WRONG_REL_ERR or not sol.converged
+
+
+@functools.cache
+def _row_sparse_pcp(data_seed):
+    """The reference for _row_sparse at data_seed: solve_pcp's L at tol 1e-9,
+    of rank 10-11 and ||L||_F about 30."""
+    return solve_pcp(_row_sparse(np.random.default_rng(data_seed)), AdmConfig(tol=1e-9)).l
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 6: these row-sparse solves return r' = 1 with L "
+                   "2.3-10.4 x ||L_ref||_F from solve_pcp's L and converged=True")
+@pytest.mark.parametrize(("data_seed", "rng_seed"), [(0, 3), (4, 5), (5, 3), (5, 10), (5, 11)])
+def test_row_sparse_is_exact_or_unconverged(data_seed, rng_seed):
+    m = _row_sparse(np.random.default_rng(data_seed))
+    sol = estimate_rank_and_solve(m, FilterConfig(rng_seed=rng_seed))
+    assert (synth.rel_err(sol.l, _row_sparse_pcp(data_seed)) <= bench.CONVERGED_WRONG_REL_ERR
+            or not sol.converged)
+
+
 @functools.cache
 def _moving_object_pcp_l():
     """solve_pcp's L on synth.moving_object(): rank 64 and RelErr 0.14

@@ -14,7 +14,7 @@ ROOT_API = {
     "FilterConfig", "estimate_rank_and_solve", "estimate_rank_and_factor",
     "LowRank", "Remainder", "PcpSolution", "AdmConfig", "solve_pcp",
     "default_lambda", "PcpDivergenceError", "solve_l1reg_columnwise", "L1RegSolution",
-    "SkinnySvd", "SvdConvergenceError", "svd",
+    "InputError", "SkinnySvd", "SvdConvergenceError", "svd",
     "frobenius_norm", "l1_norm", "linf_norm", "l0_count",
     "SynthSpec", "GroundTruth", "generate", "corrupt_impulsive", "checkerboard",
     "rel_err", "max_dif", "ave_dif",
@@ -56,7 +56,8 @@ ENTRY_POINTS = {
 def test_non_finite_entry_rejected(entry, value):
     m = _low_rank()
     m[-1, -1] = value
-    with pytest.raises(ValueError, match="non-finite"):
+    # an InputError, which decompose exits 1 on, and still a ValueError
+    with pytest.raises(l1pcp.InputError, match="non-finite"):
         ENTRY_POINTS[entry](m)
 
 
