@@ -374,6 +374,4 @@ def svt_with_rank(w, eta, v_prev=None, paths=None, draws=None):
         factors, path = SkinnySvd(f.u, f.sigma - eta, f.v), "svd"
     if paths is not None:
         paths[path] = paths.get(path, 0) + 1
-    if factors.rank == 0:
-        return np.zeros_like(w), factors
     return factors.reconstruct(), factors

@@ -19,13 +19,14 @@ spectral_norm_estimate, whose power steps read M's matcore.row_blocks in
 place; the zero-seed certificate of the l1-filter pipeline takes the same
 walk over sign(M), formed one block at a time.
 
-The working set is L, S and the multiplier Y, each the size of M. S and Y
-are updated in place. A step takes Y/beta once into a transient C, forms
-T = M - L + C in S's buffer and clip(T, -lam/beta, lam/beta) in C, then
-S = T - C and, in the old L's buffer, W = M - S + Y/beta = L + C; C is
-freed before the SVT, and R = M - L - S and beta R fill W's buffer after
-it. So an SVT holds only W, S and Y besides its own arrays, and allocates
-the new L only after they are freed:
+The working set is L, S and the multiplier Y, each the size of M. A step
+takes C = Y/beta in Y's own buffer, forms T = M - L + C in S's buffer and
+clip(T, -lam/beta, lam/beta) in C, then S = T - C and, in the old L's
+buffer, W = M - S + Y/beta = L + C. After the SVT the residual
+R = M - L - S takes one transient, and Y + beta R = beta (W - L), beta
+times what the SVT took off W (so ||Y||_2 <= 1), fills W's buffer. An SVT
+thus holds only W and S besides its own arrays, and allocates the new L
+only after they are freed:
 - the Gram start holds W scaled by a power of two and the Gram matrix
   while it forms it, then the Gram matrix and its Cholesky factor while it
   tests for rank 0, and, when that test is declined, the Gram matrix and
@@ -35,8 +36,8 @@ the new L only after they are freed:
   copies only the retained columns;
 - the warm start holds only thin sketches.
 Only the last SVT's thin factors are held into the next one. numpy's
-allocations peak at about 5x M on top of M on a step that takes the Gram
-start or the full SVD, and at about 4x M on a resumed solve whose steps
+allocations peak at about 4x M on top of M, on a step that takes the Gram
+start or the full SVD and, after the SVT, on a resumed solve whose steps
 all take the warm start; LAPACK's own copies and workspace, which numpy
 does not allocate, come on top of that.
 
@@ -303,29 +304,30 @@ def solve_pcp(m, cfg=None, resume=None):
     for iters in range(done + 1, stop + 1):
         if iters > 1:
             beta = min(cfg.rho * beta, beta_max)
-        # T = M - L + Y/beta in s, c = clip(T), S = T - c, which is rounded as
-        # sgn(T) (|T| - lam/beta) where nonzero and is +0.0 elsewhere, and
-        # W = M - S + Y/beta = L + c in the old L's buffer
-        c = np.divide(y, beta)
+        # T = M - L + Y/beta in s, c = Y/beta and then clip(T) in Y's buffer,
+        # S = T - c, rounded as sgn(T) (|T| - lam/beta) where nonzero and +0.0
+        # elsewhere, and W = M - S + Y/beta = L + c in the old L's buffer
+        c = np.divide(y, beta, out=y)
         np.subtract(m, l, out=s)
         np.add(s, c, out=s)
         np.clip(s, -lam / beta, lam / beta, out=c)
         np.subtract(s, c, out=s)
         w = np.add(l, c, out=l)
-        del c  # not held into the SVT
+        del c, y  # not held into the SVT
         l, factors = svt_with_rank(w, 1.0 / beta, None if factors is None else factors.v,
                                    paths=paths, draws=draws)
         rank_l = factors.rank
-        # R = M - L - S, then beta * R, in W's buffer, dead once the SVT ran
-        np.subtract(m, l, out=w)
-        np.subtract(w, s, out=w)
-        residual = frobenius_norm(w) / norm_m
+        # R = M - L - S in one transient
+        r = np.subtract(m, l)
+        residual = frobenius_norm(np.subtract(r, s, out=r)) / norm_m
+        del r
         if not np.isfinite(residual):
             raise PcpDivergenceError(
                 f"non-finite residual at iteration {iters} (beta={beta:.3g})"
             )
-        y += np.multiply(beta, w, out=w)
-        del w  # not held into the next iteration's SVT
+        # Y + beta R = beta (W - L), what the SVT took off W, in W's buffer,
+        # which the next step frees before its SVT
+        y = np.multiply(beta, np.subtract(w, l, out=w), out=w)
         if residual <= cfg.tol:
             break
 

@@ -69,10 +69,14 @@ def lapack_svt(w, eta, v_prev):
     return (u[:, :k] * (sigma[:k] - eta)) @ v.T, v
 
 
-def reference_adm(m, tol, svt):
+def reference_adm(m, tol, svt, paper_update=False):
     """The paper's ADM, out of place, in solve_pcp's order of operations and
     at its default parameters, with the SVT svt(W, eta, previous V_k).
-    Returns L, S, Y and the step count."""
+    Returns L, S, Y and the step count.
+
+    The multiplier update is solve_pcp's Y = beta (W - L), or with
+    paper_update=True the paper's Y + beta (M - L - S): the same in exact
+    arithmetic, as W = M - S + Y/beta."""
     lam = default_lambda(*m.shape)
     beta = 1.25 / spectral_norm_estimate(m)
     beta_max = 1e7 * beta
@@ -84,9 +88,10 @@ def reference_adm(m, tol, svt):
         x = m - l + y / beta
         s = np.sign(x) * np.maximum(np.abs(x) - lam / beta, 0.0)
         # W = M - S + Y/beta, formed as L + clip(X, -lam/beta, lam/beta)
-        l, v = svt(l + np.clip(x, -lam / beta, lam / beta), 1 / beta, v)
+        w = l + np.clip(x, -lam / beta, lam / beta)
+        l, v = svt(w, 1 / beta, v)
         r = m - l - s
-        y += beta * r
+        y = y + beta * r if paper_update else beta * (w - l)
         if np.linalg.norm(r) / np.linalg.norm(m) <= tol:
             return l, s, y, iters
     raise AssertionError("reference ADM did not converge")

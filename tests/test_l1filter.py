@@ -921,12 +921,14 @@ def _moving_object_exact_or_unconverged(rng_seed):
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="rng_seeds 1, 3, 4 and 6 return r' = 3-5 with "
-                   "RelErr 3.41, 39.3, 0.579 and 0.411 and converged=True")
+                   reason="ROADMAP item 6: rng_seeds 1, 3, 4, 6, 100-104 and 106 return "
+                   "r' = 3-5 with RelErr 0.19-39.3 against L0 and converged=True")
 def test_moving_object_is_exact_or_unconverged():
     # a 12x12 square moving over a 40x50 rank-2 background for 400 frames:
-    # 7.2% corruption on a few rows per column; rng_seeds 0, 2 and 5 are exact
-    wrong = [k for k in range(7) if not _moving_object_exact_or_unconverged(k)]
+    # 7.2% corruption on a few rows per column; rng_seeds 0, 2 and 5 are
+    # exact, and so is 105
+    wrong = [k for k in [*range(7), *range(100, 105), 106]
+             if not _moving_object_exact_or_unconverged(k)]
     assert not wrong, f"converged to a wrong L at rng_seeds {wrong}"
 
 
